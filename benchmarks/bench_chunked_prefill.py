@@ -6,9 +6,9 @@ bench measures happens inside ``engine.step()``, so step-granularity
 timestamps are the honest measurement).  Four short decode streams warm up,
 then a "whale" prompt arrives mid-decode:
 
-* **oneshot** — ``chunked_prefill=False``: admission prefills the whole
-  whale inside one step, and every running stream's inter-token gap for
-  that step absorbs the full prefill wall;
+* **oneshot** — ``prefill_token_budget=None``: the whale's schedule is one
+  chunk, prefilled inside its admission step, and every running stream's
+  inter-token gap for that step absorbs the full prefill wall;
 * **chunked** — the whale prefills in block-aligned chunks under the
   per-step token budget, interleaved with the fused decode batch, so the
   running streams see gaps bounded by one chunk of work.
@@ -17,7 +17,7 @@ Gated claims: p99 ITL of the running streams improves ≥3x under chunking,
 while the whale's own TTFT stays within 1.5x of one-shot (the chunks do
 the same total work; the overhead is the decode work interleaved between
 them).  A second chunked run must reproduce every stream's tokens exactly
-— the chunked path is its own oracle (cold/warm/restore determinism is
+— a chunk schedule is its own oracle (cold/warm/restore determinism is
 covered in ``tests/serving/test_chunked_prefill.py``; the bench re-checks
 cold-vs-cold on the measured workload).
 
@@ -131,8 +131,7 @@ def _drive(config, million, base_factory, params: Params, chunked: bool):
         model,
         PooledMillionCacheFactory.from_factory(base_factory, pool),
         max_batch_size=params.short_streams + 1,
-        chunked_prefill=chunked,
-        prefill_token_budget=params.prefill_token_budget,
+        prefill_token_budget=params.prefill_token_budget if chunked else None,
     )
     shorts, whale = _prompts(params, config.vocab_size)
     short_ids = [

@@ -83,7 +83,14 @@ def main() -> None:
     else:
         factory = sequential.factory
 
-    server = BatchedMillionEngine(model, factory, max_batch_size=args.batch_size)
+    # In pool mode a per-step prefill budget of one system prefix puts a
+    # chunk boundary at the prefix end, which makes the prefix adoptable.
+    server = BatchedMillionEngine(
+        model,
+        factory,
+        max_batch_size=args.batch_size,
+        prefill_token_budget=(args.shared_prefix or None) if pooled else None,
+    )
     for i, prompt in enumerate(prompts):
         budget = args.max_new_tokens - 2 * (i % 3)
         server.add_request(prompt, max_new_tokens=budget, request_id=f"user-{i}")

@@ -72,7 +72,7 @@ CONFIG = GatewayConfig(
     calibration_tokens=512,
     pool_blocks=256,
     replicas=1,
-    # Chunked prefill changes sampled tokens vs one-shot, so it must be on
+    # The prefill budget changes sampled tokens, so the same budget must be on
     # in BOTH processes for the token-identity check to compare like with
     # like.  The tight budget makes the whale scenario genuinely chunk.
     chunked_prefill=1,

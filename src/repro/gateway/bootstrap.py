@@ -96,16 +96,19 @@ class GatewayConfig:
     # an operator may want alerting well before refusing requests.
     burn_interactive_slo_ms: int = 0
     burn_best_effort_slo_ms: int = 0
-    # Chunked prefill (Sarathi-style stall-free batching): 1 makes every
-    # pooled replica split long prompts into block-aligned chunks and
-    # interleave them with the fused decode batch under the per-step token
-    # budget below.  Requires a block pool (``pool_blocks > 0``); ignored
-    # otherwise.  Chunked token streams are deterministic but not
-    # bit-identical to one-shot prefill, so flipping this knob changes
-    # sampled tokens — compare like against like.
+    # Chunked prefill (Sarathi-style stall-free batching): picks the
+    # per-step prefill token budget of every pooled replica.  1 caps each
+    # step at ``prefill_token_budget`` tokens, so long prompts prefill in
+    # block-aligned chunks interleaved with the fused decode batch; 0 sets
+    # no cap, so every admitted prompt prefills in one chunk within its
+    # admission step.  Both run the same chunk schedule; the chunk size
+    # moves the quantized/full-precision split, so flipping this knob
+    # changes sampled tokens — compare like against like.  A budget also
+    # lets a shared prefix that ends on a chunk boundary be adopted.
+    # Ignored without a block pool (``pool_blocks == 0``).
     chunked_prefill: int = 0
-    # Per-step prefill token budget for chunked mode; 0 derives the engine
-    # default (8 blocks' worth, i.e. ``8 * block_tokens``).
+    # Per-step prefill token budget when ``chunked_prefill`` is 1; 0
+    # derives 8 blocks' worth, i.e. ``8 * block_tokens``.
     prefill_token_budget: int = 0
 
     def __post_init__(self) -> None:
@@ -125,6 +128,13 @@ def _tier_policies(model_config, sensitivity) -> dict[str, QuantPolicy]:
             model_config, sensitivity, (b2 + b4) / 2.0, schemes=("million",)
         ),
     }
+
+
+def prefill_token_budget(config: GatewayConfig) -> Optional[int]:
+    """The engine budget ``chunked_prefill``/``prefill_token_budget`` imply."""
+    if not config.chunked_prefill:
+        return None
+    return config.prefill_token_budget or 8 * config.block_tokens
 
 
 def build_engines(
@@ -234,9 +244,7 @@ def build_engines(
                 priority_aware=bool(config.priority_aware),
                 slo_policy=slo_policy,
                 prof=PhaseProfiler() if config.profiler else None,
-                chunked_prefill=bool(config.chunked_prefill)
-                and config.pool_blocks > 0,
-                prefill_token_budget=config.prefill_token_budget or None,
+                prefill_token_budget=prefill_token_budget(config),
             )
         )
     return engines

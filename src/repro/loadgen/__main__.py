@@ -31,7 +31,7 @@ from repro.loadgen.workload import WorkloadSpec, synthesize
 #: Self-hosted demo gateway shape: small enough to calibrate in seconds,
 #: pool small enough that a burst actually contends for blocks.  Chunked
 #: prefill is on so the CI smoke exercises budgeted chunk scheduling under
-#: a real bursty load, not just the one-shot path.
+#: a real bursty load, not just one chunk per prompt.
 _SELF_HOST_KWARGS = dict(
     max_seq_len=512,
     calibration_tokens=512,

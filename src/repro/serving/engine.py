@@ -19,60 +19,58 @@ Scheduling is continuous batching (see
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`): a sequence
 that finishes frees its slot immediately and the next queued request is
 admitted on the following step, so the running set stays full under load.
+Factories without a pool prefill each prompt in one forward at admission.
 
 Block-pool mode
 ---------------
 When the cache factory exposes a ``pool`` attribute (see
 :class:`~repro.serving.memory.PooledMillionCacheFactory`), the engine adds a
-memory manager on top of slot-count scheduling:
+memory manager on top of slot-count scheduling, and every prefill follows
+one resumable **chunk schedule**:
 
-* **Block-aligned prefill protocol.**  A prompt of ``P`` tokens is split at
-  ``A = B * floor((P - 1) / B)`` (``B`` = pool block tokens).  The engine
-  runs the model over the aligned prefix, force-quantizes it into sealed pool
-  blocks, publishes them under token-chain hashes, then runs the remainder
-  (which attends to the quantized prefix).  A later prompt with the same
-  prefix *adopts* the published blocks instead of recomputing them — and
-  because the cold path quantized the same split, shared and cold prefills
-  produce bit-identical downstream logits.
+* **Chunk schedule.**  A prompt of ``P`` tokens is split at
+  ``A = B * floor((P - 1) / B)`` (``B`` = pool block tokens).  The aligned
+  prefix ``[0, A)`` runs in chunks of ``C`` tokens (:func:`chunk_schedule`;
+  ``C`` is the largest block multiple inside ``prefill_token_budget``), each
+  ending in a forced ``flush_all`` that seals its blocks and publishes them
+  under token-chain hashes.  The residual tail ``[A, P)`` stays full
+  precision and produces the next-token logits.  With no budget
+  (``prefill_token_budget=None``, the default) one chunk covers ``[0, A)``,
+  so every admitted prompt prefills within its admission step.
+* **Exact prefix adoption.**  MILLION attends to PQ codes for sealed history
+  and to full precision for the recent window, merged in one softmax, so a
+  token's KV depends on which earlier tokens were already quantized when it
+  was computed.  A request therefore adopts published blocks only up to a
+  flush state its own cold run passes through: a chunk boundary, or ``A``
+  on a full hit.  Adoption runs at admission and again before every
+  aligned chunk, so requests admitted together compute a shared prefix
+  once, and adopted, cold and restored runs of a prompt produce
+  bit-identical logits.  Block content is a pure function of
+  ``(token prefix, C, B)``, which is why ``C`` is fixed at construction and
+  never follows load.
 * **Memory-aware admission.**  The scheduler's admission gate refuses the
-  queue head until the pool can cover its prefill blocks (minus prefix hits)
+  queue head until the pool can cover its first chunk (minus prefix hits)
   plus one decode block per layer of headroom.
+* **Stall-free batching.**  Chunk sub-steps run round-robin over the
+  prefilling sequences under the per-step token budget, before the fused
+  decode half of the same step (Sarathi-style); a sequence decodes only
+  after its schedule finishes.  Later chunks make room through the same
+  preemption order as decode.
 * **Preemption with recompute.**  Before each decode step the engine checks
   the pool can cover the step's flush; if not, a running sequence is
   preempted — lowest priority class first, youngest first within a class
   (so ``best_effort`` work is sacrificed before ``interactive`` work): its
   non-shared blocks are freed and it re-queues at the front of its class's
-  queue.  Restoration replays its full token history through the same
-  block-aligned protocol — forced flushing is deterministic in the total
-  token count, so the restored cache state and the next sampled token are
-  bit-identical to an uncontended run (a test asserts this).
-
-Chunked prefill (``chunked_prefill=True``)
-------------------------------------------
-One-shot prefill freezes every in-flight decode stream for the whole
-prompt: a 32k-token arrival stalls running streams for seconds.  Chunked
-mode splits the aligned prefix into fixed chunks of ``k·B`` tokens (the
-largest block multiple inside ``prefill_token_budget``), admits a request
-once its *first* chunk fits in the pool, and interleaves chunk forwards
-with the fused decode batch inside :meth:`step` under the per-step token
-budget (Sarathi-style stall-free batching).  Each chunk ends in a forced
-``flush_all`` — exactly the pool protocol's sealed-block state — so every
-chunk boundary publishes adoptable blocks whose content is a pure function
-of ``(token prefix, chunk size, block size)``.  The fused kernels are
-untouched: chunks run as stacked prefill sub-steps before the decode half
-of the same step, and a sequence decodes only after its schedule finishes.
-
-Chunked output is **not** bit-identical to one-shot prefill — a token's
-deeper-layer KV depends on the quantized/full-precision split it was
-computed against, and each inter-chunk flush changes that split.  The
-chunked path is therefore its own oracle: cold, prefix-adopted and
-preempt/restore runs under ``chunked_prefill=True`` are asserted
-token-identical to each other, while ``chunked_prefill=False`` (the
-default) keeps the legacy one-shot path bit-exact as before.
+  queue.  Restoration replays the prompt's chunk schedule, then re-decodes
+  every generated token one step at a time — forced flushing is
+  deterministic in the total token count, so the restored cache state and
+  the next sampled token are bit-identical to an uncontended run (a test
+  asserts this).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -113,6 +111,12 @@ from repro.utils.validation import require
 
 logger = get_logger("serving")
 
+#: Smallest decode batch that runs through the fused stacked forward.
+#: Stacking gains nothing at B=1 (0.96x in BENCH_serving) and 3.1x at B=16,
+#: so smaller batches decode through the per-sequence forwards, which are
+#: bit-identical (single-token forwards use the same row-invariant kernels).
+FUSED_MIN_BATCH = 2
+
 
 def chunk_schedule(
     prompt_tokens: int, block_tokens: int, chunk_tokens: int
@@ -143,31 +147,38 @@ def chunk_schedule(
 
 @dataclass
 class _PrefillPlan:
-    """Block-aligned prefill/restore schedule for one request.
+    """Resumable chunk schedule of one pooled prefill or restore.
 
     ``aligned`` is the force-quantized prompt prefix ``A = B*floor((P-1)/B)``;
-    ``hashes`` is the candidate block chain to look up in the pool (the
-    aligned prompt prefix for a fresh request, or the sealed history of a
-    preempted one); ``stored_final`` is how many tokens will sit in sealed
+    ``bounds`` holds the cumulative :func:`chunk_schedule` boundaries of the
+    prompt; ``hashes`` is the candidate block chain to look up in the pool
+    (the aligned prompt prefix for a fresh request, or the sealed history of
+    a preempted one); ``stored_final`` is how many tokens will sit in sealed
     blocks once the prefill/restore completes — which is what admission must
     budget for.  ``is_restore`` marks a preempted sequence whose generated
     tokens are replayed one decode step at a time.
 
-    Under ``chunked_prefill`` the plan is *resumable*: ``bounds`` holds the
-    cumulative :func:`chunk_schedule` boundaries of the prompt, and
     ``cursor`` is how many history tokens are already incorporated (adopted
-    or computed).  The plan then persists on the state across steps until
-    the schedule completes; a cursor past the prompt walks the restore
-    replay one decode step at a time.  ``cursor == -1`` means the request
-    has not been admitted yet.
+    or computed); ``-1`` means the request has not been admitted yet.  The
+    plan persists on the state across steps until the schedule completes; a
+    cursor past the prompt walks the restore replay.  ``promised`` is the
+    pool blocks of the first chunk, reserved from admission until that
+    chunk runs; ``reused`` counts adopted tokens not yet reported in a
+    trace span.
     """
 
     aligned: int
     hashes: tuple
     stored_final: int
     is_restore: bool
-    bounds: tuple = ()
+    bounds: tuple
     cursor: int = -1
+    promised: int = 0
+    reused: int = 0
+
+    def next_bound(self) -> int:
+        """End of the chunk that starts at the cursor."""
+        return next(bound for bound in self.bounds if bound > self.cursor)
 
 
 class BatchedMillionEngine:
@@ -187,18 +198,15 @@ class BatchedMillionEngine:
         max_unclaimed_results: int = 1024,
         max_queue_size: Optional[int] = None,
         fused_decode: bool = True,
-        fused_min_batch: int = 2,
         tier_factories: Optional[dict[str, KVCacheFactory]] = None,
         trace: Optional[TraceRecorder] = None,
         trace_track: str = "engine",
         priority_aware: bool = True,
         slo_policy: Optional[SloPolicy] = None,
         prof: Optional[PhaseProfiler] = None,
-        chunked_prefill: bool = False,
         prefill_token_budget: Optional[int] = None,
     ) -> None:
         require(max_unclaimed_results >= 1, "max_unclaimed_results must be >= 1")
-        require(fused_min_batch >= 1, "fused_min_batch must be >= 1")
         require(
             prefill_token_budget is None or prefill_token_budget >= 1,
             "prefill_token_budget must be >= 1",
@@ -220,13 +228,9 @@ class BatchedMillionEngine:
         # one forward per running sequence.  Token streams are bit-identical
         # either way (the kernels are row-invariant by construction and tests
         # sweep both), so ``fused_decode=False`` keeps the slow per-sequence
-        # loop purely as the reference oracle.  ``fused_min_batch`` is the
-        # auto-selection cutoff: batches below it decode through the
-        # per-sequence forwards (stacking gains nothing at B=1 — 0.96x in
-        # BENCH_serving — and 3.1x at B=16), so each step picks the faster
-        # path for its live batch size.
+        # loop purely as the reference oracle.  Batches below
+        # :data:`FUSED_MIN_BATCH` decode through the per-sequence forwards.
         self.fused_decode = fused_decode
-        self.fused_min_batch = fused_min_batch
         self._fused_attention: Optional[FusedMillionAttention] = None
         config = getattr(factory, "million_config", None)
         foreign_tier_factories = any(
@@ -274,26 +278,15 @@ class BatchedMillionEngine:
             getattr(tier_factory, "pool", None) is not None
             for tier_factory in self.tier_factories.values()
         )
-        # Chunked prefill (see the module docstring): split the aligned
-        # prefix into fixed k·B-token chunks and interleave them with decode
-        # under a per-step token budget.  The chunk size is derived from the
-        # budget *once, here* — it must never depend on load, because every
-        # chunk boundary is a published-block state and two runs of the same
-        # prompt must pass through identical flush states for the published
-        # content (and hence prefix adoption) to be deterministic.
-        self.chunked_prefill = chunked_prefill
-        if chunked_prefill:
-            require(
-                self._has_pool,
-                "chunked_prefill requires a block-pooled cache factory "
-                "(see repro.serving.memory.PooledMillionCacheFactory)",
-            )
-        if prefill_token_budget is None:
-            pools = self._all_pools()
-            # Default: eight pool blocks of prefill per step — enough to
-            # amortize per-chunk overhead while keeping decode stall bounded.
-            prefill_token_budget = 8 * (pools[0].block_tokens if pools else 16)
-        self.prefill_token_budget = int(prefill_token_budget)
+        # Per-step prefill token budget (see the module docstring); ``None``
+        # means no cap and one chunk per prompt.  The chunk size follows
+        # from the budget alone — never from load — because every chunk
+        # boundary is a published-block state, and two runs of a prompt must
+        # pass through identical flush states for published content (and
+        # hence prefix adoption) to be deterministic.
+        self.prefill_token_budget = (
+            None if prefill_token_budget is None else int(prefill_token_budget)
+        )
         # Per-tier lifetime counters ("default" = requests without a tier).
         self._tier_requests_total: dict[str, int] = {
             label: 0 for label in ("default", *self.tier_factories)
@@ -317,11 +310,11 @@ class BatchedMillionEngine:
         self.last_prefill_seconds = 0.0
         self.last_decode_seconds = 0.0
         self.last_fused_batch_size = 0
-        # Chunked-prefill accounting: chunk sub-steps executed, and the
-        # fraction of the per-step token budget the last step actually spent
-        # on prefill work (0.0 when the step had no prefill work; may exceed
-        # 1.0 — the final sub-step of a step is allowed to overshoot so a
-        # budget smaller than one chunk still makes progress).
+        # Chunk accounting: sub-steps executed, and the fraction of the
+        # per-step token budget the last step actually spent on prefill work
+        # (0.0 when the step had no prefill work or there is no budget; may
+        # exceed 1.0 — the final sub-step of a step is allowed to overshoot
+        # so a budget smaller than one chunk still makes progress).
         self.prefill_chunks_total = 0
         self.last_budget_utilization = 0.0
         # Tracing + latency histograms (repro.obs).  ``trace`` defaults to
@@ -545,8 +538,12 @@ class BatchedMillionEngine:
 
     def _chunk_tokens_for(self, pool: BlockPool) -> int:
         """Fixed chunk size against ``pool``: the largest multiple of its
-        block size inside ``prefill_token_budget`` (at least one block)."""
+        block size inside ``prefill_token_budget`` (at least one block).
+        Without a budget the chunk covers ``max_seq_len``, so any prompt's
+        aligned prefix — and any restore replay — is one chunk."""
         block = pool.block_tokens
+        if self.prefill_token_budget is None:
+            return block * -(-self.model.config.max_seq_len // block)
         return block * max(1, self.prefill_token_budget // block)
 
     def _pooled_caches(self, state: RequestState) -> list[PooledMillionKVCacheLayer]:
@@ -626,7 +623,7 @@ class BatchedMillionEngine:
         return np.concatenate([prompt[lo:], generated])
 
     def _prefill_plan(self, state: RequestState) -> _PrefillPlan:
-        """Block-aligned (re)prefill schedule; see the class docstring.
+        """Chunk schedule of a (re)prefill; see :class:`_PrefillPlan`.
 
         A fresh prompt force-quantizes ``A = B*floor((P-1)/B)`` tokens —
         always leaving at least the last prompt token full-precision so the
@@ -647,11 +644,7 @@ class BatchedMillionEngine:
         window = self._residual_window_for(state)
         prompt = state.request.prompt_ids
         aligned = block * ((prompt.size - 1) // block)
-        bounds: tuple = ()
-        if self.chunked_prefill:
-            bounds = chunk_schedule(
-                prompt.size, block, self._chunk_tokens_for(pool)
-            )
+        bounds = chunk_schedule(prompt.size, block, self._chunk_tokens_for(pool))
         if state.generated:
             history = state.token_history
             # The last generated token's decode step is always replayed, so
@@ -664,55 +657,53 @@ class BatchedMillionEngine:
             )
         else:
             hashes = tuple(chain_hashes(prompt[:aligned], block))
-            state.prefill_plan = _PrefillPlan(
-                aligned, hashes, aligned, False, bounds
-            )
+            state.prefill_plan = _PrefillPlan(aligned, hashes, aligned, False, bounds)
         return state.prefill_plan
+
+    def _round_hits(self, pool: BlockPool, aligned: int, hits: int) -> int:
+        """Leading chain hits a prompt with aligned prefix ``aligned`` can adopt.
+
+        Adopting ``k`` blocks resumes from the state ``(stored == k*B,
+        pending == 0)``, which must be a state the prompt's own cold run
+        passes through — otherwise the tokens computed next would see a
+        different quantized/full-precision split and diverge.  The cold
+        chunk schedule passes through such states only at multiples of the
+        chunk size below ``A`` and at ``A`` itself, so hits are capped at
+        ``A`` and, short of it, rounded down to a whole number of chunks.
+        """
+        block = pool.block_tokens
+        usable = min(hits, aligned // block)
+        if usable * block < aligned:
+            usable -= usable % (self._chunk_tokens_for(pool) // block)
+        return usable
 
     def _usable_hits(self, state: RequestState, plan: _PrefillPlan, hits: int) -> int:
         """How many leading chain hits the prefill protocol can actually adopt.
 
-        Adopting a chain of ``k`` blocks means resuming from the state
-        ``(stored == k*B, pending == 0)``, which must be a state the original
-        (uncontended) computation passed through — otherwise the tokens
-        computed next would see a different quantized/full-precision split
-        and diverge.  That holds for ``k*B <= A`` (the prefill protocol's
-        forced flush) and, when the residual window is 0, for any block
-        boundary at or past the prompt end during replay (every decode step
-        flushes to the boundary before appending).  In between — or with a
-        residual window — the original run computed those tokens against a
-        partially full-precision cache, so they must be recomputed.
-
-        Under ``chunked_prefill`` the cold schedule only passes through
-        aligned states at multiples of the chunk size (and at ``A`` itself),
-        so a partial prefix hit is additionally rounded down to a chunk
-        boundary — resuming anywhere else would compute the next chunk
-        against a flush split the deterministic chunked run never sees.
+        :meth:`_round_hits` for the prompt, plus one case only a restore
+        reaches: with a residual window of 0, every decode step flushes to
+        the block boundary before appending, so any block boundary at or
+        past the prompt end is a state the original replay passed through.
         """
         pool = self._pool_for(state)
-        block = pool.block_tokens
-        prompt_tokens = state.request.prompt_ids.size
         if (
             plan.is_restore
             and self._residual_window_for(state) == 0
-            and hits * block >= prompt_tokens
+            and hits * pool.block_tokens >= state.request.prompt_ids.size
         ):
             return hits
-        usable = min(hits, plan.aligned // block)
-        if self.chunked_prefill and usable * block < plan.aligned:
-            chunk = self._chunk_tokens_for(pool)
-            usable = (usable * block // chunk) * (chunk // block)
-        return usable
+        return self._round_hits(pool, plan.aligned, hits)
 
     def _admission_gate(self, state: RequestState) -> bool:
-        """Can the pool cover this request's prefill (plus decode headroom)?
+        """Can the pool cover this request's first chunk (plus decode headroom)?
 
-        Under ``chunked_prefill`` only the *first chunk* has to fit: later
-        chunks run under the per-step budget and make their own room by
-        preempting (or being preempted) through the same victim ordering as
-        decode — that is what lets a whale prompt start while the pool is
+        Later chunks run under the per-step budget and make their own room
+        by preempting (or being preempted) through the same victim ordering
+        as decode — that is what lets a whale prompt start while the pool is
         mostly busy, instead of blocking the queue head until the whole
-        prompt fits.
+        prompt fits.  Without a budget the first chunk is the whole prefill.
+        First chunks admitted earlier but not yet run hold their blocks'
+        worth of the pool, so two admissions never count on the same room.
         """
         pool = self._pool_for(state)
         if pool is None:
@@ -722,11 +713,10 @@ class BatchedMillionEngine:
         hits = pool.longest_prefix(plan.hashes)
         usable = self._usable_hits(state, plan, hits)
         block = pool.block_tokens
-        needed_groups = plan.stored_final // block - usable
-        if self.chunked_prefill:
-            needed_groups = min(
-                needed_groups, self._chunk_tokens_for(pool) // block
-            )
+        needed_groups = min(
+            plan.stored_final // block - usable,
+            self._chunk_tokens_for(pool) // block,
+        )
         # Cached groups this prefill will adopt leave the evictable set the
         # moment they are adopted, so they must not double as reclaimable
         # capacity for the new allocations.
@@ -734,7 +724,12 @@ class BatchedMillionEngine:
             1 for h in plan.hashes[:usable] if pool.group_is_evictable(h)
         )
         needed = (needed_groups + 1 + adopted_from_cache) * pool.n_layers
-        return pool.can_allocate(needed)
+        promised = sum(
+            other.prefill_plan.promised
+            for other in self.scheduler.running
+            if other.prefilling and self._pool_for(other) is pool
+        )
+        return pool.can_allocate(needed + promised)
 
     def _register_new_blocks(self, state: RequestState) -> None:
         """Publish blocks sealed by the last forward under their chain hashes."""
@@ -761,160 +756,93 @@ class BatchedMillionEngine:
                 prev_hash, tuple(blocks[j] for blocks in per_unit)
             )
 
-    def _pooled_prefill(self, state: RequestState) -> None:
-        """Prefill (or restore) a sequence through the block-aligned protocol.
+    def _adopt_published(self, state: RequestState, plan: _PrefillPlan) -> None:
+        """Adopt published groups past the cursor that the schedule may skip.
 
-        Restoration is an exact *replay*: the prompt goes through the same
-        aligned-flush protocol as its original prefill, then every generated
-        token is re-decoded one step at a time.  Replaying reproduces the
-        original flush schedule, so each token's KV is computed against the
-        exact quantized/full-precision cache split it originally saw — which
-        is what makes the restored next-token logits bit-identical (a
-        token's deeper-layer KV depends on that split, so chunked
-        re-prefill would *not* be exact).  Published chain blocks shortcut
-        the replay wherever :meth:`_usable_hits` proves the jump state
-        occurred in the original run.
+        Runs at admission and again before every aligned chunk, so a prefix
+        published by a request admitted in the same step — or computed while
+        this one waited for budget — is computed once.  Only hits that
+        :meth:`_usable_hits` proves to be states of this request's own cold
+        run are taken, so adoption never changes its logits.  The adopted
+        groups count as hits that the admission counted as misses.
         """
         pool = self._pool_for(state)
-        assert pool is not None
         prof = self.prof
-        timing = prof.enabled
-        plan = self._prefill_plan(state)
-        state.prefill_plan = None  # consumed; stale once decoding resumes
+        if prof.enabled:
+            t = prof.now()
         block = pool.block_tokens
-        history = state.token_history
-        prompt_tokens = state.request.prompt_ids.size
+        have = plan.cursor // block
+        usable = self._usable_hits(state, plan, pool.longest_prefix(plan.hashes))
+        if usable > have:
+            hashes = plan.hashes[have:usable]
+            groups = [pool.adopt(h) for h in hashes]
+            with self._bound(state) as model:
+                for unit, cache in enumerate(self._pooled_caches(state)):
+                    cache.adopt_shared_blocks([g[unit] for g in groups])
+                model.advance_position(len(groups) * block)
+            state.block_hashes.extend(hashes)
+            plan.cursor = usable * block
+            plan.reused += len(groups) * block
+            self.prefix_block_hits += len(groups)
+            self.prefix_block_misses -= len(groups)
+            self.prefill_tokens_reused += len(groups) * block
+        if prof.enabled:
+            prof.lap("prefill/adopt", t)
+
+    def _begin_prefill(self, state: RequestState) -> None:
+        """Admit a pooled request into the running set with only adoption done.
+
+        The compute — chunk forwards, the residual tail, the restore replay —
+        happens in :meth:`_prefill_chunk_work`, later in the same step.
+        Adoption runs here because the admission gate already accounted for
+        the adopted groups leaving the evictable set; deferring it would let
+        a decode flush in the same step evict the blocks the gate promised.
+        Until the schedule completes the state is ``prefilling`` and the
+        decode half of every step skips it.
+        """
+        begin_start = time.perf_counter()
+        plan = self._prefill_plan(state)
         state.context = self.model.fresh_context(self._factory_for(state))
         state.block_hashes = []
-        with self._bound(state) as model:
-            caches = self._pooled_caches(state)
-            if timing:
-                t = prof.now()
-            hits = pool.longest_prefix(plan.hashes)
-            usable = self._usable_hits(state, plan, hits)
-            self.prefix_block_hits += usable
-            self.prefix_block_misses += len(plan.hashes) - usable
-            if usable:
-                groups = [pool.adopt(h) for h in plan.hashes[:usable]]
-                for unit, cache in enumerate(caches):
-                    cache.adopt_shared_blocks([g[unit] for g in groups])
-                model.advance_position(usable * block)
-                state.block_hashes.extend(plan.hashes[:usable])
-                self.prefill_tokens_reused += usable * block
-            if timing:
-                t = prof.lap("prefill/adopt", t)
-            if usable * block < prompt_tokens:
-                if usable * block < plan.aligned:
-                    prefix = history[usable * block : plan.aligned]
-                    model.forward(prefix)
-                    for cache in caches:
-                        cache.flush_all()
-                    self._register_new_blocks(state)
-                    self.prefill_tokens_computed += prefix.size
-                    if timing:
-                        t = prof.lap("prefill/aligned", t)
-                tail = history[plan.aligned : prompt_tokens]
-                logits = model.forward(tail)
-                state.next_logits = logits[-1]
-                self.prefill_tokens_computed += tail.size
-                if timing:
-                    t = prof.lap("prefill/tail", t)
-            # Replay the generated tokens (restore only; empty range for a
-            # fresh prompt).  Each decode step re-seals and republishes the
-            # blocks it originally flushed.
-            replay_from = max(usable * block, prompt_tokens)
-            for index in range(replay_from, history.size):
-                state.next_logits = model.decode_step(int(history[index]))
-                self._register_new_blocks(state)
-                self.prefill_tokens_computed += 1
-            if timing and history.size > replay_from:
-                prof.lap("prefill/replay", t)
+        plan.cursor = 0
+        self.prefix_block_misses += len(plan.hashes)
+        self._adopt_published(state, plan)
+        if plan.cursor < plan.aligned:
+            pool = self._pool_for(state)
+            chunk_groups = (plan.next_bound() - plan.cursor) // pool.block_tokens
+            plan.promised = chunk_groups * pool.n_layers
+        state.prefilling = True
+        if self.prof.enabled:
+            self.prof.record("prefill", time.perf_counter() - begin_start)
 
     def _prefill(self, state: RequestState) -> Optional[StepOutput]:
-        """Prefill a newly admitted request; may finish it immediately."""
-        is_restore = bool(state.generated)
-        computed_before = self.prefill_tokens_computed
-        reused_before = self.prefill_tokens_reused
+        """Prefill a request whose factory has no pool: one forward at admission."""
         prefill_start = time.perf_counter()
-        if self._pool_for(state) is not None:
-            self._pooled_prefill(state)
-        else:
-            state.context = self.model.fresh_context(self._factory_for(state))
-            with self._bound(state) as model:
-                logits = model.forward(state.request.prompt_ids)
-            state.next_logits = logits[-1]
-            self.prefill_tokens_computed += int(state.request.prompt_ids.size)
+        prompt = state.request.prompt_ids
+        state.context = self.model.fresh_context(self._factory_for(state))
+        with self._bound(state) as model:
+            logits = model.forward(prompt)
+        state.next_logits = logits[-1]
+        self.prefill_tokens_computed += int(prompt.size)
         if self.prof.enabled:
             self.prof.record("prefill", time.perf_counter() - prefill_start)
         if self.trace.enabled:
             self.trace.complete(
-                "restore" if is_restore else "prefill",
+                "prefill",
                 prefill_start,
                 time.perf_counter(),
                 track=self.trace_track,
                 request_id=state.request_id,
                 args={
-                    "tokens_computed": self.prefill_tokens_computed - computed_before,
-                    "tokens_reused": self.prefill_tokens_reused - reused_before,
-                    "is_restore": is_restore,
+                    "tokens_computed": int(prompt.size),
+                    "tokens_reused": 0,
+                    "is_restore": False,
                 },
             )
-        if state.request.max_new_tokens <= len(state.generated):
-            self._finish(state, FinishReason.LENGTH)
-        elif state.context.next_position >= self.model.config.max_seq_len:
-            self._finish(state, FinishReason.CONTEXT_FULL)
-        if state.is_finished:
-            return self._emit(
-                StepOutput(state.request_id, None, True, state.finish_reason)
-            )
-        return None
+        return self._end_prefill(state)
 
-    # Chunked prefill ----------------------------------------------------------
-
-    def _begin_chunked_prefill(self, state: RequestState) -> None:
-        """Admit a request into the running set with only block adoption done.
-
-        The compute — chunk forwards, the residual tail, the restore replay —
-        happens later, in budgeted sub-steps inside :meth:`step`.  Adoption
-        runs here because the admission gate already accounted for the
-        adopted groups leaving the evictable set; deferring it would let a
-        decode flush in the same step evict the blocks the gate promised.
-        Until the schedule completes the state is ``prefilling`` and the
-        decode half of every step skips it.
-        """
-        pool = self._pool_for(state)
-        assert pool is not None
-        prof = self.prof
-        timing = prof.enabled
-        begin_start = time.perf_counter()
-        plan = self._prefill_plan(state)
-        block = pool.block_tokens
-        state.context = self.model.fresh_context(self._factory_for(state))
-        state.block_hashes = []
-        with self._bound(state) as model:
-            caches = self._pooled_caches(state)
-            if timing:
-                t = prof.now()
-            hits = pool.longest_prefix(plan.hashes)
-            usable = self._usable_hits(state, plan, hits)
-            self.prefix_block_hits += usable
-            self.prefix_block_misses += len(plan.hashes) - usable
-            if usable:
-                groups = [pool.adopt(h) for h in plan.hashes[:usable]]
-                for unit, cache in enumerate(caches):
-                    cache.adopt_shared_blocks([g[unit] for g in groups])
-                model.advance_position(usable * block)
-                state.block_hashes.extend(plan.hashes[:usable])
-                self.prefill_tokens_reused += usable * block
-            if timing:
-                prof.lap("prefill/adopt", t)
-        plan.cursor = usable * block
-        state.prefilling = True
-        if timing:
-            prof.record("prefill", time.perf_counter() - begin_start)
-
-    def _finish_chunked_prefill(self, state: RequestState) -> Optional[StepOutput]:
-        """Chunk schedule complete: same finish checks as one-shot prefill."""
+    def _end_prefill(self, state: RequestState) -> Optional[StepOutput]:
+        """Prefill complete: the request decodes next, unless it is done already."""
         state.prefilling = False
         state.prefill_plan = None
         if state.request.max_new_tokens <= len(state.generated):
@@ -932,15 +860,17 @@ class BatchedMillionEngine:
     ) -> tuple[int, Optional[StepOutput]]:
         """Advance one prefilling sequence by one chunk of its schedule.
 
-        Exactly one of three moves, by cursor position: an **aligned chunk**
-        (forward + forced flush + publication — the pool protocol's sealed
-        state), the **residual tail** (pending-only forward that produces
-        the next-token logits; no allocation), or a slice of the **restore
-        replay** (one decode step per generated token, resumable mid-slice).
-        Returns the tokens computed and, when the schedule completed, the
-        finish output (if the request finished immediately).  A return of
-        ``(0, None)`` means the state was preempted making room for its own
-        chunk and left the running set.
+        Before an aligned chunk, newly published groups are adopted (see
+        :meth:`_adopt_published`).  Then exactly one of three moves, by
+        cursor position: an **aligned chunk** (forward + forced flush +
+        publication — the pool protocol's sealed state), the **residual
+        tail** (pending-only forward that produces the next-token logits; no
+        allocation), or a slice of the **restore replay** (one decode step
+        per generated token, resumable mid-slice).  Returns the tokens
+        computed and, when the schedule completed, the finish output (if the
+        request finished immediately).  A return of ``(0, None)`` means the
+        state was preempted making room for its own chunk and left the
+        running set.
         """
         pool = self._pool_for(state)
         plan = state.prefill_plan
@@ -948,13 +878,16 @@ class BatchedMillionEngine:
         block = pool.block_tokens
         prompt_tokens = state.request.prompt_ids.size
         history_size = prompt_tokens + len(state.generated)
-        cursor = plan.cursor
         sub_start = time.perf_counter()
         prof = self.prof
         timing = prof.enabled
+        plan.promised = 0  # the first chunk claims its own room from here
+        if plan.cursor < plan.aligned:
+            self._adopt_published(state, plan)
+        cursor = plan.cursor
         computed = 0
         if cursor < plan.aligned:
-            hi = next(bound for bound in plan.bounds if bound > cursor)
+            hi = plan.next_bound()
             demand = ((hi - cursor) // block) * pool.n_layers
             if not self._ensure_decode_capacity(state, demand=demand):
                 return 0, None  # preempted; restarts from scratch on restore
@@ -1022,11 +955,13 @@ class BatchedMillionEngine:
                 args={
                     "chunk_end": plan.cursor,
                     "tokens_computed": computed,
+                    "tokens_reused": plan.reused,
                     "is_restore": plan.is_restore,
                 },
             )
+        plan.reused = 0
         if plan.cursor >= history_size:
-            return computed, self._finish_chunked_prefill(state)
+            return computed, self._end_prefill(state)
         return computed, None
 
     def _prefill_chunk_work(self) -> tuple[list[StepOutput], int]:
@@ -1035,12 +970,12 @@ class BatchedMillionEngine:
         Prefilling sequences advance in admission order, one sub-step each
         per pass, so two concurrent long prompts share the budget instead of
         the older one monopolizing it.  The budget check runs *before* each
-        sub-step and only once something was spent — a budget smaller than
-        one chunk still guarantees one sub-step of forward progress per
-        engine step (stall-free, never stalled-out).
+        sub-step — a budget smaller than one chunk still guarantees one
+        sub-step of forward progress per engine step (stall-free, never
+        stalled-out).  Without a budget every schedule runs to completion.
         """
         outputs: list[StepOutput] = []
-        budget = self.prefill_token_budget
+        budget = self.prefill_token_budget or math.inf
         spent = 0
         while True:
             pending = [
@@ -1048,11 +983,11 @@ class BatchedMillionEngine:
                 for s in self.scheduler.running
                 if s.status is RequestStatus.RUNNING and s.prefilling
             ]
-            if not pending or (spent > 0 and spent >= budget):
+            if not pending or spent >= budget:
                 break
             progressed = 0
             for state in pending:
-                if spent > 0 and spent >= budget:
+                if spent >= budget:
                     break
                 if state.status is not RequestStatus.RUNNING or not state.prefilling:
                     continue  # preempted by an earlier sub-step of this pass
@@ -1261,12 +1196,9 @@ class BatchedMillionEngine:
             tokens.append(token)
         fused_batch = 0
         if live:
-            if len(live) < self.fused_min_batch:
-                # Small batches gain nothing from stacking (0.96x at B=1 in
-                # BENCH_serving); the sequential forwards are bit-identical
-                # (single-token forwards use the same row-invariant kernels)
-                # and skip the fused overhead.  These do not count as fused
-                # steps in the metrics.
+            if len(live) < FUSED_MIN_BATCH:
+                # Small batches skip the fused overhead; these do not count
+                # as fused steps in the metrics.
                 rows = []
                 for state, token in zip(live, tokens):
                     with self._bound(state) as model:
@@ -1306,11 +1238,11 @@ class BatchedMillionEngine:
         stacked forward for the whole running batch; the per-sequence loop is
         kept as the bit-identical reference oracle.
 
-        With ``chunked_prefill`` enabled, the prefill half additionally
-        advances every mid-prefill sequence by block-aligned chunks under
-        ``prefill_token_budget``, so one step mixes bounded prefill work
-        with a full decode of the non-prefilling batch — a long prompt
-        makes forward progress without freezing in-flight streams.
+        The prefill half advances every pooled mid-prefill sequence by
+        block-aligned chunks under ``prefill_token_budget``, so one step
+        mixes bounded prefill work with a full decode of the non-prefilling
+        batch — a long prompt makes forward progress without freezing
+        in-flight streams.
         """
         step_start = time.perf_counter()
         self.step_count += 1
@@ -1347,19 +1279,18 @@ class BatchedMillionEngine:
                         request_id=state.request_id,
                         args={"tier": state.request.tier or "default"},
                     )
-            if self.chunked_prefill and self._pool_for(state) is not None:
-                self._begin_chunked_prefill(state)
+            if self._pool_for(state) is not None:
+                self._begin_prefill(state)
             else:
                 prefill_output = self._prefill(state)
                 if prefill_output is not None:
                     outputs.append(prefill_output)
-        chunk_spent = 0
-        if self.chunked_prefill:
-            chunk_outputs, chunk_spent = self._prefill_chunk_work()
-            outputs.extend(chunk_outputs)
-            self.last_budget_utilization = (
-                chunk_spent / self.prefill_token_budget if chunk_spent else 0.0
-            )
+        chunk_outputs, chunk_spent = self._prefill_chunk_work()
+        outputs.extend(chunk_outputs)
+        budget = self.prefill_token_budget
+        self.last_budget_utilization = (
+            chunk_spent / budget if chunk_spent and budget else 0.0
+        )
         decode_start = time.perf_counter()
         if self.fused_decode and not self.model.kv_observers:
             outputs.extend(self._decode_fused())
@@ -1468,19 +1399,24 @@ class BatchedMillionEngine:
         return len(evicted)
 
     def prefix_hit_blocks(self, prompt_ids: np.ndarray) -> int:
-        """Leading pool blocks a prompt would adopt if prefillled right now.
+        """Leading pool blocks a prompt would adopt if prefilled right now.
 
         The chain hashes cover the block-aligned prompt prefix the prefill
-        protocol would force-quantize (``A = B*floor((P-1)/B)``); the count
-        is how many of those groups are already published in this engine's
-        pool.  Returns 0 without a pool.  This is the signal the gateway's
+        protocol would force-quantize (``A = B*floor((P-1)/B)``); published
+        hits are rounded the way admission rounds them (:meth:`_round_hits`),
+        so the count is what a prefill could actually adopt.  Returns 0
+        without a pool.  This is the signal the gateway's
         :class:`~repro.gateway.router.ReplicaRouter` uses for
         prefix-affinity routing — replicas that already hold a prompt's
         prefix blocks should serve it.
         """
         if self.pool is None:
             return 0
-        return self.pool.longest_token_prefix(prompt_ids)
+        prompt_tokens = np.asarray(prompt_ids).size
+        block = self.pool.block_tokens
+        aligned = block * (max(0, prompt_tokens - 1) // block)
+        hits = self.pool.longest_token_prefix(prompt_ids)
+        return self._round_hits(self.pool, aligned, hits)
 
     @property
     def queue_full(self) -> bool:
@@ -1583,7 +1519,6 @@ class BatchedMillionEngine:
                 "last_decode_seconds": self.last_decode_seconds,
                 "prefill_seconds_total": self.prefill_seconds_total,
                 "decode_seconds_total": self.decode_seconds_total,
-                "chunked_prefill_enabled": self.chunked_prefill,
                 "prefill_token_budget": self.prefill_token_budget,
                 "prefill_chunks_total": self.prefill_chunks_total,
                 "last_budget_utilization": self.last_budget_utilization,

@@ -18,13 +18,12 @@ vLLM's paged KV allocator, specialised to MILLION's PQ-compressed cache:
   alignment is what defines the engine's chunked-prefill boundaries: a
   chunk of ``k·block_tokens`` tokens ends in ``flush_all()``, sealing and
   publishing whole groups, so a prefill paused at any chunk boundary is in
-  exactly the state a one-go prefill of that many chunks would be.
+  exactly the state its cold run passes through there.
 * :class:`PooledMillionCacheFactory` wires calibrated per-layer quantizers to
   one shared pool and plugs into
   :class:`~repro.serving.engine.BatchedMillionEngine`, which adds
   memory-aware admission and preemption on top (see its docstring for the
-  block-aligned prefill protocol that makes shared and cold prefills
-  bit-identical).
+  chunk schedule that makes shared and cold prefills bit-identical).
 
 Exhaustion is a first-class outcome: allocation first recycles the free
 list, then evicts least-recently-used *cached* groups (published, refcount
@@ -480,12 +479,14 @@ class BlockPool:
         span whose earlier entry was partially evicted), the new group
         replaces the old one: the previous blocks lose their published status
         and are freed once unreferenced.  Contents are identical either way —
-        equal chain hashes imply equal token prefixes, and for a fixed
-        prefill schedule (one-shot, or chunked with the engine-fixed chunk
-        size) quantized codes are a deterministic function of the prefix.
-        That is why the engine derives its chunk size from configuration
-        once and never from load: chunk boundaries are flush boundaries,
-        and flush boundaries determine block content.
+        equal chain hashes imply equal token prefixes, and under the engine's
+        fixed chunk schedule quantized codes are a deterministic function of
+        the prefix.  That is why the engine derives its chunk size from
+        configuration once and never from load: chunk boundaries are flush
+        boundaries, and flush boundaries determine block content.  A group
+        is only *adoptable* by a prefill that passes through the same flush
+        state (see ``BatchedMillionEngine._round_hits``); this pool counts
+        raw hits.
         """
         ids = tuple(int(b) for b in block_ids)
         require(

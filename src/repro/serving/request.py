@@ -139,11 +139,11 @@ class RequestState:
     # Content-hash chain of the sequence's sealed KV blocks (engine-managed;
     # entry i is the chain hash covering token_history[: (i+1) * block_tokens]).
     block_hashes: list[bytes] = field(default_factory=list)
-    # Engine-memoized prefill/restore schedule.  One-shot prefill consumes
-    # it at admission; chunked prefill keeps it (with a resume cursor) until
-    # the chunk schedule completes.  Cleared on preemption and cancel.
+    # Engine-memoized prefill/restore chunk schedule, kept (with a resume
+    # cursor) from admission until the schedule completes.  Cleared on
+    # preemption and cancel.
     prefill_plan: Optional[object] = None
-    # True while a chunk-admitted sequence still has prefill work: it holds
+    # True while a pooled sequence still has prefill work: it holds
     # a running slot but the decode half of every step skips it (its
     # ``next_logits`` are absent or stale until the schedule finishes).
     prefilling: bool = False

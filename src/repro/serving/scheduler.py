@@ -14,9 +14,9 @@ the ``serving.slo_load`` benchmark compares against.
 
 Memory awareness is injected from the outside: :meth:`admit_next` accepts an
 *admission gate* — a predicate supplied by the engine that consults the KV
-block pool — so the scheduler itself stays free of memory policy.  Under
-chunked prefill the engine's gate only requires the request's *first chunk*
-to fit (the rest of the prompt streams in under the per-step token budget),
+block pool — so the scheduler itself stays free of memory policy.  The
+engine's gate only requires the request's *first chunk* to fit (the rest of
+the prompt streams in under the per-step token budget),
 which shortens how long a large prompt blocks the head of the line; the
 admitted state then stays in the running set with ``prefilling=True`` until
 its chunk schedule completes (see :attr:`~ContinuousBatchingScheduler.prefilling_count`).
@@ -422,8 +422,8 @@ class ContinuousBatchingScheduler:
 
         These hold a running slot (they were admitted once their first
         chunk fit) but are skipped by the decode half of every engine step
-        until their chunk schedule finishes.  Always 0 when the engine runs
-        one-shot prefill.
+        until their chunk schedule finishes.  Between steps this is 0 when
+        the engine has no per-step prefill budget.
         """
         return sum(1 for state in self._running.values() if state.prefilling)
 

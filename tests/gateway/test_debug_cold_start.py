@@ -39,7 +39,7 @@ def _make_server(tiny_config, million_config, million_factory, profiled=True):
         trace=TraceRecorder(capacity=1024),
         trace_track="replica-0",
         prof=PhaseProfiler() if profiled else None,
-        chunked_prefill=True,
+        prefill_token_budget=32,
     )
     runner = AsyncEngineRunner(engine, name="replica-0")
     return GatewayServer(ReplicaRouter([runner]), tokenizer=ByteTokenizer())

@@ -30,10 +30,15 @@ def make_pool(tiny_config, million_config, num_blocks=256):
 def pooled_engine_factory(tiny_model, tiny_config, million_factory, million_config):
     """Builds a fresh pooled engine (own pool) per call; cleans the model up."""
 
-    def build(num_blocks=256, max_batch_size=4):
+    def build(num_blocks=256, max_batch_size=4, budget=None):
         pool = make_pool(tiny_config, million_config, num_blocks=num_blocks)
         factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
-        return BatchedMillionEngine(tiny_model, factory, max_batch_size=max_batch_size)
+        return BatchedMillionEngine(
+            tiny_model,
+            factory,
+            max_batch_size=max_batch_size,
+            prefill_token_budget=budget,
+        )
 
     yield build
     tiny_model.reset_cache(FullPrecisionCacheFactory())
@@ -226,14 +231,18 @@ class TestPrefixSharing:
         self, pooled_engine_factory, calibration_tokens
     ):
         """Diverging suffixes write private blocks; the shared prefix stays intact."""
-        engine = pooled_engine_factory()
+        # A chunk boundary at the prefix end makes the prefix adoptable.
+        budget = 24
+        engine = pooled_engine_factory(budget=budget)
         pool = engine.pool
-        prefix = calibration_tokens[:24]
+        prefix = calibration_tokens[:budget]
         prompt_a = np.concatenate([prefix, calibration_tokens[50:58]])
         prompt_b = np.concatenate([prefix, calibration_tokens[60:68]])
         engine.add_request(prompt_a, max_new_tokens=6)
         engine.add_request(prompt_b, max_new_tokens=6)
         engine.step()
+        while engine.stats()["prefilling"]:
+            engine.step()
         state_a, state_b = engine.scheduler.running
         table_a = state_a.context.caches[0].block_table
         table_b = state_b.context.caches[0].block_table
@@ -245,8 +254,8 @@ class TestPrefixSharing:
         # and the shared blocks' contents are untouched by the divergence.
         results = engine.run()
         np.testing.assert_array_equal(pool.key_codes(table_a[0]), shared_codes)
-        solo_a = pooled_engine_factory().generate_batch([prompt_a], 6)[0]
-        solo_b = pooled_engine_factory().generate_batch([prompt_b], 6)[0]
+        solo_a = pooled_engine_factory(budget=budget).generate_batch([prompt_a], 6)[0]
+        solo_b = pooled_engine_factory(budget=budget).generate_batch([prompt_b], 6)[0]
         outputs = list(results.values())
         np.testing.assert_array_equal(outputs[0], solo_a)
         np.testing.assert_array_equal(outputs[1], solo_b)

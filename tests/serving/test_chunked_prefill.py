@@ -1,20 +1,24 @@
 """Tests for chunked prefill: schedule shape, determinism, budget, cancel.
 
-Chunked prefill is its own oracle: chunked output is deterministic in
-``(prompt, chunk_tokens)`` but *not* bit-identical to one-shot prefill
-(every forced flush changes the quantized/full-precision split deeper
-layers attend to).  The suite therefore compares chunked against chunked —
-cold vs cold, cold vs prefix-adopted, uncontended vs preempted/restored —
-and keeps one test asserting the legacy path is untouched.
+Every pooled prefill runs one chunk schedule.  Its output is deterministic
+in ``(prompt, chunk_tokens)`` but differs between chunk sizes (every forced
+flush changes the quantized/full-precision split deeper layers attend to).
+The suite therefore compares a schedule against itself — cold vs cold, cold
+vs prefix-adopted, uncontended vs preempted/restored, solo vs batched — and
+checks the unbounded schedule against an explicit oracle: forward
+``[0, A)``, flush, forward ``[A, P)``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gateway.bootstrap import GatewayConfig, prefill_token_budget
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.serving import (
     BatchedMillionEngine,
@@ -31,7 +35,7 @@ BLOCK_TOKENS = 4
 def chunked_engine_factory(tiny_model, tiny_config, million_factory, million_config):
     """Builds a fresh chunked pooled engine (own pool) per call."""
 
-    def build(num_blocks=256, max_batch_size=4, budget=8, chunked=True):
+    def build(num_blocks=256, max_batch_size=4, budget=8):
         pool = BlockPool.for_model(
             tiny_config,
             million_config,
@@ -43,7 +47,6 @@ def chunked_engine_factory(tiny_model, tiny_config, million_factory, million_con
             tiny_model,
             factory,
             max_batch_size=max_batch_size,
-            chunked_prefill=chunked,
             prefill_token_budget=budget,
         )
 
@@ -99,13 +102,6 @@ class TestChunkSchedule:
 
 
 class TestChunkedConstruction:
-    def test_requires_block_pool(self, tiny_model, million_factory):
-        with pytest.raises(Exception, match="pool"):
-            BatchedMillionEngine(
-                tiny_model, million_factory, chunked_prefill=True
-            )
-        tiny_model.reset_cache(FullPrecisionCacheFactory())
-
     def test_budget_must_be_positive(self, chunked_engine_factory):
         with pytest.raises(Exception, match="budget"):
             chunked_engine_factory(budget=0)
@@ -113,21 +109,19 @@ class TestChunkedConstruction:
     def test_default_budget_is_eight_blocks(
         self, tiny_model, tiny_config, million_factory, million_config
     ):
+        """The engine default has no cap; the gateway's chunked mode derives
+        eight blocks per step when no budget is given."""
         pool = BlockPool.for_model(
             tiny_config, million_config, num_blocks=64, block_tokens=BLOCK_TOKENS
         )
         factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
-        engine = BatchedMillionEngine(tiny_model, factory, chunked_prefill=True)
-        assert engine.prefill_token_budget == 8 * BLOCK_TOKENS
+        engine = BatchedMillionEngine(tiny_model, factory)
+        assert engine.prefill_token_budget is None
+        config = GatewayConfig(chunked_prefill=1, block_tokens=BLOCK_TOKENS)
+        assert prefill_token_budget(config) == 8 * BLOCK_TOKENS
+        assert prefill_token_budget(replace(config, prefill_token_budget=12)) == 12
+        assert prefill_token_budget(replace(config, chunked_prefill=0)) is None
         tiny_model.reset_cache(FullPrecisionCacheFactory())
-
-    def test_legacy_engine_never_chunks(
-        self, chunked_engine_factory, calibration_tokens
-    ):
-        engine = chunked_engine_factory(chunked=False)
-        engine.generate_batch([calibration_tokens[:40]], max_new_tokens=4)
-        assert engine.prefill_chunks_total == 0
-        assert engine.stats()["step_timing"]["chunked_prefill_enabled"] is False
 
 
 class TestChunkedDeterminism:
@@ -216,7 +210,6 @@ class TestBudgetInterleaving:
         engine.add_request(calibration_tokens[:40], max_new_tokens=2)
         engine.step()
         timing = engine.stats()["step_timing"]
-        assert timing["chunked_prefill_enabled"] is True
         assert timing["prefill_token_budget"] == 8
         assert timing["prefill_chunks_total"] >= 1
         assert timing["last_budget_utilization"] > 0.0
@@ -275,3 +268,120 @@ class TestMidChunkCancel:
         )[0]
         np.testing.assert_array_equal(results[keeper], solo)
         assert results[victim].size == 0
+
+
+class RecordingSampler:
+    """Greedy sampler that keeps every logits vector it samples from."""
+
+    def __init__(self):
+        self.logits = []
+
+    def __call__(self, logits, rng):
+        self.logits.append(np.array(logits, copy=True))
+        return int(np.argmax(logits))
+
+
+def oracle_logits(model, factory, prompt, n_tokens):
+    """The unbounded chunk schedule spelled out: forward ``[0, A)``, flush
+    every cache, forward ``[A, P)``, then greedy single-token decode."""
+    aligned = BLOCK_TOKENS * ((prompt.size - 1) // BLOCK_TOKENS)
+    with model.temporary_context(factory) as m:
+        if aligned:
+            m.forward(prompt[:aligned])
+            for cache in m.caches:
+                cache.flush_all()
+        logits = [m.forward(prompt[aligned:])[-1]]
+        for _ in range(n_tokens - 1):
+            logits.append(m.decode_step(int(np.argmax(logits[-1]))))
+    return logits
+
+
+def served_logits(engine, prompts, n_tokens):
+    """Serve ``prompts`` in one batch; every request's sampled logits."""
+    samplers = [RecordingSampler() for _ in prompts]
+    for prompt, sampler in zip(prompts, samplers):
+        engine.add_request(prompt, max_new_tokens=n_tokens, sampler=sampler)
+    engine.run()
+    return [sampler.logits for sampler in samplers]
+
+
+def assert_logits_equal(want, got):
+    assert len(want) == len(got)
+    for step, (a, b) in enumerate(zip(want, got)):
+        np.testing.assert_array_equal(a, b, err_msg=f"logits differ at step {step}")
+
+
+class TestAdoptionIsExact:
+    """No pooled request's logits depend on what the pool held before it."""
+
+    def test_partial_prefix_hit_decodes_like_cold_run(
+        self, chunked_engine_factory, calibration_tokens
+    ):
+        prefix = calibration_tokens[:24]
+        published = np.concatenate([prefix, calibration_tokens[100:108]])
+        prompt = np.concatenate([prefix, calibration_tokens[200:208]])
+        (cold,) = served_logits(chunked_engine_factory(budget=None), [prompt], 16)
+        engine = chunked_engine_factory(budget=None)
+        engine.generate_batch([published], 2)
+        (warm,) = served_logits(engine, [prompt], 16)
+        assert_logits_equal(cold, warm)
+
+    def test_natural_block_overlap_in_one_batch(
+        self, chunked_engine_factory, calibration_tokens
+    ):
+        short, long = calibration_tokens[150:157], calibration_tokens[200:330]
+        # The two prompts open with the same 4-token block.
+        np.testing.assert_array_equal(short[:BLOCK_TOKENS], long[:BLOCK_TOKENS])
+        (solo,) = served_logits(chunked_engine_factory(budget=None), [long], 16)
+        _, batched = served_logits(
+            chunked_engine_factory(budget=None), [short, long], 16
+        )
+        assert_logits_equal(solo, batched)
+
+    def test_unbounded_schedule_matches_oracle_cold_and_restored(
+        self, chunked_engine_factory, tiny_model, calibration_tokens
+    ):
+        prompts = [calibration_tokens[i : i + 20] for i in (0, 25, 50)]
+        uncontended = chunked_engine_factory(budget=None)
+        cold = served_logits(uncontended, prompts, 16)
+        contended = chunked_engine_factory(num_blocks=30, budget=None)
+        restored = served_logits(contended, prompts, 16)
+        assert uncontended.preemption_count == 0
+        assert contended.preemption_count >= 1
+        for prompt, got_cold, got_restored in zip(prompts, cold, restored):
+            want = oracle_logits(tiny_model, uncontended.factory, prompt, 16)
+            assert_logits_equal(want, got_cold)
+            assert_logits_equal(want, got_restored)
+
+    @pytest.mark.parametrize("budget", [None, 32])
+    def test_same_step_shared_prompt_is_computed_once(
+        self, chunked_engine_factory, calibration_tokens, budget
+    ):
+        prompt = calibration_tokens[:81]  # A = 80: a 20-block chain
+        engine = chunked_engine_factory(budget=budget)
+        outputs = engine.generate_batch([prompt] * 4, max_new_tokens=4)
+        assert engine.prefill_tokens_computed == 81 + 3 * 1
+        assert engine.prefill_tokens_reused == 3 * 80
+        # Late adoption moves misses to hits: each request still counts its
+        # whole chain once.
+        assert engine.prefix_block_hits == 3 * 20
+        assert engine.prefix_block_hits + engine.prefix_block_misses == 4 * 20
+        for other in outputs[1:]:
+            np.testing.assert_array_equal(outputs[0], other)
+
+
+class TestPrefixHitBlocks:
+    def test_counts_only_adoptable_blocks(
+        self, chunked_engine_factory, calibration_tokens
+    ):
+        prefix = calibration_tokens[:24]
+        published = np.concatenate([prefix, calibration_tokens[100:108]])
+        prompt = np.concatenate([prefix, calibration_tokens[200:208]])
+        for budget, adoptable in ((None, 0), (8, 6)):
+            engine = chunked_engine_factory(budget=budget)
+            engine.generate_batch([published], 2)
+            # Six published blocks match, but the unbounded schedule only
+            # resumes at A = 28, so none of them is adoptable there.
+            assert engine.pool.longest_token_prefix(prompt) == 6
+            assert engine.prefix_hit_blocks(prompt) == adoptable
+            assert engine.prefix_hit_blocks(published) == 7  # full hit at A

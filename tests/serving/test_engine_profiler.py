@@ -89,7 +89,6 @@ class TestChunkedPhases:
             build_model(tiny_config, seed=7),
             PooledMillionCacheFactory.from_factory(million_factory, pool),
             prof=PhaseProfiler(),
-            chunked_prefill=True,
             prefill_token_budget=8,
         )
 

@@ -222,14 +222,15 @@ class TestFusedPooled:
     BLOCK_TOKENS = 4
 
     def _build(self, tiny_model, tiny_config, million_factory, million_config,
-               num_blocks, fused, max_batch_size=4):
+               num_blocks, fused, max_batch_size=4, budget=None):
         pool = BlockPool.for_model(
             tiny_config, million_config, num_blocks=num_blocks,
             block_tokens=self.BLOCK_TOKENS,
         )
         factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
         return BatchedMillionEngine(
-            tiny_model, factory, max_batch_size=max_batch_size, fused_decode=fused
+            tiny_model, factory, max_batch_size=max_batch_size,
+            fused_decode=fused, prefill_token_budget=budget,
         )
 
     def test_prefix_shared_batches_identical(
@@ -243,9 +244,10 @@ class TestFusedPooled:
         ]
 
         def run(fused):
+            # A chunk boundary at the shared prefix's end makes it adoptable.
             engine = self._build(
                 tiny_model, tiny_config, million_factory, million_config,
-                num_blocks=256, fused=fused,
+                num_blocks=256, fused=fused, budget=shared.size,
             )
             ids = [engine.add_request(p, 10) for p in prompts]
             results = engine.run()

@@ -11,6 +11,7 @@ from repro.core.million_cache import MillionCacheFactory
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
 from repro.quant.policy_cache import PolicyCacheFactory
 from repro.serving import BatchedMillionEngine, GenerationRequest
+from repro.serving import engine as engine_module
 from repro.serving.memory import (
     BlockPool,
     PooledMillionCacheFactory,
@@ -193,18 +194,17 @@ class TestQualityTiers:
 class TestFusedMinBatch:
     @pytest.mark.parametrize("fused_min_batch", [1, 2, 4])
     def test_tokens_identical_across_switch_points(
-        self, tiny_model, tiny_config, million_factory, fused_min_batch
+        self, tiny_model, tiny_config, million_factory, fused_min_batch,
+        monkeypatch,
     ):
         prompts = [
             (np.arange(1, 13 + 3 * i, dtype=np.int64) % tiny_config.vocab_size)
             for i in range(3)
         ]
         def run(threshold):
+            monkeypatch.setattr(engine_module, "FUSED_MIN_BATCH", threshold)
             engine = BatchedMillionEngine(
-                tiny_model,
-                million_factory,
-                max_batch_size=4,
-                fused_min_batch=threshold,
+                tiny_model, million_factory, max_batch_size=4
             )
             rids = [
                 engine.add_request(p, max_new_tokens=8) for p in prompts
@@ -217,9 +217,8 @@ class TestFusedMinBatch:
     def test_single_sequence_uses_sequential_path(
         self, tiny_model, million_factory
     ):
-        engine = BatchedMillionEngine(
-            tiny_model, million_factory, max_batch_size=4, fused_min_batch=2
-        )
+        assert engine_module.FUSED_MIN_BATCH == 2
+        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
         rid = engine.add_request(np.asarray([1, 2, 3, 4]), max_new_tokens=4)
         _drain(engine, [rid])
         timing = engine.stats()["step_timing"]
