@@ -11,23 +11,31 @@ delegates attention to :class:`FusedMillionAttention`, which per layer:
    encoder changes);
 2. builds the score lookup tables of all ``B * n_heads`` query heads in one
    :meth:`~repro.core.pq.ProductQuantizer.build_score_luts` call;
-3. runs one flat segment-ADC gather over a packed per-step code buffer, each
-   sequence scored only against its own key codes (ragged segments indexed
-   through precomputed per-step element maps, heads sharing a KV head
-   sharing the same code gather);
+3. scores every sequence against only its own key codes with one flat
+   segment-ADC gather per subspace, through the layer's kept
+   ``(M, elements)`` index of LUT positions (ragged segments laid out by
+   per-step element maps, heads sharing a KV head sharing the same code
+   rows);
 4. merges with the full-precision recent window and softmaxes per sequence
    (sequence-local row lengths differ, and the merge is exactly the
    sequential cache's ``attend``);
-5. aggregates all sequences' value probabilities per centroid in one flat
-   scatter-add and decodes against the centroid tables.
+5. sums all sequences' value probabilities per centroid in one flat
+   ``np.add.at`` into the layer's kept ``(elements, M)`` centroid bins and
+   decodes against the centroid tables.
+
+The indices of steps 3 and 5 depend only on the codes and the element
+layout, never on the query.  Each layer keeps its pair and rebuilds it only
+when a cache in the batch flushed, adopted or reset, or the batch membership
+changed (``decode/pack_codes`` times those rebuilds); every other step runs
+just the query side.
 
 Every kernel accumulates in an order independent of how many sequences share
 the call, so each sequence's context — and therefore its next-token logits —
 is bit-identical to the sequential reference path (tests sweep both).
-Scratch buffers (element maps, packed codes/probabilities, gather and
-aggregation temporaries) live in a :class:`~repro.utils.scratch.ScratchArena`
-reused across steps, so steady-state decoding performs no per-step
-allocation growth.
+Scratch buffers (element maps, kept indices, the rebuild-only packed codes,
+probabilities, gather and aggregation temporaries) live in a
+:class:`~repro.utils.scratch.ScratchArena` reused across steps, so
+steady-state decoding performs no per-step allocation growth.
 """
 
 from __future__ import annotations
@@ -36,7 +44,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.attention_pq import adc_scores_flat, weighted_decode_flat
+from repro.core.attention_pq import (
+    adc_scores_indexed,
+    build_adc_index,
+    build_value_bins,
+    weighted_decode_indexed,
+)
 from repro.core.million_cache import MillionKVCacheLayer
 from repro.models.attention import AttentionBlock
 from repro.models.attention_math import attention_scores, repeat_kv_heads
@@ -53,7 +66,8 @@ class FusedMillionAttention:
 
     One instance is owned by a serving engine and passed to
     ``fused_decode_step`` as its ``batch_attend``; it is stateful only
-    through its scratch arena and the memoized per-step element maps.
+    through its scratch arena, the memoized element maps and the per-layer
+    keys of the kept gather indices.
     Sequences may have arbitrary, different context lengths; sparse outlier
     corrections are not supported (the engine falls back to the sequential
     path when they are configured).
@@ -71,25 +85,21 @@ class FusedMillionAttention:
         self._map_key: tuple | None = None
         self._element_count = 0
         self._probs_offsets: list[int] = []
-        # Per-layer signature of the last packed code buffers: a tuple of
-        # (cache_serial, code_version) pairs.  Serials are never reused and
-        # versions bump on every stored-code mutation (flush, adoption,
-        # reset), so an equal signature proves the packed bytes are current
-        # and the per-step repack can be skipped — on pooled or windowed
-        # configs most decode steps flush nothing.
-        self._pack_signatures: dict[int, tuple] = {}
+        # Per-layer key of the kept gather indices: the element-map key plus
+        # a (cache_serial, code_version) pair per cache.  Serials are never
+        # reused and versions bump on every stored-code mutation (flush,
+        # adoption, reset), so an equal key proves the indices are current;
+        # on pooled or windowed configs most decode steps flush nothing.
+        self._index_keys: dict[int, tuple] = {}
+        #: Layer index rebuilds so far (one per layer whose key changed).
+        self.index_builds = 0
 
     # Per-step element maps ------------------------------------------------
 
     def _build_maps(
-        self,
-        n_heads: int,
-        kv_heads: int,
-        segments: Sequence[int],
-        m_subspaces: int,
-        n_centroids: int,
+        self, n_heads: int, kv_heads: int, segments: Sequence[int]
     ) -> None:
-        key = (n_heads, kv_heads, m_subspaces, n_centroids, tuple(segments))
+        key = (n_heads, kv_heads, tuple(segments))
         if key == self._map_key:
             return
         group = n_heads // kv_heads
@@ -120,18 +130,71 @@ class FusedMillionAttention:
                 elem += n_heads * seg_len
             seg_start += seg_len
             offsets.append(elem)
-        # Scatter-bin bases for the value kernel, (row * M + m) * K: fixed
-        # while the segment layout is, so layers within a step reuse them.
-        bins_base = self.arena.get(
-            "map.bins_base", (total_elements, m_subspaces), np.int64
-        )
-        np.multiply(
-            row_index[:, None], m_subspaces * n_centroids, out=bins_base
-        )
-        bins_base += np.arange(m_subspaces, dtype=np.int64) * n_centroids
         self._map_key = key
         self._element_count = total_elements
         self._probs_offsets = offsets
+
+    # Kept gather indices --------------------------------------------------
+
+    def _layer_indices(
+        self,
+        caches: Sequence[MillionKVCacheLayer],
+        segments: Sequence[int],
+        kv_heads: int,
+        layer_index: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """This layer's ``(adc_index, value_bins)``, rebuilt only on change.
+
+        Both depend on the stored codes and the element layout alone, so a
+        step whose caches flushed, adopted or reset nothing reuses the
+        previous step's.  A rebuild packs the batch's codes into scratch
+        shared by all layers, then derives the indices from the packed rows.
+        """
+        key_pq, value_pq = caches[0].key_pq, caches[0].value_pq
+        n_elements = self._element_count
+        adc_index = self.arena.get(
+            f"index.adc.{layer_index}", (key_pq.m_subspaces, n_elements), np.int64
+        )
+        value_bins = self.arena.get(
+            f"index.wv.{layer_index}", (n_elements, value_pq.m_subspaces), np.int64
+        )
+        key = (
+            self._map_key,
+            tuple((cache.cache_serial, cache.code_version) for cache in caches),
+        )
+        if self._index_keys.get(layer_index) == key:
+            return adc_index, value_bins
+        total_rows = sum(segments) * kv_heads
+        key_rows = self.arena.get(
+            "pack.keys", (total_rows, key_pq.m_subspaces), code_dtype(key_pq.nbits)
+        )
+        value_rows = self.arena.get(
+            "pack.values",
+            (total_rows, value_pq.m_subspaces),
+            code_dtype(value_pq.nbits),
+        )
+        lo = 0
+        for cache, seg_len in zip(caches, segments):
+            if seg_len == 0:
+                continue
+            hi = lo + seg_len * kv_heads
+            key_view, value_view = cache.stored_code_views()
+            np.copyto(key_rows[lo:hi], key_view.reshape(hi - lo, -1))
+            np.copyto(value_rows[lo:hi], value_view.reshape(hi - lo, -1))
+            lo = hi
+        token_kv = self.arena.get("map.token_kv", (n_elements,), np.int64)
+        row_index = self.arena.get("map.row", (n_elements,), np.int64)
+        build_adc_index(
+            key_rows, token_kv, row_index, key_pq.n_centroids, adc_index,
+            self.arena, "fused.adc",
+        )
+        build_value_bins(
+            value_rows, token_kv, row_index, value_pq.n_centroids, value_bins,
+            self.arena, "fused.wv",
+        )
+        self._index_keys[layer_index] = key
+        self.index_builds += 1
+        return adc_index, value_bins
 
     # Flush + append -------------------------------------------------------
 
@@ -194,60 +257,24 @@ class FusedMillionAttention:
         if timing:
             t = prof.lap("decode/flush_encode", t)
         segments = [cache.stored_tokens for cache in caches]
-        self._build_maps(
-            n_heads, kv_heads, segments, value_pq.m_subspaces, value_pq.n_centroids
-        )
+        self._build_maps(n_heads, kv_heads, segments)
         n_elements = self._element_count
         offsets = self._probs_offsets
-        token_kv = self.arena.get("map.token_kv", (n_elements,), np.int64)
-        row_index = self.arena.get("map.row", (n_elements,), np.int64)
 
-        scores_flat = None
-        key_rows = value_rows = None
+        scores_flat = value_bins = None
         if n_elements:
             if timing:
                 t = prof.now()
-            total_stored = sum(segments)
-            m_key = key_pq.m_subspaces
-            m_value = value_pq.m_subspaces
-            key_rows = self.arena.get(
-                f"pack.keys.{layer_index}",
-                (total_stored * kv_heads, m_key),
-                code_dtype(key_pq.nbits),
+            adc_index, value_bins = self._layer_indices(
+                caches, segments, kv_heads, layer_index
             )
-            value_rows = self.arena.get(
-                f"pack.values.{layer_index}",
-                (total_stored * kv_heads, m_value),
-                code_dtype(value_pq.nbits),
-            )
-            signature = tuple(
-                (cache.cache_serial, cache.code_version) for cache in caches
-            )
-            if self._pack_signatures.get(layer_index) != signature:
-                seg_start = 0
-                for cache, seg_len in zip(caches, segments):
-                    if seg_len == 0:
-                        continue
-                    key_view, value_view = cache.stored_code_views()
-                    lo, hi = seg_start * kv_heads, (seg_start + seg_len) * kv_heads
-                    np.copyto(
-                        key_rows[lo:hi], key_view.reshape(seg_len * kv_heads, m_key)
-                    )
-                    np.copyto(
-                        value_rows[lo:hi],
-                        value_view.reshape(seg_len * kv_heads, m_value),
-                    )
-                    seg_start += seg_len
-                self._pack_signatures[layer_index] = signature
             if timing:
                 t = prof.lap("decode/pack_codes", t)
             flat_q = q.reshape(n_seqs * n_heads, head_dim)
             luts = key_pq.build_score_luts(flat_q, subspace_major=True)
             if timing:
                 t = prof.lap("decode/lut_build", t)
-            scores_flat = adc_scores_flat(
-                luts, key_rows, token_kv, row_index, self.arena, "fused.adc"
-            )
+            scores_flat = adc_scores_indexed(luts, adc_index, self.arena, "fused.adc")
             np.multiply(scores_flat, np.float32(scale), out=scores_flat)
             if timing:
                 t = prof.lap("decode/adc_gather", t)
@@ -305,18 +332,13 @@ class FusedMillionAttention:
             t = prof.lap("decode/softmax_merge", t)
 
         if n_elements:
-            stored_context = weighted_decode_flat(
+            stored_context = weighted_decode_indexed(
                 probs_packed,
-                value_rows,
-                token_kv,
-                row_index,
+                value_bins,
                 n_seqs * n_heads,
                 value_pq,
                 self.arena,
                 "fused.wv",
-                bins_base=self.arena.get(
-                    "map.bins_base", (n_elements, value_pq.m_subspaces), np.int64
-                ),
             ).reshape(n_seqs, n_heads, head_dim)
         context[:] = 0.0
         for b in range(n_seqs):

@@ -6,9 +6,17 @@ multi-head layout used by the KV cache: queries arrive as
 (grouped-query attention maps several query heads onto one KV head).
 
 The kernels are *flat and grouped*: instead of looping query heads in Python,
-every (head, query, key) element is addressed through precomputed gather
-indices, so one ``np.take`` per subspace serves the whole head group and one
-flat ``np.add.at`` aggregates all probability mass per centroid.  Every
+every (head, query, key) element is addressed through gather indices, so one
+``np.take`` per subspace serves the whole head group and one flat
+``np.add.at`` aggregates all probability mass per centroid.
+
+Each kernel is split in two.  The *code side* (:func:`build_adc_index`,
+:func:`build_value_bins`) turns the PQ codes and the element layout into
+flat LUT positions and centroid bins; it depends on nothing the query
+touches, so a caller keeps its output until a flush, adoption or reset
+changes the codes.  The *query side* (:func:`adc_scores_indexed`,
+:func:`weighted_decode_indexed`) gathers the query's lookup tables and sums
+its probabilities through those indices — the only per-step work.  Every
 operation accumulates in a fixed element order that is independent of how
 many rows share the call — the property the fused batched decode path relies
 on to process many sequences per step while staying bit-identical to the
@@ -56,6 +64,72 @@ def gqa_token_kv_index(
     return out
 
 
+def _element_codes(
+    codes_rows: np.ndarray,
+    token_kv_index: np.ndarray,
+    arena: ScratchArena,
+    name_prefix: str,
+) -> np.ndarray:
+    """``codes_rows[token_kv_index]``: every element's ``(M,)`` code row."""
+    out = arena.get(
+        f"{name_prefix}.codes",
+        token_kv_index.shape + (codes_rows.shape[1],),
+        codes_rows.dtype,
+    )
+    np.take(codes_rows, token_kv_index, axis=0, out=out)
+    return out
+
+
+def build_adc_index(
+    codes_rows: np.ndarray,
+    token_kv_index: np.ndarray,
+    row_index: np.ndarray,
+    n_centroids: int,
+    out: np.ndarray,
+    arena: ScratchArena,
+    name_prefix: str = "adc",
+) -> np.ndarray:
+    """Code side of the ADC: ``out[m] = row * K + codes[token_kv, m]``.
+
+    ``codes_rows`` is ``(n_code_rows, M)``; ``token_kv_index`` and
+    ``row_index`` give, for every output element, the code row and the LUT
+    row (``row_index`` may broadcast).  ``out`` is ``(M,) + element shape``
+    int64: flat positions into each subspace's ``(n_rows * K)`` LUT.  Nothing
+    here depends on the query, so callers keep ``out`` while the codes and
+    the element layout are unchanged and pay only
+    :func:`adc_scores_indexed` per step.
+    """
+    codes_elem = _element_codes(codes_rows, token_kv_index, arena, name_prefix)
+    row_base = arena.get(f"{name_prefix}.row_base", token_kv_index.shape, np.int64)
+    np.multiply(row_index, n_centroids, out=row_base)
+    np.add(row_base, np.moveaxis(codes_elem, -1, 0), out=out)
+    return out
+
+
+def adc_scores_indexed(
+    luts_subspace_major: np.ndarray,
+    adc_index: np.ndarray,
+    arena: ScratchArena,
+    name_prefix: str = "adc",
+) -> np.ndarray:
+    """Query side of the ADC: ``sum_m luts[m].flat[adc_index[m]]``.
+
+    ``luts_subspace_major`` is ``(M, n_rows, K)`` and ``adc_index`` comes from
+    :func:`build_adc_index`.  Returns float32 scores of the element shape,
+    accumulated subspace by subspace in order, exactly like
+    :meth:`ProductQuantizer.adc_scores`.
+    """
+    shape = adc_index.shape[1:]
+    scores = arena.zeros(f"{name_prefix}.scores", shape, np.float32)
+    if scores.size == 0:
+        return scores
+    gathered = arena.get(f"{name_prefix}.gathered", shape, np.float32)
+    for m in range(luts_subspace_major.shape[0]):
+        np.take(luts_subspace_major[m].reshape(-1), adc_index[m], out=gathered)
+        scores += gathered
+    return scores
+
+
 def adc_scores_flat(
     luts_subspace_major: np.ndarray,
     codes_rows: np.ndarray,
@@ -64,16 +138,15 @@ def adc_scores_flat(
     arena: ScratchArena,
     name_prefix: str = "adc",
 ) -> np.ndarray:
-    """ADC logits for arbitrary (LUT row, code row) element pairs.
+    """One-shot ADC for calls whose index is not worth keeping.
 
-    ``luts_subspace_major`` is ``(M, n_rows, K)``; ``codes_rows`` is
-    ``(n_code_rows, M)``; ``token_kv_index`` and ``row_index`` give, for every
-    output element, the code row and the LUT row (``row_index`` may broadcast
-    against ``token_kv_index``).  Returns float32 scores of the elements'
-    shape: ``sum_m luts[m, row, codes[token_kv, m]]`` accumulated subspace by
-    subspace in order, exactly like :meth:`ProductQuantizer.adc_scores`.
+    Returns what :func:`build_adc_index` followed by
+    :func:`adc_scores_indexed` returns, in the same accumulation order, but
+    builds each subspace's index into one transient element-shaped buffer
+    just before its LUT gather.  Multi-query (prefill) calls use this, so their
+    scratch stays one index deep instead of ``M``.
     """
-    m_subspaces, n_rows, n_centroids = luts_subspace_major.shape
+    n_centroids = luts_subspace_major.shape[2]
     shape = token_kv_index.shape
     scores = arena.zeros(f"{name_prefix}.scores", shape, np.float32)
     if token_kv_index.size == 0:
@@ -83,7 +156,7 @@ def adc_scores_flat(
     index_tmp = arena.get(f"{name_prefix}.index", shape, np.int64)
     row_base = arena.get(f"{name_prefix}.row_base", shape, np.int64)
     np.multiply(row_index, n_centroids, out=row_base)
-    for m in range(m_subspaces):
+    for m in range(luts_subspace_major.shape[0]):
         np.take(codes_rows[:, m], token_kv_index, out=code_tmp)
         np.add(row_base, code_tmp, out=index_tmp)
         np.take(luts_subspace_major[m].reshape(-1), index_tmp, out=gathered)
@@ -91,60 +164,66 @@ def adc_scores_flat(
     return scores
 
 
-def weighted_decode_flat(
-    probs: np.ndarray,
+def build_value_bins(
     codes_rows: np.ndarray,
     token_kv_index: np.ndarray,
     row_index: np.ndarray,
+    n_centroids: int,
+    out: np.ndarray,
+    arena: ScratchArena,
+    name_prefix: str = "wv",
+) -> np.ndarray:
+    """Code side of the value aggregation: ``(row * M + m) * K + code``.
+
+    ``out`` is ``element shape + (M,)`` int64: for every element and
+    subspace, the ``(row, subspace, centroid)`` bin its probability mass
+    lands in.  Like :func:`build_adc_index` it is query-independent, so
+    callers keep it until the codes or the element layout change.
+    """
+    m_subspaces = out.shape[-1]
+    codes_elem = _element_codes(codes_rows, token_kv_index, arena, name_prefix)
+    row_base = arena.get(f"{name_prefix}.row_base", token_kv_index.shape, np.int64)
+    np.multiply(row_index, m_subspaces * n_centroids, out=row_base)
+    np.add(
+        row_base[..., None],
+        np.arange(m_subspaces, dtype=np.int64) * n_centroids,
+        out=out,
+    )
+    out += codes_elem
+    return out
+
+
+def weighted_decode_indexed(
+    probs: np.ndarray,
+    value_bins: np.ndarray,
     n_rows: int,
     quantizer: ProductQuantizer,
     arena: ScratchArena,
     name_prefix: str = "wv",
-    bins_base: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-centroid probability aggregation and decode for flat elements.
+    """Query side of the value path: per-centroid sums, then one decode.
 
-    ``probs`` matches the element shape of ``token_kv_index``; the result is
-    ``(n_rows, dim)`` float32 context rows.  Probability mass is scattered to
+    ``probs`` has the element shape of ``value_bins`` (from
+    :func:`build_value_bins`) minus its subspace axis; the result is
+    ``(n_rows, dim)`` float32 context rows.  Probability mass is summed into
     ``(row, subspace, centroid)`` bins in element order (keys in sequence
     order, subspaces innermost), then multiplied by the centroid tables —
     MILLION's ``O(n + K * d)`` value trick, with the per-head Python loop
-    replaced by one flat scatter-add.
+    replaced by one flat ``np.add.at``.
     """
     m_subspaces = quantizer.m_subspaces
     n_centroids = quantizer.n_centroids
-    if token_kv_index.size == 0:
+    if value_bins.size == 0:
         return np.zeros((n_rows, quantizer.dim), dtype=np.float32)
-    elem_shape = token_kv_index.shape
-    codes_elem = arena.get(
-        f"{name_prefix}.codes", elem_shape + (m_subspaces,), codes_rows.dtype
-    )
-    np.take(codes_rows, token_kv_index, axis=0, out=codes_elem)
-    bins = arena.get(f"{name_prefix}.bins", elem_shape + (m_subspaces,), np.int64)
-    if bins_base is None:
-        # (row * M + m) * K, built from scratch; steady-state callers (the
-        # fused decoder) pass it in precomputed since it only changes when
-        # the segment layout changes.
-        row_base = arena.get(f"{name_prefix}.row_base", elem_shape, np.int64)
-        np.multiply(row_index, m_subspaces * n_centroids, out=row_base)
-        np.add(
-            row_base[..., None],
-            np.arange(m_subspaces, dtype=np.int64) * n_centroids,
-            out=bins,
-        )
-        bins += codes_elem
-    else:
-        np.add(bins_base, codes_elem, out=bins)
     aggregated = arena.zeros(
         f"{name_prefix}.agg", (n_rows * m_subspaces * n_centroids,), np.float32
     )
-    # One flat scatter-add for every (row, subspace, centroid) bin.  The
-    # element order (keys in sequence order, subspaces innermost) fixes the
-    # accumulation order per bin regardless of how many rows share the call.
-    # Weights are materialized so the ufunc takes its fast unbuffered path.
-    weights = arena.get(f"{name_prefix}.weights", elem_shape + (m_subspaces,), np.float32)
+    # The element order fixes the accumulation order per bin regardless of
+    # how many rows share the call.  Weights are materialized so the ufunc
+    # takes its fast unbuffered path.
+    weights = arena.get(f"{name_prefix}.weights", value_bins.shape, np.float32)
     np.copyto(weights, probs[..., None])
-    np.add.at(aggregated, bins.reshape(-1), weights.reshape(-1))
+    np.add.at(aggregated, value_bins.reshape(-1), weights.reshape(-1))
     aggregated = aggregated.reshape(n_rows, m_subspaces, n_centroids)
     # Contract against the (M, dsub, K) centroid layout so the reduction axis
     # is contiguous in both operands; the contraction is per-element
@@ -161,6 +240,7 @@ def pq_attention_scores(
     key_pq: ProductQuantizer,
     scale: float = 1.0,
     arena: ScratchArena | None = None,
+    index_key: object = None,
 ) -> np.ndarray:
     """Attention logits of queries against PQ-encoded keys.
 
@@ -170,6 +250,12 @@ def pq_attention_scores(
         ``(n_queries, n_heads, head_dim)``.
     key_codes:
         ``(n_keys, kv_heads, M)`` centroid indices.
+    index_key:
+        When given, the ``(M, n_heads * n_queries, n_keys)`` gather index is
+        kept in ``arena`` under this key and reused by the next call with an
+        equal key; the caller must change the key whenever ``key_codes`` or
+        the shapes may have changed.  ``None`` builds it subspace by
+        subspace and keeps nothing.
     Returns
     -------
     ``(n_heads, n_queries, n_keys)`` float32 logits (already scaled).
@@ -190,15 +276,20 @@ def pq_attention_scores(
     flat_queries = queries.transpose(1, 0, 2).reshape(n_heads * n_queries, head_dim)
     luts = key_pq.build_score_luts(flat_queries, subspace_major=True)
     rows = n_heads * n_queries
-    token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
+    codes_rows = key_codes.reshape(n_keys * kv_heads, m_subspaces)
     row_index = np.arange(rows, dtype=np.int64)[:, None]
-    scores = adc_scores_flat(
-        luts,
-        key_codes.reshape(n_keys * kv_heads, m_subspaces),
-        token_kv,
-        row_index,
-        arena,
-    )
+    if index_key is None:
+        token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
+        scores = adc_scores_flat(luts, codes_rows, token_kv, row_index, arena)
+    else:
+        index = arena.get("index.adc", (m_subspaces, rows, n_keys), np.int64)
+        if arena.memo.get("index.adc") != index_key:
+            token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
+            build_adc_index(
+                codes_rows, token_kv, row_index, key_pq.n_centroids, index, arena
+            )
+            arena.memo["index.adc"] = index_key
+        scores = adc_scores_indexed(luts, index, arena)
     scores = scores.reshape(n_heads, n_queries, n_keys)
     return scores * np.float32(scale)
 
@@ -208,6 +299,7 @@ def pq_weighted_values(
     value_codes: np.ndarray,
     value_pq: ProductQuantizer,
     arena: ScratchArena | None = None,
+    index_key: object = None,
 ) -> np.ndarray:
     """Probability-weighted sum over PQ-encoded values.
 
@@ -217,6 +309,9 @@ def pq_weighted_values(
         ``(n_heads, n_queries, n_keys)`` attention probabilities.
     value_codes:
         ``(n_keys, kv_heads, M)`` centroid indices.
+    index_key:
+        As in :func:`pq_attention_scores`: keep the scatter bins in
+        ``arena`` under this key; ``None`` builds them transiently.
     Returns
     -------
     ``(n_queries, n_heads, head_dim)`` context vectors.
@@ -233,16 +328,21 @@ def pq_weighted_values(
     arena = arena or ScratchArena()
 
     rows = n_heads * n_queries
-    token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
-    row_index = np.arange(rows, dtype=np.int64)[:, None]
-    context = weighted_decode_flat(
-        probs.reshape(rows, n_keys),
-        value_codes.reshape(n_keys * kv_heads, m_subspaces),
-        token_kv,
-        row_index,
-        rows,
-        value_pq,
-        arena,
+    name = "wv.bins" if index_key is None else "index.wv"
+    bins = arena.get(name, (rows, n_keys, m_subspaces), np.int64)
+    if index_key is None or arena.memo.get(name) != index_key:
+        token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
+        build_value_bins(
+            value_codes.reshape(n_keys * kv_heads, m_subspaces),
+            token_kv,
+            np.arange(rows, dtype=np.int64)[:, None],
+            value_pq.n_centroids,
+            bins,
+            arena,
+        )
+        arena.memo[name] = index_key
+    context = weighted_decode_indexed(
+        probs.reshape(rows, n_keys), bins, rows, value_pq, arena
     )
     return np.ascontiguousarray(
         context.reshape(n_heads, n_queries, value_pq.dim).transpose(1, 0, 2)

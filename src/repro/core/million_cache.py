@@ -119,10 +119,10 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         # Per-layer scratch buffers for the flat ADC kernels, reused across
         # decode steps so attention performs no per-step allocations.
         self.arena = ScratchArena()
-        # Content-change tracking for packed-gather consumers (the fused
-        # decoder): (cache_serial, code_version) changes iff the stored code
-        # sequence may have changed, so steps without a flush can reuse the
-        # previous step's packed copy of this cache's codes.
+        # Content-change tracking for kept gather indices (this cache's
+        # decode calls and the fused decoder): (cache_serial, code_version)
+        # changes iff the stored code sequence may have changed, so steps
+        # without a flush reuse the indices built from the same codes.
         self.cache_serial = next(self._serial_counter)
         self.code_version = 0
         # Contiguous, amortized-doubling code storage: appends copy one block,
@@ -209,17 +209,33 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
     def stored_code_views(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(key_codes, value_codes)`` views, ``(stored, kv_heads, M)``.
 
-        The fused decode path reads these directly (and packs them into its
-        step-wide gather buffers) instead of materializing per-request
+        The fused decode path reads these directly when it rebuilds its
+        batch-wide gather indices, instead of materializing per-request
         copies.
         """
         return self._key_codes.view(), self._value_codes.view()
 
     # Attention hooks -----------------------------------------------------------
 
+    def _index_key(self, n_queries: int, shape: tuple) -> tuple | None:
+        """Arena memo key for this call's gather indices, or ``None``.
+
+        Only single-query (decode) calls keep their indices: they repeat
+        with unchanged codes until the next flush, while a prefill chunk's
+        index is ``n_queries`` times larger and would stay resident.
+        """
+        if n_queries != 1:
+            return None
+        return (self.cache_serial, self.code_version, shape)
+
     def _quantized_scores(self, queries: np.ndarray, scale: float) -> np.ndarray:
         scores = pq_attention_scores(
-            queries, self._stored_key_codes(), self.key_pq, scale=scale, arena=self.arena
+            queries,
+            self._stored_key_codes(),
+            self.key_pq,
+            scale=scale,
+            arena=self.arena,
+            index_key=self._index_key(queries.shape[0], queries.shape),
         )
         if self._key_corrections.count:
             scores = scores + self._key_score_corrections(queries) * np.float32(scale)
@@ -227,7 +243,11 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
 
     def _quantized_weighted_values(self, probs: np.ndarray) -> np.ndarray:
         context = pq_weighted_values(
-            probs, self._stored_value_codes(), self.value_pq, arena=self.arena
+            probs,
+            self._stored_value_codes(),
+            self.value_pq,
+            arena=self.arena,
+            index_key=self._index_key(probs.shape[1], probs.shape),
         )
         if self._value_corrections.count:
             context = context + self._value_context_corrections(probs)

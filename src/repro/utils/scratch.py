@@ -1,11 +1,12 @@
 """Reusable scratch buffers for per-step decode kernels.
 
-The ADC attention kernels need several temporaries per decode step (gather
-indices, LUT gathers, packed probabilities, centroid aggregates).  Allocating
-them anew every step makes the allocator the hot path once the numpy calls
-themselves are fused; a :class:`ScratchArena` keeps one growable buffer per
-logical name and hands out leading views, so steady-state decoding performs
-no per-step allocations (a test asserts the arena stops growing).
+The ADC attention kernels need several buffers per decode step (gather
+indices kept between flushes, LUT gathers, packed probabilities, centroid
+aggregates).  Allocating them anew every step makes the allocator the hot
+path once the numpy calls themselves are fused; a :class:`ScratchArena`
+keeps one growable buffer per logical name and hands out leading views, so
+steady-state decoding performs no per-step allocations (a test asserts the
+arena stops growing).
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class ScratchArena:
         out = self.get(name, shape, dtype)
         out[...] = 0
         return out
+
+    def capacities(self) -> dict[str, int]:
+        """Element capacity of every named buffer."""
+        return {name: buffer.size for name, buffer in self._buffers.items()}
 
     @property
     def total_bytes(self) -> int:

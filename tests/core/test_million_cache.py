@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import attention_pq
 from repro.core.attention_pq import pq_attention_scores, pq_sparse_attention, pq_weighted_values
 from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionCacheFactory, MillionKVCacheLayer
@@ -10,6 +11,7 @@ from repro.core.pq import ProductQuantizer
 from repro.models.attention_math import dense_attention, repeat_kv_heads
 from repro.models.config import ModelConfig
 from repro.models.tensor_ops import OnlineSoftmaxState, softmax
+from repro.utils.scratch import ScratchArena
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,55 @@ class TestPQAttentionPrimitives:
         assert scores.shape == (2, 2, 12)
         assert context.shape == (2, 2, head_dim)
 
+    def test_kept_indices_match_transient_and_rebuild_on_key_change(
+        self, pq_pair, head_dim, monkeypatch
+    ):
+        key_pq, value_pq = pq_pair
+        rng = np.random.default_rng(7)
+        builds = {"adc": 0, "wv": 0}
+
+        def counting(name, build):
+            def wrapped(*args, **kwargs):
+                builds[name] += 1
+                return build(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            attention_pq, "build_adc_index",
+            counting("adc", attention_pq.build_adc_index),
+        )
+        monkeypatch.setattr(
+            attention_pq, "build_value_bins",
+            counting("wv", attention_pq.build_value_bins),
+        )
+        codes = {}
+        for key, n_keys in (("a", 9), ("b", 9), ("c", 14)):
+            keys, values = _random_kv(rng, n_keys, 2, head_dim)
+            codes[key] = (
+                key_pq.encode(keys.reshape(-1, head_dim)).reshape(n_keys, 2, -1),
+                value_pq.encode(values.reshape(-1, head_dim)).reshape(n_keys, 2, -1),
+            )
+        arena = ScratchArena()
+        for key in ("a", "a", "b", "c"):
+            key_codes, value_codes = codes[key]
+            n_keys = key_codes.shape[0]
+            queries = rng.normal(size=(1, 4, head_dim)).astype(np.float32)
+            probs = softmax(rng.normal(size=(4, 1, n_keys)), axis=-1)
+            np.testing.assert_array_equal(
+                pq_attention_scores(queries, key_codes, key_pq, 0.3, arena, index_key=key),
+                pq_attention_scores(queries, key_codes, key_pq, 0.3),
+            )
+            np.testing.assert_array_equal(
+                pq_weighted_values(probs, value_codes, value_pq, arena, index_key=key),
+                pq_weighted_values(probs, value_codes, value_pq),
+            )
+        # The repeated key reused its indices; every new key rebuilt them (the
+        # transient reference calls build their value bins every time).
+        assert builds["adc"] == 3
+        assert builds["wv"] == 3 + 4
+        assert arena.memo["index.adc"] == arena.memo["index.wv"] == "c"
+
     def test_shape_validation(self, pq_pair, head_dim):
         key_pq, value_pq = pq_pair
         with pytest.raises(Exception):
@@ -118,6 +169,41 @@ class TestMillionKVCacheLayer:
             outlier_fraction=outlier_fraction,
         )
         return MillionKVCacheLayer(config, key_pq, value_pq, million)
+
+    def test_prefill_keeps_no_index_above_decode_shape(
+        self, mha_config, pq_pair, head_dim
+    ):
+        """Only single-query calls keep gather indices: a 64-query prefill
+        chunk's would be 64 times the decode size and stay resident."""
+        key_pq, value_pq = pq_pair
+        million = MillionConfig(m_subspaces=key_pq.m_subspaces, nbits=key_pq.nbits)
+        cache = MillionKVCacheLayer(
+            mha_config, key_pq, value_pq, million, flush_block_multiple=4
+        )
+        rng = np.random.default_rng(8)
+        keys, values = _random_kv(rng, 140, 2, head_dim)
+        queries = rng.normal(size=(140, 2, head_dim)).astype(np.float32)
+        cache.append(keys[:64], values[:64])
+        cache.append(keys[64:128], values[64:128])  # flushes the first chunk
+        cache.attend(queries[64:128], np.arange(64, 128), 0.25)
+        assert cache.stored_tokens == 64
+        assert not [name for name in cache.arena.capacities() if name.startswith("index.")]
+        keys_seen = []
+        for t in range(128, 140):
+            cache.append(keys[t : t + 1], values[t : t + 1])
+            cache.attend(queries[t : t + 1], np.asarray([t]), 0.25)
+            keys_seen.append(cache.arena.memo["index.adc"])
+            assert cache.arena.memo["index.wv"][:2] == keys_seen[-1][:2]
+        # Flushes land every 4 tokens, and only they change the kept key.
+        assert len(set(keys_seen)) == 3
+        capacities = cache.arena.capacities()
+        n_heads = mha_config.n_heads
+        for name, m_subspaces in (
+            ("index.adc", key_pq.m_subspaces),
+            ("index.wv", value_pq.m_subspaces),
+        ):
+            decode_size = m_subspaces * n_heads * cache.stored_tokens
+            assert capacities[name] <= 1 << (decode_size - 1).bit_length()
 
     def test_attention_approximates_exact(self, mha_config, pq_pair, head_dim):
         cache = self._make_cache(mha_config, pq_pair)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
+import time
 
 import numpy as np
 
@@ -51,6 +53,37 @@ def _make_server(
         for i, engine in enumerate(engines)
     ]
     return GatewayServer(ReplicaRouter(runners), tokenizer=ByteTokenizer())
+
+
+def _pin_running_slot(engine):
+    """Hold the engine's steps while a request runs, until released.
+
+    A ``max_tokens`` stream is capped by the model's ``max_seq_len``, so a
+    "long" stream can finish before a test's checks if decode is fast.  Once
+    a request is admitted, steps are skipped instead; the stepper keeps
+    looping and releasing its lock, so submissions, queueing and admission
+    control still run.  Returns the release function.
+    """
+    step = engine.step
+    pinned = threading.Event()
+    pinned.set()
+
+    def held_step():
+        if pinned.is_set() and engine.running_count:
+            time.sleep(0.001)
+            return []
+        return step()
+
+    engine.step = held_step
+    return pinned.clear
+
+
+async def _until(predicate, timeout_s: float = 10.0) -> None:
+    """Poll ``predicate`` on the event loop until it holds."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
 
 
 def _parse_prometheus(text: str) -> dict[str, float]:
@@ -244,6 +277,8 @@ class TestErrorPaths:
                 tiny_config, million_factory, max_batch_size=1, max_queue_size=1
             )
             host, port = await server.start(port=0)
+            engine = server.router.runners[0].engine
+            release = _pin_running_slot(engine)
             try:
                 # A long-running stream occupies the single batch slot...
                 first = asyncio.create_task(
@@ -252,7 +287,7 @@ class TestErrorPaths:
                         {"prompt": prompt, "max_tokens": 2000, "stream": True},
                     )
                 )
-                await asyncio.sleep(0.25)  # first is decoding by now
+                await _until(lambda: engine.running_count == 1)
                 # ... the second fills the wait queue (it will stay queued the
                 # whole time the first decodes — max_batch_size is 1) ...
                 second = asyncio.create_task(
@@ -261,7 +296,7 @@ class TestErrorPaths:
                         {"prompt": prompt, "max_tokens": 2},
                     )
                 )
-                await asyncio.sleep(0.25)
+                await _until(lambda: engine.queued_count == 1)
                 # ... so the third must be refused with backpressure.
                 status, headers, body = await gw.raw_request(
                     host, port, "POST", "/v1/completions",
@@ -270,6 +305,7 @@ class TestErrorPaths:
                 assert status == 429, body
                 assert headers.get("retry-after") == "1"
                 assert "queue" in json.loads(body)["error"]["message"]
+                release()
                 first_status, _, _ = await first
                 second_status, _, _ = await second
                 assert first_status == 200 and second_status == 200
@@ -295,6 +331,7 @@ class TestErrorPaths:
                 slo_policy=SloPolicy(interactive_slo_s=1e-4),
             )
             host, port = await server.start(port=0)
+            engine = server.router.runners[0].engine
             try:
                 # Two sequential completions establish the scheduler's
                 # admission-interval estimate (a cold scheduler never sheds).
@@ -305,13 +342,14 @@ class TestErrorPaths:
                     )
                     assert status == 200
                 # A long stream pins the single batch slot ...
+                release = _pin_running_slot(engine)
                 stream = asyncio.create_task(
                     gw.raw_request(
                         host, port, "POST", "/v1/completions",
                         {"prompt": prompt, "max_tokens": 2000, "stream": True},
                     )
                 )
-                await asyncio.sleep(0.3)
+                await _until(lambda: engine.running_count == 1)
                 # ... a queued interactive request sits ahead of any newcomer
                 # (its own projected wait was 0 — nothing was queued) ...
                 queued = asyncio.create_task(
@@ -320,7 +358,7 @@ class TestErrorPaths:
                         {"prompt": prompt, "max_tokens": 2},
                     )
                 )
-                await asyncio.sleep(0.3)
+                await _until(lambda: engine.queued_count == 1)
                 # ... so the next interactive projection is ≥ one admission
                 # interval > the SLO: shed with a Retry-After hint.
                 status, headers, body = await gw.raw_request(
@@ -339,8 +377,9 @@ class TestErrorPaths:
                          "priority": "best_effort"},
                     )
                 )
-                await asyncio.sleep(0.2)
+                await _until(lambda: engine.queued_count == 2)
                 assert not best_effort.done()  # queued, not 429ed
+                release()
                 stream_status, _, _ = await stream
                 assert stream_status == 200
                 queued_status, _, _ = await queued

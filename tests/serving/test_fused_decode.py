@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import MillionConfig, calibrate_million
+from repro.core.attention_fused import FusedMillionAttention
 from repro.core.million_cache import MillionCacheFactory
 from repro.core.pq import ProductQuantizer
 from repro.gateway.metrics import GatewayMetrics, render_prometheus
@@ -305,6 +306,231 @@ class TestFusedPooled:
             np.testing.assert_array_equal(res_a[i_a], res_b[i_b])
 
 
+class _Twins:
+    """The same sequences in two worlds, checked step by step.
+
+    World 0 advances by :meth:`TransformerLM.fused_decode_step` through one
+    :class:`FusedMillionAttention`; world 1 by per-sequence ``forward``, the
+    sequential reference.  Edits go through :meth:`apply`, which performs
+    them on both worlds alike.
+    """
+
+    def __init__(self, model, make_factory, prompts):
+        self.model = model
+        self.fused = FusedMillionAttention()
+        self.worlds = [[], []]
+        for world in self.worlds:
+            factory = make_factory()
+            for prompt in prompts:
+                context = model.fresh_context(factory)
+                self.forward(context, prompt)
+                world.append(context)
+
+    def forward(self, context, tokens):
+        saved = self.model.save_context()
+        self.model.restore_context(context)
+        try:
+            logits = self.model.forward(np.asarray(tokens, dtype=np.int64))
+            context.next_position = self.model.context_length
+        finally:
+            self.model.restore_context(saved)
+        return logits
+
+    def flush_due(self) -> bool:
+        return any(
+            cache.flushable_rows() for context in self.worlds[0]
+            for cache in context.caches
+        )
+
+    def step(self, tokens):
+        """One decode step; returns (fused logits, index rebuilds it caused)."""
+        before = self.fused.index_builds
+        logits = self.model.fused_decode_step(
+            np.asarray(tokens, dtype=np.int64), self.worlds[0], batch_attend=self.fused
+        )
+        for b, context in enumerate(self.worlds[1]):
+            np.testing.assert_array_equal(
+                logits[b], self.forward(context, [tokens[b]])[0]
+            )
+        return logits, self.fused.index_builds - before
+
+    def apply(self, b, edit):
+        """``edit(world, context)`` on sequence ``b`` of each world."""
+        for world in self.worlds:
+            edit(world, world[b])
+
+
+class _BatchRecorder:
+    """Stands in for an engine's fused attention and records, per fused
+    step, the batched request ids and the index rebuild count before it."""
+
+    def __init__(self, engine):
+        self.inner = engine._fused_attention
+        self.engine = engine
+        self.steps: list[tuple[tuple[str, ...], int]] = []
+        engine._fused_attention = self
+
+    def __call__(self, block, caches, *args, layer_index=0):
+        if layer_index == 0:
+            owner = {
+                id(state.context.caches[0]): state.request_id
+                for state in self.engine.scheduler.running
+            }
+            self.steps.append(
+                (tuple(owner[id(cache)] for cache in caches), self.inner.index_builds)
+            )
+        return self.inner(block, caches, *args, layer_index=layer_index)
+
+    def rebuilds(self) -> list[tuple[tuple[str, ...], int]]:
+        """``(request ids, index rebuilds)`` per fused step."""
+        counts = [before for _, before in self.steps] + [self.inner.index_builds]
+        return [
+            (ids, after - before)
+            for (ids, _), before, after in zip(self.steps, counts, counts[1:])
+        ]
+
+
+def _lockstep(seq_engine, fused_engine, prompts, max_new_tokens):
+    """Step both engines together; after every step, every running
+    request's next-token logits must be bit-identical across them."""
+    pairs = {
+        fused_engine.add_request(p, max_new_tokens): seq_engine.add_request(
+            p, max_new_tokens
+        )
+        for p in prompts
+    }
+    while fused_engine.scheduler.has_work or seq_engine.scheduler.has_work:
+        seq_engine.step()
+        fused_engine.step()
+        expected = {
+            state.request_id: state.next_logits
+            for state in seq_engine.scheduler.running
+        }
+        for state in fused_engine.scheduler.running:
+            if state.next_logits is not None:
+                np.testing.assert_array_equal(
+                    state.next_logits, expected[pairs[state.request_id]]
+                )
+
+
+class TestKeptGatherIndices:
+    """The fused path keeps each layer's gather indices across steps; they
+    must be rebuilt exactly when some batched cache's codes changed."""
+
+    BLOCK_TOKENS = 4
+
+    def _pooled_factory(self, tiny_config, million_factory, million_config, blocks):
+        pool = BlockPool.for_model(
+            tiny_config, million_config, num_blocks=blocks,
+            block_tokens=self.BLOCK_TOKENS,
+        )
+        return PooledMillionCacheFactory.from_factory(million_factory, pool)
+
+    def test_only_code_changes_rebuild(
+        self, tiny_model, tiny_config, million_factory, million_config,
+        calibration_tokens,
+    ):
+        n_layers = tiny_config.n_layers
+        prompts = [calibration_tokens[s : s + n] for s, n in ((0, 21), (30, 9), (50, 14))]
+        twins = _Twins(
+            tiny_model,
+            lambda: self._pooled_factory(
+                tiny_config, million_factory, million_config, 256
+            ),
+            prompts,
+        )
+        tokens = [int(p[-1]) for p in prompts]
+
+        def step():
+            nonlocal tokens
+            due = twins.flush_due()
+            logits, rebuilt = twins.step(tokens)
+            tokens = [int(row.argmax()) for row in logits]
+            return due, rebuilt
+
+        # Flushes land every BLOCK_TOKENS steps; the steps between them
+        # reuse every layer's indices.
+        history = [step() for _ in range(9)]
+        assert all(rebuilt == (n_layers if due else 0) for due, rebuilt in history)
+        assert {due for due, _ in history} == {True, False}
+
+        def quiet():
+            while twins.flush_due():
+                step()
+
+        # A reset refilled to the same (stored, pending) split: same serial,
+        # same segment lengths, different codes.
+        def reset_and_refill(_world, context):
+            stored, pending = context.caches[0].flush_state
+            fresh = calibration_tokens[100 : 100 + stored + pending]
+            for cache in context.caches:
+                cache.reset()
+            context.next_position = 0
+            twins.forward(context, fresh[:stored])
+            for cache in context.caches:
+                cache.flush_all()
+            twins.forward(context, fresh[stored:])
+            assert context.caches[0].flush_state == (stored, pending)
+
+        quiet()
+        twins.apply(1, reset_and_refill)
+        assert step() == (False, n_layers)
+
+        # Prefix adoption to the same split: sequence 2 drops its blocks and
+        # adopts sequence 0's leading blocks of the same length.
+        def adopt_from_first(world, context):
+            stored, pending = context.caches[0].flush_state
+            n_blocks = stored // self.BLOCK_TOKENS
+            for layer, cache in enumerate(context.caches):
+                shared = world[0].caches[layer].block_table[:n_blocks]
+                assert len(shared) == n_blocks
+                cache.reset()
+                for block_id in shared:
+                    cache.pool.incref(block_id)
+                cache.adopt_shared_blocks(shared)
+            context.next_position = stored
+            twins.forward(context, calibration_tokens[200 : 200 + pending])
+            assert context.caches[0].flush_state == (stored, pending)
+
+        quiet()
+        twins.apply(2, adopt_from_first)
+        assert step() == (False, n_layers)
+        # ... and the next quiet step reuses the rebuilt indices.
+        quiet()
+        assert step() == (False, 0)
+
+    def test_preempt_and_restore_rebuild(
+        self, tiny_model, tiny_config, million_factory, million_config,
+        calibration_tokens,
+    ):
+        def engine(fused):
+            factory = self._pooled_factory(
+                tiny_config, million_factory, million_config, 32
+            )
+            return BatchedMillionEngine(
+                tiny_model, factory, max_batch_size=4, fused_decode=fused
+            )
+
+        seq_engine, fused_engine = engine(False), engine(True)
+        recorder = _BatchRecorder(fused_engine)
+        prompts = [
+            calibration_tokens[s : s + 13 + s % 7] for s in (0, 15, 40, 70, 90, 110)
+        ]
+        _lockstep(seq_engine, fused_engine, prompts, 14)
+        assert fused_engine.preemption_count > 0
+        steps = recorder.rebuilds()
+        n_layers = tiny_config.n_layers
+        restored = 0
+        for i in range(1, len(steps)):
+            ids, rebuilt = steps[i]
+            if ids != steps[i - 1][0]:
+                # Membership changed: a join, a leave or a restore.
+                assert rebuilt == n_layers
+            seen_before = {r for batch, _ in steps[: i - 1] for r in batch}
+            restored += len((set(ids) - set(steps[i - 1][0])) & seen_before)
+        assert restored > 0, "a preempted request must rejoin a fused batch"
+
+
 class TestArenaAndTiming:
     def test_scratch_arena_stops_growing(
         self, tiny_model, million_factory, calibration_tokens
@@ -320,13 +546,28 @@ class TestArenaAndTiming:
         grows_after_warmup = arena.grow_count
         total_bytes = arena.total_bytes
         hits_before = arena.hit_count
+        index_names = {
+            f"index.{kind}.{layer}"
+            for kind in ("adc", "wv")
+            for layer in range(tiny_model.config.n_layers)
+        }
+        index_capacities = {
+            name: size
+            for name, size in arena.capacities().items()
+            if name.startswith("index.")
+        }
+        assert set(index_capacities) == index_names
         for _ in range(10):
             engine.step()
-        # Steady-state decode must reuse every scratch buffer: no new
-        # allocations, only hits (buffers are sized to the high-water mark).
+        # Steady-state decode must reuse every scratch buffer, the per-layer
+        # kept indices included: no new allocations, only hits (buffers are
+        # sized to the high-water mark).
         assert arena.grow_count == grows_after_warmup
         assert arena.total_bytes == total_bytes
         assert arena.hit_count > hits_before
+        assert {
+            name: arena.capacities()[name] for name in index_names
+        } == index_capacities
 
     def test_step_timing_split_and_fused_batch_size(
         self, tiny_model, million_factory, calibration_tokens
