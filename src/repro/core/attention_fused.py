@@ -18,7 +18,7 @@ delegates attention to :class:`FusedMillionAttention`, which per layer:
    rows);
 4. merges with the full-precision recent window and softmaxes per sequence
    (sequence-local row lengths differ, and the merge is exactly the
-   sequential cache's ``attend``);
+   per-sequence cache's ``attend``);
 5. sums all sequences' value probabilities per centroid in one flat
    ``np.add.at`` into the layer's kept ``(elements, M)`` centroid bins and
    decodes against the centroid tables.
@@ -31,7 +31,8 @@ just the query side.
 
 Every kernel accumulates in an order independent of how many sequences share
 the call, so each sequence's context — and therefore its next-token logits —
-is bit-identical to the sequential reference path (tests sweep both).
+is bit-identical to decoding that sequence alone through its cache's
+``attend`` (the tests' solo reference).
 Scratch buffers (element maps, kept indices, the rebuild-only packed codes,
 probabilities, gather and aggregation temporaries) live in a
 :class:`~repro.utils.scratch.ScratchArena` reused across steps, so
@@ -69,8 +70,8 @@ class FusedMillionAttention:
     through its scratch arena, the memoized element maps and the per-layer
     keys of the kept gather indices.
     Sequences may have arbitrary, different context lengths; sparse outlier
-    corrections are not supported (the engine falls back to the sequential
-    path when they are configured).
+    corrections are not supported (the engine then stacks the forward
+    without this class, and each cache attends through its own ``attend``).
     """
 
     def __init__(self) -> None:
@@ -280,7 +281,7 @@ class FusedMillionAttention:
                 t = prof.lap("decode/adc_gather", t)
 
         # Sequence-local merge with the full-precision recent window: exactly
-        # the sequential cache's attend(), with the stored scores precomputed.
+        # the per-sequence cache's attend(), with the stored scores precomputed.
         if timing:
             t = prof.now()
         context = np.empty((n_seqs, n_heads, head_dim), dtype=np.float32)

@@ -20,7 +20,7 @@ its probabilities through those indices — the only per-step work.  Every
 operation accumulates in a fixed element order that is independent of how
 many rows share the call — the property the fused batched decode path relies
 on to process many sequences per step while staying bit-identical to the
-sequential reference (see :mod:`repro.core.attention_fused`).
+per-sequence path (see :mod:`repro.core.attention_fused`).
 """
 
 from __future__ import annotations

@@ -314,52 +314,3 @@ def build_policy_factory(
         kvquant_quantizers=kvquant_quantizers,
         kvquant_residual_window=recent_window,
     )
-
-
-def calibrate_policy(
-    model: TransformerLM,
-    calibration_tokens: np.ndarray | Iterable[np.ndarray],
-    budget_bytes_per_token: float,
-    ladder=None,
-    schemes=None,
-    recent_window: int = 0,
-    chunk_size: int = 256,
-    max_samples_per_layer: int = 8192,
-    seed: SeedLike = 0,
-    **million_kwargs,
-):
-    """End-to-end mixed-precision calibration (Fig. 4a, per-head edition).
-
-    Samples KV at full precision, scores per-head sensitivity, derives the
-    budgeted :class:`~repro.quant.policy.QuantPolicy`, and trains every
-    quantizer it needs.  Returns ``(policy, factory)`` — the policy is the
-    committable artifact, the factory plugs into ``model.reset_cache``.
-    """
-    from repro.quant.policy import DEFAULT_LADDER, derive_policy
-
-    collector = collect_kv_samples(
-        model,
-        calibration_tokens,
-        chunk_size=chunk_size,
-        max_samples_per_layer=max_samples_per_layer,
-        seed=seed,
-    )
-    sensitivity = measure_sensitivity(
-        collector, seed=derive_seed(seed, "policy-probe")
-    )
-    policy = derive_policy(
-        model.config,
-        sensitivity,
-        budget_bytes_per_token,
-        ladder=DEFAULT_LADDER if ladder is None else ladder,
-        schemes=schemes,
-    )
-    factory = build_policy_factory(
-        collector,
-        policy,
-        model.config,
-        recent_window=recent_window,
-        seed=seed,
-        **million_kwargs,
-    )
-    return policy, factory

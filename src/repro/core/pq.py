@@ -144,7 +144,7 @@ class ProductQuantizer:
         element-independent, so a row's codes do not depend on how many rows
         share the call — the fused decode path relies on this to batch the
         flush-time encodes of many sequences into one call while staying
-        bit-identical to the sequential path's per-sequence encodes.
+        bit-identical to the per-sequence encodes.
         """
         subvectors = self.codebooks.split_vectors(vectors)
         sub_t = np.ascontiguousarray(subvectors.transpose(1, 0, 2), dtype=np.float32)

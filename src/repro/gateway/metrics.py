@@ -334,7 +334,7 @@ def render_prometheus(
             out.add(
                 "repro_engine_last_fused_batch_size",
                 timing["last_fused_batch_size"],
-                "Sequences in the last fused decode batch (0 = sequential).",
+                "Sequences in the last fused decode batch (0 = decoded per sequence).",
                 "gauge",
                 labels,
             )

@@ -217,10 +217,10 @@ class AsyncEngineRunner:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            # An engine exception (e.g. PoolExhaustedError from a forced
-            # admission) must not wedge the replica silently: record the
-            # failure, unblock every waiting consumer with an ERROR finish,
-            # and let the router route around this replica (queue_full).
+            # An engine exception raised inside step() must not wedge the
+            # replica silently: record the failure, unblock every waiting
+            # consumer with an ERROR finish, and let the router route around
+            # this replica (queue_full).
             self.error = exc
             logger.exception(
                 "stepper for %s died; failing the replica and unblocking "

@@ -118,11 +118,11 @@ class AttentionBlock:
         ``x`` is ``(B, d_model)`` — one single-token hidden state per
         sequence — and ``caches[b]`` / ``positions[b]`` belong to sequence
         ``b``.  Projections run as stacked row-invariant GEMMs, so each row's
-        (q, k, v) is bit-identical to what the sequential path computes for
+        (q, k, v) is bit-identical to what the per-sequence path computes for
         that sequence alone.  Attention is delegated to ``batch_attend``
         (e.g. the fused MILLION ADC path) or falls back to one
         ``append`` + ``attend`` per sequence — same calls, same bits, as the
-        sequential path.
+        per-sequence path.
         """
         x = np.asarray(x, dtype=np.float32)
         n_seqs = x.shape[0]

@@ -29,8 +29,8 @@ def paired_rows_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     shapes select size-dependent GEMM blockings, so row ``i`` of a stacked
     ``(B, k) @ (k, n)`` product is *not* bit-identical to computing that row
     alone.  Serving needs exactly that identity — the fused batched decode
-    path stacks the per-sequence rows that the sequential reference path
-    computes one at a time — so this kernel pins every BLAS call to the same
+    path stacks the rows that per-sequence decode computes one at a time —
+    so this kernel pins every BLAS call to the same
     ``(2, k) @ (k, n)`` shape: rows are processed in pairs and a lone row is
     duplicated and sliced.  GEMM never mixes one row's data into another
     row's accumulators, so each output row depends only on its own input row

@@ -337,8 +337,8 @@ class TransformerLM:
         logits.  Every layer runs one stacked traversal — norms, paired
         projections, one (possibly fused) attention call — instead of ``B``
         full model traversals, and each row is bit-identical to calling
-        :meth:`decode_step` on that context alone (the engine's sequential
-        path is the reference oracle; a test sweeps both).
+        :meth:`decode_step` on that context alone (the tests' reference
+        serves each request alone, through :meth:`decode_step`).
 
         ``batch_attend`` follows :data:`repro.models.attention.BatchAttend`;
         ``None`` falls back to per-sequence ``append``/``attend`` against

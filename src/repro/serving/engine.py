@@ -7,13 +7,12 @@ shared :class:`~repro.models.transformer.TransformerLM`; decode advances the
 whole running batch through **one** fused stacked forward per step
 (:meth:`TransformerLM.fused_decode_step` plus
 :class:`~repro.core.attention_fused.FusedMillionAttention` for MILLION
-caches), with ``fused_decode=False`` keeping the per-sequence loop as the
-bit-identical reference oracle.  Weights and trained PQ codebooks are
-shared; per-sequence state is isolated, so with greedy sampling the batched
-output is token-identical to looping
-:class:`~repro.core.engine.MillionEngine` over the same prompts (a test
-asserts this, and a fused-vs-sequential identity suite sweeps batch shapes,
-preemption, cancellation and prefix sharing).
+caches); a batch below :data:`FUSED_MIN_BATCH` runs the per-sequence
+forward instead, which is bit-identical.  Weights and trained PQ codebooks
+are shared; per-sequence state is isolated, so with greedy sampling the
+batched output is token-identical to serving each request alone (the test
+suite's reference oracle, which sweeps batch shapes, preemption,
+cancellation and prefix sharing against it).
 
 Scheduling is continuous batching (see
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`): a sequence
@@ -197,7 +196,6 @@ class BatchedMillionEngine:
         max_batch_size: int = 8,
         max_unclaimed_results: int = 1024,
         max_queue_size: Optional[int] = None,
-        fused_decode: bool = True,
         tier_factories: Optional[dict[str, KVCacheFactory]] = None,
         trace: Optional[TraceRecorder] = None,
         trace_track: str = "engine",
@@ -224,13 +222,6 @@ class BatchedMillionEngine:
                 isinstance(name, str) and name != "",
                 "tier names must be non-empty strings",
             )
-        # Fused cross-request decode: one stacked forward per step instead of
-        # one forward per running sequence.  Token streams are bit-identical
-        # either way (the kernels are row-invariant by construction and tests
-        # sweep both), so ``fused_decode=False`` keeps the slow per-sequence
-        # loop purely as the reference oracle.  Batches below
-        # :data:`FUSED_MIN_BATCH` decode through the per-sequence forwards.
-        self.fused_decode = fused_decode
         self._fused_attention: Optional[FusedMillionAttention] = None
         config = getattr(factory, "million_config", None)
         foreign_tier_factories = any(
@@ -274,10 +265,6 @@ class BatchedMillionEngine:
         self._next_request_number = 0
         # Block-pool mode is enabled by pooled factories (PooledMillionCacheFactory).
         self.pool: Optional[BlockPool] = getattr(factory, "pool", None)
-        self._has_pool = self.pool is not None or any(
-            getattr(tier_factory, "pool", None) is not None
-            for tier_factory in self.tier_factories.values()
-        )
         # Per-step prefill token budget (see the module docstring); ``None``
         # means no cap and one chunk per prompt.  The chunk size follows
         # from the budget alone — never from load — because every chunk
@@ -302,7 +289,8 @@ class BatchedMillionEngine:
         self.prefix_block_misses = 0
         # Per-step timing split (reported by stats() and /metrics): wall time
         # spent admitting/prefilling vs decoding, and the size of the last
-        # fused decode batch (0 when the step used the sequential loop).
+        # fused decode batch (0 when the step decoded fewer than
+        # FUSED_MIN_BATCH sequences).
         self.step_count = 0
         self.fused_decode_steps = 0
         self.prefill_seconds_total = 0.0
@@ -392,6 +380,22 @@ class BatchedMillionEngine:
             f"{sorted(self.tier_factories)}",
         )
         state = RequestState(request=request, rng=get_rng(request.seed))
+        # A request its whole pool cannot hold would be force-admitted and
+        # fail inside step(), taking every other stream on the replica down.
+        pool = self._pool_for(state)
+        if pool is not None:
+            total = min(
+                request.prompt_ids.size + request.max_new_tokens,
+                self.model.config.max_seq_len,
+            )
+            sealed_blocks = self._sealed_tokens(state, total) // pool.block_tokens
+            needed = sealed_blocks * pool.n_layers
+            require(
+                needed <= pool.num_blocks,
+                f"request of {request.prompt_ids.size} prompt + "
+                f"{request.max_new_tokens} new tokens needs {needed} pool blocks; "
+                f"the pool holds {pool.num_blocks}",
+            )
         # Scheduler first: a QueueFullError (backpressure) must leave no
         # trace in the engine's state table.
         self.scheduler.submit(state)
@@ -622,6 +626,15 @@ class BatchedMillionEngine:
             return generated
         return np.concatenate([prompt[lo:], generated])
 
+    def _sealed_tokens(self, state: RequestState, total: int) -> int:
+        """Tokens in sealed pool blocks once ``total`` history tokens are
+        cached: the aligned prompt prefix ``A``, or ``B*floor((total-1-W)/B)``
+        once decode has flushed past it (``W`` = residual window)."""
+        block = self._pool_for(state).block_tokens
+        aligned = block * ((state.request.prompt_ids.size - 1) // block)
+        window = self._residual_window_for(state)
+        return max(aligned, block * (max(0, total - 1 - window) // block))
+
     def _prefill_plan(self, state: RequestState) -> _PrefillPlan:
         """Chunk schedule of a (re)prefill; see :class:`_PrefillPlan`.
 
@@ -641,7 +654,6 @@ class BatchedMillionEngine:
         if state.prefill_plan is not None:
             return state.prefill_plan
         block = pool.block_tokens
-        window = self._residual_window_for(state)
         prompt = state.request.prompt_ids
         aligned = block * ((prompt.size - 1) // block)
         bounds = chunk_schedule(prompt.size, block, self._chunk_tokens_for(pool))
@@ -650,8 +662,7 @@ class BatchedMillionEngine:
             # The last generated token's decode step is always replayed, so
             # only blocks strictly before it are adoption candidates.
             hashes = tuple(chain_hashes(history[: history.size - 1], block))
-            decode_flushed = block * (max(0, history.size - 1 - window) // block)
-            stored_final = max(aligned, decode_flushed)
+            stored_final = self._sealed_tokens(state, history.size)
             state.prefill_plan = _PrefillPlan(
                 aligned, hashes, stored_final, True, bounds
             )
@@ -1094,49 +1105,15 @@ class BatchedMillionEngine:
 
     # Decode -------------------------------------------------------------------
 
-    def _decode_one(self, state: RequestState) -> StepOutput:
-        """Advance one running sequence by one token.
-
-        Mirrors :meth:`TransformerLM.generate` exactly (sample, stop check,
-        context check, decode) so greedy outputs — and the final cache state —
-        match sequential generation bit for bit.
-        """
-        request = state.request
-        assert state.context is not None and state.next_logits is not None
-        if state.context.next_position >= self.model.config.max_seq_len:
-            self._finish(state, FinishReason.CONTEXT_FULL)
-            return self._emit(
-                StepOutput(state.request_id, None, True, state.finish_reason)
-            )
-        sampler = request.sampler or GreedySampler()
-        token = sampler(state.next_logits, state.rng)
-        state.generated.append(token)
-        if request.stop_token is not None and token == request.stop_token:
-            self._finish(state, FinishReason.STOP_TOKEN)
-        elif state.context.next_position >= self.model.config.max_seq_len:
-            self._finish(state, FinishReason.CONTEXT_FULL)
-        else:
-            with self._bound(state) as model:
-                state.next_logits = model.decode_step(token)
-            if self._pool_for(state) is not None:
-                # Publish before any finish below: blocks sealed by a
-                # sequence's *final* decode step must survive as cached
-                # groups too, not be freed unpublished.
-                self._register_new_blocks(state)
-            if len(state.generated) >= request.max_new_tokens:
-                self._finish(state, FinishReason.LENGTH)
-        return self._emit(
-            StepOutput(state.request_id, token, state.is_finished, state.finish_reason)
-        )
-
     def _decode_fused(self) -> list[StepOutput]:
-        """Advance every running sequence with one stacked forward.
+        """Advance every running sequence by one token.
 
-        Mirrors the sequential loop state-for-state: the same capacity gate,
-        sampling, and finish checks run per sequence in admission order
-        (compare :meth:`_decode_one`), but the surviving sequences' forwards
-        are batched into one :meth:`TransformerLM.fused_decode_step`.
-        Outputs are emitted in the order the sequential loop emits them.
+        The capacity gate, sampling and finish checks run per sequence in
+        admission order (sample, stop check, context check, decode — the
+        order of :meth:`TransformerLM.generate`), then the surviving
+        sequences' forwards run as one
+        :meth:`TransformerLM.fused_decode_step`, or per sequence below
+        :data:`FUSED_MIN_BATCH`.  Outputs are emitted in admission order.
         """
         processed: list[RequestState] = []
         results: dict[str, StepOutput] = {}
@@ -1234,34 +1211,27 @@ class BatchedMillionEngine:
     def step(self) -> list[StepOutput]:
         """One engine iteration: admit + prefill, then one decode per sequence.
 
-        With ``fused_decode`` enabled (the default) the decode half runs one
-        stacked forward for the whole running batch; the per-sequence loop is
-        kept as the bit-identical reference oracle.
-
-        The prefill half advances every pooled mid-prefill sequence by
-        block-aligned chunks under ``prefill_token_budget``, so one step
-        mixes bounded prefill work with a full decode of the non-prefilling
-        batch — a long prompt makes forward progress without freezing
-        in-flight streams.
+        The decode half runs one stacked forward for the whole running
+        batch (:meth:`_decode_fused`).  The prefill half advances every
+        pooled mid-prefill sequence by block-aligned chunks under
+        ``prefill_token_budget``, so one step mixes bounded prefill work with
+        a full decode of the non-prefilling batch — a long prompt makes
+        forward progress without freezing in-flight streams.
         """
         step_start = time.perf_counter()
         self.step_count += 1
         outputs: list[StepOutput] = []
         admitted_count = 0
-        gate = self._admission_gate if self._has_pool else None
         while True:
-            state = self.scheduler.admit_next(gate)
+            state = self.scheduler.admit_next(self._admission_gate)
             if (
                 state is None
-                and self._has_pool
                 and self.scheduler.running_count == 0
                 and self.scheduler.queued_count > 0
             ):
                 # Nothing is running, so waiting cannot free pool blocks.
-                # Force the head request in: eviction of cached groups either
-                # makes room, or the prefill raises PoolExhaustedError — a
-                # request larger than the whole pool is a hard error, not a
-                # silent stall.
+                # Force the head request in: submit() refused anything larger
+                # than its whole pool, so evicting cached groups makes room.
                 state = self.scheduler.admit_next(gate=None)
             if state is None:
                 break
@@ -1292,20 +1262,7 @@ class BatchedMillionEngine:
             chunk_spent / budget if chunk_spent and budget else 0.0
         )
         decode_start = time.perf_counter()
-        if self.fused_decode and not self.model.kv_observers:
-            outputs.extend(self._decode_fused())
-        else:
-            self.last_fused_batch_size = 0
-            for state in self.scheduler.running:
-                if state.status is not RequestStatus.RUNNING:
-                    continue  # preempted or cancelled earlier in this very step
-                if state.prefilling:
-                    continue  # chunk schedule not finished; no logits to sample
-                if self._pool_for(state) is not None and not (
-                    self._ensure_decode_capacity(state)
-                ):
-                    continue
-                outputs.append(self._decode_one(state))
+        outputs.extend(self._decode_fused())
         decode_end = time.perf_counter()
         self.last_prefill_seconds = decode_start - step_start
         self.last_decode_seconds = decode_end - decode_start
@@ -1512,7 +1469,6 @@ class BatchedMillionEngine:
             "prefix_block_misses": self.prefix_block_misses,
             "step_timing": {
                 "steps": self.step_count,
-                "fused_decode_enabled": self.fused_decode,
                 "fused_decode_steps": self.fused_decode_steps,
                 "last_fused_batch_size": self.last_fused_batch_size,
                 "last_prefill_seconds": self.last_prefill_seconds,

@@ -381,18 +381,6 @@ class ContinuousBatchingScheduler:
         return list(self._running.values())
 
     @property
-    def youngest_running(self) -> Optional[RequestState]:
-        """The most recently admitted running sequence (priority-blind).
-
-        Kept for introspection; preemption goes through
-        :meth:`preemption_victims`, which prefers lower priority classes
-        before recency.
-        """
-        if not self._running:
-            return None
-        return next(reversed(self._running.values()))
-
-    @property
     def queued_count(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 

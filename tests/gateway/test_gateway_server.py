@@ -230,20 +230,21 @@ class TestErrorPaths:
             assert "error" in json.loads(body), name
 
     def test_stepper_death_fails_request_instead_of_hanging(
-        self, tiny_config, million_factory, million_config, calibration_tokens, gw
+        self, tiny_config, million_factory, calibration_tokens, gw
     ):
-        """A request larger than the whole pool kills its prefill with
-        PoolExhaustedError inside the stepper; the client must get a 500
-        (not hang forever) and the failed replica must refuse new work."""
-        prompt = np.resize(calibration_tokens, 300).tolist()
+        """An exception inside engine.step() kills the stepper; the client
+        must get a 500 (not hang forever) and the failed replica must refuse
+        new work."""
+        prompt = calibration_tokens[:10].tolist()
 
         async def scenario():
-            # 8 blocks of 32 tokens cannot hold a 300-token sequence.
-            server = _make_server(
-                tiny_config, million_factory, million_config=million_config,
-                pool_blocks=8, block_tokens=32,
-            )
+            server = _make_server(tiny_config, million_factory)
             runner = server.router.runners[0]
+
+            def failing_step():
+                raise RuntimeError("injected engine fault")
+
+            runner.engine.step = failing_step
             host, port = await server.start(port=0)
             try:
                 status, _, body = await asyncio.wait_for(
@@ -261,6 +262,45 @@ class TestErrorPaths:
                     {"prompt": [1, 2, 3], "max_tokens": 2},
                 )
                 assert status == 429
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_request_larger_than_pool_is_refused_and_replica_survives(
+        self, tiny_config, million_factory, million_config, calibration_tokens, gw
+    ):
+        """A request its pool cannot hold is a client error (400) refused at
+        submit, so the replica keeps serving."""
+        big = np.resize(calibration_tokens, 300).tolist()
+
+        async def scenario():
+            # 8 blocks of 32 tokens cannot hold a 300-token sequence.
+            server = _make_server(
+                tiny_config, million_factory, million_config=million_config,
+                pool_blocks=8, block_tokens=32,
+            )
+            runner = server.router.runners[0]
+            host, port = await server.start(port=0)
+            try:
+                status, _, body = await asyncio.wait_for(
+                    gw.raw_request(
+                        host, port, "POST", "/v1/completions",
+                        {"prompt": big, "max_tokens": 4},
+                    ),
+                    timeout=30,
+                )
+                assert status == 400, body
+                assert "pool blocks" in json.loads(body)["error"]["message"]
+                status, _, body = await asyncio.wait_for(
+                    gw.raw_request(
+                        host, port, "POST", "/v1/completions",
+                        {"prompt": calibration_tokens[:10].tolist(), "max_tokens": 4},
+                    ),
+                    timeout=30,
+                )
+                assert status == 200, body
+                assert runner.error is None
             finally:
                 await server.stop()
 

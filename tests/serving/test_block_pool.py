@@ -295,9 +295,25 @@ class TestMemoryAwareAdmission:
         self, pooled_engine_factory, calibration_tokens
     ):
         engine = pooled_engine_factory(num_blocks=4)
-        engine.add_request(calibration_tokens[:60], max_new_tokens=2)
-        with pytest.raises(PoolExhaustedError):
-            engine.run()
+        with pytest.raises(ValueError, match="pool blocks"):
+            engine.add_request(calibration_tokens[:60], max_new_tokens=2)
+        assert engine.queued_count == 0
+        assert not engine.scheduler.has_work
+
+    def test_submit_capacity_boundary(
+        self, pooled_engine_factory, million_config, calibration_tokens
+    ):
+        """A 12-block pool holds 6 sealed 4-token groups (2 layers): with no
+        residual window, 28 cached tokens seal 24 and fit; 29 seal 28."""
+        assert million_config.recent_window == 0
+        prompt = calibration_tokens[:10]
+        engine = pooled_engine_factory(num_blocks=12, max_batch_size=1)
+        (tokens,) = engine.generate_batch([prompt], max_new_tokens=18)
+        assert tokens.size == 18
+        assert engine.preemption_count == 0
+        with pytest.raises(ValueError, match="needs 14 pool blocks"):
+            engine.add_request(prompt, max_new_tokens=19)
+        assert engine.queued_count == 0
 
 
 class TestPreemption:

@@ -27,6 +27,7 @@ from repro.serving import (
     PooledMillionCacheFactory,
     chunk_schedule,
 )
+from support.reference import assert_logits_equal, oracle_logits, served_logits
 
 BLOCK_TOKENS = 4
 
@@ -270,47 +271,6 @@ class TestMidChunkCancel:
         assert results[victim].size == 0
 
 
-class RecordingSampler:
-    """Greedy sampler that keeps every logits vector it samples from."""
-
-    def __init__(self):
-        self.logits = []
-
-    def __call__(self, logits, rng):
-        self.logits.append(np.array(logits, copy=True))
-        return int(np.argmax(logits))
-
-
-def oracle_logits(model, factory, prompt, n_tokens):
-    """The unbounded chunk schedule spelled out: forward ``[0, A)``, flush
-    every cache, forward ``[A, P)``, then greedy single-token decode."""
-    aligned = BLOCK_TOKENS * ((prompt.size - 1) // BLOCK_TOKENS)
-    with model.temporary_context(factory) as m:
-        if aligned:
-            m.forward(prompt[:aligned])
-            for cache in m.caches:
-                cache.flush_all()
-        logits = [m.forward(prompt[aligned:])[-1]]
-        for _ in range(n_tokens - 1):
-            logits.append(m.decode_step(int(np.argmax(logits[-1]))))
-    return logits
-
-
-def served_logits(engine, prompts, n_tokens):
-    """Serve ``prompts`` in one batch; every request's sampled logits."""
-    samplers = [RecordingSampler() for _ in prompts]
-    for prompt, sampler in zip(prompts, samplers):
-        engine.add_request(prompt, max_new_tokens=n_tokens, sampler=sampler)
-    engine.run()
-    return [sampler.logits for sampler in samplers]
-
-
-def assert_logits_equal(want, got):
-    assert len(want) == len(got)
-    for step, (a, b) in enumerate(zip(want, got)):
-        np.testing.assert_array_equal(a, b, err_msg=f"logits differ at step {step}")
-
-
 class TestAdoptionIsExact:
     """No pooled request's logits depend on what the pool held before it."""
 
@@ -349,7 +309,9 @@ class TestAdoptionIsExact:
         assert uncontended.preemption_count == 0
         assert contended.preemption_count >= 1
         for prompt, got_cold, got_restored in zip(prompts, cold, restored):
-            want = oracle_logits(tiny_model, uncontended.factory, prompt, 16)
+            want = oracle_logits(
+                tiny_model, uncontended.factory, prompt, 16, BLOCK_TOKENS
+            )
             assert_logits_equal(want, got_cold)
             assert_logits_equal(want, got_restored)
 

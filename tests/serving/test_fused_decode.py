@@ -1,12 +1,14 @@
 """Fused cross-request batched decode: bit-identity, arena reuse, timing.
 
 The hard correctness bar of the fused decode path is that it produces
-*bit-identical* token streams to the sequential per-sequence loop
-(``fused_decode=False``), for every batch composition: mixed lengths, mixed
-samplers, preemption and restore, cancellation mid-batch, and pooled
-prefix-shared caches.  These tests sweep both engines over the same
-workloads and require exact equality, plus the row-invariance properties of
-the underlying kernels that make the identity hold by construction.
+*bit-identical* token streams to every request served alone
+(:func:`support.reference.solo`, which decodes per sequence and never
+stacks), for every batch composition: mixed lengths, mixed samplers,
+preemption and restore, cancellation mid-batch, and pooled prefix-shared
+caches.  These tests run the batched engine and the solo oracle over the
+same workloads and require exact equality, plus the row-invariance
+properties of the underlying kernels that make the identity hold by
+construction.
 """
 
 from __future__ import annotations
@@ -26,22 +28,20 @@ from repro.serving import (
     BlockPool,
     PooledMillionCacheFactory,
 )
+from support.reference import assert_logits_equal, served_logits, solo
 
 
 def _run_engine(
     model,
     factory,
     prompts,
-    fused,
     max_new_tokens=12,
     max_batch_size=8,
     stop_token=None,
     sampler=None,
     seed=None,
 ):
-    engine = BatchedMillionEngine(
-        model, factory, max_batch_size=max_batch_size, fused_decode=fused
-    )
+    engine = BatchedMillionEngine(model, factory, max_batch_size=max_batch_size)
     ids = [
         engine.add_request(
             p, max_new_tokens, stop_token=stop_token, sampler=sampler, seed=seed
@@ -52,6 +52,12 @@ def _run_engine(
     return [results[i] for i in ids], engine
 
 
+def _assert_streams_equal(want, got):
+    assert len(want) == len(got)
+    for a, b in zip(want, got):
+        np.testing.assert_array_equal(a, b)
+
+
 def _window_factory(million_factory, million_config, window):
     """Same trained quantizers, different residual window — no recalibration."""
     return MillionCacheFactory(
@@ -60,7 +66,7 @@ def _window_factory(million_factory, million_config, window):
 
 
 class TestKernelRowInvariance:
-    """The properties that make fused == sequential hold by construction."""
+    """The properties that make fused == per-sequence hold by construction."""
 
     def test_paired_matmul_rows_independent_of_batch(self):
         rng = np.random.default_rng(0)
@@ -123,10 +129,8 @@ class TestFusedTokenIdentity:
         prompts = [
             calibration_tokens[i * 7 : i * 7 + 5 + 9 * i] for i in range(batch)
         ]
-        sequential, _ = _run_engine(tiny_model, million_factory, prompts, fused=False)
-        fused, engine = _run_engine(tiny_model, million_factory, prompts, fused=True)
-        for a, b in zip(sequential, fused):
-            np.testing.assert_array_equal(a, b)
+        fused, engine = _run_engine(tiny_model, million_factory, prompts)
+        _assert_streams_equal(solo(tiny_model, million_factory, prompts, 12), fused)
         if batch > 1:
             assert engine.fused_decode_steps > 0
 
@@ -136,45 +140,36 @@ class TestFusedTokenIdentity:
     ):
         factory = _window_factory(million_factory, million_config, window)
         prompts = [calibration_tokens[s : s + 11 + s % 13] for s in (0, 17, 40, 80)]
-        sequential, _ = _run_engine(tiny_model, factory, prompts, fused=False)
-        fused, _ = _run_engine(tiny_model, factory, prompts, fused=True)
-        for a, b in zip(sequential, fused):
-            np.testing.assert_array_equal(a, b)
+        fused, _ = _run_engine(tiny_model, factory, prompts)
+        _assert_streams_equal(solo(tiny_model, factory, prompts, 12), fused)
 
     def test_stop_token_and_varying_budgets(
         self, tiny_model, million_factory, calibration_tokens
     ):
         prompts = [calibration_tokens[s : s + 9 + s % 5] for s in (0, 10, 30)]
-
-        def run(fused):
-            engine = BatchedMillionEngine(
-                tiny_model, million_factory, max_batch_size=4, fused_decode=fused
-            )
-            ids = [
-                engine.add_request(
-                    p, max_new_tokens=5 + 4 * i, stop_token=int(p[0]) % 16
-                )
-                for i, p in enumerate(prompts)
-            ]
-            results = engine.run()
-            return [results[i] for i in ids]
-
-        for a, b in zip(run(False), run(True)):
-            np.testing.assert_array_equal(a, b)
+        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
+        ids = [
+            engine.add_request(p, max_new_tokens=5 + 4 * i, stop_token=int(p[0]) % 16)
+            for i, p in enumerate(prompts)
+        ]
+        results = engine.run()
+        want = [
+            solo(tiny_model, million_factory, [p], 5 + 4 * i, stop_token=int(p[0]) % 16)[0]
+            for i, p in enumerate(prompts)
+        ]
+        _assert_streams_equal(want, [results[i] for i in ids])
 
     def test_stochastic_samplers_identical(
         self, tiny_model, million_factory, calibration_tokens
     ):
         prompts = [calibration_tokens[s : s + 8] for s in (0, 16, 48, 90)]
-        kwargs = dict(sampler=TemperatureSampler(0.8), seed=123, max_new_tokens=10)
-        sequential, _ = _run_engine(
-            tiny_model, million_factory, prompts, fused=False, **kwargs
-        )
+        kwargs = dict(sampler=TemperatureSampler(0.8), seed=123)
         fused, _ = _run_engine(
-            tiny_model, million_factory, prompts, fused=True, **kwargs
+            tiny_model, million_factory, prompts, max_new_tokens=10, **kwargs
         )
-        for a, b in zip(sequential, fused):
-            np.testing.assert_array_equal(a, b)
+        _assert_streams_equal(
+            solo(tiny_model, million_factory, prompts, 10, **kwargs), fused
+        )
 
     def test_gqa_alibi_model(self, gqa_model, calibration_tokens):
         config = MillionConfig.for_equivalent_bits(
@@ -190,10 +185,8 @@ class TestFusedTokenIdentity:
             calibration_tokens[s : s + 6 + s % 11] % gqa_model.config.vocab_size
             for s in (0, 9, 33, 70, 95)
         ]
-        sequential, _ = _run_engine(gqa_model, factory, prompts, fused=False)
-        fused, _ = _run_engine(gqa_model, factory, prompts, fused=True)
-        for a, b in zip(sequential, fused):
-            np.testing.assert_array_equal(a, b)
+        fused, _ = _run_engine(gqa_model, factory, prompts)
+        _assert_streams_equal(solo(gqa_model, factory, prompts, 12), fused)
 
     def test_property_sweep_random_workloads(
         self, tiny_model, million_factory, million_config, calibration_tokens
@@ -207,23 +200,34 @@ class TestFusedTokenIdentity:
                 calibration_tokens[: int(rng.integers(4, 60))] for _ in range(batch)
             ]
             budget = int(rng.integers(3, 14))
-            sequential, _ = _run_engine(
-                tiny_model, factory, prompts, fused=False, max_new_tokens=budget,
-                max_batch_size=int(rng.integers(2, 6)),
-            )
             fused, _ = _run_engine(
-                tiny_model, factory, prompts, fused=True, max_new_tokens=budget,
+                tiny_model, factory, prompts, max_new_tokens=budget,
                 max_batch_size=int(rng.integers(2, 6)),
             )
-            for a, b in zip(sequential, fused):
-                np.testing.assert_array_equal(a, b)
+            _assert_streams_equal(solo(tiny_model, factory, prompts, budget), fused)
+
+
+def test_fused_decode_step_refuses_kv_observers(tiny_model, million_factory):
+    """Stacked decode cannot feed per-layer KV observers (calibration's
+    sample collector); the model refuses rather than skip them."""
+    contexts = [tiny_model.fresh_context(million_factory) for _ in range(2)]
+
+    def observer(layer_index, keys, values):
+        raise AssertionError("the refused step must not reach the observer")
+
+    tiny_model.kv_observers.append(observer)
+    try:
+        with pytest.raises(ValueError, match="kv observers"):
+            tiny_model.fused_decode_step(np.array([1, 2]), contexts)
+    finally:
+        tiny_model.kv_observers.remove(observer)
 
 
 class TestFusedPooled:
     BLOCK_TOKENS = 4
 
     def _build(self, tiny_model, tiny_config, million_factory, million_config,
-               num_blocks, fused, max_batch_size=4, budget=None):
+               num_blocks, max_batch_size=4, budget=None):
         pool = BlockPool.for_model(
             tiny_config, million_config, num_blocks=num_blocks,
             block_tokens=self.BLOCK_TOKENS,
@@ -231,7 +235,7 @@ class TestFusedPooled:
         factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
         return BatchedMillionEngine(
             tiny_model, factory, max_batch_size=max_batch_size,
-            fused_decode=fused, prefill_token_budget=budget,
+            prefill_token_budget=budget,
         )
 
     def test_prefix_shared_batches_identical(
@@ -244,19 +248,19 @@ class TestFusedPooled:
             for i in range(4)
         ]
 
-        def run(fused):
-            # A chunk boundary at the shared prefix's end makes it adoptable.
-            engine = self._build(
-                tiny_model, tiny_config, million_factory, million_config,
-                num_blocks=256, fused=fused, budget=shared.size,
-            )
-            ids = [engine.add_request(p, 10) for p in prompts]
-            results = engine.run()
-            assert engine.prefix_block_hits > 0  # sharing actually happened
-            return [results[i] for i in ids]
-
-        for a, b in zip(run(False), run(True)):
-            np.testing.assert_array_equal(a, b)
+        # A chunk boundary at the shared prefix's end makes it adoptable.
+        engine = self._build(
+            tiny_model, tiny_config, million_factory, million_config,
+            num_blocks=256, budget=shared.size,
+        )
+        ids = [engine.add_request(p, 10) for p in prompts]
+        results = engine.run()
+        assert engine.prefix_block_hits > 0  # sharing actually happened
+        want = solo(
+            tiny_model, million_factory, prompts, 10, num_blocks=256,
+            block_tokens=self.BLOCK_TOKENS, budget=shared.size,
+        )
+        _assert_streams_equal(want, [results[i] for i in ids])
 
     def test_preemption_and_restore_identical(
         self, tiny_model, tiny_config, million_factory, million_config,
@@ -264,23 +268,24 @@ class TestFusedPooled:
     ):
         prompts = [calibration_tokens[s : s + 13 + s % 7] for s in (0, 15, 40, 70)]
 
-        def run(fused, num_blocks):
+        def run(num_blocks):
             engine = self._build(
                 tiny_model, tiny_config, million_factory, million_config,
-                num_blocks=num_blocks, fused=fused,
+                num_blocks=num_blocks,
             )
             ids = [engine.add_request(p, 14) for p in prompts]
             results = engine.run()
             return [results[i] for i in ids], engine
 
-        uncontended, _ = run(fused=True, num_blocks=512)
-        seq_tight, seq_engine = run(fused=False, num_blocks=40)
-        fused_tight, fused_engine = run(fused=True, num_blocks=40)
-        assert seq_engine.preemption_count > 0, "workload must trigger preemption"
-        assert fused_engine.preemption_count > 0
-        for a, b, c in zip(uncontended, seq_tight, fused_tight):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(a, c)
+        want = solo(
+            tiny_model, million_factory, prompts, 14, num_blocks=40,
+            block_tokens=self.BLOCK_TOKENS,
+        )
+        uncontended, _ = run(num_blocks=512)
+        tight, tight_engine = run(num_blocks=40)
+        assert tight_engine.preemption_count > 0, "workload must trigger preemption"
+        _assert_streams_equal(want, uncontended)
+        _assert_streams_equal(want, tight)
 
     def test_cancel_mid_batch_identical(
         self, tiny_model, tiny_config, million_factory, million_config,
@@ -288,22 +293,26 @@ class TestFusedPooled:
     ):
         prompts = [calibration_tokens[s : s + 10 + s % 9] for s in (0, 12, 30, 60)]
 
-        def run(fused):
-            engine = self._build(
-                tiny_model, tiny_config, million_factory, million_config,
-                num_blocks=256, fused=fused,
-            )
-            ids = [engine.add_request(p, 12) for p in prompts]
-            for _ in range(4):
-                engine.step()
-            assert engine.cancel(ids[1]) is True
-            results = engine.run()
-            return ids, results
-
-        ids_a, res_a = run(False)
-        ids_b, res_b = run(True)
-        for i_a, i_b in zip(ids_a, ids_b):
-            np.testing.assert_array_equal(res_a[i_a], res_b[i_b])
+        engine = self._build(
+            tiny_model, tiny_config, million_factory, million_config,
+            num_blocks=256,
+        )
+        ids = [engine.add_request(p, 12) for p in prompts]
+        for _ in range(4):
+            engine.step()
+        assert engine.cancel(ids[1]) is True
+        results = engine.run()
+        want = solo(
+            tiny_model, million_factory, prompts, 12, num_blocks=256,
+            block_tokens=self.BLOCK_TOKENS,
+        )
+        for i, (request_id, stream) in enumerate(zip(ids, want)):
+            got = results[request_id]
+            if i == 1:
+                # The cancelled stream stops early but matches until then.
+                assert 0 < got.size < stream.size
+                stream = stream[: got.size]
+            np.testing.assert_array_equal(stream, got)
 
 
 class _Twins:
@@ -311,7 +320,7 @@ class _Twins:
 
     World 0 advances by :meth:`TransformerLM.fused_decode_step` through one
     :class:`FusedMillionAttention`; world 1 by per-sequence ``forward``, the
-    sequential reference.  Edits go through :meth:`apply`, which performs
+    per-sequence reference.  Edits go through :meth:`apply`, which performs
     them on both worlds alike.
     """
 
@@ -388,29 +397,6 @@ class _BatchRecorder:
             (ids, after - before)
             for (ids, _), before, after in zip(self.steps, counts, counts[1:])
         ]
-
-
-def _lockstep(seq_engine, fused_engine, prompts, max_new_tokens):
-    """Step both engines together; after every step, every running
-    request's next-token logits must be bit-identical across them."""
-    pairs = {
-        fused_engine.add_request(p, max_new_tokens): seq_engine.add_request(
-            p, max_new_tokens
-        )
-        for p in prompts
-    }
-    while fused_engine.scheduler.has_work or seq_engine.scheduler.has_work:
-        seq_engine.step()
-        fused_engine.step()
-        expected = {
-            state.request_id: state.next_logits
-            for state in seq_engine.scheduler.running
-        }
-        for state in fused_engine.scheduler.running:
-            if state.next_logits is not None:
-                np.testing.assert_array_equal(
-                    state.next_logits, expected[pairs[state.request_id]]
-                )
 
 
 class TestKeptGatherIndices:
@@ -503,20 +489,23 @@ class TestKeptGatherIndices:
         self, tiny_model, tiny_config, million_factory, million_config,
         calibration_tokens,
     ):
-        def engine(fused):
-            factory = self._pooled_factory(
-                tiny_config, million_factory, million_config, 32
-            )
-            return BatchedMillionEngine(
-                tiny_model, factory, max_batch_size=4, fused_decode=fused
-            )
-
-        seq_engine, fused_engine = engine(False), engine(True)
+        factory = self._pooled_factory(
+            tiny_config, million_factory, million_config, 32
+        )
+        fused_engine = BatchedMillionEngine(tiny_model, factory, max_batch_size=4)
         recorder = _BatchRecorder(fused_engine)
         prompts = [
             calibration_tokens[s : s + 13 + s % 7] for s in (0, 15, 40, 70, 90, 110)
         ]
-        _lockstep(seq_engine, fused_engine, prompts, 14)
+        # Every sampled step's logits, across preemptions and restores, are
+        # the ones each request computes alone.
+        got = served_logits(fused_engine, prompts, 14)
+        want = solo(
+            tiny_model, million_factory, prompts, 14, num_blocks=32,
+            block_tokens=self.BLOCK_TOKENS, record_logits=True,
+        )
+        for want_logits, got_logits in zip(want, got):
+            assert_logits_equal(want_logits, got_logits)
         assert fused_engine.preemption_count > 0
         steps = recorder.rebuilds()
         n_layers = tiny_config.n_layers
@@ -535,9 +524,7 @@ class TestArenaAndTiming:
     def test_scratch_arena_stops_growing(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(
-            tiny_model, million_factory, max_batch_size=4, fused_decode=True
-        )
+        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
         for s in (0, 11, 25, 50):
             engine.add_request(calibration_tokens[s : s + 8 + s % 6], 60)
         for _ in range(12):
@@ -572,15 +559,12 @@ class TestArenaAndTiming:
     def test_step_timing_split_and_fused_batch_size(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(
-            tiny_model, million_factory, max_batch_size=4, fused_decode=True
-        )
+        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
         for s in (0, 20, 45):
             engine.add_request(calibration_tokens[s : s + 10], 8)
         engine.step()
         timing = engine.stats()["step_timing"]
         assert timing["steps"] == 1
-        assert timing["fused_decode_enabled"] is True
         assert timing["last_fused_batch_size"] == 3
         assert timing["last_prefill_seconds"] > 0.0
         assert timing["last_decode_seconds"] > 0.0
@@ -590,24 +574,10 @@ class TestArenaAndTiming:
         assert timing["decode_seconds_total"] >= timing["last_decode_seconds"]
         assert timing["prefill_seconds_total"] >= timing["last_prefill_seconds"]
 
-    def test_sequential_engine_reports_zero_fused_batch(
-        self, tiny_model, million_factory, calibration_tokens
-    ):
-        engine = BatchedMillionEngine(
-            tiny_model, million_factory, max_batch_size=2, fused_decode=False
-        )
-        engine.add_request(calibration_tokens[:9], 3)
-        engine.run()
-        timing = engine.stats()["step_timing"]
-        assert timing["fused_decode_steps"] == 0
-        assert timing["last_fused_batch_size"] == 0
-
     def test_metrics_expose_fused_timing(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(
-            tiny_model, million_factory, max_batch_size=2, fused_decode=True
-        )
+        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=2)
         engine.add_request(calibration_tokens[:9], 4)
         engine.run()
         text = render_prometheus(GatewayMetrics(), [engine.stats()])

@@ -1,5 +1,5 @@
 """Tests for policy-driven serving: quality tiers, heterogeneous pools and
-the batch-size-dependent fused/sequential decode switch."""
+the batch-size-dependent fused/per-sequence decode switch."""
 
 from __future__ import annotations
 
