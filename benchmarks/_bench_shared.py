@@ -16,6 +16,7 @@ from repro.bench.schema import CaseResult
 from repro.core import collect_kv_samples
 from repro.data import load_corpus
 from repro.models import load_model
+from repro.serving import BlockPool, PooledMillionCacheFactory
 
 
 def run_registered(name: str, *, smoke: bool = False) -> CaseResult:
@@ -23,6 +24,18 @@ def run_registered(name: str, *, smoke: bool = False) -> CaseResult:
     result = run_case(name, smoke=smoke)
     assert result.error is None, f"benchmark case {name} failed:\n{result.error}"
     return result
+
+
+def never_evicting_factory(model, factory, n_sequences: int, block_tokens: int = 16):
+    """A calibrated ``MillionCacheFactory`` over a fresh block pool that never
+    evicts: every layer has room for ``n_sequences`` full ``max_seq_len``
+    contexts, so no block is reclaimed while an engine serves that many."""
+    config = model.config
+    blocks = n_sequences * config.n_layers * -(-config.max_seq_len // block_tokens)
+    pool = BlockPool.for_model(
+        config, factory.million_config, num_blocks=blocks, block_tokens=block_tokens
+    )
+    return PooledMillionCacheFactory.from_factory(factory, pool)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from _bench_shared import run_registered
+from _bench_shared import never_evicting_factory, run_registered
 from repro.bench import HIGHER, LOWER, BenchContext, benchmark_case
 from repro.core import MillionConfig, calibrate_million
 from repro.data import load_corpus
@@ -72,7 +72,8 @@ def _build(params: Params):
 
 def _measure_direct(config, factory, prompt, params: Params):
     """Step the engine by hand, timestamping each token as it appears."""
-    engine = BatchedMillionEngine(build_model(config, seed=0), factory)
+    model = build_model(config, seed=0)
+    engine = BatchedMillionEngine(model, never_evicting_factory(model, factory, 1))
     engine.add_request(prompt, max_new_tokens=params.max_new_tokens)
     tokens: list[int] = []
     stamps: list[float] = []
@@ -87,7 +88,8 @@ def _measure_direct(config, factory, prompt, params: Params):
 
 async def _measure_gateway(config, factory, prompt, params: Params):
     """Stream the same request over HTTP; timestamp each SSE frame."""
-    engine = BatchedMillionEngine(build_model(config, seed=0), factory)
+    model = build_model(config, seed=0)
+    engine = BatchedMillionEngine(model, never_evicting_factory(model, factory, 1))
     server = GatewayServer(ReplicaRouter([AsyncEngineRunner(engine)]))
     host, port = await server.start(port=0)
     try:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from _bench_shared import run_registered
+from _bench_shared import never_evicting_factory, run_registered
 from repro.bench import HIGHER, LOWER, BenchContext, benchmark_case
 from repro.core import MillionConfig, calibrate_million
 from repro.data import load_corpus
@@ -77,7 +77,10 @@ def profiler_setup(smoke: bool = False):
 def _decode_run(model, factory, prompts, prof, warmup_steps, steps):
     """Steady-state decode: (tokens/sec, tokens decoded, phase records)."""
     engine = BatchedMillionEngine(
-        model, factory, max_batch_size=len(prompts), prof=prof
+        model,
+        never_evicting_factory(model, factory, len(prompts)),
+        max_batch_size=len(prompts),
+        prof=prof,
     )
     for prompt in prompts:
         engine.add_request(prompt, max_new_tokens=10_000)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from _bench_shared import run_registered
+from _bench_shared import never_evicting_factory, run_registered
 from repro.bench import HIGHER, BenchContext, benchmark_case
 from repro.core import MillionConfig, calibrate_million
 from repro.data import load_corpus
@@ -79,7 +79,11 @@ def _decode_tokens_per_s(
     groups = [prompts] if fused else [[prompt] for prompt in prompts]
     engines = []
     for group in groups:
-        engine = BatchedMillionEngine(model, factory, max_batch_size=len(group))
+        engine = BatchedMillionEngine(
+            model,
+            never_evicting_factory(model, factory, len(group)),
+            max_batch_size=len(group),
+        )
         for prompt in group:
             # A budget no request exhausts: every timed step decodes the full batch.
             engine.add_request(prompt, max_new_tokens=10_000)

@@ -17,7 +17,8 @@ layer are measured here:
    benchmark verifies the swap overhead is small (aggregate tokens/s within a
    modest factor of the sequential loop at every batch size) and that larger
    batches keep aggregate throughput while interleaving progress across
-   requests.
+   requests.  The sequential loop serves each prompt on its own single-slot
+   engine, in turn; every engine gets a fresh block pool that never evicts.
 
 Registered as part of the ``serving`` suite; run standalone with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_serving_throughput.py -s``
@@ -31,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from _bench_shared import run_registered
+from _bench_shared import never_evicting_factory, run_registered
 from repro.bench import HIGHER, BenchContext, benchmark_case
-from repro.core import MillionConfig, MillionEngine, ProductQuantizer, calibrate_million
+from repro.core import MillionConfig, ProductQuantizer, calibrate_million
 from repro.core.million_cache import MillionKVCacheLayer
 from repro.data import load_corpus
 from repro.models import ModelConfig, build_model
@@ -160,9 +161,13 @@ def bench_batched_throughput(ctx: BenchContext) -> None:
     ctx.set_params(n_prompts=len(prompts), max_new_tokens=max_new, batch_sizes=batch_sizes)
     ctx.emit("batch_size  wall_s  tokens_per_s")
 
-    sequential = MillionEngine(model, factory)
     start = time.perf_counter()
-    expected = [sequential.generate(p, max_new_tokens=max_new) for p in prompts]
+    expected = [
+        BatchedMillionEngine(
+            model, never_evicting_factory(model, factory, 1), max_batch_size=1
+        ).generate_batch([prompt], max_new_tokens=max_new)[0]
+        for prompt in prompts
+    ]
     sequential_wall = time.perf_counter() - start
     total_tokens = sum(len(tokens) for tokens in expected)
     sequential_throughput = total_tokens / sequential_wall
@@ -171,7 +176,11 @@ def bench_batched_throughput(ctx: BenchContext) -> None:
     ctx.emit(f"{'seq-loop':>10s}  {sequential_wall:6.2f}  {sequential_throughput:12.1f}")
 
     for batch_size in batch_sizes:
-        engine = BatchedMillionEngine(model, factory, max_batch_size=batch_size)
+        engine = BatchedMillionEngine(
+            model,
+            never_evicting_factory(model, factory, len(prompts)),
+            max_batch_size=batch_size,
+        )
         start = time.perf_counter()
         results = engine.generate_batch(prompts, max_new_tokens=max_new)
         wall = time.perf_counter() - start

@@ -5,22 +5,21 @@ Calibrates MILLION once, then submits a burst of requests with different
 prompt lengths and generation budgets to :class:`BatchedMillionEngine`.  The
 engine interleaves one decode step per running sequence, admits queued
 requests the moment a slot frees up, and streams tokens back per request.
-At the end the script verifies the batched output is token-identical to
-looping the single-sequence :class:`MillionEngine` over the same prompts,
-and reports per-request finish reasons plus aggregate throughput and
-``engine.stats()``.
 
-With ``--pool-blocks N`` the engine runs in block-pool mode: every prompt
-shares a common system prefix whose quantized KV blocks are allocated from a
-bounded :class:`BlockPool` and shared across requests (prefill of the prefix
-is paid once; the stats show reused vs computed prefill tokens and pool
-utilization).  Making the pool small forces preemption and restore, which
-keeps greedy outputs unchanged.
+Every prompt shares a common system prefix.  Quantized KV blocks are
+allocated from a bounded :class:`BlockPool` of ``--pool-blocks`` blocks and
+shared across requests, so prefill of the prefix is paid once (the stats
+show reused vs computed prefill tokens and pool utilization).  Making the
+pool small forces preemption and restore, which keeps greedy outputs
+unchanged: at the end the script verifies every request's batched output is
+token-identical to serving that request alone on a single-slot engine, and
+reports per-request finish reasons plus aggregate throughput and
+``engine.stats()``.
 
 Run with::
 
     python examples/batched_serving.py [--requests 6] [--batch-size 3]
-    python examples/batched_serving.py --pool-blocks 512 --shared-prefix 96
+    python examples/batched_serving.py --pool-blocks 64 --shared-prefix 96
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro.core import MillionConfig, MillionEngine
+from repro.core import MillionConfig, calibrate_million
 from repro.data import load_corpus
 from repro.models import load_model
 from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
@@ -44,8 +43,8 @@ def main() -> None:
     parser.add_argument(
         "--pool-blocks",
         type=int,
-        default=0,
-        help="enable the paged KV block pool with this many blocks (0 = off)",
+        default=512,
+        help="blocks in the paged KV block pool (>= 1)",
     )
     parser.add_argument(
         "--block-tokens", type=int, default=16, help="tokens per pool block"
@@ -54,7 +53,7 @@ def main() -> None:
         "--shared-prefix",
         type=int,
         default=96,
-        help="system-prompt tokens shared by every request in pool mode",
+        help="system-prompt tokens shared by every request",
     )
     args = parser.parse_args()
 
@@ -65,40 +64,39 @@ def main() -> None:
         model.config.head_dim, bits=4, kmeans_iters=5, calibration_samples=1536
     )
     print("calibrating MILLION codebooks once for all requests ...")
-    sequential = MillionEngine.calibrate(model, calibration, million)
+    calibrated = calibrate_million(model, calibration, million)
 
-    pooled = args.pool_blocks > 0
+    system_prefix = load_corpus("wikitext2-syn", "test", args.shared_prefix, seed=99) % vocab
     prompts = [
-        load_corpus("wikitext2-syn", "test", 32 + 8 * i, seed=i) % vocab
+        np.concatenate(
+            [system_prefix, load_corpus("wikitext2-syn", "test", 32 + 8 * i, seed=i) % vocab]
+        )
         for i in range(args.requests)
     ]
-    if pooled:
-        system_prefix = load_corpus("wikitext2-syn", "test", args.shared_prefix, seed=99) % vocab
-        prompts = [np.concatenate([system_prefix, prompt]) for prompt in prompts]
+
+    def engine(max_batch_size: int) -> BatchedMillionEngine:
+        """An engine over a fresh pool.  A per-step prefill budget of one
+        system prefix puts a chunk boundary at the prefix end, which makes
+        the prefix adoptable."""
         pool = BlockPool.for_model(
             model.config, million, num_blocks=args.pool_blocks,
             block_tokens=args.block_tokens,
         )
-        factory = PooledMillionCacheFactory.from_factory(sequential.factory, pool)
-    else:
-        factory = sequential.factory
+        return BatchedMillionEngine(
+            model,
+            PooledMillionCacheFactory.from_factory(calibrated, pool),
+            max_batch_size=max_batch_size,
+            prefill_token_budget=args.shared_prefix or None,
+        )
 
-    # In pool mode a per-step prefill budget of one system prefix puts a
-    # chunk boundary at the prefix end, which makes the prefix adoptable.
-    server = BatchedMillionEngine(
-        model,
-        factory,
-        max_batch_size=args.batch_size,
-        prefill_token_budget=(args.shared_prefix or None) if pooled else None,
-    )
+    server = engine(args.batch_size)
     for i, prompt in enumerate(prompts):
         budget = args.max_new_tokens - 2 * (i % 3)
         server.add_request(prompt, max_new_tokens=budget, request_id=f"user-{i}")
 
     print(
-        f"serving {args.requests} requests with max_batch_size={args.batch_size}"
-        + (f" pool_blocks={args.pool_blocks}" if pooled else "")
-        + " ..."
+        f"serving {args.requests} requests with max_batch_size={args.batch_size} "
+        f"pool_blocks={args.pool_blocks} ..."
     )
     start = time.perf_counter()
     step = 0
@@ -120,19 +118,14 @@ def main() -> None:
         line = (
             f"  user-{i}: prompt={prompt.size:3d} tokens "
             f"generated={len(state.generated):2d} "
-            f"finish={state.finish_reason.value:9s}"
+            f"finish={state.finish_reason.value:9s} "
+            f"preemptions={state.preemptions}"
         )
-        if pooled:
-            # Block-pool prefill force-quantizes the aligned prompt prefix, so
-            # its outputs are self-consistent (shared == cold, a test asserts
-            # bit-identity) but intentionally differ from the sequential
-            # engine's all-full-precision prefill.  Report reuse instead.
-            line += f" preemptions={state.preemptions}"
-        else:
-            reference = sequential.generate(prompt, max_new_tokens=len(state.generated))
-            identical = np.array_equal(reference, state.generated_ids)
-            line += f" identical-to-sequential={identical}"
-            assert identical, "batched output diverged from sequential greedy"
+        # The reference: the same request served alone, on its own pool.
+        (alone,) = engine(1).generate_batch([prompt], state.request.max_new_tokens)
+        identical = np.array_equal(alone, state.generated_ids)
+        line += f" identical-to-alone={identical}"
+        assert identical, "batched output diverged from the request served alone"
         print(line)
     print(
         f"served {total_tokens} tokens in {wall:.2f}s "
@@ -149,14 +142,13 @@ def main() -> None:
         "active_cache_memory_bytes",
     ):
         print(f"  {key}: {stats[key]}")
-    if stats["pool"] is not None:
-        pool_stats = stats["pool"]
-        print(
-            f"  pool: {pool_stats['used_blocks']}/{pool_stats['num_blocks']} blocks used "
-            f"({100 * pool_stats['utilization']:.1f}%), "
-            f"{pool_stats['adoptions']} adoptions, "
-            f"{pool_stats['evictions']} evictions"
-        )
+    pool_stats = stats["pool"]
+    print(
+        f"  pool: {pool_stats['used_blocks']}/{pool_stats['num_blocks']} blocks used "
+        f"({100 * pool_stats['utilization']:.1f}%), "
+        f"{pool_stats['adoptions']} adoptions, "
+        f"{pool_stats['evictions']} evictions"
+    )
 
 
 if __name__ == "__main__":

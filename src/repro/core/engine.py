@@ -79,38 +79,6 @@ class MillionEngine:
         """Prefill the prompt with on-the-fly KV quantization (Fig. 4b)."""
         return self.model.prefill(np.asarray(prompt_ids, dtype=np.int64))
 
-    def prefill_chunked(
-        self, prompt_ids: np.ndarray, chunk_tokens: int
-    ) -> np.ndarray:
-        """Prefill in fixed chunks, force-flushing the cache between chunks.
-
-        The single-engine analogue of the serving engine's budgeted chunk
-        schedule: every inter-chunk boundary ends in ``flush_all()``, so the
-        cache passes through the exact ``(stored == k*chunk_tokens,
-        pending == 0)`` states a resumed or co-scheduled prefill would — the
-        flush state is *chunk-resumable*.  The final chunk is not flushed
-        (its tail stays in the full-precision residual window, as in
-        one-shot prefill), and its logits are returned.
-
-        Chunked output is **not** bit-identical to :meth:`prefill`: each
-        forced flush changes the quantized/full-precision split that deeper
-        layers attend to.  It *is* deterministic in ``(prompt_ids,
-        chunk_tokens)`` — the same chunking always yields the same logits —
-        which is the oracle the serving layer's chunked tests assert.
-        """
-        prompt = np.asarray(prompt_ids, dtype=np.int64).reshape(-1)
-        require(prompt.size >= 1, "prompt_ids must contain at least one token")
-        require(chunk_tokens >= 1, "chunk_tokens must be >= 1")
-        logits: Optional[np.ndarray] = None
-        for lo in range(0, prompt.size, chunk_tokens):
-            logits = self.model.forward(prompt[lo : lo + chunk_tokens])
-            if lo + chunk_tokens < prompt.size:
-                for cache in self.model.caches:
-                    if isinstance(cache, MillionKVCacheLayer):
-                        cache.flush_all()
-        assert logits is not None
-        return logits
-
     def decode_step(self, token_id: int) -> np.ndarray:
         """One auto-regressive step over the quantized cache (Fig. 4c)."""
         return self.model.decode_step(token_id)

@@ -81,10 +81,9 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
 
     The flush state is *chunk-resumable*: :meth:`flush_all` between chunk
     forwards leaves the cache in exactly the ``(stored == n, pending == 0)``
-    split a later computation can resume from (see
-    :meth:`~repro.core.engine.MillionEngine.prefill_chunked` and the serving
-    engine's chunked prefill, both of which rely on this to interleave or
-    resume prefill work without changing what a full rerun would compute).
+    split a later computation can resume from (the serving engine's chunk
+    schedule relies on this to interleave or resume prefill work without
+    changing what a full rerun would compute).
     """
 
     #: Process-wide id source for :attr:`cache_serial` (never reused, unlike

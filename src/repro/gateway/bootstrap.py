@@ -33,7 +33,6 @@ from repro.obs.health import HealthEngine, HealthPolicy
 from repro.obs.prof import PhaseProfiler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
-from repro.quant.policy_cache import PolicyCacheFactory
 from repro.serving.engine import BatchedMillionEngine
 from repro.serving.scheduler import SloPolicy
 from repro.serving.memory import (
@@ -105,7 +104,6 @@ class GatewayConfig:
     # moves the quantized/full-precision split, so flipping this knob
     # changes sampled tokens — compare like against like.  A budget also
     # lets a shared prefix that ends on a chunk boundary be adopted.
-    # Ignored without a block pool (``pool_blocks == 0``).
     chunked_prefill: int = 0
     # Per-step prefill token budget when ``chunked_prefill`` is 1; 0
     # derives 8 blocks' worth, i.e. ``8 * block_tokens``.
@@ -114,6 +112,8 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.pool_blocks < 1:
+            raise ValueError("pool_blocks must be >= 1: every replica serves from a block pool")
 
 
 def _tier_policies(model_config, sensitivity) -> dict[str, QuantPolicy]:
@@ -188,36 +188,28 @@ def build_engines(
             )
     engines = []
     for replica_index, model in enumerate(models):
-        if config.pool_blocks > 0:
-            pool = BlockPool.for_model(
-                model.config,
-                million,
-                num_blocks=config.pool_blocks,
-                block_tokens=config.block_tokens,
-            )
-            factory = PooledMillionCacheFactory.from_factory(base_factory, pool)
-        else:
-            factory = base_factory
+        pool = BlockPool.for_model(
+            model.config,
+            million,
+            num_blocks=config.pool_blocks,
+            block_tokens=config.block_tokens,
+        )
+        factory = PooledMillionCacheFactory.from_factory(base_factory, pool)
         tier_factories = {}
         if config.tiers:
             # "balanced" aliases this replica's default factory, so balanced
             # requests are token- and accounting-identical to untiered ones.
             tier_factories["balanced"] = factory
             for name, policy in tier_policies.items():
-                if config.pool_blocks > 0:
-                    tier_pool = BlockPool.for_policy(
-                        model.config,
-                        policy,
-                        num_blocks=config.pool_blocks,
-                        block_tokens=config.block_tokens,
-                    )
-                    tier_factories[name] = PooledPolicyCacheFactory(
-                        policy, model.config, factory_bank, tier_pool
-                    )
-                else:
-                    tier_factories[name] = PolicyCacheFactory(
-                        policy, model.config, million_factories=factory_bank
-                    )
+                tier_pool = BlockPool.for_policy(
+                    model.config,
+                    policy,
+                    num_blocks=config.pool_blocks,
+                    block_tokens=config.block_tokens,
+                )
+                tier_factories[name] = PooledPolicyCacheFactory(
+                    policy, model.config, factory_bank, tier_pool
+                )
         slo_policy = None
         if config.interactive_ttft_slo_ms > 0 or config.best_effort_ttft_slo_ms > 0:
             slo_policy = SloPolicy(

@@ -474,10 +474,8 @@ def render_prometheus(
                     "counter",
                     class_labels,
                 )
-        pool = stats.get("pool")
-        if pool is None:
-            continue
-        out.add("repro_pool_pressure", float(pool.get("pressure", 0.0)),
+        pool = stats["pool"]
+        out.add("repro_pool_pressure", float(pool["pressure"]),
                 "Fraction of pool blocks an allocation burst could not "
                 "obtain (pinned by running sequences).", "gauge", labels)
         out.add("repro_pool_utilization", float(pool["utilization"]),

@@ -13,7 +13,7 @@ placement when no replica has seen the prefix:
 2. **Sticky affinity** — an LRU table of recently routed chain hashes covers
    the window before a prefix's blocks are published (two requests arriving
    back-to-back must not land on different replicas just because the first
-   one has not prefilled yet) and replicas without a pool.
+   one has not prefilled yet).
 3. **Least loaded** — fewest queued + running requests.
 
 A replica whose wait queue is full is never chosen; if every replica is
@@ -59,8 +59,7 @@ class ReplicaRouter:
         require(max_sticky_entries >= 1, "max_sticky_entries must be >= 1")
         self.runners = list(runners)
         if block_tokens is None:
-            pools = [r.engine.pool for r in self.runners if r.engine.pool is not None]
-            block_tokens = pools[0].block_tokens if pools else 16
+            block_tokens = self.runners[0].engine.pool.block_tokens
         require(block_tokens >= 1, "block_tokens must be >= 1")
         self.block_tokens = int(block_tokens)
         self.max_sticky_entries = max_sticky_entries

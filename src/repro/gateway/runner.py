@@ -165,21 +165,16 @@ class AsyncEngineRunner:
         """True when this replica must not receive new work (full or failed)."""
         return self.error is not None or self.engine.queue_full
 
-    def prefix_hit_blocks(self, prompt_ids) -> int:
-        """Published pool blocks this replica already holds for a prompt."""
-        return self.engine.prefix_hit_blocks(prompt_ids)
-
     def longest_prefix(self, hashes, block_tokens: int) -> int:
         """Published leading groups for a precomputed chain-hash sequence.
 
         The router hashes a prompt once and probes every replica with the
         same chain, so routing costs one hash pass per request instead of
-        one per replica.  Returns 0 without a pool, or when the pool's
-        block size differs from the chain's (the hashes would not
-        correspond to this pool's groups).
+        one per replica.  Returns 0 when the pool's block size differs from
+        the chain's (the hashes would not correspond to this pool's groups).
         """
         pool = self.engine.pool
-        if pool is None or pool.block_tokens != block_tokens:
+        if pool.block_tokens != block_tokens:
             return 0
         return pool.longest_prefix(hashes)
 

@@ -388,14 +388,11 @@ class GatewayServer:
         replicas = []
         for runner in self.router.runners:
             engine = runner.engine
-            pool = engine.pool
             replicas.append(
                 {
                     "queued": engine.queued_count,
                     "running": engine.running_count,
-                    "pool_pressure": (
-                        float(pool.stats()["pressure"]) if pool is not None else 0.0
-                    ),
+                    "pool_pressure": float(engine.pool.stats()["pressure"]),
                     "failed": runner.error is not None,
                     "error": str(runner.error) if runner.error is not None else "",
                 }

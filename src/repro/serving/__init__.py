@@ -12,8 +12,9 @@
 * :mod:`~repro.serving.memory` — the paged KV memory manager:
   :class:`~repro.serving.memory.BlockPool` (bounded, ref-counted quantized
   blocks with content-hash prefix sharing) and
-  :class:`~repro.serving.memory.PooledMillionCacheFactory`, which switches
-  the engine into memory-aware admission + preemption mode.
+  :class:`~repro.serving.memory.PooledMillionCacheFactory`, the pool-backed
+  cache factory the engine requires (memory-aware admission, preemption,
+  prefix sharing).
 """
 
 from repro.serving.engine import BatchedMillionEngine, chunk_schedule

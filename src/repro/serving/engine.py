@@ -18,14 +18,12 @@ Scheduling is continuous batching (see
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`): a sequence
 that finishes frees its slot immediately and the next queued request is
 admitted on the following step, so the running set stays full under load.
-Factories without a pool prefill each prompt in one forward at admission.
 
-Block-pool mode
----------------
-When the cache factory exposes a ``pool`` attribute (see
-:class:`~repro.serving.memory.PooledMillionCacheFactory`), the engine adds a
-memory manager on top of slot-count scheduling, and every prefill follows
-one resumable **chunk schedule**:
+Every cache factory allocates from a :class:`~repro.serving.memory.BlockPool`
+(:class:`~repro.serving.memory.PooledMillionCacheFactory`, or
+:class:`~repro.serving.memory.PooledPolicyCacheFactory` for mixed-precision
+tiers).  On top of slot-count scheduling the engine manages that memory, and
+every prefill follows one resumable **chunk schedule**:
 
 * **Chunk schedule.**  A prompt of ``P`` tokens is split at
   ``A = B * floor((P - 1) / B)`` (``B`` = pool block tokens).  The aligned
@@ -73,13 +71,11 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.attention_fused import FusedMillionAttention
-from repro.core.calibration import calibrate_million
-from repro.core.config import MillionConfig
 from repro.models.kv_cache import KVCacheFactory
 from repro.models.sampling import GreedySampler
 from repro.models.transformer import TransformerLM
@@ -222,20 +218,23 @@ class BatchedMillionEngine:
                 isinstance(name, str) and name != "",
                 "tier names must be non-empty strings",
             )
+        for label, tier_factory in (("default", factory), *self.tier_factories.items()):
+            require(
+                isinstance(getattr(tier_factory, "pool", None), BlockPool),
+                f"the {label!r} cache factory has no block pool; wrap a "
+                "calibrated factory in a PooledMillionCacheFactory over a BlockPool",
+            )
         self._fused_attention: Optional[FusedMillionAttention] = None
-        config = getattr(factory, "million_config", None)
         foreign_tier_factories = any(
             tier_factory is not factory
             for tier_factory in self.tier_factories.values()
         )
-        if config is not None and config.outlier_fraction == 0.0 and not foreign_tier_factories:
-            # MILLION caches without sparse outlier corrections get the fused
-            # segment-ADC attention; anything else (full-precision, KIVI-like,
-            # outlier-corrected) uses the generic per-sequence attend inside
-            # the stacked forward, which supports every cache scheme.  Tier
-            # engines mix caches built from different quantizers in one fused
-            # batch, which the segment-ADC path cannot serve (it requires one
-            # shared codebook set per layer) — they use the generic attend.
+        if factory.million_config is not None and not foreign_tier_factories:
+            # One MILLION codebook set per layer gets the fused segment-ADC
+            # attention.  Mixed-precision policies and tier engines mix caches
+            # built from different quantizers in one fused batch, which the
+            # segment-ADC path cannot serve — they use the generic
+            # per-sequence attend inside the stacked forward.
             self._fused_attention = FusedMillionAttention()
         # Phase profiler (repro.obs.prof): attributes step wall time to named
         # kernels.  Defaults to the shared no-op so every hook costs one
@@ -263,8 +262,7 @@ class BatchedMillionEngine:
         self._output_listeners: list[Callable[[StepOutput], None]] = []
         self._unclaimed_results: dict[str, np.ndarray] = {}
         self._next_request_number = 0
-        # Block-pool mode is enabled by pooled factories (PooledMillionCacheFactory).
-        self.pool: Optional[BlockPool] = getattr(factory, "pool", None)
+        self.pool: BlockPool = factory.pool
         # Per-step prefill token budget (see the module docstring); ``None``
         # means no cap and one chunk per prompt.  The chunk size follows
         # from the budget alone — never from load — because every chunk
@@ -322,32 +320,8 @@ class BatchedMillionEngine:
 
     def _all_pools(self) -> list[BlockPool]:
         """Every distinct block pool this engine allocates from (default + tiers)."""
-        pools: list[BlockPool] = []
-        for factory in (self.factory, *self.tier_factories.values()):
-            pool = getattr(factory, "pool", None)
-            if pool is not None and all(pool is not seen for seen in pools):
-                pools.append(pool)
-        return pools
-
-    # Construction -----------------------------------------------------------
-
-    @classmethod
-    def calibrate(
-        cls,
-        model: TransformerLM,
-        calibration_tokens: np.ndarray | Iterable[np.ndarray],
-        million_config: Optional[MillionConfig] = None,
-        chunk_size: int = 256,
-        max_batch_size: int = 8,
-    ) -> "BatchedMillionEngine":
-        """Run MILLION's offline phase once, then serve from the result."""
-        million_config = million_config or MillionConfig.for_equivalent_bits(
-            model.config.head_dim, bits=4
-        )
-        factory = calibrate_million(
-            model, calibration_tokens, million_config, chunk_size=chunk_size
-        )
-        return cls(model, factory, max_batch_size=max_batch_size)
+        factories = (self.factory, *self.tier_factories.values())
+        return list({id(f.pool): f.pool for f in factories}.values())
 
     # Submission ---------------------------------------------------------------
 
@@ -383,19 +357,18 @@ class BatchedMillionEngine:
         # A request its whole pool cannot hold would be force-admitted and
         # fail inside step(), taking every other stream on the replica down.
         pool = self._pool_for(state)
-        if pool is not None:
-            total = min(
-                request.prompt_ids.size + request.max_new_tokens,
-                self.model.config.max_seq_len,
-            )
-            sealed_blocks = self._sealed_tokens(state, total) // pool.block_tokens
-            needed = sealed_blocks * pool.n_layers
-            require(
-                needed <= pool.num_blocks,
-                f"request of {request.prompt_ids.size} prompt + "
-                f"{request.max_new_tokens} new tokens needs {needed} pool blocks; "
-                f"the pool holds {pool.num_blocks}",
-            )
+        total = min(
+            request.prompt_ids.size + request.max_new_tokens,
+            self.model.config.max_seq_len,
+        )
+        sealed_blocks = self._sealed_tokens(state, total) // pool.block_tokens
+        needed = sealed_blocks * pool.n_layers
+        require(
+            needed <= pool.num_blocks,
+            f"request of {request.prompt_ids.size} prompt + "
+            f"{request.max_new_tokens} new tokens needs {needed} pool blocks; "
+            f"the pool holds {pool.num_blocks}",
+        )
         # Scheduler first: a QueueFullError (backpressure) must leave no
         # trace in the engine's state table.
         self.scheduler.submit(state)
@@ -447,7 +420,7 @@ class BatchedMillionEngine:
     def cancel(self, request_id: str) -> bool:
         """Withdraw a queued, preempted or running request.
 
-        Frees the request's pool blocks (if any), records the tokens
+        Frees the request's pool blocks, records the tokens
         generated so far as its result and marks it finished with reason
         ``CANCELLED``.  Returns ``False`` if the request already finished;
         raises for unknown ids.
@@ -528,17 +501,13 @@ class BatchedMillionEngine:
             return self.factory
         return self.tier_factories[state.request.tier]
 
-    def _pool_for(self, state: RequestState) -> Optional[BlockPool]:
-        """The block pool (if any) this request's caches allocate from."""
-        return getattr(self._factory_for(state), "pool", None)
+    def _pool_for(self, state: RequestState) -> BlockPool:
+        """The block pool this request's caches allocate from."""
+        return self._factory_for(state).pool
 
     def _residual_window_for(self, state: RequestState) -> int:
         """Full-precision residual window of this request's cache scheme."""
-        factory = self._factory_for(state)
-        million_config = getattr(factory, "million_config", None)
-        if million_config is not None:
-            return million_config.recent_window
-        return getattr(factory, "recent_window", 0)
+        return self._factory_for(state).recent_window
 
     def _chunk_tokens_for(self, pool: BlockPool) -> int:
         """Fixed chunk size against ``pool``: the largest multiple of its
@@ -561,18 +530,14 @@ class BatchedMillionEngine:
         assert state.context is not None
         caches: list[PooledMillionKVCacheLayer] = []
         for cache in state.context.caches:
-            if isinstance(cache, PooledMillionKVCacheLayer):
+            if isinstance(cache, HeadGroupKVCache):
+                caches.extend(cache.sub_caches)
+            else:
                 caches.append(cache)
-            elif isinstance(cache, HeadGroupKVCache):
-                caches.extend(
-                    sub
-                    for sub in cache.sub_caches
-                    if isinstance(sub, PooledMillionKVCacheLayer)
-                )
         return caches
 
     def _release_context(self, state: RequestState) -> None:
-        """Return the sequence's pool blocks (if pooled) and drop its caches."""
+        """Return the sequence's pool blocks and drop its caches."""
         if state.context is not None:
             for cache in self._pooled_caches(state):
                 cache.release_blocks()
@@ -605,7 +570,7 @@ class BatchedMillionEngine:
         self._release_context(state)
         state.next_logits = None
 
-    # Block-pool prefill protocol ---------------------------------------------
+    # Prefill protocol ---------------------------------------------------------
 
     def _history_slice(self, state: RequestState, lo: int, hi: int) -> np.ndarray:
         """``state.token_history[lo:hi]`` without materializing the history.
@@ -650,7 +615,6 @@ class BatchedMillionEngine:
         must not rehash a long prefix each time.
         """
         pool = self._pool_for(state)
-        assert pool is not None
         if state.prefill_plan is not None:
             return state.prefill_plan
         block = pool.block_tokens
@@ -717,9 +681,6 @@ class BatchedMillionEngine:
         worth of the pool, so two admissions never count on the same room.
         """
         pool = self._pool_for(state)
-        if pool is None:
-            # Tiers without a pool are bounded by slot count only.
-            return True
         plan = self._prefill_plan(state)
         hits = pool.longest_prefix(plan.hashes)
         usable = self._usable_hits(state, plan, hits)
@@ -745,7 +706,6 @@ class BatchedMillionEngine:
     def _register_new_blocks(self, state: RequestState) -> None:
         """Publish blocks sealed by the last forward under their chain hashes."""
         pool = self._pool_for(state)
-        assert pool is not None
         caches = self._pooled_caches(state)
         per_unit = [cache.drain_new_blocks() for cache in caches]
         n_new = len(per_unit[0])
@@ -801,7 +761,7 @@ class BatchedMillionEngine:
             prof.lap("prefill/adopt", t)
 
     def _begin_prefill(self, state: RequestState) -> None:
-        """Admit a pooled request into the running set with only adoption done.
+        """Admit a request into the running set with only adoption done.
 
         The compute — chunk forwards, the residual tail, the restore replay —
         happens in :meth:`_prefill_chunk_work`, later in the same step.
@@ -825,32 +785,6 @@ class BatchedMillionEngine:
         state.prefilling = True
         if self.prof.enabled:
             self.prof.record("prefill", time.perf_counter() - begin_start)
-
-    def _prefill(self, state: RequestState) -> Optional[StepOutput]:
-        """Prefill a request whose factory has no pool: one forward at admission."""
-        prefill_start = time.perf_counter()
-        prompt = state.request.prompt_ids
-        state.context = self.model.fresh_context(self._factory_for(state))
-        with self._bound(state) as model:
-            logits = model.forward(prompt)
-        state.next_logits = logits[-1]
-        self.prefill_tokens_computed += int(prompt.size)
-        if self.prof.enabled:
-            self.prof.record("prefill", time.perf_counter() - prefill_start)
-        if self.trace.enabled:
-            self.trace.complete(
-                "prefill",
-                prefill_start,
-                time.perf_counter(),
-                track=self.trace_track,
-                request_id=state.request_id,
-                args={
-                    "tokens_computed": int(prompt.size),
-                    "tokens_reused": 0,
-                    "is_restore": False,
-                },
-            )
-        return self._end_prefill(state)
 
     def _end_prefill(self, state: RequestState) -> Optional[StepOutput]:
         """Prefill complete: the request decodes next, unless it is done already."""
@@ -885,7 +819,7 @@ class BatchedMillionEngine:
         """
         pool = self._pool_for(state)
         plan = state.prefill_plan
-        assert pool is not None and plan is not None and plan.cursor >= 0
+        assert plan is not None and plan.cursor >= 0
         block = pool.block_tokens
         prompt_tokens = state.request.prompt_ids.size
         history_size = prompt_tokens + len(state.generated)
@@ -1069,7 +1003,7 @@ class BatchedMillionEngine:
         outranks it and the pool still cannot cover its flush).
         """
         pool = self._pool_for(state)
-        assert pool is not None and state.context is not None
+        assert state.context is not None
         excluded = {id(s) for s in exclude}
         if demand is None:
             demand = self._decode_block_demand(state)
@@ -1137,7 +1071,7 @@ class BatchedMillionEngine:
             # fused batch: each holds a sampled token whose forward has not
             # run yet, so preempting one here would null its context out from
             # under the stacked decode (and orphan the sampled token).
-            if pool is not None and not self._ensure_decode_capacity(
+            if not self._ensure_decode_capacity(
                 state, reserved.get(id(pool), 0), exclude=live
             ):
                 continue
@@ -1165,10 +1099,9 @@ class BatchedMillionEngine:
                     state.request_id, token, True, state.finish_reason
                 )
                 continue
-            if pool is not None:
-                reserved[id(pool)] = reserved.get(id(pool), 0) + (
-                    self._decode_block_demand(state)
-                )
+            reserved[id(pool)] = reserved.get(id(pool), 0) + (
+                self._decode_block_demand(state)
+            )
             live.append(state)
             tokens.append(token)
         fused_batch = 0
@@ -1192,8 +1125,7 @@ class BatchedMillionEngine:
                 )
             for row, (state, token) in enumerate(zip(live, tokens)):
                 state.next_logits = logits[row]
-                if self._pool_for(state) is not None:
-                    self._register_new_blocks(state)
+                self._register_new_blocks(state)
                 if len(state.generated) >= state.request.max_new_tokens:
                     self._finish(state, FinishReason.LENGTH)
                 results[state.request_id] = StepOutput(
@@ -1213,14 +1145,13 @@ class BatchedMillionEngine:
 
         The decode half runs one stacked forward for the whole running
         batch (:meth:`_decode_fused`).  The prefill half advances every
-        pooled mid-prefill sequence by block-aligned chunks under
+        mid-prefill sequence by block-aligned chunks under
         ``prefill_token_budget``, so one step mixes bounded prefill work with
         a full decode of the non-prefilling batch — a long prompt makes
         forward progress without freezing in-flight streams.
         """
         step_start = time.perf_counter()
         self.step_count += 1
-        outputs: list[StepOutput] = []
         admitted_count = 0
         while True:
             state = self.scheduler.admit_next(self._admission_gate)
@@ -1249,14 +1180,8 @@ class BatchedMillionEngine:
                         request_id=state.request_id,
                         args={"tier": state.request.tier or "default"},
                     )
-            if self._pool_for(state) is not None:
-                self._begin_prefill(state)
-            else:
-                prefill_output = self._prefill(state)
-                if prefill_output is not None:
-                    outputs.append(prefill_output)
-        chunk_outputs, chunk_spent = self._prefill_chunk_work()
-        outputs.extend(chunk_outputs)
+            self._begin_prefill(state)
+        outputs, chunk_spent = self._prefill_chunk_work()
         budget = self.prefill_token_budget
         self.last_budget_utilization = (
             chunk_spent / budget if chunk_spent and budget else 0.0
@@ -1361,14 +1286,11 @@ class BatchedMillionEngine:
         The chain hashes cover the block-aligned prompt prefix the prefill
         protocol would force-quantize (``A = B*floor((P-1)/B)``); published
         hits are rounded the way admission rounds them (:meth:`_round_hits`),
-        so the count is what a prefill could actually adopt.  Returns 0
-        without a pool.  This is the signal the gateway's
-        :class:`~repro.gateway.router.ReplicaRouter` uses for
-        prefix-affinity routing — replicas that already hold a prompt's
-        prefix blocks should serve it.
+        so the count is what a prefill could actually adopt.  The gateway's
+        :class:`~repro.gateway.router.ReplicaRouter` does not call this: it
+        hashes a prompt once and probes every replica's pool through
+        :meth:`~repro.gateway.runner.AsyncEngineRunner.longest_prefix`.
         """
-        if self.pool is None:
-            return 0
         prompt_tokens = np.asarray(prompt_ids).size
         block = self.pool.block_tokens
         aligned = block * (max(0, prompt_tokens - 1) // block)
@@ -1395,9 +1317,9 @@ class BatchedMillionEngine:
     def active_cache_memory_bytes(self) -> float:
         """Total modelled KV footprint across all running sequences.
 
-        With a block pool, each cache reports its fair share of shared
-        blocks (bytes divided by refcount), so this aggregate counts a
-        shared prefix once no matter how many sequences reference it.
+        Each cache reports its fair share of shared blocks (bytes divided by
+        refcount), so this aggregate counts a shared prefix once no matter
+        how many sequences reference it.
         """
         total = 0.0
         for state in self.scheduler.running:
@@ -1479,7 +1401,7 @@ class BatchedMillionEngine:
                 "prefill_chunks_total": self.prefill_chunks_total,
                 "last_budget_utilization": self.last_budget_utilization,
             },
-            "pool": self.pool.stats() if self.pool is not None else None,
+            "pool": self.pool.stats(),
             "phases": self.prof.snapshot(),
             "tiers": self.tier_stats(),
             "priority": self.priority_stats(),

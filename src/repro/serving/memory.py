@@ -41,11 +41,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import MillionConfig
-from repro.core.million_cache import MillionCacheFactory, MillionKVCacheLayer
+from repro.core.million_cache import MillionKVCacheLayer
 from repro.core.pq import ProductQuantizer
 from repro.core.storage import BlockArena
 from repro.models.config import ModelConfig
-from repro.models.kv_cache import FP16_BYTES
 from repro.obs.trace import NULL_RECORDER
 from repro.utils.bitpack import code_dtype
 from repro.utils.validation import require
@@ -849,10 +848,10 @@ class PooledMillionCacheFactory:
     """Creates pool-backed :class:`PooledMillionKVCacheLayer` instances.
 
     A drop-in replacement for :class:`~repro.core.million_cache.MillionCacheFactory`
-    whose caches allocate quantized storage from one shared :class:`BlockPool`.
-    :class:`~repro.serving.engine.BatchedMillionEngine` detects the ``pool``
-    attribute and enables prefix caching, memory-aware admission and
-    preemption.
+    whose caches allocate quantized storage from one shared :class:`BlockPool`
+    — the form :class:`~repro.serving.engine.BatchedMillionEngine` requires.
+    The pool is what gives the engine prefix caching, memory-aware admission
+    and preemption.
     """
 
     def __init__(
@@ -887,13 +886,10 @@ class PooledMillionCacheFactory:
         """Effective bits per cached scalar for reporting."""
         return self.million_config.bits_per_value(head_dim)
 
-    def fp16_block_bytes(self) -> float:
-        """What one block's tokens would cost uncompressed (for reporting)."""
-        kv_heads = self.pool.key_row_shape[0]
-        any_key_pq, _ = next(iter(self.quantizers.values()))
-        return float(
-            2 * self.pool.block_tokens * kv_heads * any_key_pq.dim * FP16_BYTES
-        )
+    @property
+    def recent_window(self) -> int:
+        """Full-precision residual window of every cache this factory builds."""
+        return self.million_config.recent_window
 
 
 class PooledPolicyCacheFactory:
@@ -912,8 +908,9 @@ class PooledPolicyCacheFactory:
     Only MILLION heads can be pooled: prefix sharing requires the quantized
     representation to be a deterministic, block-sized function of the token
     prefix, which fp16/KIVI/KVQuant heads (per-sequence scales or no
-    block-aligned codes) do not offer.  Mixed schemes stay available through
-    the unpooled :class:`~repro.quant.policy_cache.PolicyCacheFactory`.
+    block-aligned codes) do not offer.  Mixed schemes stay available on the
+    single-request path through
+    :class:`~repro.quant.policy_cache.PolicyCacheFactory`.
     """
 
     def __init__(
@@ -973,19 +970,6 @@ class PooledPolicyCacheFactory:
             f"policy needs {base} pool units but the pool has {pool.n_units} "
             "(build the pool with BlockPool.for_policy over the same policy)",
         )
-
-    @classmethod
-    def from_factory(
-        cls, factory: PooledMillionCacheFactory, policy, model_config: ModelConfig
-    ) -> "PooledPolicyCacheFactory":
-        """Wrap an existing uniform pooled factory (uniform policies only)."""
-        require(
-            policy.is_uniform and policy.assignment(0, 0).scheme == "million",
-            "from_factory requires a uniform all-MILLION policy",
-        )
-        bits = policy.assignment(0, 0).bits
-        unpooled = MillionCacheFactory(factory.quantizers, factory.million_config)
-        return cls(policy, model_config, {bits: unpooled}, factory.pool)
 
     def _pooled_cache(
         self, layer_index: int, unit_index: int, bits: int, config: ModelConfig

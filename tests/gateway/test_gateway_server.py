@@ -20,34 +20,28 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
-from repro.gateway import AsyncEngineRunner, GatewayServer, ReplicaRouter
+from repro.gateway import AsyncEngineRunner, GatewayConfig, GatewayServer, ReplicaRouter
 from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    FinishReason,
-    PooledMillionCacheFactory,
-)
+from repro.serving import BatchedMillionEngine, FinishReason
+from support.reference import pooled
 
 
-def _make_server(
-    config, factory, replicas=1, million_config=None, pool_blocks=0,
-    block_tokens=32, **engine_kwargs
-):
-    """Fresh models (identical weights via the fixture seed) → engines → server."""
-    engines = []
-    for _ in range(replicas):
-        model = build_model(config, seed=7)
-        if pool_blocks > 0:
-            pool = BlockPool.for_model(
-                config, million_config, num_blocks=pool_blocks, block_tokens=block_tokens
-            )
-            engine_factory = PooledMillionCacheFactory.from_factory(factory, pool)
-        else:
-            engine_factory = factory
-        engines.append(BatchedMillionEngine(model, engine_factory, **engine_kwargs))
+def _engine(config, factory, pool_blocks=256, block_tokens=32, **engine_kwargs):
+    """A fresh model (identical weights via the fixture seed) over its own pool."""
+    model = build_model(config, seed=7)
+    return BatchedMillionEngine(
+        model,
+        pooled(model, factory, num_blocks=pool_blocks, block_tokens=block_tokens),
+        **engine_kwargs,
+    )
+
+
+def _make_server(config, factory, replicas=1, **engine_kwargs):
+    """One :func:`_engine` per replica → runners → server."""
+    engines = [_engine(config, factory, **engine_kwargs) for _ in range(replicas)]
     runners = [
         AsyncEngineRunner(engine, name=f"replica-{i}")
         for i, engine in enumerate(engines)
@@ -102,9 +96,7 @@ class TestCompletionEndpoint:
         self, tiny_config, million_factory, calibration_tokens, gw
     ):
         prompt = calibration_tokens[:16]
-        reference_engine = BatchedMillionEngine(
-            build_model(tiny_config, seed=7), million_factory
-        )
+        reference_engine = _engine(tiny_config, million_factory)
         request_id = reference_engine.add_request(prompt, max_new_tokens=10)
         expected = reference_engine.run()[request_id]
 
@@ -156,9 +148,7 @@ class TestCompletionEndpoint:
         self, tiny_config, million_factory, calibration_tokens, gw
     ):
         prompt = calibration_tokens[:16]
-        reference_engine = BatchedMillionEngine(
-            build_model(tiny_config, seed=7), million_factory
-        )
+        reference_engine = _engine(tiny_config, million_factory)
         request_id = reference_engine.add_request(prompt, max_new_tokens=12)
         reference = reference_engine.run()[request_id]
         stop = int(reference[2])
@@ -185,6 +175,10 @@ class TestCompletionEndpoint:
 
 
 class TestErrorPaths:
+    def test_config_without_pool_refused(self):
+        with pytest.raises(ValueError, match="pool_blocks"):
+            GatewayConfig(pool_blocks=0)
+
     def test_protocol_and_routing_errors(
         self, tiny_config, million_factory, calibration_tokens, gw
     ):
@@ -268,7 +262,7 @@ class TestErrorPaths:
         asyncio.run(scenario())
 
     def test_request_larger_than_pool_is_refused_and_replica_survives(
-        self, tiny_config, million_factory, million_config, calibration_tokens, gw
+        self, tiny_config, million_factory, calibration_tokens, gw
     ):
         """A request its pool cannot hold is a client error (400) refused at
         submit, so the replica keeps serving."""
@@ -277,8 +271,7 @@ class TestErrorPaths:
         async def scenario():
             # 8 blocks of 32 tokens cannot hold a 300-token sequence.
             server = _make_server(
-                tiny_config, million_factory, million_config=million_config,
-                pool_blocks=8, block_tokens=32,
+                tiny_config, million_factory, pool_blocks=8, block_tokens=32,
             )
             runner = server.router.runners[0]
             host, port = await server.start(port=0)
@@ -549,7 +542,7 @@ class TestObservability:
 
 class TestPrefixAffinityAcrossReplicas:
     def test_concurrent_shared_1k_prefix_lands_on_one_replica(
-        self, long_config, long_factory, long_million_config, long_prefix, gw
+        self, long_config, long_factory, long_prefix, gw
     ):
         """Acceptance criteria: two concurrent requests sharing a 1k-token
         prefix are routed to the same replica and the second reuses the
@@ -563,8 +556,7 @@ class TestPrefixAffinityAcrossReplicas:
 
         async def scenario():
             server = _make_server(
-                long_config, long_factory, replicas=2,
-                million_config=long_million_config, pool_blocks=512,
+                long_config, long_factory, replicas=2, pool_blocks=512,
                 block_tokens=block_tokens, max_batch_size=2,
             )
             host, port = await server.start(port=0)

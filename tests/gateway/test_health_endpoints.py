@@ -16,32 +16,16 @@ from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
 from repro.obs.health import HealthEngine, HealthPolicy
 from repro.obs.prof import PhaseProfiler
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
-)
+from repro.serving import BatchedMillionEngine
+from support.reference import pooled
 
 
-def _make_server(
-    config,
-    factory,
-    replicas=1,
-    million_config=None,
-    pool_blocks=0,
-    health=None,
-    **engine_kwargs,
-):
+def _make_server(config, factory, replicas=1, pool_blocks=256, health=None,
+                 **engine_kwargs):
     engines = []
     for _ in range(replicas):
         model = build_model(config, seed=7)
-        if pool_blocks > 0:
-            pool = BlockPool.for_model(
-                config, million_config, num_blocks=pool_blocks, block_tokens=32
-            )
-            engine_factory = PooledMillionCacheFactory.from_factory(factory, pool)
-        else:
-            engine_factory = factory
+        engine_factory = pooled(model, factory, num_blocks=pool_blocks, block_tokens=32)
         engines.append(BatchedMillionEngine(model, engine_factory, **engine_kwargs))
     runners = [
         AsyncEngineRunner(engine, name=f"replica-{i}")
@@ -167,14 +151,14 @@ class TestSloBurn:
 
 class TestRouterHealthShift:
     def test_load_shifts_away_from_degraded_replica(
-        self, tiny_config, million_factory, million_config, gw
+        self, tiny_config, million_factory, gw
     ):
         health = HealthEngine(HealthPolicy(max_pool_pressure=0.9))
 
         async def scenario():
             server = _make_server(
                 tiny_config, million_factory, replicas=2,
-                million_config=million_config, pool_blocks=64, health=health,
+                pool_blocks=64, health=health,
             )
             # Replica 0's pool reports saturation: the next health scrape
             # must degrade it and steer fresh prompts to replica 1.

@@ -19,12 +19,19 @@ from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
 from repro.obs.promtext import parse_exposition
 from repro.serving import BatchedMillionEngine
+from support.reference import pooled
 
 
 def _make_server(config, factory, tier_factories=None, **engine_kwargs):
+    """One replica; the default and every tier factory get their own pool."""
     model = build_model(config, seed=7)
     engine = BatchedMillionEngine(
-        model, factory, tier_factories=tier_factories, **engine_kwargs
+        model,
+        pooled(model, factory),
+        tier_factories={
+            name: pooled(model, tier) for name, tier in (tier_factories or {}).items()
+        },
+        **engine_kwargs,
     )
     runner = AsyncEngineRunner(engine, name="replica-0")
     return GatewayServer(ReplicaRouter([runner]), tokenizer=ByteTokenizer())
@@ -215,18 +222,12 @@ class TestPriorityFamilies:
             ) == 0.0
 
     def test_pool_pressure_gauge_renders_with_pooled_engine(
-        self, tiny_config, million_config, million_factory, calibration_tokens, gw
+        self, tiny_config, million_factory, calibration_tokens, gw
     ):
-        from repro.serving import BlockPool, PooledMillionCacheFactory
-
         prompt = calibration_tokens[:10].tolist()
-        pool = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=64, block_tokens=32
-        )
-        pooled = PooledMillionCacheFactory.from_factory(million_factory, pool)
 
         async def scenario():
-            server = _make_server(tiny_config, pooled)
+            server = _make_server(tiny_config, million_factory)
             host, port = await server.start(port=0)
             try:
                 status, _, _ = await gw.raw_request(

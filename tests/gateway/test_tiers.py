@@ -22,6 +22,7 @@ from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
 from repro.quant.policy import million_variant
 from repro.serving import BatchedMillionEngine
+from support.reference import pooled
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +38,12 @@ def tiered_engine_parts(tiny_config, million_factory, kv_samples):
 
 def _make_tiered_server(config, default_factory, quality_factory):
     model = build_model(config, seed=7)
+    default = pooled(model, default_factory)
     engine = BatchedMillionEngine(
         model,
-        default_factory,
+        default,
         max_batch_size=4,
-        tier_factories={"quality": quality_factory, "balanced": default_factory},
+        tier_factories={"quality": pooled(model, quality_factory), "balanced": default},
     )
     runner = AsyncEngineRunner(engine, name="replica-0")
     return GatewayServer(ReplicaRouter([runner]), tokenizer=ByteTokenizer())

@@ -18,12 +18,13 @@ from repro.models.tokenizer import ByteTokenizer
 from repro.obs.export import validate_chrome_trace
 from repro.obs.trace import TraceRecorder
 from repro.serving import BatchedMillionEngine
+from support.reference import pooled
 
 
 def _make_traced_server(config, factory, capacity=8192, **engine_kwargs):
     model = build_model(config, seed=7)
     engine = BatchedMillionEngine(
-        model, factory,
+        model, pooled(model, factory),
         trace=TraceRecorder(capacity=capacity), trace_track="replica-0",
         **engine_kwargs,
     )
@@ -250,7 +251,7 @@ class TestUntracedGateway:
     ):
         async def scenario():
             model = build_model(tiny_config, seed=7)
-            engine = BatchedMillionEngine(model, million_factory)
+            engine = BatchedMillionEngine(model, pooled(model, million_factory))
             runner = AsyncEngineRunner(engine, name="replica-0")
             server = GatewayServer(
                 ReplicaRouter([runner]), tokenizer=ByteTokenizer()

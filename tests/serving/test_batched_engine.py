@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MillionEngine
 from repro.models import GreedySampler
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.serving import (
@@ -16,11 +15,24 @@ from repro.serving import (
     RequestState,
     RequestStatus,
 )
+from support.reference import (
+    BLOCK_TOKENS,
+    assert_logits_equal,
+    oracle_logits,
+    pooled,
+    served_logits,
+    solo,
+)
 
 
 @pytest.fixture()
 def prompts(calibration_tokens):
     return [calibration_tokens[start : start + 12 + i] for i, start in enumerate(range(0, 100, 20))]
+
+
+def _engine(model, factory, **kwargs) -> BatchedMillionEngine:
+    """An engine over ``factory`` wrapped in a fresh block pool."""
+    return BatchedMillionEngine(model, pooled(model, factory), **kwargs)
 
 
 def _state(request_id: str) -> RequestState:
@@ -73,15 +85,31 @@ class TestContinuousBatchingScheduler:
 
 
 class TestBatchedMillionEngine:
+    def test_unpooled_factory_refused(self, tiny_model, million_factory):
+        with pytest.raises(ValueError, match="PooledMillionCacheFactory"):
+            BatchedMillionEngine(tiny_model, million_factory)
+
+    def test_unpooled_tier_factory_refused(self, tiny_model, million_factory):
+        with pytest.raises(ValueError, match="PooledMillionCacheFactory") as refused:
+            BatchedMillionEngine(
+                tiny_model,
+                pooled(tiny_model, million_factory),
+                tier_factories={"quality": million_factory},
+            )
+        assert "'quality'" in str(refused.value)
+
     def test_batched_tokens_identical_to_sequential_greedy(
         self, tiny_model, million_factory, prompts
     ):
-        sequential = MillionEngine(tiny_model, million_factory)
-        expected = [sequential.generate(p, max_new_tokens=10) for p in prompts]
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=2)
-        results = engine.generate_batch(prompts, max_new_tokens=10)
-        for want, got in zip(expected, results):
-            np.testing.assert_array_equal(want, got)
+        """Every sampled logits row (hence every greedy token) equals the
+        chunk-schedule oracle run on the bare model, one prompt at a time."""
+        engine = _engine(tiny_model, million_factory, max_batch_size=2)
+        served = served_logits(engine, prompts, 10)
+        for prompt, got in zip(prompts, served):
+            want = oracle_logits(
+                tiny_model, pooled(tiny_model, million_factory), prompt, 10, BLOCK_TOKENS
+            )
+            assert_logits_equal(want, got)
         tiny_model.reset_cache(FullPrecisionCacheFactory())
 
     def test_interleaving_does_not_leak_state_across_sequences(
@@ -89,10 +117,10 @@ class TestBatchedMillionEngine:
     ):
         """The same prompt must produce the same output regardless of batch mix."""
         prompt = calibration_tokens[:16]
-        alone = BatchedMillionEngine(tiny_model, million_factory).generate_batch(
+        alone = _engine(tiny_model, million_factory).generate_batch(
             [prompt], max_new_tokens=8
         )[0]
-        mixed_engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
+        mixed_engine = _engine(tiny_model, million_factory, max_batch_size=4)
         mixed = mixed_engine.generate_batch(
             [calibration_tokens[40:80], prompt, calibration_tokens[5:45]],
             max_new_tokens=8,
@@ -107,7 +135,7 @@ class TestBatchedMillionEngine:
         tiny_model.prefill(calibration_tokens[:20])
         caches_before = tiny_model.caches
         position_before = tiny_model.context_length
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         engine.generate_batch([calibration_tokens[30:50]], max_new_tokens=5)
         assert tiny_model.caches is caches_before
         assert tiny_model.context_length == position_before
@@ -116,7 +144,7 @@ class TestBatchedMillionEngine:
     def test_step_streaming_and_finish_reasons(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=2)
+        engine = _engine(tiny_model, million_factory, max_batch_size=2)
         first = engine.add_request(calibration_tokens[:8], max_new_tokens=3)
         second = engine.add_request(calibration_tokens[8:16], max_new_tokens=6)
         seen_tokens: dict[str, list[int]] = {first: [], second: []}
@@ -136,10 +164,9 @@ class TestBatchedMillionEngine:
         tiny_model.reset_cache(FullPrecisionCacheFactory())
 
     def test_stop_token_finishes_early(self, tiny_model, million_factory, calibration_tokens):
-        sequential = MillionEngine(tiny_model, million_factory)
-        reference = sequential.generate(calibration_tokens[:16], max_new_tokens=12)
+        (reference,) = solo(tiny_model, million_factory, [calibration_tokens[:16]], 12)
         stop = int(reference[2])
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         request_id = engine.add_request(
             calibration_tokens[:16], max_new_tokens=12, stop_token=stop
         )
@@ -156,7 +183,7 @@ class TestBatchedMillionEngine:
         self, tiny_model, million_factory, calibration_tokens
     ):
         """Malformed requests fail with clear ValueErrors, not deep in prefill."""
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         with pytest.raises(ValueError, match="max_new_tokens"):
             engine.add_request(calibration_tokens[:8], max_new_tokens=0)
         with pytest.raises(ValueError, match="empty prompt"):
@@ -176,7 +203,7 @@ class TestBatchedMillionEngine:
     def test_queue_backpressure(self, tiny_model, million_factory, calibration_tokens):
         from repro.serving import QueueFullError
 
-        engine = BatchedMillionEngine(
+        engine = _engine(
             tiny_model, million_factory, max_batch_size=1, max_queue_size=2
         )
         first = engine.add_request(calibration_tokens[:8], max_new_tokens=2)
@@ -193,7 +220,7 @@ class TestBatchedMillionEngine:
     def test_context_full_finish(self, tiny_model, million_factory, calibration_tokens):
         max_seq_len = tiny_model.config.max_seq_len
         prompt = np.resize(calibration_tokens, max_seq_len - 2)
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         request_id = engine.add_request(prompt, max_new_tokens=50)
         results = engine.run()
         state = engine.state_of(request_id)
@@ -204,7 +231,7 @@ class TestBatchedMillionEngine:
     def test_more_requests_than_slots_all_complete(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=2)
+        engine = _engine(tiny_model, million_factory, max_batch_size=2)
         prompts = [calibration_tokens[i : i + 10] for i in range(0, 70, 10)]
         results = engine.generate_batch(prompts, max_new_tokens=4)
         assert len(results) == 7
@@ -215,7 +242,7 @@ class TestBatchedMillionEngine:
     def test_auto_ids_skip_user_supplied_ids(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         engine.add_request(calibration_tokens[:8], 2, request_id="req-0001")
         auto_ids = {engine.add_request(calibration_tokens[:8], 2) for _ in range(3)}
         assert "req-0001" not in auto_ids and len(auto_ids) == 3
@@ -225,7 +252,7 @@ class TestBatchedMillionEngine:
         self, tiny_model, million_factory, calibration_tokens
     ):
         """Serving a stream must not accumulate per-request KV caches."""
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         request_id = engine.add_request(calibration_tokens[:10], 3)
         engine.run()
         state = engine.state_of(request_id)
@@ -235,7 +262,7 @@ class TestBatchedMillionEngine:
     def test_run_returns_each_result_exactly_once(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         first = engine.add_request(calibration_tokens[:10], 2)
         assert set(engine.run()) == {first}
         second = engine.add_request(calibration_tokens[10:20], 2)
@@ -247,7 +274,7 @@ class TestBatchedMillionEngine:
         self, tiny_model, million_factory, calibration_tokens
     ):
         """A bad prompt must not poison the batch; it is rejected up front."""
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         good = engine.add_request(calibration_tokens[:10], 2)
         too_long = np.resize(calibration_tokens, tiny_model.config.max_seq_len + 1)
         with pytest.raises(Exception, match="max_seq_len"):
@@ -259,7 +286,7 @@ class TestBatchedMillionEngine:
     def test_generate_batch_preserves_foreign_results(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         loose = engine.add_request(calibration_tokens[:10], 2)
         batch = engine.generate_batch([calibration_tokens[10:20]], max_new_tokens=3)
         assert batch[0].shape == (3,)
@@ -270,7 +297,7 @@ class TestBatchedMillionEngine:
     def test_evict_finished_bounds_history(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = _engine(tiny_model, million_factory)
         request_id = engine.add_request(calibration_tokens[:10], 2)
         engine.run()
         assert engine.finished_count == 1
@@ -286,7 +313,7 @@ class TestBatchedMillionEngine:
     def test_explicit_sampler_and_memory_accounting(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=2)
+        engine = _engine(tiny_model, million_factory, max_batch_size=2)
         engine.add_request(
             calibration_tokens[:10], max_new_tokens=64, sampler=GreedySampler()
         )
@@ -302,9 +329,7 @@ class TestBatchedMillionEngine:
         self, tiny_model, million_factory, calibration_tokens, caplog
     ):
         """A client that never calls run() must not leak one array per request."""
-        engine = BatchedMillionEngine(
-            tiny_model, million_factory, max_unclaimed_results=2
-        )
+        engine = _engine(tiny_model, million_factory, max_unclaimed_results=2)
         ids = [
             engine.add_request(calibration_tokens[i : i + 8], 1) for i in (0, 10, 20)
         ]
@@ -315,27 +340,4 @@ class TestBatchedMillionEngine:
         results = engine.run()
         assert ids[0] not in results  # the oldest was dropped at the cap
         assert set(results) == set(ids[1:])
-        tiny_model.reset_cache(FullPrecisionCacheFactory())
-
-    def test_stats_without_pool(self, tiny_model, million_factory, calibration_tokens):
-        engine = BatchedMillionEngine(tiny_model, million_factory)
-        engine.add_request(calibration_tokens[:10], max_new_tokens=4)
-        engine.step()
-        stats = engine.stats()
-        assert stats["running"] == 1 and stats["pool"] is None
-        assert stats["preemptions"] == 0
-        assert stats["active_cache_memory_bytes"] > 0.0
-        engine.run()
-        tiny_model.reset_cache(FullPrecisionCacheFactory())
-
-    def test_cancel_without_pool(self, tiny_model, million_factory, calibration_tokens):
-        """cancel() is independent of block-pool mode."""
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=1)
-        first = engine.add_request(calibration_tokens[:10], max_new_tokens=3)
-        second = engine.add_request(calibration_tokens[10:20], max_new_tokens=3)
-        engine.step()
-        assert engine.cancel(second) is True
-        assert engine.state_of(second).finish_reason is FinishReason.CANCELLED
-        results = engine.run()
-        assert results[first].shape == (3,) and results[second].size == 0
         tiny_model.reset_cache(FullPrecisionCacheFactory())

@@ -10,29 +10,20 @@ from repro.serving import (
     BatchedMillionEngine,
     BlockPool,
     FinishReason,
-    PooledMillionCacheFactory,
     PoolExhaustedError,
     RequestStatus,
     chain_hashes,
     hash_token_block,
 )
-
-BLOCK_TOKENS = 4
-
-
-def make_pool(tiny_config, million_config, num_blocks=256):
-    return BlockPool.for_model(
-        tiny_config, million_config, num_blocks=num_blocks, block_tokens=BLOCK_TOKENS
-    )
+from support.reference import BLOCK_TOKENS, pooled
 
 
 @pytest.fixture()
-def pooled_engine_factory(tiny_model, tiny_config, million_factory, million_config):
+def pooled_engine_factory(tiny_model, million_factory):
     """Builds a fresh pooled engine (own pool) per call; cleans the model up."""
 
     def build(num_blocks=256, max_batch_size=4, budget=None):
-        pool = make_pool(tiny_config, million_config, num_blocks=num_blocks)
-        factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
+        factory = pooled(tiny_model, million_factory, num_blocks=num_blocks)
         return BatchedMillionEngine(
             tiny_model,
             factory,

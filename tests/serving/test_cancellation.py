@@ -13,24 +13,14 @@ import numpy as np
 import pytest
 
 from repro.models.kv_cache import FullPrecisionCacheFactory
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    FinishReason,
-    PooledMillionCacheFactory,
-    RequestStatus,
-)
-
-BLOCK_TOKENS = 4
+from repro.serving import BatchedMillionEngine, FinishReason, RequestStatus
+from support.reference import pooled
 
 
 @pytest.fixture()
-def pooled_engine_factory(tiny_model, tiny_config, million_factory, million_config):
+def pooled_engine_factory(tiny_model, million_factory):
     def build(num_blocks=256, max_batch_size=4):
-        pool = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=num_blocks, block_tokens=BLOCK_TOKENS
-        )
-        factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
+        factory = pooled(tiny_model, million_factory, num_blocks=num_blocks)
         return BatchedMillionEngine(tiny_model, factory, max_batch_size=max_batch_size)
 
     yield build
@@ -42,7 +32,7 @@ class TestOutputListener:
         self, tiny_model, million_factory, calibration_tokens
     ):
         """The subscription hook sees every token as it is decoded, in order."""
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = BatchedMillionEngine(tiny_model, pooled(tiny_model, million_factory))
         seen = []
         engine.add_output_listener(seen.append)
         request_id = engine.add_request(calibration_tokens[:10], max_new_tokens=4)
@@ -57,7 +47,7 @@ class TestOutputListener:
         self, tiny_model, million_factory, calibration_tokens
     ):
         """cancel() happens outside step(); subscribers still get a finish."""
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = BatchedMillionEngine(tiny_model, pooled(tiny_model, million_factory))
         seen = []
         engine.add_output_listener(seen.append)
         request_id = engine.add_request(calibration_tokens[:10], max_new_tokens=50)

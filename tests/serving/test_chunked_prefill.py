@@ -20,30 +20,22 @@ from hypothesis import strategies as st
 
 from repro.gateway.bootstrap import GatewayConfig, prefill_token_budget
 from repro.models.kv_cache import FullPrecisionCacheFactory
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    FinishReason,
-    PooledMillionCacheFactory,
-    chunk_schedule,
+from repro.serving import BatchedMillionEngine, FinishReason, chunk_schedule
+from support.reference import (
+    BLOCK_TOKENS,
+    assert_logits_equal,
+    oracle_logits,
+    pooled,
+    served_logits,
 )
-from support.reference import assert_logits_equal, oracle_logits, served_logits
-
-BLOCK_TOKENS = 4
 
 
 @pytest.fixture()
-def chunked_engine_factory(tiny_model, tiny_config, million_factory, million_config):
+def chunked_engine_factory(tiny_model, million_factory):
     """Builds a fresh chunked pooled engine (own pool) per call."""
 
     def build(num_blocks=256, max_batch_size=4, budget=8):
-        pool = BlockPool.for_model(
-            tiny_config,
-            million_config,
-            num_blocks=num_blocks,
-            block_tokens=BLOCK_TOKENS,
-        )
-        factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
+        factory = pooled(tiny_model, million_factory, num_blocks=num_blocks)
         return BatchedMillionEngine(
             tiny_model,
             factory,
@@ -108,15 +100,11 @@ class TestChunkedConstruction:
             chunked_engine_factory(budget=0)
 
     def test_default_budget_is_eight_blocks(
-        self, tiny_model, tiny_config, million_factory, million_config
+        self, tiny_model, million_factory
     ):
         """The engine default has no cap; the gateway's chunked mode derives
         eight blocks per step when no budget is given."""
-        pool = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=64, block_tokens=BLOCK_TOKENS
-        )
-        factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
-        engine = BatchedMillionEngine(tiny_model, factory)
+        engine = BatchedMillionEngine(tiny_model, pooled(tiny_model, million_factory))
         assert engine.prefill_token_budget is None
         config = GatewayConfig(chunked_prefill=1, block_tokens=BLOCK_TOKENS)
         assert prefill_token_budget(config) == 8 * BLOCK_TOKENS

@@ -13,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.models import build_model
 from repro.obs.prof import NULL_PROFILER, PhaseProfiler, phase_table
 from repro.serving import BatchedMillionEngine
+from support.reference import pooled
 
 
 def _run_batch(engine, calibration_tokens, n_requests=4, max_new_tokens=8):
@@ -27,13 +29,14 @@ def _run_batch(engine, calibration_tokens, n_requests=4, max_new_tokens=8):
     return engine.run()
 
 
+def _engine(tiny_config, million_factory, **kwargs):
+    model = build_model(tiny_config, seed=7)
+    return BatchedMillionEngine(model, pooled(model, million_factory), **kwargs)
+
+
 @pytest.fixture()
 def profiled_engine(tiny_config, million_factory):
-    from repro.models import build_model
-
-    return BatchedMillionEngine(
-        build_model(tiny_config, seed=7), million_factory, prof=PhaseProfiler()
-    )
+    return _engine(tiny_config, million_factory, prof=PhaseProfiler())
 
 
 class TestPhaseAttribution:
@@ -78,18 +81,9 @@ class TestPhaseAttribution:
 
 class TestChunkedPhases:
     @pytest.fixture()
-    def chunked_profiled_engine(self, tiny_config, million_config, million_factory):
-        from repro.models import build_model
-        from repro.serving import BlockPool, PooledMillionCacheFactory
-
-        pool = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=256, block_tokens=4
-        )
-        return BatchedMillionEngine(
-            build_model(tiny_config, seed=7),
-            PooledMillionCacheFactory.from_factory(million_factory, pool),
-            prof=PhaseProfiler(),
-            prefill_token_budget=8,
+    def chunked_profiled_engine(self, tiny_config, million_factory):
+        return _engine(
+            tiny_config, million_factory, prof=PhaseProfiler(), prefill_token_budget=8
         )
 
     def test_chunk_phases_recorded(self, chunked_profiled_engine, calibration_tokens):
@@ -124,9 +118,7 @@ class TestNullDefault:
     def test_engine_defaults_to_null_profiler(
         self, tiny_config, million_factory, calibration_tokens
     ):
-        from repro.models import build_model
-
-        engine = BatchedMillionEngine(build_model(tiny_config, seed=7), million_factory)
+        engine = _engine(tiny_config, million_factory)
         assert engine.prof is NULL_PROFILER
         _run_batch(engine, calibration_tokens, n_requests=2, max_new_tokens=4)
         assert engine.stats()["phases"] == {}

@@ -1,6 +1,6 @@
 """Engine-level observability: trace spans, histograms, counters.
 
-These tests drive the real batched engine (pooled and unpooled) with a live
+These tests drive the real batched engine with a live
 :class:`TraceRecorder` and assert the request lifecycle is reconstructible
 from the buffer — queue wait, prefill, decode steps, per-token instants,
 preemption and cancellation — and that the latency histograms `stats()`
@@ -14,29 +14,17 @@ import pytest
 
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
-)
-
-BLOCK_TOKENS = 4
+from repro.serving import BatchedMillionEngine
+from support.reference import BLOCK_TOKENS, pooled
 
 
 @pytest.fixture()
-def traced_engine_factory(tiny_model, tiny_config, million_factory, million_config):
-    """Fresh engine + recorder per call; pooled unless ``pool_blocks=0``."""
+def traced_engine_factory(tiny_model, million_factory):
+    """Fresh engine (own pool) + recorder per call."""
 
     def build(pool_blocks=256, max_batch_size=4, **kwargs):
         trace = TraceRecorder(capacity=4096)
-        if pool_blocks > 0:
-            pool = BlockPool.for_model(
-                tiny_config, million_config,
-                num_blocks=pool_blocks, block_tokens=BLOCK_TOKENS,
-            )
-            factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
-        else:
-            factory = million_factory
+        factory = pooled(tiny_model, million_factory, num_blocks=pool_blocks)
         engine = BatchedMillionEngine(
             tiny_model, factory, max_batch_size=max_batch_size,
             trace=trace, trace_track="replica-0", **kwargs,
@@ -91,19 +79,6 @@ class TestLifecycleSpans:
         assert set(ids) <= listed
         assert all(e.dur > 0.0 for e in steps)
         assert all(e.args["batch"] >= 1 for e in steps)
-
-    def test_unpooled_engine_traces_too(
-        self, traced_engine_factory, calibration_tokens
-    ):
-        engine, trace = traced_engine_factory(pool_blocks=0)
-        request_id = engine.add_request(calibration_tokens[:10], max_new_tokens=2)
-        engine.run()
-        names = _names(trace, request_id=request_id)
-        assert "prefill" in names and "finish" in names
-        prefill = next(
-            e for e in trace.snapshot(request_id=request_id) if e.name == "prefill"
-        )
-        assert prefill.args["tokens_computed"] == 10
 
     def test_cancel_records_instant(self, traced_engine_factory, calibration_tokens):
         engine, trace = traced_engine_factory()
@@ -182,7 +157,7 @@ class TestHistograms:
     def test_disabled_recorder_records_nothing(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory)
+        engine = BatchedMillionEngine(tiny_model, pooled(tiny_model, million_factory))
         assert engine.trace is NULL_RECORDER
         engine.add_request(calibration_tokens[:8], max_new_tokens=2)
         engine.run()
@@ -197,11 +172,11 @@ class TestTokenIdentityUnderTracing:
         self, traced_engine_factory, tiny_model, million_factory, calibration_tokens
     ):
         prompts = [calibration_tokens[i : i + 10].copy() for i in (0, 20, 40)]
-        engine, _ = traced_engine_factory(pool_blocks=0)
+        engine, _ = traced_engine_factory()
         traced = engine.generate_batch(prompts, max_new_tokens=6)
         tiny_model.reset_cache(FullPrecisionCacheFactory())
-        plain = BatchedMillionEngine(tiny_model, million_factory).generate_batch(
-            [p.copy() for p in prompts], max_new_tokens=6
-        )
+        plain = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory)
+        ).generate_batch([p.copy() for p in prompts], max_new_tokens=6)
         for a, b in zip(traced, plain):
             np.testing.assert_array_equal(a, b)

@@ -23,12 +23,8 @@ from repro.core.pq import ProductQuantizer
 from repro.gateway.metrics import GatewayMetrics, render_prometheus
 from repro.models import TemperatureSampler
 from repro.models.tensor_ops import paired_rows_matmul
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
-)
-from support.reference import assert_logits_equal, served_logits, solo
+from repro.serving import BatchedMillionEngine
+from support.reference import assert_logits_equal, pooled, served_logits, solo
 
 
 def _run_engine(
@@ -41,7 +37,9 @@ def _run_engine(
     sampler=None,
     seed=None,
 ):
-    engine = BatchedMillionEngine(model, factory, max_batch_size=max_batch_size)
+    engine = BatchedMillionEngine(
+        model, pooled(model, factory), max_batch_size=max_batch_size
+    )
     ids = [
         engine.add_request(
             p, max_new_tokens, stop_token=stop_token, sampler=sampler, seed=seed
@@ -147,7 +145,9 @@ class TestFusedTokenIdentity:
         self, tiny_model, million_factory, calibration_tokens
     ):
         prompts = [calibration_tokens[s : s + 9 + s % 5] for s in (0, 10, 30)]
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
+        )
         ids = [
             engine.add_request(p, max_new_tokens=5 + 4 * i, stop_token=int(p[0]) % 16)
             for i, p in enumerate(prompts)
@@ -228,11 +228,10 @@ class TestFusedPooled:
 
     def _build(self, tiny_model, tiny_config, million_factory, million_config,
                num_blocks, max_batch_size=4, budget=None):
-        pool = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=num_blocks,
+        factory = pooled(
+            tiny_model, million_factory, num_blocks=num_blocks,
             block_tokens=self.BLOCK_TOKENS,
         )
-        factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
         return BatchedMillionEngine(
             tiny_model, factory, max_batch_size=max_batch_size,
             prefill_token_budget=budget,
@@ -405,12 +404,11 @@ class TestKeptGatherIndices:
 
     BLOCK_TOKENS = 4
 
-    def _pooled_factory(self, tiny_config, million_factory, million_config, blocks):
-        pool = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=blocks,
+    def _pooled_factory(self, tiny_model, million_factory, blocks):
+        return pooled(
+            tiny_model, million_factory, num_blocks=blocks,
             block_tokens=self.BLOCK_TOKENS,
         )
-        return PooledMillionCacheFactory.from_factory(million_factory, pool)
 
     def test_only_code_changes_rebuild(
         self, tiny_model, tiny_config, million_factory, million_config,
@@ -420,9 +418,7 @@ class TestKeptGatherIndices:
         prompts = [calibration_tokens[s : s + n] for s, n in ((0, 21), (30, 9), (50, 14))]
         twins = _Twins(
             tiny_model,
-            lambda: self._pooled_factory(
-                tiny_config, million_factory, million_config, 256
-            ),
+            lambda: self._pooled_factory(tiny_model, million_factory, 256),
             prompts,
         )
         tokens = [int(p[-1]) for p in prompts]
@@ -489,9 +485,7 @@ class TestKeptGatherIndices:
         self, tiny_model, tiny_config, million_factory, million_config,
         calibration_tokens,
     ):
-        factory = self._pooled_factory(
-            tiny_config, million_factory, million_config, 32
-        )
+        factory = self._pooled_factory(tiny_model, million_factory, 32)
         fused_engine = BatchedMillionEngine(tiny_model, factory, max_batch_size=4)
         recorder = _BatchRecorder(fused_engine)
         prompts = [
@@ -524,7 +518,9 @@ class TestArenaAndTiming:
     def test_scratch_arena_stops_growing(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
+        )
         for s in (0, 11, 25, 50):
             engine.add_request(calibration_tokens[s : s + 8 + s % 6], 60)
         for _ in range(12):
@@ -559,7 +555,9 @@ class TestArenaAndTiming:
     def test_step_timing_split_and_fused_batch_size(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
+        )
         for s in (0, 20, 45):
             engine.add_request(calibration_tokens[s : s + 10], 8)
         engine.step()
@@ -577,7 +575,9 @@ class TestArenaAndTiming:
     def test_metrics_expose_fused_timing(
         self, tiny_model, million_factory, calibration_tokens
     ):
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=2)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory), max_batch_size=2
+        )
         engine.add_request(calibration_tokens[:9], 4)
         engine.run()
         text = render_prometheus(GatewayMetrics(), [engine.stats()])

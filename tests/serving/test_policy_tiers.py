@@ -9,15 +9,10 @@ import pytest
 from repro.core.calibration import train_million_quantizers
 from repro.core.million_cache import MillionCacheFactory
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
-from repro.quant.policy_cache import PolicyCacheFactory
 from repro.serving import BatchedMillionEngine, GenerationRequest
 from repro.serving import engine as engine_module
-from repro.serving.memory import (
-    BlockPool,
-    PooledMillionCacheFactory,
-    PooledPolicyCacheFactory,
-    UnitLayout,
-)
+from repro.serving.memory import BlockPool, PooledPolicyCacheFactory, UnitLayout
+from support.reference import pooled
 
 
 @pytest.fixture(scope="module")
@@ -116,24 +111,14 @@ class TestUnitLayoutPool:
 
 
 class TestQualityTiers:
-    def _engine(self, tiny_model, tiny_config, factory_bank, mixed_policy, pooled):
-        default_factory = factory_bank[4]
-        if pooled:
-            pool = BlockPool.for_model(
-                tiny_config, default_factory.million_config, num_blocks=64, block_tokens=4
-            )
-            default = PooledMillionCacheFactory.from_factory(default_factory, pool)
-            tier_pool = BlockPool.for_policy(
-                tiny_config, mixed_policy, num_blocks=64, block_tokens=4
-            )
-            quality = PooledPolicyCacheFactory(
-                mixed_policy, tiny_config, factory_bank, tier_pool
-            )
-        else:
-            default = default_factory
-            quality = PolicyCacheFactory(
-                mixed_policy, tiny_config, million_factories=factory_bank
-            )
+    def _engine(self, tiny_model, tiny_config, factory_bank, mixed_policy):
+        default = pooled(tiny_model, factory_bank[4], num_blocks=64)
+        tier_pool = BlockPool.for_policy(
+            tiny_config, mixed_policy, num_blocks=64, block_tokens=4
+        )
+        quality = PooledPolicyCacheFactory(
+            mixed_policy, tiny_config, factory_bank, tier_pool
+        )
         return BatchedMillionEngine(
             tiny_model,
             default,
@@ -141,13 +126,10 @@ class TestQualityTiers:
             tier_factories={"quality": quality, "balanced": default},
         )
 
-    @pytest.mark.parametrize("pooled", [False, True])
     def test_tier_routing_and_stats(
-        self, tiny_model, tiny_config, factory_bank, mixed_policy, pooled
+        self, tiny_model, tiny_config, factory_bank, mixed_policy
     ):
-        engine = self._engine(
-            tiny_model, tiny_config, factory_bank, mixed_policy, pooled
-        )
+        engine = self._engine(tiny_model, tiny_config, factory_bank, mixed_policy)
         prompt = np.arange(1, 17, dtype=np.int64) % tiny_config.vocab_size
         rids = [
             engine.add_request(prompt, max_new_tokens=6, tier=tier)
@@ -166,9 +148,7 @@ class TestQualityTiers:
     def test_balanced_tier_token_identical_to_default(
         self, tiny_model, tiny_config, factory_bank, mixed_policy
     ):
-        engine = self._engine(
-            tiny_model, tiny_config, factory_bank, mixed_policy, pooled=True
-        )
+        engine = self._engine(tiny_model, tiny_config, factory_bank, mixed_policy)
         prompt = np.arange(3, 27, dtype=np.int64) % tiny_config.vocab_size
         rid_default = engine.add_request(prompt, max_new_tokens=8)
         tokens_default = _drain(engine, [rid_default])[rid_default]
@@ -179,14 +159,14 @@ class TestQualityTiers:
     def test_unknown_tier_rejected_at_submission(
         self, tiny_model, tiny_config, factory_bank, mixed_policy
     ):
-        engine = self._engine(
-            tiny_model, tiny_config, factory_bank, mixed_policy, pooled=False
-        )
+        engine = self._engine(tiny_model, tiny_config, factory_bank, mixed_policy)
         with pytest.raises(ValueError, match="unknown tier"):
             engine.add_request(np.asarray([1, 2, 3]), max_new_tokens=2, tier="turbo")
 
     def test_tier_without_registry_rejected(self, tiny_model, factory_bank):
-        engine = BatchedMillionEngine(tiny_model, factory_bank[4], max_batch_size=2)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, factory_bank[4]), max_batch_size=2
+        )
         with pytest.raises(ValueError, match="unknown tier"):
             engine.add_request(np.asarray([1, 2, 3]), max_new_tokens=2, tier="quality")
 
@@ -204,7 +184,7 @@ class TestFusedMinBatch:
         def run(threshold):
             monkeypatch.setattr(engine_module, "FUSED_MIN_BATCH", threshold)
             engine = BatchedMillionEngine(
-                tiny_model, million_factory, max_batch_size=4
+                tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
             )
             rids = [
                 engine.add_request(p, max_new_tokens=8) for p in prompts
@@ -218,7 +198,9 @@ class TestFusedMinBatch:
         self, tiny_model, million_factory
     ):
         assert engine_module.FUSED_MIN_BATCH == 2
-        engine = BatchedMillionEngine(tiny_model, million_factory, max_batch_size=4)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
+        )
         rid = engine.add_request(np.asarray([1, 2, 3, 4]), max_new_tokens=4)
         _drain(engine, [rid])
         timing = engine.stats()["step_timing"]

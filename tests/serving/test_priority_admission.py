@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.serving import (
     BatchedMillionEngine,
-    BlockPool,
     ContinuousBatchingScheduler,
     GenerationRequest,
-    PooledMillionCacheFactory,
     QueueFullError,
     RequestState,
     RequestStatus,
@@ -28,8 +26,7 @@ from repro.serving import (
     SloPolicy,
 )
 from repro.serving.request import PRIORITIES, priority_rank
-
-BLOCK_TOKENS = 4
+from support.reference import pooled
 
 
 def _state(request_id: str, priority: str = "interactive") -> RequestState:
@@ -274,15 +271,9 @@ class TestSloBackpressure:
 
 class TestEngineUnderPriorityChurn:
     @pytest.fixture()
-    def engine_factory(self, tiny_model, tiny_config, million_factory, million_config):
+    def engine_factory(self, tiny_model, million_factory):
         def build(num_blocks, priority_aware=True, max_batch_size=4):
-            pool = BlockPool.for_model(
-                tiny_config,
-                million_config,
-                num_blocks=num_blocks,
-                block_tokens=BLOCK_TOKENS,
-            )
-            factory = PooledMillionCacheFactory.from_factory(million_factory, pool)
+            factory = pooled(tiny_model, million_factory, num_blocks=num_blocks)
             return BatchedMillionEngine(
                 tiny_model,
                 factory,

@@ -4,7 +4,7 @@ The engine decodes its running batch through one fused stacked forward, so
 the suites need an answer computed without it.  Two oracles live here:
 
 * :func:`solo` serves every request alone on a fresh single-slot engine
-  (and a fresh pool, when pooled).  A batch of one never stacks (it is below
+  and a fresh pool.  A batch of one never stacks (it is below
   ``FUSED_MIN_BATCH``), so the run decodes through per-sequence
   ``model.decode_step`` and ``cache.attend`` and never touches
   :class:`~repro.core.attention_fused.FusedMillionAttention`; nothing else
@@ -14,6 +14,9 @@ the suites need an answer computed without it.  Two oracles live here:
 
 Comparisons are exact (``assert_array_equal``): batching, preemption,
 cancellation and prefix adoption must not change a single bit.
+
+:func:`pooled` wraps a calibrated factory in a fresh block pool, the only
+form the serving engine accepts.
 """
 
 from __future__ import annotations
@@ -23,6 +26,21 @@ from typing import Optional
 import numpy as np
 
 from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
+
+#: Default pool of :func:`pooled`: room for everything a test serves, so
+#: nothing is evicted or preempted unless a test sizes the pool to force it.
+POOL_BLOCKS = 1024
+BLOCK_TOKENS = 4
+
+
+def pooled(model, factory, *, num_blocks: int = POOL_BLOCKS, block_tokens: int = BLOCK_TOKENS):
+    """A calibrated ``MillionCacheFactory`` over a fresh ``num_blocks``-block
+    pool of ``block_tokens``-token blocks."""
+    pool = BlockPool.for_model(
+        model.config, factory.million_config,
+        num_blocks=num_blocks, block_tokens=block_tokens,
+    )
+    return PooledMillionCacheFactory.from_factory(factory, pool)
 
 
 class RecordingSampler:
@@ -72,18 +90,18 @@ def solo(
     prompts,
     max_new_tokens: int,
     *,
-    num_blocks: Optional[int] = None,
-    block_tokens: int = 4,
+    num_blocks: int = POOL_BLOCKS,
+    block_tokens: int = BLOCK_TOKENS,
     budget: Optional[int] = None,
     record_logits: bool = False,
     **request,
 ) -> list:
     """Serve each prompt alone; its tokens, or its sampled logits.
 
-    ``factory`` is an unpooled MILLION factory; with ``num_blocks`` every
-    prompt gets its own ``num_blocks``-block pool of ``block_tokens``-token
-    blocks, and ``budget`` is the engine's ``prefill_token_budget`` (the
-    chunk size, which pooled logits depend on).  ``request`` holds the
+    ``factory`` is a calibrated ``MillionCacheFactory``; every prompt gets
+    its own ``num_blocks``-block pool of ``block_tokens``-token blocks
+    (:func:`pooled`), and ``budget`` is the engine's ``prefill_token_budget``
+    (the chunk size, which the logits depend on).  ``request`` holds the
     remaining :meth:`BatchedMillionEngine.add_request` arguments (stop
     token, sampler, seed).  With ``record_logits`` the sampler is a greedy
     :class:`RecordingSampler` and the result is each prompt's list of
@@ -91,15 +109,11 @@ def solo(
     """
     results = []
     for prompt in prompts:
-        engine_factory = factory
-        if num_blocks is not None:
-            pool = BlockPool.for_model(
-                model.config, factory.million_config,
-                num_blocks=num_blocks, block_tokens=block_tokens,
-            )
-            engine_factory = PooledMillionCacheFactory.from_factory(factory, pool)
         engine = BatchedMillionEngine(
-            model, engine_factory, max_batch_size=1, prefill_token_budget=budget
+            model,
+            pooled(model, factory, num_blocks=num_blocks, block_tokens=block_tokens),
+            max_batch_size=1,
+            prefill_token_budget=budget,
         )
         if record_logits:
             (logits,) = served_logits(engine, [prompt], max_new_tokens)
