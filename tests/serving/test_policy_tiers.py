@@ -111,8 +111,16 @@ class TestUnitLayoutPool:
 
 
 class TestQualityTiers:
-    def _engine(self, tiny_model, tiny_config, factory_bank, mixed_policy):
+    def _engine(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy,
+        balanced_own_pool=False,
+    ):
         default = pooled(tiny_model, factory_bank[4], num_blocks=64)
+        balanced = (
+            pooled(tiny_model, factory_bank[4], num_blocks=64)
+            if balanced_own_pool
+            else default
+        )
         tier_pool = BlockPool.for_policy(
             tiny_config, mixed_policy, num_blocks=64, block_tokens=4
         )
@@ -123,13 +131,16 @@ class TestQualityTiers:
             tiny_model,
             default,
             max_batch_size=4,
-            tier_factories={"quality": quality, "balanced": default},
+            tier_factories={"quality": quality, "balanced": balanced},
         )
 
+    @pytest.mark.parametrize("balanced_own_pool", [False, True])
     def test_tier_routing_and_stats(
-        self, tiny_model, tiny_config, factory_bank, mixed_policy
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, balanced_own_pool
     ):
-        engine = self._engine(tiny_model, tiny_config, factory_bank, mixed_policy)
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, balanced_own_pool
+        )
         prompt = np.arange(1, 17, dtype=np.int64) % tiny_config.vocab_size
         rids = [
             engine.add_request(prompt, max_new_tokens=6, tier=tier)
@@ -144,6 +155,16 @@ class TestQualityTiers:
         assert tiers["quality"]["policy_bytes_per_token"] == pytest.approx(
             mixed_policy.bytes_per_token()
         )
+        # Same quantizers, same prompt: the balanced tier decodes the default
+        # tier's tokens whether it shares the default pool or has its own.
+        assert tokens[rids[2]] == tokens[rids[0]]
+        default_pool = engine.factory.pool
+        balanced_pool = engine.tier_factories["balanced"].pool
+        assert (balanced_pool is not default_pool) == balanced_own_pool
+        if balanced_own_pool:
+            # Each pool served exactly one of the two identical requests.
+            assert balanced_pool.allocations > 0
+            assert balanced_pool.allocations == default_pool.allocations
 
     def test_balanced_tier_token_identical_to_default(
         self, tiny_model, tiny_config, factory_bank, mixed_policy
