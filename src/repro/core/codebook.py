@@ -4,7 +4,10 @@ A codebook set holds one ``(2**nbits, subspace_dim)`` centroid table per
 subspace.  Training partitions calibration vectors into ``M`` subvectors and
 clusters each subspace independently with k-means — channels that are harder
 to quantize (outlier channels) naturally claim more centroid resolution,
-which is the "outlier-immunized" property the title refers to.
+which is the "outlier-immunized" property the title refers to.  The ``M``
+problems are fitted in one :func:`~repro.quant.kmeans.kmeans_batch` call
+whose k-means++ seeding is stacked over subspaces; each subspace keeps its
+own generator, so its codebook is bit-identical to clustering it alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.quant.kmeans import kmeans
+from repro.quant.kmeans import kmeans_batch
 from repro.utils.rng import SeedLike, get_rng, spawn_rngs
 from repro.utils.validation import require, require_divisible
 
@@ -89,7 +92,8 @@ def train_codebooks(
     """Train PQ codebooks on calibration ``vectors`` of shape ``(n, dim)``.
 
     Each of the ``m_subspaces`` slices of length ``dim / m_subspaces`` is
-    clustered into ``2**nbits`` centroids.
+    clustered into ``2**nbits`` centroids with its own spawned generator;
+    all slices are fitted together by one batched k-means call.
     """
     vectors = np.asarray(vectors, dtype=np.float32)
     require(vectors.ndim == 2, f"vectors must be 2-D, got shape {vectors.shape}")
@@ -103,16 +107,11 @@ def train_codebooks(
         idx = rng.choice(vectors.shape[0], size=max_samples, replace=False)
         vectors = vectors[idx]
     subspace_dim = dim // m_subspaces
-    n_centroids = 2**nbits
     subvectors = vectors.reshape(vectors.shape[0], m_subspaces, subspace_dim)
-    centroids = np.empty((m_subspaces, n_centroids, subspace_dim), dtype=np.float32)
-    subspace_rngs = spawn_rngs(rng, m_subspaces)
-    for m in range(m_subspaces):
-        result = kmeans(
-            subvectors[:, m, :],
-            n_centroids,
-            n_iters=kmeans_iters,
-            seed=subspace_rngs[m],
-        )
-        centroids[m] = result.centroids
+    centroids, _ = kmeans_batch(
+        subvectors.transpose(1, 0, 2),
+        2**nbits,
+        spawn_rngs(rng, m_subspaces),
+        n_iters=kmeans_iters,
+    )
     return SubspaceCodebooks(centroids=centroids)

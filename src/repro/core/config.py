@@ -26,7 +26,9 @@ class MillionConfig:
         Maximum number of key/value vectors sampled per layer for codebook
         training.
     kmeans_iters:
-        Lloyd iterations used during codebook training.
+        Lloyd iterations used during codebook training.  Known defect: the
+        convergence test always passes after the first iteration, so
+        training runs one Lloyd iteration whatever this is set to.
     per_head_codebooks:
         When true, each KV head trains its own codebooks; by default the
         vectors of all heads in a layer are pooled.

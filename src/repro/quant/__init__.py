@@ -18,7 +18,7 @@ from repro.quant.integer import (
     quantize_uniform,
 )
 from repro.quant.kivi import KiviConfig, KiviQuantizer
-from repro.quant.kmeans import KMeansResult, assign_to_centroids, kmeans
+from repro.quant.kmeans import KMeansResult, assign_to_centroids, kmeans, kmeans_batch
 from repro.quant.kvquant import KVQuantEncodedBlock, KVQuantQuantizer
 from repro.quant.nuq import NonUniformQuantizer1D
 from repro.quant.outliers import (
@@ -73,6 +73,7 @@ __all__ = [
     "KMeansResult",
     "assign_to_centroids",
     "kmeans",
+    "kmeans_batch",
     "KVQuantEncodedBlock",
     "KVQuantQuantizer",
     "NonUniformQuantizer1D",

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.codebook import train_codebooks
 from repro.quant.kmeans import assign_to_centroids, kmeans
+from support.reference import reference_kmeans
 
 
 def _blob_data(seed=0, n_per=50, centers=((0, 0), (10, 10), (-10, 5))):
@@ -91,6 +93,62 @@ class TestKMeans:
                 np.sum(np.linalg.norm(data - result.centroids[assignment], axis=1) ** 2)
             )
         assert total_distance(recomputed) <= total_distance(result.assignments) + 1e-6
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_raise(self, bad):
+        data = _blob_data(seed=6)
+        data[7] = bad
+        with pytest.raises(ValueError):
+            kmeans(data, 4, seed=0)
+        vectors = np.tile(data, (1, 4))
+        with pytest.raises(ValueError):
+            train_codebooks(vectors, m_subspaces=4, nbits=2, seed=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: prev_inertia starts at inf, so Lloyd stops after one iteration",
+    )
+    def test_lloyd_runs_more_than_one_iteration(self):
+        result = kmeans(_blob_data(seed=7), 8, n_iters=25, seed=0)
+        assert result.n_iter > 1
+
+
+class TestMatchesOracle:
+    """``kmeans`` equals the sequential per-problem oracle bit for bit."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        d=st.integers(min_value=1, max_value=4),
+        k=st.integers(min_value=1, max_value=20),
+        distinct=st.integers(min_value=1, max_value=60),
+        n_iters=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        init=st.sampled_from(["kmeans++", "random"]),
+    )
+    @example(n=8, d=2, k=8, distinct=8, n_iters=3, seed=0, init="kmeans++")  # n == K
+    @example(n=9, d=2, k=8, distinct=9, n_iters=3, seed=1, init="kmeans++")  # n == K+1
+    @example(n=40, d=1, k=6, distinct=40, n_iters=2, seed=2, init="kmeans++")  # d == 1
+    @example(n=30, d=3, k=5, distinct=1, n_iters=2, seed=3, init="kmeans++")  # identical
+    @example(n=40, d=2, k=12, distinct=3, n_iters=3, seed=4, init="random")  # empty clusters
+    @settings(max_examples=60, deadline=None)
+    def test_result_identical(self, n, d, k, distinct, n_iters, seed, init):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(distinct, d))[rng.integers(distinct, size=n)]
+        got = kmeans(data, k, n_iters=n_iters, seed=seed, init=init)
+        want = reference_kmeans(data, k, n_iters=n_iters, seed=seed, init=init)
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.inertia == want.inertia
+        assert got.n_iter == want.n_iter
+
+    def test_shared_generator_left_in_the_same_state(self):
+        """Callers that reuse one generator (``nuq``) see the same stream."""
+        data = _blob_data(seed=8)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        kmeans(data, 5, seed=got_rng)
+        reference_kmeans(data, 5, seed=want_rng)
+        assert got_rng.random() == want_rng.random()
 
 
 class TestAssignToCentroids:

@@ -1,4 +1,4 @@
-"""Reference oracles for the serving engine's identity suites.
+"""Reference oracles for the identity suites.
 
 The engine decodes its running batch through one fused stacked forward, so
 the suites need an answer computed without it.  Two oracles live here:
@@ -17,6 +17,11 @@ cancellation and prefix adoption must not change a single bit.
 
 :func:`pooled` wraps a calibrated factory in a fresh block pool, the only
 form the serving engine accepts.
+
+:func:`reference_kmeans` and :func:`reference_train_codebooks` are the
+sequential per-problem k-means (one problem, one distance evaluation per
+k-means++ step) that :func:`repro.quant.kmeans.kmeans_batch` stacks over
+problems.  Codebooks must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.codebook import SubspaceCodebooks
+from repro.quant.kmeans import KMeansResult
 from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
+from repro.utils.rng import get_rng, spawn_rngs
 
 #: Default pool of :func:`pooled`: room for everything a test serves, so
 #: nothing is evicted or preempted unless a test sizes the pool to force it.
@@ -123,3 +131,115 @@ def solo(
             results.append(tokens)
         assert engine.fused_decode_steps == 0
     return results
+
+
+def _pairwise_sq_distances(points, centroids):
+    """Squared Euclidean distances, shape ``(n_points, n_centroids)``."""
+    p_sq = np.einsum("nd,nd->n", points, points)[:, None]
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)[None, :]
+    cross = points @ centroids.T
+    distances = p_sq + c_sq - 2.0 * cross
+    return np.maximum(distances, 0.0)
+
+
+def _kmeans_plus_plus(data, n_clusters, rng):
+    """k-means++ initial centroids."""
+    n = data.shape[0]
+    centroids = np.empty((n_clusters, data.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = data[first]
+    closest = _pairwise_sq_distances(data, centroids[:1]).reshape(-1)
+    for i in range(1, n_clusters):
+        total = closest.sum()
+        if total <= 0.0:
+            # All points coincide with chosen centroids; pick uniformly.
+            idx = int(rng.integers(n))
+        else:
+            probs = closest / total
+            idx = int(rng.choice(n, p=probs))
+        centroids[i] = data[idx]
+        new_dist = _pairwise_sq_distances(data, centroids[i : i + 1]).reshape(-1)
+        closest = np.minimum(closest, new_dist)
+    return centroids
+
+
+def reference_kmeans(data, n_clusters, n_iters=25, seed=None, init="kmeans++", tol=1e-6):
+    """One k-means problem, clustered alone: the oracle for ``kmeans``."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim == 1:
+        data = data[:, None]
+    rng = get_rng(seed)
+    n_samples, dim = data.shape
+
+    if n_samples <= n_clusters:
+        # Degenerate: every sample is its own centroid, pad with jitter.
+        scale = float(np.std(data)) if n_samples > 1 else 1.0
+        scale = scale if scale > 0 else 1.0
+        pad = data[rng.integers(0, n_samples, size=n_clusters - n_samples)]
+        pad = pad + rng.normal(0.0, 1e-3 * scale, size=pad.shape)
+        centroids = np.concatenate([data, pad], axis=0)
+        return KMeansResult(
+            centroids=centroids.astype(np.float32),
+            assignments=np.arange(n_samples, dtype=np.int64),
+            inertia=0.0,
+            n_iter=0,
+        )
+
+    if init == "kmeans++":
+        centroids = _kmeans_plus_plus(data, n_clusters, rng)
+    else:
+        centroids = data[rng.choice(n_samples, size=n_clusters, replace=False)].copy()
+
+    assignments = np.zeros(n_samples, dtype=np.int64)
+    prev_inertia = np.inf
+    n_iter = 0
+    for n_iter in range(1, n_iters + 1):
+        distances = _pairwise_sq_distances(data, centroids)
+        assignments = np.argmin(distances, axis=1)
+        inertia = float(distances[np.arange(n_samples), assignments].sum())
+        # Update step.
+        counts = np.bincount(assignments, minlength=n_clusters).astype(np.float64)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, data)
+        non_empty = counts > 0
+        centroids[non_empty] = sums[non_empty] / counts[non_empty, None]
+        # Re-seed empty clusters at the points farthest from their centroid.
+        empty = np.flatnonzero(~non_empty)
+        if empty.size:
+            farthest = np.argsort(-distances[np.arange(n_samples), assignments])
+            centroids[empty] = data[farthest[: empty.size]]
+        if prev_inertia - inertia <= tol * max(prev_inertia, 1.0):
+            prev_inertia = inertia
+            break
+        prev_inertia = inertia
+
+    distances = _pairwise_sq_distances(data, centroids)
+    assignments = np.argmin(distances, axis=1)
+    inertia = float(distances[np.arange(n_samples), assignments].sum())
+    return KMeansResult(
+        centroids=centroids.astype(np.float32),
+        assignments=assignments.astype(np.int64),
+        inertia=inertia,
+        n_iter=n_iter,
+    )
+
+
+def reference_train_codebooks(
+    vectors, m_subspaces, nbits, kmeans_iters=15, seed=0, max_samples=None
+):
+    """``train_codebooks`` with one :func:`reference_kmeans` call per subspace."""
+    vectors = np.asarray(vectors, dtype=np.float32)
+    rng = get_rng(seed)
+    if max_samples is not None and vectors.shape[0] > max_samples:
+        idx = rng.choice(vectors.shape[0], size=max_samples, replace=False)
+        vectors = vectors[idx]
+    subspace_dim = vectors.shape[1] // m_subspaces
+    subvectors = vectors.reshape(vectors.shape[0], m_subspaces, subspace_dim)
+    centroids = np.empty((m_subspaces, 2**nbits, subspace_dim), dtype=np.float32)
+    subspace_rngs = spawn_rngs(rng, m_subspaces)
+    for m in range(m_subspaces):
+        result = reference_kmeans(
+            subvectors[:, m, :], 2**nbits, n_iters=kmeans_iters, seed=subspace_rngs[m]
+        )
+        centroids[m] = result.centroids
+    return SubspaceCodebooks(centroids=centroids)

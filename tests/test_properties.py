@@ -7,12 +7,13 @@ invariants the rest of the system relies on:
 * PQ's ADC scores are *exactly* the scores of the de-quantized keys,
 * streaming caches never lose or duplicate tokens regardless of the append
   pattern, and their attention output is always finite,
-* the performance model responds monotonically to context length and bits.
+* the performance model responds monotonically to context length and bits,
+* batched k-means fits each problem bit-identically to clustering it alone.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MillionConfig, ProductQuantizer
@@ -20,7 +21,9 @@ from repro.core.million_cache import MillionKVCacheLayer
 from repro.models.config import ModelConfig
 from repro.perf import FP16_BASELINE, LLAMA_2_7B, MILLION_4BIT, estimate_tpot, kv_cache_bytes
 from repro.quant import KiviConfig, KiviKVCache, quantize_uniform
-from repro.quant.kmeans import kmeans
+from repro.quant.kmeans import kmeans, kmeans_batch
+from repro.utils.rng import spawn_rngs
+from support.reference import reference_kmeans
 
 
 CACHE_CONFIG = ModelConfig(
@@ -79,6 +82,41 @@ class TestQuantizationProperties:
         assert result.inertia >= 0.0
         total_variance = float(np.sum((data - data.mean(axis=0)) ** 2))
         assert result.inertia <= total_variance + 1e-6
+
+    @given(
+        n_problems=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=48),
+        d=st.integers(min_value=1, max_value=4),
+        k=st.integers(min_value=1, max_value=16),
+        distinct=st.integers(min_value=1, max_value=48),
+        n_iters=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @example(n_problems=3, n=8, d=2, k=8, distinct=8, n_iters=2, seed=0)  # n == K
+    @example(n_problems=3, n=9, d=2, k=8, distinct=9, n_iters=2, seed=1)  # n == K+1
+    @example(n_problems=4, n=32, d=1, k=8, distinct=32, n_iters=2, seed=2)  # d == 1
+    @example(n_problems=2, n=24, d=3, k=6, distinct=1, n_iters=2, seed=3)  # identical
+    @example(n_problems=3, n=40, d=2, k=12, distinct=3, n_iters=3, seed=4)  # empty clusters
+    @settings(max_examples=40, deadline=None)
+    def test_kmeans_batch_matches_per_problem_oracle(
+        self, n_problems, n, d, k, distinct, n_iters, seed
+    ):
+        """Every problem's centroids, iteration count and generator state equal
+        those of the per-problem oracle run on that problem alone."""
+        rng = np.random.default_rng(seed)
+        # Half the problems draw from ``distinct`` points: all-identical data
+        # (the uniform-pick branch of k-means++) and, with K above the
+        # distinct count, duplicate seeds that leave clusters empty.
+        data = rng.normal(size=(n_problems, n, d))
+        for p in range(0, n_problems, 2):
+            data[p] = data[p, rng.integers(min(distinct, n), size=n)]
+        got_rngs, want_rngs = spawn_rngs(seed, n_problems), spawn_rngs(seed, n_problems)
+        centroids, n_iter = kmeans_batch(data, k, got_rngs, n_iters=n_iters)
+        for p in range(n_problems):
+            want = reference_kmeans(data[p], k, n_iters=n_iters, seed=want_rngs[p])
+            np.testing.assert_array_equal(centroids[p].astype(np.float32), want.centroids)
+            assert n_iter[p] == want.n_iter
+            assert got_rngs[p].random() == want_rngs[p].random()
 
 
 class TestStreamingCacheProperties:
