@@ -123,17 +123,23 @@ def bench_weighted_decode(ctx: BenchContext) -> None:
     ctx.emit(f"pq.weighted_decode over {codes.shape[0]} codes: {per_call * 1e6:.1f} us/call")
 
 
+def _filled_cache(setup) -> MillionKVCacheLayer:
+    """A MILLION cache holding the setup's ``n_tokens`` keys/values."""
+    million = MillionConfig(m_subspaces=32, nbits=8, recent_window=32)
+    cache = MillionKVCacheLayer(setup["config"], setup["pq"], setup["pq"], million)
+    keys, values = setup["keys"], setup["values"]
+    for start in range(0, setup["n_tokens"], 256):
+        cache.append(keys[start : start + 256], values[start : start + 256])
+    return cache
+
+
 @benchmark_case(
     "kernels.cache_decode_attend", suite="kernels", budget_s=90.0, smoke_budget_s=25.0
 )
 def bench_cache_decode_attend(ctx: BenchContext) -> None:
     setup = kernel_setup(ctx.smoke)
-    config, n_tokens = setup["config"], setup["n_tokens"]
-    million = MillionConfig(m_subspaces=32, nbits=8, recent_window=32)
-    cache = MillionKVCacheLayer(config, setup["pq"], setup["pq"], million)
-    keys, values = setup["keys"], setup["values"]
-    for start in range(0, n_tokens, 256):
-        cache.append(keys[start : start + 256], values[start : start + 256])
+    n_tokens = setup["n_tokens"]
+    cache = _filled_cache(setup)
     queries = setup["queries"]
     positions = np.asarray([n_tokens - 1])
     ctx.set_params(context_tokens=n_tokens, recent_window=32)
@@ -145,6 +151,28 @@ def bench_cache_decode_attend(ctx: BenchContext) -> None:
     ctx.emit(
         f"MillionKVCacheLayer.attend at {n_tokens} context tokens: "
         f"{per_call * 1e6:.1f} us/step"
+    )
+
+
+@benchmark_case(
+    "kernels.cache_chunk_attend", suite="kernels", budget_s=90.0, smoke_budget_s=25.0
+)
+def bench_cache_chunk_attend(ctx: BenchContext) -> None:
+    """A 128-query prefill chunk: GEMMs over the reconstructed history."""
+    setup = kernel_setup(ctx.smoke)
+    n_tokens, n_queries = setup["n_tokens"], 128
+    cache = _filled_cache(setup)
+    queries = np.random.default_rng(2).normal(size=(n_queries, 4, 64)).astype(np.float32)
+    positions = np.arange(n_tokens - n_queries, n_tokens)
+    ctx.set_params(context_tokens=n_tokens, n_queries=n_queries, recent_window=32)
+    per_call = ctx.measure(
+        lambda: cache.attend(queries, positions, 0.125), repeats=_repeats(ctx)
+    )
+    assert cache.attend(queries, positions, 0.125).shape == (n_queries, 4, 64)
+    ctx.record("chunk_attend_us", per_call * 1e6, unit="us", gated=False)
+    ctx.emit(
+        f"MillionKVCacheLayer.attend of {n_queries} queries at {n_tokens} context "
+        f"tokens: {per_call * 1e6:.1f} us/chunk"
     )
 
 
@@ -184,3 +212,9 @@ def test_kernel_million_cache_decode_attention(results_writer):
     result = run_registered("kernels.cache_decode_attend")
     results_writer("kernels_cache_decode_attend", result.text)
     assert result.metric("decode_attend_us").value > 0
+
+
+def test_kernel_million_cache_chunk_attention(results_writer):
+    result = run_registered("kernels.cache_chunk_attend")
+    results_writer("kernels_cache_chunk_attend", result.text)
+    assert result.metric("chunk_attend_us").value > 0

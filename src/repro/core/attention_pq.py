@@ -21,6 +21,11 @@ operation accumulates in a fixed element order that is independent of how
 many rows share the call — the property the fused batched decode path relies
 on to process many sequences per step while staying bit-identical to the
 per-sequence path (see :mod:`repro.core.attention_fused`).
+
+The MILLION cache runs these kernels for single-query (decode) calls only:
+a multi-query prefill chunk is compute-bound, and there one GEMM over the
+reconstructed keys and values beats the per-element gathers at every chunk
+size (see :mod:`repro.core.million_cache`).
 """
 
 from __future__ import annotations
@@ -130,40 +135,6 @@ def adc_scores_indexed(
     return scores
 
 
-def adc_scores_flat(
-    luts_subspace_major: np.ndarray,
-    codes_rows: np.ndarray,
-    token_kv_index: np.ndarray,
-    row_index: np.ndarray,
-    arena: ScratchArena,
-    name_prefix: str = "adc",
-) -> np.ndarray:
-    """One-shot ADC for calls whose index is not worth keeping.
-
-    Returns what :func:`build_adc_index` followed by
-    :func:`adc_scores_indexed` returns, in the same accumulation order, but
-    builds each subspace's index into one transient element-shaped buffer
-    just before its LUT gather.  Multi-query (prefill) calls use this, so their
-    scratch stays one index deep instead of ``M``.
-    """
-    n_centroids = luts_subspace_major.shape[2]
-    shape = token_kv_index.shape
-    scores = arena.zeros(f"{name_prefix}.scores", shape, np.float32)
-    if token_kv_index.size == 0:
-        return scores
-    gathered = arena.get(f"{name_prefix}.gathered", shape, np.float32)
-    code_tmp = arena.get(f"{name_prefix}.code", shape, codes_rows.dtype)
-    index_tmp = arena.get(f"{name_prefix}.index", shape, np.int64)
-    row_base = arena.get(f"{name_prefix}.row_base", shape, np.int64)
-    np.multiply(row_index, n_centroids, out=row_base)
-    for m in range(luts_subspace_major.shape[0]):
-        np.take(codes_rows[:, m], token_kv_index, out=code_tmp)
-        np.add(row_base, code_tmp, out=index_tmp)
-        np.take(luts_subspace_major[m].reshape(-1), index_tmp, out=gathered)
-        scores += gathered
-    return scores
-
-
 def build_value_bins(
     codes_rows: np.ndarray,
     token_kv_index: np.ndarray,
@@ -254,8 +225,7 @@ def pq_attention_scores(
         When given, the ``(M, n_heads * n_queries, n_keys)`` gather index is
         kept in ``arena`` under this key and reused by the next call with an
         equal key; the caller must change the key whenever ``key_codes`` or
-        the shapes may have changed.  ``None`` builds it subspace by
-        subspace and keeps nothing.
+        the shapes may have changed.  ``None`` rebuilds it on every call.
     Returns
     -------
     ``(n_heads, n_queries, n_keys)`` float32 logits (already scaled).
@@ -278,18 +248,13 @@ def pq_attention_scores(
     rows = n_heads * n_queries
     codes_rows = key_codes.reshape(n_keys * kv_heads, m_subspaces)
     row_index = np.arange(rows, dtype=np.int64)[:, None]
-    if index_key is None:
+    name = "adc.index" if index_key is None else "index.adc"
+    index = arena.get(name, (m_subspaces, rows, n_keys), np.int64)
+    if index_key is None or arena.memo.get(name) != index_key:
         token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
-        scores = adc_scores_flat(luts, codes_rows, token_kv, row_index, arena)
-    else:
-        index = arena.get("index.adc", (m_subspaces, rows, n_keys), np.int64)
-        if arena.memo.get("index.adc") != index_key:
-            token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
-            build_adc_index(
-                codes_rows, token_kv, row_index, key_pq.n_centroids, index, arena
-            )
-            arena.memo["index.adc"] = index_key
-        scores = adc_scores_indexed(luts, index, arena)
+        build_adc_index(codes_rows, token_kv, row_index, key_pq.n_centroids, index, arena)
+        arena.memo[name] = index_key
+    scores = adc_scores_indexed(luts, index, arena)
     scores = scores.reshape(n_heads, n_queries, n_keys)
     return scores * np.float32(scale)
 

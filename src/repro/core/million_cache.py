@@ -1,11 +1,14 @@
 """The MILLION KV cache: PQ-encoded past plus a full-precision recent window.
 
-Attention over the quantized past is computed entirely from codes and lookup
-tables (:mod:`repro.core.attention_pq`); the recent window and the current
-token stay full precision and are merged through a single softmax, matching
-the decomposition of Eq. (7).  An optional sparse outlier correction is
-available purely for the Table III sensitivity study — MILLION's point is
-that it is not needed.
+Single-query (decode) attention over the quantized past is computed entirely
+from codes and lookup tables (:mod:`repro.core.attention_pq`), the
+memory-bound case MILLION's LUT kernel is built for.  Multi-query (prefill)
+calls are compute-bound: they reconstruct the stored keys and values once,
+transiently, and run two batched GEMMs, as the paper runs prompt attention.
+Either way the recent window and the current token stay full precision and
+are merged through a single softmax, matching the decomposition of Eq. (7).
+An optional sparse outlier correction is available purely for the Table III
+sensitivity study — MILLION's point is that it is not needed.
 """
 
 from __future__ import annotations
@@ -215,38 +218,58 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         return self._key_codes.view(), self._value_codes.view()
 
     # Attention hooks -----------------------------------------------------------
+    #
+    # Single-query calls run the ADC kernels with gather indices kept in the
+    # arena until the codes change, bit-identical to the fused decoder.
+    # Multi-query calls reconstruct the stored rows (never kept) and contract
+    # them with one batched GEMM per side; query heads sharing a KV head are
+    # stacked as rows, ``(kv, group * n_q, d) @ (kv, d, T)``, so GQA needs no
+    # repeated copies of the reconstruction.
 
-    def _index_key(self, n_queries: int, shape: tuple) -> tuple | None:
-        """Arena memo key for this call's gather indices, or ``None``.
-
-        Only single-query (decode) calls keep their indices: they repeat
-        with unchanged codes until the next flush, while a prefill chunk's
-        index is ``n_queries`` times larger and would stay resident.
-        """
-        if n_queries != 1:
-            return None
+    def _index_key(self, shape: tuple) -> tuple:
+        """Arena memo key of a single-query call's kept gather indices."""
         return (self.cache_serial, self.code_version, shape)
 
     def _quantized_scores(self, queries: np.ndarray, scale: float) -> np.ndarray:
+        n_queries, n_heads, head_dim = queries.shape
+        if n_queries > 1:
+            keys = self._reconstruct(
+                self._stored_key_codes(), self.key_pq, self._key_corrections
+            )
+            kv_heads = keys.shape[1]
+            grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
+            scores = np.matmul(grouped, keys.transpose(1, 2, 0))
+            scores = scores.reshape(n_heads, n_queries, keys.shape[0])
+            return scores * np.float32(scale)
         scores = pq_attention_scores(
             queries,
             self._stored_key_codes(),
             self.key_pq,
             scale=scale,
             arena=self.arena,
-            index_key=self._index_key(queries.shape[0], queries.shape),
+            index_key=self._index_key(queries.shape),
         )
         if self._key_corrections.count:
             scores = scores + self._key_score_corrections(queries) * np.float32(scale)
         return scores
 
     def _quantized_weighted_values(self, probs: np.ndarray) -> np.ndarray:
+        n_heads, n_queries, n_keys = probs.shape
+        if n_queries > 1:
+            values = self._reconstruct(
+                self._stored_value_codes(), self.value_pq, self._value_corrections
+            )
+            kv_heads = values.shape[1]
+            grouped = probs.reshape(kv_heads, -1, n_keys)
+            context = np.matmul(grouped, values.transpose(1, 0, 2))
+            context = context.reshape(n_heads, n_queries, -1)
+            return np.ascontiguousarray(context.transpose(1, 0, 2))
         context = pq_weighted_values(
             probs,
             self._stored_value_codes(),
             self.value_pq,
             arena=self.arena,
-            index_key=self._index_key(probs.shape[1], probs.shape),
+            index_key=self._index_key(probs.shape),
         )
         if self._value_corrections.count:
             context = context + self._value_context_corrections(probs)
@@ -299,20 +322,34 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         return float(total)
 
     def dequantized_kv(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct the stored keys/values (diagnostics and tests only)."""
-        if self._stored_tokens == 0:
-            empty = np.zeros((0, self.config.kv_heads, self.config.head_dim), np.float32)
-            return empty, empty.copy()
-        key_codes = self._stored_key_codes()
-        value_codes = self._stored_value_codes()
-        t, kv_heads, _ = key_codes.shape
-        keys = self.key_pq.decode(key_codes.reshape(t * kv_heads, -1)).reshape(
-            t, kv_heads, self.config.head_dim
+        """The stored keys/values as attention sees them, ``(stored, kv_heads, d)``.
+
+        PQ reconstructions plus the sparse outlier corrections; multi-query
+        attention reads exactly these rows.
+        """
+        return (
+            self._reconstruct(self._stored_key_codes(), self.key_pq, self._key_corrections),
+            self._reconstruct(
+                self._stored_value_codes(), self.value_pq, self._value_corrections
+            ),
         )
-        values = self.value_pq.decode(value_codes.reshape(t * kv_heads, -1)).reshape(
-            t, kv_heads, self.config.head_dim
-        )
-        return keys, values
+
+    def _reconstruct(
+        self,
+        codes: np.ndarray,
+        quantizer: ProductQuantizer,
+        corrections: _SparseCorrections,
+    ) -> np.ndarray:
+        """Decode ``(t, kv_heads, M)`` codes and add the outlier deltas."""
+        t, kv_heads, m_subspaces = codes.shape
+        rows = quantizer.decode(codes.reshape(t * kv_heads, m_subspaces))
+        rows = rows.reshape(t, kv_heads, quantizer.dim)
+        if corrections.count:
+            # Each (token, head, channel) holds at most one delta, so a plain
+            # fancy-indexed add is exact.
+            tokens, heads, channels, deltas = corrections.materialize()
+            rows[tokens, heads, channels] += deltas
+        return rows
 
     def reset(self) -> None:
         super().reset()

@@ -161,18 +161,27 @@ class ProductQuantizer:
         return np.ascontiguousarray(codes.T)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct ``(n, dim)`` vectors from centroid indices (Eq. 5)."""
+        """Reconstruct ``(n, dim)`` vectors from centroid indices (Eq. 5).
+
+        One ``np.take`` over the flattened ``(M * K, subspace_dim)`` centroid
+        table at ``m * K + code`` — a pure copy, so the output equals the
+        per-subspace lookup bit for bit.  Codes outside ``[0, K)`` are
+        rejected: the flat index would otherwise read a neighbouring
+        subspace's table.
+        """
         codes = np.asarray(codes)
         require(
             codes.ndim == 2 and codes.shape[1] == self.m_subspaces,
             f"codes must have shape (n, {self.m_subspaces}), got {codes.shape}",
         )
-        n = codes.shape[0]
-        out = np.empty((n, self.dim), dtype=np.float32)
-        dsub = self.subspace_dim
-        for m in range(self.m_subspaces):
-            out[:, m * dsub : (m + 1) * dsub] = self.codebooks.centroids[m][codes[:, m]]
-        return out
+        n_centroids = self.n_centroids
+        require(
+            codes.size == 0 or (codes.min() >= 0 and codes.max() < n_centroids),
+            f"codes must lie in [0, {n_centroids})",
+        )
+        flat_index = codes + np.arange(self.m_subspaces, dtype=np.int64) * n_centroids
+        table = self.codebooks.centroids.reshape(-1, self.subspace_dim)
+        return np.take(table, flat_index, axis=0).reshape(codes.shape[0], self.dim)
 
     def quantize(self, vectors: np.ndarray) -> np.ndarray:
         """Round-trip convenience: ``decode(encode(vectors))``."""

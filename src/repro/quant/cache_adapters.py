@@ -19,7 +19,8 @@ and leaves three hooks to subclasses:
 
 :class:`DequantizingKVCache` is the convenience base for schemes that
 materialise ``(K̂, V̂)`` (KIVI-like and KVQuant-like); MILLION's cache extends
-the streaming base directly and never de-quantizes keys.
+the streaming base directly, answers decode from the codes and reconstructs
+``(K̂, V̂)`` only transiently, for multi-query calls.
 """
 
 from __future__ import annotations

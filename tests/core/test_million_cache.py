@@ -1,15 +1,20 @@
 """Tests for PQ attention and the MILLION KV cache."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from support.reference import reference_adc_attend
 
 from repro.core import attention_pq
 from repro.core.attention_pq import pq_attention_scores, pq_sparse_attention, pq_weighted_values
+from repro.core.codebook import SubspaceCodebooks
 from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionCacheFactory, MillionKVCacheLayer
 from repro.core.pq import ProductQuantizer
 from repro.models.attention_math import dense_attention, repeat_kv_heads
 from repro.models.config import ModelConfig
+from repro.models.positional import RotaryEmbedding, alibi_slopes
 from repro.models.tensor_ops import OnlineSoftmaxState, softmax
 from repro.utils.scratch import ScratchArena
 
@@ -146,8 +151,8 @@ class TestPQAttentionPrimitives:
                 pq_weighted_values(probs, value_codes, value_pq),
             )
         # The repeated key reused its indices; every new key rebuilt them (the
-        # transient reference calls build their value bins every time).
-        assert builds["adc"] == 3
+        # transient reference calls build both indices every time).
+        assert builds["adc"] == 3 + 4
         assert builds["wv"] == 3 + 4
         assert arena.memo["index.adc"] == arena.memo["index.wv"] == "c"
 
@@ -174,7 +179,7 @@ class TestMillionKVCacheLayer:
         self, mha_config, pq_pair, head_dim
     ):
         """Only single-query calls keep gather indices: a 64-query prefill
-        chunk's would be 64 times the decode size and stay resident."""
+        chunk attends through GEMMs and leaves no index behind."""
         key_pq, value_pq = pq_pair
         million = MillionConfig(m_subspaces=key_pq.m_subspaces, nbits=key_pq.nbits)
         cache = MillionKVCacheLayer(
@@ -233,6 +238,32 @@ class TestMillionKVCacheLayer:
         values_mixed = np.concatenate([v_hat, values[30:]], axis=0)
         expected = dense_attention(
             queries, keys_mixed, values_mixed, np.asarray([39]), np.arange(40), 0.25
+        )
+        np.testing.assert_allclose(out, expected, atol=1e-4)
+
+    def test_single_query_matches_dense_over_dequantized_kv_with_outliers(
+        self, mha_config, pq_pair, head_dim
+    ):
+        """``dequantized_kv`` includes the sparse corrections attention adds."""
+        cache = self._make_cache(mha_config, pq_pair, outlier_fraction=0.05)
+        rng = np.random.default_rng(15)
+        keys, values = _random_kv(rng, 40, 2, head_dim)
+        keys[rng.random(keys.shape) < 0.02] *= 25.0
+        values[rng.random(values.shape) < 0.02] *= 25.0
+        cache.append(keys[:30], values[:30])
+        cache.append(keys[30:], values[30:])
+        assert cache._key_corrections.count and cache._value_corrections.count
+        queries = rng.normal(size=(1, 2, head_dim)).astype(np.float32)
+        out = cache.attend(queries, np.asarray([39]), 0.25)
+        k_hat, v_hat = cache.dequantized_kv()
+        pending_keys, pending_values = cache.pending_views()
+        expected = dense_attention(
+            queries,
+            np.concatenate([k_hat, pending_keys], axis=0),
+            np.concatenate([v_hat, pending_values], axis=0),
+            np.asarray([39]),
+            np.arange(40),
+            0.25,
         )
         np.testing.assert_allclose(out, expected, atol=1e-4)
 
@@ -358,6 +389,86 @@ class TestMillionKVCacheLayer:
         million = MillionConfig(m_subspaces=8, nbits=6)
         with pytest.raises(Exception):
             MillionKVCacheLayer(bad_config, key_pq, value_pq, million)
+
+
+class TestMultiQueryAttend:
+    """Multi-query calls attend over reconstructed keys/values with GEMMs."""
+
+    @pytest.mark.parametrize("n_queries", [2, 17, 128])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.05])
+    @pytest.mark.parametrize("recent_window", [0, 32])
+    @pytest.mark.parametrize("positional", ["rope", "alibi"])
+    @pytest.mark.parametrize("n_heads", [2, 4], ids=["mha", "gqa"])
+    def test_matches_adc_reference(
+        self, pq_pair, head_dim, n_heads, positional, recent_window,
+        outlier_fraction, n_queries,
+    ):
+        key_pq, value_pq = pq_pair
+        config = ModelConfig(
+            vocab_size=64,
+            d_model=n_heads * head_dim,
+            n_layers=1,
+            n_heads=n_heads,
+            n_kv_heads=2,
+            max_seq_len=512,
+        )
+        million = MillionConfig(
+            m_subspaces=key_pq.m_subspaces,
+            nbits=key_pq.nbits,
+            recent_window=recent_window,
+            outlier_fraction=outlier_fraction,
+        )
+        cache = MillionKVCacheLayer(config, key_pq, value_pq, million)
+        rng = np.random.default_rng(n_queries + 1000 * n_heads)
+        n_tokens = 96 + n_queries
+        keys, values = _random_kv(rng, n_tokens, 2, head_dim)
+        keys[rng.random(keys.shape) < 0.02] *= 25.0
+        queries = rng.normal(size=(n_queries, n_heads, head_dim)).astype(np.float32)
+        positions = np.arange(n_tokens)
+        slopes = None
+        if positional == "rope":
+            rope = RotaryEmbedding(head_dim, max_seq_len=512)
+            keys = rope.apply(keys, positions)
+            queries = rope.apply(queries, positions[96:])
+        else:
+            slopes = alibi_slopes(n_heads)
+        # Two history chunks, then the chunk whose queries attend.
+        for start, stop in ((0, 48), (48, 96), (96, n_tokens)):
+            cache.append(keys[start:stop], values[start:stop])
+        assert cache.stored_tokens > 0 and cache.pending_tokens >= n_queries
+        assert bool(cache._key_corrections.count) == (outlier_fraction > 0)
+        out = cache.attend(queries, positions[96:], 0.25, alibi_head_slopes=slopes)
+        expected = reference_adc_attend(
+            cache, queries, positions[96:], 0.25, alibi_head_slopes=slopes
+        )
+        assert out.shape == expected.shape and out.dtype == np.float32
+        np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-5)
+
+    def test_chunk_memory_at_serving_shape(self):
+        """A 128-query chunk over 1,024 stored tokens (H = kv = 4, d = 64,
+        M = 32, K = 256) stays small and leaves the arena untouched."""
+        rng = np.random.default_rng(0)
+        pq = ProductQuantizer(SubspaceCodebooks(rng.normal(size=(32, 256, 2))))
+        config = ModelConfig(
+            vocab_size=64, d_model=256, n_layers=1, n_heads=4, max_seq_len=2048
+        )
+        cache = MillionKVCacheLayer(
+            config, pq, pq, MillionConfig(m_subspaces=32, nbits=8)
+        )
+        keys, values = _random_kv(rng, 1152, 4, 64)
+        cache.append(keys[:1024], values[:1024])
+        cache.append(keys[1024:], values[1024:])
+        assert cache.flush_state == (1024, 128)
+        queries = rng.normal(size=(128, 4, 64)).astype(np.float32)
+        arena_bytes = cache.arena.total_bytes
+        tracemalloc.start()
+        try:
+            cache.attend(queries, np.arange(1024, 1152), 0.125)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert cache.arena.total_bytes == arena_bytes
 
 
 class TestMillionCacheFactory:

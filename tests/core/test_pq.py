@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support.reference import reference_pq_decode
 
 from repro.core.codebook import SubspaceCodebooks, train_codebooks
 from repro.core.config import MillionConfig
 from repro.core.pq import ProductQuantizer
+from repro.utils.bitpack import code_dtype
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,38 @@ class TestEncodeDecode:
     def test_bad_code_shape(self, pq):
         with pytest.raises(Exception):
             pq.decode(np.zeros((4, 5), dtype=np.int64))
+
+    @given(
+        nbits=st.sampled_from([6, 8, 12]),
+        m_subspaces=st.integers(1, 4),
+        subspace_dim=st.integers(1, 3),
+        n_rows=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_gather_decode_equals_subspace_loop(
+        self, nbits, m_subspaces, subspace_dim, n_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        quantizer = ProductQuantizer(
+            SubspaceCodebooks(rng.normal(size=(m_subspaces, 2**nbits, subspace_dim)))
+        )
+        codes = rng.integers(0, 2**nbits, size=(n_rows, m_subspaces))
+        codes = codes.astype(code_dtype(nbits))
+        assert codes.dtype == (np.uint8 if nbits <= 8 else np.uint16)
+        decoded = quantizer.decode(codes)
+        assert decoded.dtype == np.float32
+        np.testing.assert_array_equal(decoded, reference_pq_decode(quantizer, codes))
+
+    @pytest.mark.parametrize("nbits", [6, 12])
+    def test_code_out_of_range_raises(self, nbits):
+        """A code >= K must not read the next subspace's table."""
+        rng = np.random.default_rng(0)
+        quantizer = ProductQuantizer(SubspaceCodebooks(rng.normal(size=(4, 2**nbits, 2))))
+        codes = np.zeros((3, 4), dtype=code_dtype(nbits))
+        codes[1, 0] = 2**nbits
+        with pytest.raises((ValueError, IndexError)):
+            quantizer.decode(codes)
 
 
 class TestADC:

@@ -22,6 +22,13 @@ form the serving engine accepts.
 sequential per-problem k-means (one problem, one distance evaluation per
 k-means++ step) that :func:`repro.quant.kmeans.kmeans_batch` stacks over
 problems.  Codebooks must match them bit for bit.
+
+:func:`reference_pq_decode` is the per-subspace centroid lookup that
+``ProductQuantizer.decode`` flattens into one gather; the two must match bit
+for bit.  :func:`reference_adc_attend` is a MILLION cache's ``attend``
+computed from the codes through the ADC kernels and the softmax merge; a
+multi-query ``attend``, which runs GEMMs over reconstructed rows, must match
+it up to float rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +37,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
 from repro.core.codebook import SubspaceCodebooks
+from repro.models.attention_math import attention_scores, repeat_kv_heads
+from repro.models.positional import alibi_bias
+from repro.models.tensor_ops import softmax
 from repro.quant.kmeans import KMeansResult
 from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
 from repro.utils.rng import get_rng, spawn_rngs
@@ -243,3 +254,59 @@ def reference_train_codebooks(
         )
         centroids[m] = result.centroids
     return SubspaceCodebooks(centroids=centroids)
+
+
+def reference_pq_decode(quantizer, codes):
+    """``quantizer.decode`` as one fancy-indexed lookup per subspace."""
+    codes = np.asarray(codes)
+    dsub = quantizer.subspace_dim
+    out = np.empty((codes.shape[0], quantizer.dim), dtype=np.float32)
+    for m in range(quantizer.m_subspaces):
+        out[:, m * dsub : (m + 1) * dsub] = quantizer.codebooks.centroids[m][codes[:, m]]
+    return out
+
+
+def _dense_deltas(corrections, shape):
+    """The sparse outlier corrections of a MILLION cache as a dense array."""
+    tokens, heads, channels, deltas = corrections.materialize()
+    dense = np.zeros(shape, dtype=np.float32)
+    dense[tokens, heads, channels] = deltas
+    return dense
+
+
+def reference_adc_attend(cache, queries, query_positions, scale, alibi_head_slopes=None):
+    """A ``MillionKVCacheLayer.attend`` scored and aggregated from the codes.
+
+    Stored tokens go through ``pq_attention_scores``/``pq_weighted_values``
+    (plus the dense form of any outlier corrections), pending tokens through
+    full-precision attention, and both are merged by one softmax.
+    """
+    queries = np.asarray(queries, dtype=np.float32)
+    n_heads = queries.shape[1]
+    key_codes, value_codes = cache.stored_code_views()
+    stored = key_codes.shape[0]
+    pending_keys, pending_values = cache.pending_views()
+    shape = (stored, cache.config.kv_heads, cache.config.head_dim)
+    delta_keys = repeat_kv_heads(_dense_deltas(cache._key_corrections, shape), n_heads)
+    delta_values = repeat_kv_heads(_dense_deltas(cache._value_corrections, shape), n_heads)
+    stored_scores = pq_attention_scores(queries, key_codes, cache.key_pq, scale=scale)
+    stored_scores = stored_scores + np.einsum("qhd,khd->hqk", queries, delta_keys) * scale
+    if alibi_head_slopes is not None:
+        stored_scores = stored_scores + alibi_bias(
+            alibi_head_slopes, query_positions, np.arange(stored)
+        )
+    pending_scores = attention_scores(
+        queries,
+        pending_keys,
+        query_positions,
+        np.arange(stored, stored + pending_keys.shape[0]),
+        scale,
+        alibi_head_slopes=alibi_head_slopes,
+    )
+    probs = softmax(np.concatenate([stored_scores, pending_scores], axis=-1), axis=-1)
+    stored_probs, pending_probs = probs[..., :stored], probs[..., stored:]
+    context = pq_weighted_values(stored_probs, value_codes, cache.value_pq)
+    context = context + np.einsum("hqk,khd->qhd", stored_probs, delta_values)
+    return context + np.einsum(
+        "hqk,khd->qhd", pending_probs, repeat_kv_heads(pending_values, n_heads)
+    )
