@@ -5,10 +5,10 @@ engine step for the whole running batch (one paired-GEMM projection pass per
 layer, one LUT build for all B*H query heads, one segment-ADC gather over
 kept per-layer indices, one batched flush encode) instead of one full Python
 model traversal per sequence.  The per-sequence reference serves the same B
-prompts through B single-slot engines stepped round-robin: a batch of one
-never stacks, so every step is one per-sequence forward.  Token streams are
-bit-identical between the two — asserted here on the measured workload — so
-the only difference is wall time.
+prompts through B single-slot engines stepped round-robin, so every step is
+B separate batch-of-one fused forwards.  Token streams are bit-identical
+between the two — asserted here on the measured workload — so the only
+difference is wall time.
 
 This case records aggregate decode tokens/sec for fused vs per-sequence
 ("sequential") at B in {1, 4, 16} and gates the B=16 speedup ratio: the
@@ -74,7 +74,8 @@ def _decode_tokens_per_s(
     """Steady-state decode throughput plus the tokens decoded while timing.
 
     ``fused`` serves every prompt from one engine; otherwise each prompt gets
-    its own single-slot engine and one round of steps advances them all.
+    its own single-slot engine, whose steps are batch-of-one fused forwards,
+    and one round of steps advances them all.
     """
     groups = [prompts] if fused else [[prompt] for prompt in prompts]
     engines = []

@@ -18,7 +18,8 @@ layer are measured here:
    modest factor of the sequential loop at every batch size) and that larger
    batches keep aggregate throughput while interleaving progress across
    requests.  The sequential loop serves each prompt on its own single-slot
-   engine, in turn; every engine gets a fresh block pool that never evicts.
+   engine, in turn, each step a batch-of-one fused forward; every engine
+   gets a fresh block pool that never evicts.
 
 Registered as part of the ``serving`` suite; run standalone with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_serving_throughput.py -s``

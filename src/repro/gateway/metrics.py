@@ -334,7 +334,7 @@ def render_prometheus(
             out.add(
                 "repro_engine_last_fused_batch_size",
                 timing["last_fused_batch_size"],
-                "Sequences in the last fused decode batch (0 = decoded per sequence).",
+                "Rows in the last fused decode step (0 = the step ran no decode forward).",
                 "gauge",
                 labels,
             )
@@ -355,8 +355,7 @@ def render_prometheus(
             out.add(
                 "repro_engine_prefill_chunks_total",
                 timing.get("prefill_chunks_total", 0),
-                "Chunked-prefill sub-steps executed (chunks, tails and "
-                "restore-replay slices).",
+                "Chunked-prefill sub-steps executed (aligned chunks and tails).",
                 "counter",
                 labels,
             )

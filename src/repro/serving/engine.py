@@ -7,8 +7,7 @@ shared :class:`~repro.models.transformer.TransformerLM`; decode advances the
 whole running batch through **one** fused stacked forward per step
 (:meth:`TransformerLM.fused_decode_step` plus
 :class:`~repro.core.attention_fused.FusedMillionAttention` for MILLION
-caches); a batch below :data:`FUSED_MIN_BATCH` runs the per-sequence
-forward instead, which is bit-identical.  Weights and trained PQ codebooks
+caches), whatever the batch size.  Weights and trained PQ codebooks
 are shared; per-sequence state is isolated, so with greedy sampling the
 batched output is token-identical to serving each request alone (the test
 suite's reference oracle, which sweeps batch shapes, preemption,
@@ -58,11 +57,12 @@ every prefill follows one resumable **chunk schedule**:
   preempted — lowest priority class first, youngest first within a class
   (so ``best_effort`` work is sacrificed before ``interactive`` work): its
   non-shared blocks are freed and it re-queues at the front of its class's
-  queue.  Restoration replays the prompt's chunk schedule, then re-decodes
-  every generated token one step at a time — forced flushing is
-  deterministic in the total token count, so the restored cache state and
-  the next sampled token are bit-identical to an uncontended run (a test
-  asserts this).
+  queue.  Restoration replays the prompt's chunk schedule, then feeds
+  every generated token back as a teacher-forced row of the fused decode
+  step, one token per engine step, so a long replay never stalls the
+  running streams.  Forced flushing is deterministic in the total token
+  count, so the restored cache state and the next sampled token are
+  bit-identical to an uncontended run (a test asserts this).
 """
 
 from __future__ import annotations
@@ -106,12 +106,6 @@ from repro.utils.validation import require
 
 logger = get_logger("serving")
 
-#: Smallest decode batch that runs through the fused stacked forward.
-#: Stacking gains nothing at B=1 (0.96x in BENCH_serving) and 3.1x at B=16,
-#: so smaller batches decode through the per-sequence forwards, which are
-#: bit-identical (single-token forwards use the same row-invariant kernels).
-FUSED_MIN_BATCH = 2
-
 
 def chunk_schedule(
     prompt_tokens: int, block_tokens: int, chunk_tokens: int
@@ -151,12 +145,14 @@ class _PrefillPlan:
     a preempted one); ``stored_final`` is how many tokens will sit in sealed
     blocks once the prefill/restore completes — which is what admission must
     budget for.  ``is_restore`` marks a preempted sequence whose generated
-    tokens are replayed one decode step at a time.
+    tokens are replayed after the prompt.
 
     ``cursor`` is how many history tokens are already incorporated (adopted
     or computed); ``-1`` means the request has not been admitted yet.  The
-    plan persists on the state across steps until the schedule completes; a
-    cursor past the prompt walks the restore replay.  ``promised`` is the
+    plan persists on the state across steps until the schedule completes.
+    Once the cursor reaches the prompt end of a restore, the plan is
+    :attr:`replaying`: the sequence joins the fused decode step as a
+    teacher-forced row, one history token per step.  ``promised`` is the
     pool blocks of the first chunk, reserved from admission until that
     chunk runs; ``reused`` counts adopted tokens not yet reported in a
     trace span.
@@ -174,6 +170,11 @@ class _PrefillPlan:
     def next_bound(self) -> int:
         """End of the chunk that starts at the cursor."""
         return next(bound for bound in self.bounds if bound > self.cursor)
+
+    @property
+    def replaying(self) -> bool:
+        """Prompt chunks done; generated tokens remain to be fed back."""
+        return self.cursor >= self.bounds[-1]
 
 
 class BatchedMillionEngine:
@@ -286,9 +287,9 @@ class BatchedMillionEngine:
         self.prefix_block_hits = 0
         self.prefix_block_misses = 0
         # Per-step timing split (reported by stats() and /metrics): wall time
-        # spent admitting/prefilling vs decoding, and the size of the last
-        # fused decode batch (0 when the step decoded fewer than
-        # FUSED_MIN_BATCH sequences).
+        # spent admitting/prefilling vs decoding, and the rows of the last
+        # fused decode step, restore replay rows included (0 when the step
+        # ran no decode forward).
         self.step_count = 0
         self.fused_decode_steps = 0
         self.prefill_seconds_total = 0.0
@@ -513,7 +514,7 @@ class BatchedMillionEngine:
         """Fixed chunk size against ``pool``: the largest multiple of its
         block size inside ``prefill_token_budget`` (at least one block).
         Without a budget the chunk covers ``max_seq_len``, so any prompt's
-        aligned prefix — and any restore replay — is one chunk."""
+        aligned prefix is one chunk."""
         block = pool.block_tokens
         if self.prefill_token_budget is None:
             return block * -(-self.model.config.max_seq_len // block)
@@ -763,8 +764,9 @@ class BatchedMillionEngine:
     def _begin_prefill(self, state: RequestState) -> None:
         """Admit a request into the running set with only adoption done.
 
-        The compute — chunk forwards, the residual tail, the restore replay —
-        happens in :meth:`_prefill_chunk_work`, later in the same step.
+        The compute — chunk forwards and the residual tail — happens in
+        :meth:`_prefill_chunk_work` later in the same step; a restore's
+        generated tokens are replayed by :meth:`_decode_fused`.
         Adoption runs here because the admission gate already accounted for
         the adopted groups leaving the evictable set; deferring it would let
         a decode flush in the same step evict the blocks the gate promised.
@@ -787,7 +789,9 @@ class BatchedMillionEngine:
             self.prof.record("prefill", time.perf_counter() - begin_start)
 
     def _end_prefill(self, state: RequestState) -> Optional[StepOutput]:
-        """Prefill complete: the request decodes next, unless it is done already."""
+        """Prefill complete: the request decodes next, unless it is done already.
+
+        Returns the finish output, not yet emitted, if it is done."""
         state.prefilling = False
         state.prefill_plan = None
         if state.request.max_new_tokens <= len(state.generated):
@@ -795,34 +799,31 @@ class BatchedMillionEngine:
         elif state.context.next_position >= self.model.config.max_seq_len:
             self._finish(state, FinishReason.CONTEXT_FULL)
         if state.is_finished:
-            return self._emit(
-                StepOutput(state.request_id, None, True, state.finish_reason)
-            )
+            return StepOutput(state.request_id, None, True, state.finish_reason)
         return None
 
     def _prefill_chunk_substep(
         self, state: RequestState
     ) -> tuple[int, Optional[StepOutput]]:
-        """Advance one prefilling sequence by one chunk of its schedule.
+        """Advance one prefilling sequence by one chunk of its prompt schedule.
 
         Before an aligned chunk, newly published groups are adopted (see
-        :meth:`_adopt_published`).  Then exactly one of three moves, by
-        cursor position: an **aligned chunk** (forward + forced flush +
-        publication — the pool protocol's sealed state), the **residual
-        tail** (pending-only forward that produces the next-token logits; no
-        allocation), or a slice of the **restore replay** (one decode step
-        per generated token, resumable mid-slice).  Returns the tokens
-        computed and, when the schedule completed, the finish output (if the
-        request finished immediately).  A return of ``(0, None)`` means the
-        state was preempted making room for its own chunk and left the
-        running set.
+        :meth:`_adopt_published`).  Then one of two moves, by cursor
+        position: an **aligned chunk** (forward + forced flush + publication
+        — the pool protocol's sealed state) or the **residual tail**
+        (pending-only forward that produces the next-token logits; no
+        allocation).  A restore's schedule continues with its replay rows in
+        :meth:`_decode_fused`.  Returns the tokens computed and, when a fresh
+        prompt's schedule completed, the finish output (if the request
+        finished immediately).  A return of ``(0, None)`` means the state
+        was preempted making room for its own chunk and left the running
+        set, or adopted published blocks past its prompt end.
         """
         pool = self._pool_for(state)
         plan = state.prefill_plan
         assert plan is not None and plan.cursor >= 0
         block = pool.block_tokens
         prompt_tokens = state.request.prompt_ids.size
-        history_size = prompt_tokens + len(state.generated)
         sub_start = time.perf_counter()
         prof = self.prof
         timing = prof.enabled
@@ -862,30 +863,6 @@ class BatchedMillionEngine:
             plan.cursor = prompt_tokens
             if timing:
                 prof.lap("prefill/chunk", t)
-        else:
-            # Restore replay: re-decode generated tokens one step at a time
-            # (the flush schedule each step saw originally is reproduced
-            # exactly), up to one chunk's worth per sub-step.
-            chunk = self._chunk_tokens_for(pool)
-            target = min(cursor + chunk, history_size)
-            history = state.token_history
-            if timing:
-                t = prof.now()
-            while plan.cursor < target:
-                if not self._ensure_decode_capacity(state):
-                    # Preempted mid-replay; the partial work still counts
-                    # against this step's budget.
-                    self.prefill_tokens_computed += computed
-                    return computed, None
-                with self._bound(state) as model:
-                    state.next_logits = model.decode_step(
-                        int(history[plan.cursor])
-                    )
-                self._register_new_blocks(state)
-                plan.cursor += 1
-                computed += 1
-            if timing:
-                prof.lap("prefill/chunk", t)
         self.prefill_tokens_computed += computed
         self.prefill_chunks_total += 1
         if timing:
@@ -905,7 +882,7 @@ class BatchedMillionEngine:
                 },
             )
         plan.reused = 0
-        if plan.cursor >= history_size:
+        if plan.cursor >= prompt_tokens + len(state.generated):
             return computed, self._end_prefill(state)
         return computed, None
 
@@ -917,7 +894,8 @@ class BatchedMillionEngine:
         the older one monopolizing it.  The budget check runs *before* each
         sub-step — a budget smaller than one chunk still guarantees one
         sub-step of forward progress per engine step (stall-free, never
-        stalled-out).  Without a budget every schedule runs to completion.
+        stalled-out).  Without a budget every prompt schedule runs to
+        completion; a restore's replay rows run in :meth:`_decode_fused`.
         """
         outputs: list[StepOutput] = []
         budget = self.prefill_token_budget or math.inf
@@ -926,7 +904,9 @@ class BatchedMillionEngine:
             pending = [
                 s
                 for s in self.scheduler.running
-                if s.status is RequestStatus.RUNNING and s.prefilling
+                if s.status is RequestStatus.RUNNING
+                and s.prefilling
+                and not s.prefill_plan.replaying
             ]
             if not pending or spent >= budget:
                 break
@@ -940,9 +920,11 @@ class BatchedMillionEngine:
                 spent += tokens
                 progressed += tokens
                 if output is not None:
-                    outputs.append(output)
+                    outputs.append(self._emit(output))
             if progressed == 0:
-                break  # every candidate was preempted; retry next step
+                # Every candidate was preempted or adopted past its prompt
+                # end; retry next step.
+                break
         return outputs, spent
 
     # Preemption ---------------------------------------------------------------
@@ -997,10 +979,11 @@ class BatchedMillionEngine:
         against the contended pool — preempting a sequence on another pool
         would free nothing here.  ``exclude`` holds sequences that must not
         be victims: the fused path passes the states already collected into
-        this step's batch, whose sampled-but-not-yet-decoded token would be
-        lost if their context were freed mid-batch.  Returns ``False`` if
-        ``state`` itself was preempted (every eligible same-pool candidate
-        outranks it and the pool still cannot cover its flush).
+        this step's batch, whose input token (sampled, or forced by a
+        restore replay) would be lost if their context were freed
+        mid-batch.  Returns ``False`` if ``state`` itself was preempted
+        (every eligible same-pool candidate outranks it and the pool still
+        cannot cover its flush).
         """
         pool = self._pool_for(state)
         assert state.context is not None
@@ -1040,14 +1023,17 @@ class BatchedMillionEngine:
     # Decode -------------------------------------------------------------------
 
     def _decode_fused(self) -> list[StepOutput]:
-        """Advance every running sequence by one token.
+        """Advance every running sequence by one token in one fused forward.
 
         The capacity gate, sampling and finish checks run per sequence in
         admission order (sample, stop check, context check, decode — the
-        order of :meth:`TransformerLM.generate`), then the surviving
-        sequences' forwards run as one
-        :meth:`TransformerLM.fused_decode_step`, or per sequence below
-        :data:`FUSED_MIN_BATCH`.  Outputs are emitted in admission order.
+        order of :meth:`TransformerLM.generate`), then the surviving rows run
+        as one :meth:`TransformerLM.fused_decode_step`, whatever their
+        number.  A restore whose prompt chunks are done joins as a
+        teacher-forced row: its input is the history token at its cursor,
+        nothing is sampled or emitted, and its logits are dropped until the
+        cursor reaches the end of its history, where its prefill ends.
+        Outputs are emitted in admission order.
         """
         processed: list[RequestState] = []
         results: dict[str, StepOutput] = {}
@@ -1064,74 +1050,78 @@ class BatchedMillionEngine:
         for state in self.scheduler.running:
             if state.status is not RequestStatus.RUNNING:
                 continue  # preempted or cancelled earlier in this very step
-            if state.prefilling:
-                continue  # chunk schedule not finished; no logits to sample
+            plan = state.prefill_plan
+            if state.prefilling and not plan.replaying:
+                continue  # prompt chunks not finished; no logits to sample
             pool = self._pool_for(state)
             # ``exclude=live`` protects sequences already collected into this
-            # fused batch: each holds a sampled token whose forward has not
+            # fused batch: each holds an input token whose forward has not
             # run yet, so preempting one here would null its context out from
-            # under the stacked decode (and orphan the sampled token).
+            # under the stacked decode (and orphan a sampled token).
             if not self._ensure_decode_capacity(
                 state, reserved.get(id(pool), 0), exclude=live
             ):
                 continue
             processed.append(state)
             request = state.request
-            assert state.context is not None and state.next_logits is not None
-            if state.context.next_position >= max_seq_len:
-                self._finish(state, FinishReason.CONTEXT_FULL)
-                results[state.request_id] = StepOutput(
-                    state.request_id, None, True, state.finish_reason
-                )
-                continue
-            sampler = request.sampler or GreedySampler()
-            if timing:
-                sample_start = time.perf_counter()
-                token = sampler(state.next_logits, state.rng)
-                sample_seconds += time.perf_counter() - sample_start
-                sampled += 1
+            assert state.context is not None
+            if state.prefilling:
+                token = state.generated[plan.cursor - request.prompt_ids.size]
             else:
-                token = sampler(state.next_logits, state.rng)
-            state.generated.append(token)
-            if request.stop_token is not None and token == request.stop_token:
-                self._finish(state, FinishReason.STOP_TOKEN)
-                results[state.request_id] = StepOutput(
-                    state.request_id, token, True, state.finish_reason
-                )
-                continue
+                assert state.next_logits is not None
+                if state.context.next_position >= max_seq_len:
+                    self._finish(state, FinishReason.CONTEXT_FULL)
+                    results[state.request_id] = StepOutput(
+                        state.request_id, None, True, state.finish_reason
+                    )
+                    continue
+                sampler = request.sampler or GreedySampler()
+                if timing:
+                    sample_start = time.perf_counter()
+                    token = sampler(state.next_logits, state.rng)
+                    sample_seconds += time.perf_counter() - sample_start
+                    sampled += 1
+                else:
+                    token = sampler(state.next_logits, state.rng)
+                state.generated.append(token)
+                if request.stop_token is not None and token == request.stop_token:
+                    self._finish(state, FinishReason.STOP_TOKEN)
+                    results[state.request_id] = StepOutput(
+                        state.request_id, token, True, state.finish_reason
+                    )
+                    continue
             reserved[id(pool)] = reserved.get(id(pool), 0) + (
                 self._decode_block_demand(state)
             )
             live.append(state)
             tokens.append(token)
-        fused_batch = 0
+        self.last_fused_batch_size = len(live)
         if live:
-            if len(live) < FUSED_MIN_BATCH:
-                # Small batches skip the fused overhead; these do not count
-                # as fused steps in the metrics.
-                rows = []
-                for state, token in zip(live, tokens):
-                    with self._bound(state) as model:
-                        rows.append(model.decode_step(token))
-                logits = np.stack(rows, axis=0)
-            else:
-                self.fused_decode_steps += 1
-                fused_batch = len(live)
-                contexts = [state.context for state in live]
-                logits = self.model.fused_decode_step(
-                    np.asarray(tokens, dtype=np.int64),
-                    contexts,
-                    batch_attend=self._fused_attention,
-                )
+            self.fused_decode_steps += 1
+            logits = self.model.fused_decode_step(
+                np.asarray(tokens, dtype=np.int64),
+                [state.context for state in live],
+                batch_attend=self._fused_attention,
+            )
             for row, (state, token) in enumerate(zip(live, tokens)):
                 state.next_logits = logits[row]
                 self._register_new_blocks(state)
+                if state.prefilling:
+                    # Replay rows count as prefill work, as chunks do.
+                    self.prefill_tokens_computed += 1
+                    plan = state.prefill_plan
+                    plan.cursor += 1
+                    history = state.request.prompt_ids.size + len(state.generated)
+                    if plan.cursor == history:
+                        output = self._end_prefill(state)
+                        if output is not None:
+                            results[state.request_id] = output
+                    continue
                 if len(state.generated) >= state.request.max_new_tokens:
                     self._finish(state, FinishReason.LENGTH)
                 results[state.request_id] = StepOutput(
                     state.request_id, token, state.is_finished, state.finish_reason
                 )
-        self.last_fused_batch_size = fused_batch
         if timing and sampled:
             self.prof.record("decode/sample", sample_seconds, count=sampled)
         return [
@@ -1202,7 +1192,7 @@ class BatchedMillionEngine:
         decoded = [o for o in outputs if o.token is not None]
         if admitted_count or chunk_spent:
             self.prefill_step_hist.observe(self.last_prefill_seconds)
-        if decoded:
+        if decoded or self.last_fused_batch_size:
             self.decode_step_hist.observe(self.last_decode_seconds)
             if self.last_fused_batch_size:
                 self.fused_batch_hist.observe(self.last_fused_batch_size)

@@ -20,13 +20,19 @@ from hypothesis import strategies as st
 
 from repro.gateway.bootstrap import GatewayConfig, prefill_token_budget
 from repro.models.kv_cache import FullPrecisionCacheFactory
-from repro.serving import BatchedMillionEngine, FinishReason, chunk_schedule
+from repro.serving import (
+    BatchedMillionEngine,
+    FinishReason,
+    RequestStatus,
+    chunk_schedule,
+)
 from support.reference import (
     BLOCK_TOKENS,
     assert_logits_equal,
     oracle_logits,
     pooled,
     served_logits,
+    solo,
 )
 
 
@@ -148,6 +154,50 @@ class TestChunkedDeterminism:
         assert contended.preemption_count >= 1
         for want, got in zip(reference, outputs):
             np.testing.assert_array_equal(want, got)
+
+    def test_restore_replays_one_token_per_step(
+        self, chunked_engine_factory, tiny_model, million_factory,
+        calibration_tokens,
+    ):
+        """A restore feeds its generated tokens back one per engine step
+        while every other decoding stream keeps emitting one token per step."""
+        prompts = [calibration_tokens[i : i + 60] for i in (0, 70, 140)]
+        # 64 blocks preempt two streams after 4 generated tokens each.
+        engine = chunked_engine_factory(num_blocks=64)
+        ids = [engine.add_request(p, max_new_tokens=12) for p in prompts]
+        states = [engine.state_of(rid) for rid in ids]
+        replayed = {}  # request id -> generated tokens when first preempted
+        results = {rid: [] for rid in ids}
+        while engine.scheduler.has_work:
+            before = {
+                s.request_id: (
+                    s.preemptions,
+                    s.context.next_position if s.context is not None else 0,
+                    s.status is RequestStatus.RUNNING and not s.prefilling,
+                )
+                for s in states
+            }
+            outputs = engine.step()
+            emitted = {rid: 0 for rid in ids}
+            for out in outputs:
+                if out.token is not None:
+                    emitted[out.request_id] += 1
+                    results[out.request_id].append(out.token)
+            for s in states:
+                preemptions, position, decoding = before[s.request_id]
+                if s.preemptions > preemptions:
+                    replayed.setdefault(s.request_id, len(s.generated))
+                    continue
+                if s.request_id in replayed and s.context is not None:
+                    # Past its prompt, a restore advances one token per step.
+                    prompt_size = s.request.prompt_ids.size
+                    assert s.context.next_position <= max(prompt_size, position) + 1
+                if decoding and not s.is_finished:
+                    assert emitted[s.request_id] == 1
+        assert any(n >= 2 for n in replayed.values())
+        want = solo(tiny_model, million_factory, prompts, 12, num_blocks=64, budget=8)
+        for rid, stream in zip(ids, want):
+            assert results[rid] == stream.tolist()
 
     def test_batched_whale_matches_solo_chunked(
         self, chunked_engine_factory, calibration_tokens

@@ -142,6 +142,21 @@ class TestHistograms:
         fused = hist["fused_batch_size"]
         assert fused["count"] == engine.fused_decode_steps
 
+    def test_stats_histograms_match_work_under_preemption(
+        self, traced_engine_factory, calibration_tokens
+    ):
+        """Restore replay rows are fused steps too: the batch histogram sees
+        every fused step, including those whose rows are all replay rows."""
+        engine, _ = traced_engine_factory(pool_blocks=14, max_batch_size=4)
+        prompt = calibration_tokens[:BLOCK_TOKENS]
+        for i in range(4):
+            engine.add_request(prompt.copy(), max_new_tokens=24)
+        engine.run()
+        assert engine.preemption_count > 0
+        hist = engine.stats()["histograms"]
+        assert hist["fused_batch_size"]["count"] == engine.fused_decode_steps
+        assert hist["decode_step_seconds"]["count"] >= engine.fused_decode_steps
+
     def test_restore_does_not_double_count_queue_wait(
         self, traced_engine_factory, calibration_tokens
     ):

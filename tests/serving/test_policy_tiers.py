@@ -10,9 +10,8 @@ from repro.core.calibration import train_million_quantizers
 from repro.core.million_cache import MillionCacheFactory
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
 from repro.serving import BatchedMillionEngine, GenerationRequest
-from repro.serving import engine as engine_module
 from repro.serving.memory import BlockPool, PooledPolicyCacheFactory, UnitLayout
-from support.reference import pooled
+from support.reference import pooled, solo
 
 
 @pytest.fixture(scope="module")
@@ -192,37 +191,36 @@ class TestQualityTiers:
             engine.add_request(np.asarray([1, 2, 3]), max_new_tokens=2, tier="quality")
 
 
-class TestFusedMinBatch:
-    @pytest.mark.parametrize("fused_min_batch", [1, 2, 4])
-    def test_tokens_identical_across_switch_points(
-        self, tiny_model, tiny_config, million_factory, fused_min_batch,
-        monkeypatch,
+class TestFusedAtEveryBatchSize:
+    """Every decode row runs through the fused step, whatever the batch size."""
+
+    @pytest.mark.parametrize("max_batch_size", [1, 2, 4])
+    def test_tokens_identical_to_solo(
+        self, tiny_model, tiny_config, million_factory, max_batch_size
     ):
         prompts = [
             (np.arange(1, 13 + 3 * i, dtype=np.int64) % tiny_config.vocab_size)
             for i in range(3)
         ]
-        def run(threshold):
-            monkeypatch.setattr(engine_module, "FUSED_MIN_BATCH", threshold)
-            engine = BatchedMillionEngine(
-                tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
-            )
-            rids = [
-                engine.add_request(p, max_new_tokens=8) for p in prompts
-            ]
-            return _drain(engine, rids)
+        engine = BatchedMillionEngine(
+            tiny_model, pooled(tiny_model, million_factory),
+            max_batch_size=max_batch_size,
+        )
+        rids = [engine.add_request(p, max_new_tokens=8) for p in prompts]
+        got = _drain(engine, rids)
+        want = solo(tiny_model, million_factory, prompts, 8)
+        assert [got[rid] for rid in rids] == [stream.tolist() for stream in want]
+        assert engine.fused_decode_steps > 0
 
-        baseline = run(10_000)  # always sequential
-        assert run(fused_min_batch) == baseline
-
-    def test_single_sequence_uses_sequential_path(
-        self, tiny_model, million_factory
-    ):
-        assert engine_module.FUSED_MIN_BATCH == 2
+    def test_single_sequence_decodes_fused(self, tiny_model, million_factory):
         engine = BatchedMillionEngine(
             tiny_model, pooled(tiny_model, million_factory), max_batch_size=4
         )
         rid = engine.add_request(np.asarray([1, 2, 3, 4]), max_new_tokens=4)
-        _drain(engine, [rid])
-        timing = engine.stats()["step_timing"]
-        assert timing["last_fused_batch_size"] <= 1
+        tokens = _drain(engine, [rid])[rid]
+        stats = engine.stats()
+        # Every sampled token is decoded by one fused step of one row.
+        assert stats["step_timing"]["fused_decode_steps"] == len(tokens) == 4
+        assert stats["step_timing"]["last_fused_batch_size"] == 1
+        fused = stats["histograms"]["fused_batch_size"]
+        assert fused["count"] == 4 and fused["sum"] == 4

@@ -3,12 +3,13 @@
 The engine decodes its running batch through one fused stacked forward, so
 the suites need an answer computed without it.  Two oracles live here:
 
-* :func:`solo` serves every request alone on a fresh single-slot engine
-  and a fresh pool.  A batch of one never stacks (it is below
-  ``FUSED_MIN_BATCH``), so the run decodes through per-sequence
-  ``model.decode_step`` and ``cache.attend`` and never touches
-  :class:`~repro.core.attention_fused.FusedMillionAttention`; nothing else
-  is scheduled beside it.
+* :func:`solo` serves every request alone on the bare model over a fresh
+  pool, without the engine: it spells out the engine's chunk schedule
+  (:func:`~repro.serving.chunk_schedule`), then the engine's per-token
+  order (context check, sample, stop check, decode) through
+  per-sequence ``model.decode_step`` and ``cache.attend``.  It never
+  touches :class:`~repro.core.attention_fused.FusedMillionAttention`, and
+  nothing else is scheduled beside it.
 * :func:`oracle_logits` spells out the unbounded chunk schedule on the bare
   model: forward ``[0, A)``, flush, forward ``[A, P)``, then greedy decode.
 
@@ -41,9 +42,10 @@ from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
 from repro.core.codebook import SubspaceCodebooks
 from repro.models.attention_math import attention_scores, repeat_kv_heads
 from repro.models.positional import alibi_bias
+from repro.models.sampling import GreedySampler
 from repro.models.tensor_ops import softmax
 from repro.quant.kmeans import KMeansResult
-from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
+from repro.serving import BlockPool, PooledMillionCacheFactory, chunk_schedule
 from repro.utils.rng import get_rng, spawn_rngs
 
 #: Default pool of :func:`pooled`: room for everything a test serves, so
@@ -113,34 +115,54 @@ def solo(
     block_tokens: int = BLOCK_TOKENS,
     budget: Optional[int] = None,
     record_logits: bool = False,
-    **request,
+    stop_token: Optional[int] = None,
+    sampler=None,
+    seed=None,
 ) -> list:
     """Serve each prompt alone; its tokens, or its sampled logits.
 
     ``factory`` is a calibrated ``MillionCacheFactory``; every prompt gets
     its own ``num_blocks``-block pool of ``block_tokens``-token blocks
-    (:func:`pooled`), and ``budget`` is the engine's ``prefill_token_budget``
-    (the chunk size, which the logits depend on).  ``request`` holds the
-    remaining :meth:`BatchedMillionEngine.add_request` arguments (stop
-    token, sampler, seed).  With ``record_logits`` the sampler is a greedy
-    :class:`RecordingSampler` and the result is each prompt's list of
-    sampled logits.
+    (:func:`pooled`).  ``budget`` is the engine's ``prefill_token_budget``:
+    the chunk size is its largest block multiple (``max_seq_len`` rounded up
+    to a block without one), and the logits depend on it.  ``stop_token``,
+    ``sampler`` and ``seed`` are the request's.  With ``record_logits`` the
+    sampler is a greedy :class:`RecordingSampler` and the result is each
+    prompt's list of sampled logits.
     """
+    max_seq_len = model.config.max_seq_len
+    if budget is None:
+        chunk = block_tokens * -(-max_seq_len // block_tokens)
+    else:
+        chunk = block_tokens * max(1, budget // block_tokens)
     results = []
     for prompt in prompts:
-        engine = BatchedMillionEngine(
-            model,
-            pooled(model, factory, num_blocks=num_blocks, block_tokens=block_tokens),
-            max_batch_size=1,
-            prefill_token_budget=budget,
+        prompt = np.asarray(prompt, dtype=np.int64)
+        draw = RecordingSampler() if record_logits else sampler or GreedySampler()
+        rng = get_rng(seed)
+        tokens = []
+        cache_factory = pooled(
+            model, factory, num_blocks=num_blocks, block_tokens=block_tokens
         )
+        with model.temporary_context(cache_factory) as m:
+            bounds = chunk_schedule(prompt.size, block_tokens, chunk)
+            lo = 0
+            for hi in bounds[:-1]:
+                m.forward(prompt[lo:hi])
+                for cache in m.caches:
+                    cache.flush_all()
+                lo = hi
+            logits = m.forward(prompt[lo:])[-1]
+            while m.context_length < max_seq_len:
+                token = draw(logits, rng)
+                tokens.append(token)
+                if token == stop_token or len(tokens) >= max_new_tokens:
+                    break
+                logits = m.decode_step(token)
         if record_logits:
-            (logits,) = served_logits(engine, [prompt], max_new_tokens)
-            results.append(logits)
+            results.append(draw.logits)
         else:
-            (tokens,) = engine.generate_batch([prompt], max_new_tokens, **request)
-            results.append(tokens)
-        assert engine.fused_decode_steps == 0
+            results.append(np.asarray(tokens, dtype=np.int64))
     return results
 
 
