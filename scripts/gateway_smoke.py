@@ -25,7 +25,13 @@ then from this process:
    ``repro_engine_step_budget_utilization`` are exported;
 7. checks ``/readyz`` reports ready and renders one frame of the
    ``repro-obs top`` dashboard (``python -m repro.obs top --once``);
-8. checks a malformed request is rejected with 400.
+8. checks a malformed request is rejected with 400;
+9. starts the gateway a second time against the same job-local
+   ``--codebook-cache`` directory and asserts that this start logs a cache
+   hit (the first logged a calibration) and streams the same tokens.
+
+The reference engine calibrates without the cache, so the first gateway's
+tokens also pin cached-vs-fresh identity across the process boundary.
 
 Run from the repository root::
 
@@ -40,8 +46,10 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +91,8 @@ WHALE_PROMPT_TOKENS = 384
 WHALE_MAX_TOKENS = 16
 
 
-def start_gateway() -> tuple[subprocess.Popen, int]:
+def start_gateway(codebook_cache: str) -> tuple[subprocess.Popen, int, list[str]]:
+    """Launch the gateway; returns the process, its port and its start-up lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
@@ -95,6 +104,7 @@ def start_gateway() -> tuple[subprocess.Popen, int]:
             "--replicas", str(CONFIG.replicas),
             "--chunked-prefill", str(CONFIG.chunked_prefill),
             "--prefill-token-budget", str(CONFIG.prefill_token_budget),
+            "--codebook-cache", codebook_cache,
         ],
         env=env,
         cwd=REPO_ROOT,
@@ -104,15 +114,29 @@ def start_gateway() -> tuple[subprocess.Popen, int]:
     )
     deadline = time.time() + 180
     assert process.stdout is not None
+    lines = []
     while time.time() < deadline:
         line = process.stdout.readline()
         if not line:
             raise SystemExit(f"gateway exited early (rc={process.poll()})")
         print(f"  [gateway] {line.rstrip()}")
+        lines.append(line)
         match = re.search(r"listening on http://[^:]+:(\d+)", line)
         if match:
-            return process, int(match.group(1))
+            return process, int(match.group(1)), lines
     raise SystemExit("gateway did not start within 180s")
+
+
+def stop_gateway(process: subprocess.Popen) -> None:
+    process.terminate()
+    try:
+        process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        process.kill()
+
+
+def logged(lines: list[str], needle: str) -> bool:
+    return any(needle in line for line in lines)
 
 
 def request(port: int, method: str, path: str, payload=None):
@@ -126,9 +150,46 @@ def request(port: int, method: str, path: str, payload=None):
     return response.status, data
 
 
+def stream_tokens(port: int, prompt: list[int]) -> list[int]:
+    status, body = request(
+        port, "POST", "/v1/completions",
+        {"prompt": prompt, "max_tokens": MAX_TOKENS, "stream": True},
+    )
+    assert status == 200, (status, body)
+    streamed = []
+    for line in body.decode().splitlines():
+        if line.startswith("data: ") and line != "data: [DONE]":
+            token = json.loads(line[len("data: "):])["choices"][0]["token_id"]
+            if token is not None:
+                streamed.append(token)
+    return streamed
+
+
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="gateway-smoke-codebooks-") as codebook_cache:
+        prompt, streamed = check_gateway(codebook_cache)
+        print("restarting the gateway against the same codebook cache ...")
+        process, port, lines = start_gateway(codebook_cache)
+        try:
+            assert logged(lines, "codebook cache hit"), (
+                "second start did not load its codebooks from the cache"
+            )
+            restarted = stream_tokens(port, prompt)
+        finally:
+            stop_gateway(process)
+        assert restarted == streamed, (
+            "warm-started gateway diverged from the calibrating one:\n"
+            f"  warm: {restarted}\n  cold: {streamed}"
+        )
+        print("warm start ok (codebook cache hit, identical tokens)")
+    print("gateway smoke PASS")
+
+
+def check_gateway(codebook_cache: str) -> tuple[list[int], list[int]]:
+    """Steps 1-8 against a gateway that calibrates into ``codebook_cache``;
+    returns the prompt and the tokens streamed for it."""
     print("building reference engine (same seeds as the gateway subprocess) ...")
-    reference_engine = build_engines(CONFIG)[0]
+    reference_engine = build_engines(replace(CONFIG, codebook_cache=""))[0]
     vocab = reference_engine.model.config.vocab_size
     prompt = (load_corpus("wikitext2-syn", "test", 48, seed=11) % vocab).tolist()
     request_id = reference_engine.add_request(
@@ -138,24 +199,17 @@ def main() -> None:
     print(f"reference tokens: {expected}")
 
     print("starting gateway subprocess ...")
-    process, port = start_gateway()
+    process, port, lines = start_gateway(codebook_cache)
     try:
+        assert logged(lines, "calibrated MILLION codebooks"), (
+            "first start against an empty codebook cache did not calibrate"
+        )
         status, body = request(port, "GET", "/healthz")
         assert status == 200, (status, body)
         assert json.loads(body)["status"] == "ok"
         print("healthz ok")
 
-        status, body = request(
-            port, "POST", "/v1/completions",
-            {"prompt": prompt, "max_tokens": MAX_TOKENS, "stream": True},
-        )
-        assert status == 200, (status, body)
-        streamed = []
-        for line in body.decode().splitlines():
-            if line.startswith("data: ") and line != "data: [DONE]":
-                token = json.loads(line[len("data: "):])["choices"][0]["token_id"]
-                if token is not None:
-                    streamed.append(token)
+        streamed = stream_tokens(port, prompt)
         print(f"streamed tokens:  {streamed}")
         assert streamed == expected, (
             "gateway stream diverged from direct engine.run():\n"
@@ -325,12 +379,8 @@ def main() -> None:
         assert status == 400, (status, body)
         print("validation ok")
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-    print("gateway smoke PASS")
+        stop_gateway(process)
+    return prompt, streamed
 
 
 if __name__ == "__main__":

@@ -141,6 +141,7 @@ class FusedMillionAttention:
         self,
         caches: Sequence[MillionKVCacheLayer],
         segments: Sequence[int],
+        n_heads: int,
         kv_heads: int,
         layer_index: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +187,8 @@ class FusedMillionAttention:
         token_kv = self.arena.get("map.token_kv", (n_elements,), np.int64)
         row_index = self.arena.get("map.row", (n_elements,), np.int64)
         build_adc_index(
-            key_rows, token_kv, row_index, key_pq.n_centroids, adc_index,
+            key_rows, token_kv, row_index, key_pq.n_centroids,
+            len(segments) * n_heads, adc_index,
             self.arena, "fused.adc",
         )
         build_value_bins(
@@ -267,7 +269,7 @@ class FusedMillionAttention:
             if timing:
                 t = prof.now()
             adc_index, value_bins = self._layer_indices(
-                caches, segments, kv_heads, layer_index
+                caches, segments, n_heads, kv_heads, layer_index
             )
             if timing:
                 t = prof.lap("decode/pack_codes", t)

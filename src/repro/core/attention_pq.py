@@ -7,8 +7,9 @@ multi-head layout used by the KV cache: queries arrive as
 
 The kernels are *flat and grouped*: instead of looping query heads in Python,
 every (head, query, key) element is addressed through gather indices, so one
-``np.take`` per subspace serves the whole head group and one flat
-``np.add.at`` aggregates all probability mass per centroid.
+``np.take`` over the flattened lookup tables serves every subspace of the
+whole head group and one flat ``np.add.at`` aggregates all probability mass
+per centroid.
 
 Each kernel is split in two.  The *code side* (:func:`build_adc_index`,
 :func:`build_value_bins`) turns the PQ codes and the element layout into
@@ -90,24 +91,29 @@ def build_adc_index(
     token_kv_index: np.ndarray,
     row_index: np.ndarray,
     n_centroids: int,
+    n_rows: int,
     out: np.ndarray,
     arena: ScratchArena,
     name_prefix: str = "adc",
 ) -> np.ndarray:
-    """Code side of the ADC: ``out[m] = row * K + codes[token_kv, m]``.
+    """Code side of the ADC: ``out[m] = (m * n_rows + row) * K + codes[token_kv, m]``.
 
     ``codes_rows`` is ``(n_code_rows, M)``; ``token_kv_index`` and
     ``row_index`` give, for every output element, the code row and the LUT
     row (``row_index`` may broadcast).  ``out`` is ``(M,) + element shape``
-    int64: flat positions into each subspace's ``(n_rows * K)`` LUT.  Nothing
-    here depends on the query, so callers keep ``out`` while the codes and
-    the element layout are unchanged and pay only
-    :func:`adc_scores_indexed` per step.
+    int64: flat positions into the whole ``(M, n_rows, K)`` LUT, subspace
+    offsets included, so one gather serves every subspace.  Nothing here
+    depends on the query, so callers keep ``out`` while the codes and the
+    element layout are unchanged and pay only :func:`adc_scores_indexed`
+    per step.
     """
+    m_subspaces = out.shape[0]
     codes_elem = _element_codes(codes_rows, token_kv_index, arena, name_prefix)
     row_base = arena.get(f"{name_prefix}.row_base", token_kv_index.shape, np.int64)
     np.multiply(row_index, n_centroids, out=row_base)
     np.add(row_base, np.moveaxis(codes_elem, -1, 0), out=out)
+    subspace_offsets = np.arange(m_subspaces, dtype=np.int64) * (n_rows * n_centroids)
+    out += subspace_offsets.reshape((m_subspaces,) + (1,) * (out.ndim - 1))
     return out
 
 
@@ -117,21 +123,25 @@ def adc_scores_indexed(
     arena: ScratchArena,
     name_prefix: str = "adc",
 ) -> np.ndarray:
-    """Query side of the ADC: ``sum_m luts[m].flat[adc_index[m]]``.
+    """Query side of the ADC: ``sum_m luts.flat[adc_index[m]]``.
 
     ``luts_subspace_major`` is ``(M, n_rows, K)`` and ``adc_index`` comes from
-    :func:`build_adc_index`.  Returns float32 scores of the element shape,
-    accumulated subspace by subspace in order, exactly like
-    :meth:`ProductQuantizer.adc_scores`.
+    :func:`build_adc_index` with the same ``n_rows``.  One gather fetches
+    every subspace's entries; the reduction over the leading axis adds them
+    subspace by subspace in order, exactly like
+    :meth:`ProductQuantizer.adc_scores`.  Returns float32 scores of the
+    element shape.
     """
     shape = adc_index.shape[1:]
-    scores = arena.zeros(f"{name_prefix}.scores", shape, np.float32)
+    scores = arena.get(f"{name_prefix}.scores", shape, np.float32)
     if scores.size == 0:
         return scores
-    gathered = arena.get(f"{name_prefix}.gathered", shape, np.float32)
-    for m in range(luts_subspace_major.shape[0]):
-        np.take(luts_subspace_major[m].reshape(-1), adc_index[m], out=gathered)
-        scores += gathered
+    gathered = arena.get(f"{name_prefix}.gathered", adc_index.shape, np.float32)
+    # Every index is in range by construction, so "clip" never moves one;
+    # unlike the default "raise", it gathers straight into ``out`` instead
+    # of through a temporary of the same (M, elements) size.
+    np.take(luts_subspace_major.reshape(-1), adc_index, out=gathered, mode="clip")
+    np.add.reduce(gathered, axis=0, out=scores)
     return scores
 
 
@@ -252,7 +262,9 @@ def pq_attention_scores(
     index = arena.get(name, (m_subspaces, rows, n_keys), np.int64)
     if index_key is None or arena.memo.get(name) != index_key:
         token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
-        build_adc_index(codes_rows, token_kv, row_index, key_pq.n_centroids, index, arena)
+        build_adc_index(
+            codes_rows, token_kv, row_index, key_pq.n_centroids, rows, index, arena
+        )
         arena.memo[name] = index_key
     scores = adc_scores_indexed(luts, index, arena)
     scores = scores.reshape(n_heads, n_queries, n_keys)

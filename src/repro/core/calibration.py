@@ -8,10 +8,13 @@ the KVQuant-like baseline) on those samples.
 
 from __future__ import annotations
 
+import os
+import time
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core import codebook_cache
 from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionCacheFactory
 from repro.core.pq import ProductQuantizer
@@ -19,8 +22,11 @@ from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.models.transformer import TransformerLM
 from repro.quant.cache_adapters import KVQuantCacheFactory
 from repro.quant.kvquant import KVQuantQuantizer
+from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, derive_seed, get_rng
 from repro.utils.validation import require
+
+logger = get_logger("calibration")
 
 
 class KVSampleCollector:
@@ -169,17 +175,55 @@ def calibrate_million(
     calibration_tokens: np.ndarray | Iterable[np.ndarray],
     million_config: MillionConfig,
     chunk_size: int = 256,
+    cache_dir: str | os.PathLike | None = None,
 ) -> MillionCacheFactory:
-    """End-to-end offline phase: sample KV, train codebooks, return the factory."""
+    """End-to-end offline phase: sample KV, train codebooks, return the factory.
+
+    ``cache_dir`` names a directory of the content-addressed codebook cache
+    (:mod:`repro.core.codebook_cache`): codebooks trained on exactly these
+    inputs before are loaded from it instead of retrained, and fresh ones
+    are stored in it.  ``None`` or ``''`` trains without the cache.  Either
+    way one log line says which happened and how long it took.
+    """
+    start = time.perf_counter()
     million_config.validate_for_model(model.config)
+    if isinstance(calibration_tokens, np.ndarray):
+        streams = [calibration_tokens]
+    else:
+        streams = [np.asarray(s) for s in calibration_tokens]
+    path = None
+    if cache_dir:
+        key = codebook_cache.cache_key(model, streams, million_config, chunk_size)
+        path = codebook_cache.entry_path(cache_dir, key)
+        shape = (
+            model.config.n_layers,
+            million_config.m_subspaces,
+            million_config.n_centroids,
+            million_config.subspace_dim(model.config.head_dim),
+        )
+        quantizers = codebook_cache.read_entry(path, key, shape)
+        if quantizers is not None:
+            logger.info(
+                "codebook cache hit: loaded %s in %.2f s", path, time.perf_counter() - start
+            )
+            return MillionCacheFactory(quantizers, million_config)
     collector = collect_kv_samples(
         model,
-        calibration_tokens,
+        streams,
         chunk_size=chunk_size,
         max_samples_per_layer=million_config.calibration_samples,
         seed=million_config.seed,
     )
     quantizers = train_million_quantizers(collector, million_config)
+    if path is None:
+        stored = "codebook cache off"
+    elif codebook_cache.write_entry(path, key, quantizers):
+        stored = f"stored {path}"
+    else:
+        stored = "not stored"
+    logger.info(
+        "calibrated MILLION codebooks in %.2f s (%s)", time.perf_counter() - start, stored
+    )
     return MillionCacheFactory(quantizers, million_config)
 
 

@@ -22,6 +22,7 @@ import contextlib
 from dataclasses import fields
 
 from repro.gateway.bootstrap import GatewayConfig, build_gateway
+from repro.utils.logging import enable_console_logging
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -36,6 +37,12 @@ def _parser() -> argparse.ArgumentParser:
         flag = "--" + field.name.replace("_", "-")
         if field.name == "model":
             parser.add_argument(flag, default=defaults.model, help="zoo model name")
+        elif field.name == "codebook_cache":
+            parser.add_argument(
+                flag, default=None, metavar="DIR",
+                help="codebook cache directory (default $REPRO_CACHE_DIR, else "
+                "$XDG_CACHE_HOME/repro, else ~/.cache/repro); '' disables it",
+            )
         else:
             parser.add_argument(
                 flag, type=int, default=getattr(defaults, field.name),
@@ -53,7 +60,8 @@ def config_from_args(args: argparse.Namespace) -> GatewayConfig:
 async def serve(config: GatewayConfig, host: str, port: int) -> None:
     print(
         f"building gateway: model={config.model} replicas={config.replicas} "
-        f"pool_blocks={config.pool_blocks} (calibrating MILLION codebooks ...)",
+        f"pool_blocks={config.pool_blocks} (loading or calibrating MILLION "
+        "codebooks ...)",
         flush=True,
     )
     server = build_gateway(config)
@@ -67,6 +75,9 @@ async def serve(config: GatewayConfig, host: str, port: int) -> None:
 
 def main(argv=None) -> None:
     args = _parser().parse_args(argv)
+    # Library log lines (the codebook cache's hit/calibration line, health
+    # alerts) go to stderr.
+    enable_console_logging()
     with contextlib.suppress(KeyboardInterrupt):
         asyncio.run(serve(config_from_args(args), args.host, args.port))
 

@@ -3,10 +3,12 @@
 Everything the demo gateway serves is synthesized reproducibly from seeds
 (zoo model weights, synthetic calibration corpus, MILLION codebooks), so two
 processes that call :func:`build_gateway` with the same :class:`GatewayConfig`
-hold *identical* engines.  That property is what the CI smoke test leans on:
-it streams a completion from a gateway subprocess and compares the tokens
-against a direct :meth:`BatchedMillionEngine.run` on an engine it built
-itself — token identity across the HTTP boundary, asserted end to end.
+hold *identical* engines, whether their codebooks were trained or loaded
+from the codebook cache (which stores them bit for bit).  That property is
+what the CI smoke test leans on: it streams a completion from a gateway
+subprocess and compares the tokens against a direct
+:meth:`BatchedMillionEngine.run` on an engine it built itself — token
+identity across the HTTP boundary, asserted end to end.
 
 Calibration runs once; replicas share the read-only quantizers but each gets
 its own model instance and its own block pool (engines step concurrently on
@@ -24,6 +26,7 @@ from repro.core.calibration import (
     measure_sensitivity,
     train_million_quantizers,
 )
+from repro.core.codebook_cache import default_cache_dir
 from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionCacheFactory
 from repro.data.corpus import load_corpus
@@ -108,6 +111,13 @@ class GatewayConfig:
     # Per-step prefill token budget when ``chunked_prefill`` is 1; 0
     # derives 8 blocks' worth, i.e. ``8 * block_tokens``.
     prefill_token_budget: int = 0
+    # Directory of the content-addressed codebook cache
+    # (repro.core.codebook_cache): a start whose calibration inputs match an
+    # earlier one loads its codebooks instead of retraining them.  ``None``
+    # resolves to $REPRO_CACHE_DIR, else $XDG_CACHE_HOME/repro, else
+    # ~/.cache/repro, when engines are built; ``''`` disables the cache.  A
+    # deployment path, not a tuning knob: it never changes what is served.
+    codebook_cache: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -162,7 +172,10 @@ def build_engines(
         kmeans_iters=4,
         calibration_samples=1536,
     )
-    base_factory = calibrate_million(models[0], calibration, million)
+    cache_dir = (
+        default_cache_dir() if config.codebook_cache is None else config.codebook_cache
+    )
+    base_factory = calibrate_million(models[0], calibration, million, cache_dir=cache_dir)
     tier_policies: dict[str, QuantPolicy] = {}
     factory_bank: dict[int, MillionCacheFactory] = {config.bits: base_factory}
     if config.tiers:

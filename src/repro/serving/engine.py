@@ -54,8 +54,10 @@ every prefill follows one resumable **chunk schedule**:
   preemption order as decode.
 * **Preemption with recompute.**  Before each decode step the engine checks
   the pool can cover the step's flush; if not, a running sequence is
-  preempted — lowest priority class first, youngest first within a class
-  (so ``best_effort`` work is sacrificed before ``interactive`` work): its
+  preempted — lowest priority class first; within a class never-preempted
+  sequences youngest first, then already-preempted ones (so ``best_effort``
+  work is sacrificed before ``interactive`` work, and a restored sequence
+  is not the next victim): its
   non-shared blocks are freed and it re-queues at the front of its class's
   queue.  Restoration replays the prompt's chunk schedule, then feeds
   every generated token back as a teacher-forced row of the fused decode
@@ -245,7 +247,7 @@ class BatchedMillionEngine:
         if self._fused_attention is not None:
             self._fused_attention.prof = self.prof
         # ``priority_aware=False`` collapses the priority classes into one
-        # FIFO queue and makes preemption youngest-first regardless of class
+        # FIFO queue and orders preemption victims regardless of class
         # — the pre-priority behavior, kept as the baseline the
         # ``serving.slo_load`` benchmark compares against.
         self.scheduler = ContinuousBatchingScheduler(
@@ -975,7 +977,8 @@ class BatchedMillionEngine:
         allocations have not happened yet, so the pool must cover the sum,
         not just this sequence's share.  The victim is the first candidate in
         :meth:`ContinuousBatchingScheduler.preemption_victims` order (lowest
-        priority class first, youngest first within a class) that decodes
+        priority class first; within a class, never-preempted sequences
+        before preempted ones, youngest first) that decodes
         against the contended pool — preempting a sequence on another pool
         would free nothing here.  ``exclude`` holds sequences that must not
         be victims: the fused path passes the states already collected into

@@ -28,7 +28,9 @@ vLLM's paged KV allocator, specialised to MILLION's PQ-compressed cache:
 Exhaustion is a first-class outcome: allocation first recycles the free
 list, then evicts least-recently-used *cached* groups (published, refcount
 zero), and only then raises :class:`PoolExhaustedError` — which the engine
-turns into preemption of the youngest running sequence.
+turns into preemption of a running sequence, in
+:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.preemption_victims`
+order.
 """
 
 from __future__ import annotations

@@ -42,9 +42,11 @@ Two further lifecycle transitions support the block pool:
   the *front of its priority class's queue* with status ``PREEMPTED``, so it
   is restored before newly arrived requests of the same or lower class.
   :meth:`preemption_victims` orders the running set for eviction:
-  lowest-priority first, youngest first within a class — best-effort work is
-  sacrificed before interactive work, and the least-progressed sequence of a
-  class (cheapest to replay) goes first.
+  lowest-priority first, then within a class the never-preempted sequences
+  youngest first, then the already-preempted ones — best-effort work is
+  sacrificed before interactive work, the least-progressed sequence of a
+  class (cheapest to replay) goes first, and a sequence that just came back
+  from a preemption is not the next one sent away.
 * :meth:`cancel` — withdraw a queued, preempted or running request; it moves
   straight to the finished set.
 """
@@ -324,22 +326,26 @@ class ContinuousBatchingScheduler:
     def preemption_victims(self) -> Iterator[RequestState]:
         """Running sequences in eviction-preference order.
 
-        Lowest priority class first; youngest (most recently admitted)
-        first within a class.  With ``priority_aware=False`` this is simply
-        youngest-first — the pre-priority policy.  The engine walks this
-        order and preempts the first victim whose blocks would actually
-        relieve the contended pool.  Mid-prefill sequences (chunked
-        admission) are ordinary candidates: evicting one frees its chunk
-        blocks and its schedule restarts from scratch on restore.
+        Lowest priority class first.  Within a class, sequences never
+        preempted before come first, youngest (most recently admitted)
+        first; then the ones already preempted, youngest first.  A restored
+        sequence is the youngest, so age alone would pick it again and start
+        its restore over.  With ``priority_aware=False`` the whole running
+        set is one class.  The engine walks this order and preempts the
+        first victim whose blocks would actually relieve the contended pool.
+        Mid-prefill sequences (chunked admission) are ordinary candidates:
+        evicting one frees its chunk blocks and its schedule restarts from
+        scratch on restore.
         """
-        if not self.priority_aware:
-            yield from reversed(self._running.values())
-            return
-        by_class: dict[str, list[RequestState]] = {p: [] for p in PRIORITIES}
-        for state in self._running.values():
-            by_class[state.priority].append(state)
-        for label in reversed(PRIORITIES):
-            yield from reversed(by_class[label])
+        youngest_first = list(reversed(self._running.values()))
+        classes = (
+            [[s for s in youngest_first if s.priority == label] for label in reversed(PRIORITIES)]
+            if self.priority_aware
+            else [youngest_first]
+        )
+        for states in classes:
+            # Stable sort: never-preempted first, each group youngest first.
+            yield from sorted(states, key=lambda s: s.preemptions > 0)
 
     def release(self, state: RequestState) -> None:
         """Mark a running request finished and free its slot."""

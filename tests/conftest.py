@@ -7,6 +7,10 @@ scoped so the whole suite stays fast; tests must not mutate them in place
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,25 @@ from repro.core import MillionConfig, calibrate_million, collect_kv_samples
 from repro.data import load_corpus
 from repro.models import ModelConfig, build_model
 from repro.models.weights import OutlierSpec
+
+
+_codebook_cache_dir: list[str] = []
+
+
+def pytest_configure(config):
+    """Point the default codebook cache at a directory of this session.
+
+    Set before collection, so every gateway build and every subprocess the
+    suite starts uses it; the suite never writes to the user's cache.
+    """
+    directory = tempfile.mkdtemp(prefix="repro-codebook-cache-")
+    _codebook_cache_dir.append(directory)
+    os.environ["REPRO_CACHE_DIR"] = directory
+
+
+def pytest_unconfigure(config):
+    for directory in _codebook_cache_dir:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

@@ -156,6 +156,52 @@ class TestPQAttentionPrimitives:
         assert builds["wv"] == 3 + 4
         assert arena.memo["index.adc"] == arena.memo["index.wv"] == "c"
 
+    @pytest.mark.parametrize(
+        "n_queries,n_heads,kv_heads,n_keys",
+        [(1, 2, 2, 1), (1, 2, 2, 37), (1, 4, 2, 20), (3, 4, 1, 9), (2, 4, 2, 0)],
+    )
+    def test_single_gather_scores_bit_identical_to_subspace_loop(
+        self, pq_pair, head_dim, n_queries, n_heads, kv_heads, n_keys
+    ):
+        """One gather over the flat LUT plus a reduction over subspaces adds
+        in the same order as ``ProductQuantizer.adc_scores``' per-subspace
+        loop: every score is equal bit for bit, for every (head, query)."""
+        key_pq, _ = pq_pair
+        rng = np.random.default_rng(n_keys + 10 * n_heads)
+        keys, _ = _random_kv(rng, n_keys, kv_heads, head_dim)
+        codes = key_pq.encode(keys.reshape(-1, head_dim)).reshape(
+            n_keys, kv_heads, key_pq.m_subspaces
+        )
+        queries = rng.normal(size=(n_queries, n_heads, head_dim)).astype(np.float32)
+        scores = pq_attention_scores(queries, codes, key_pq, scale=1.0)
+        group = n_heads // kv_heads
+        for head in range(n_heads):
+            luts = key_pq.build_score_luts(queries[:, head, :])
+            expected = key_pq.adc_scores(luts, codes[:, head // group, :])
+            np.testing.assert_array_equal(scores[head], expected)
+
+    def test_adc_index_bakes_subspace_offsets_into_one_flat_lut(self, pq_pair):
+        key_pq, _ = pq_pair
+        m_subspaces, n_centroids = key_pq.m_subspaces, key_pq.n_centroids
+        rng = np.random.default_rng(12)
+        codes_rows = rng.integers(0, n_centroids, size=(6, m_subspaces))
+        token_kv = np.asarray([0, 5, 2, 2])
+        row_index = np.asarray([0, 0, 1, 2])
+        n_rows = 3
+        index = np.empty((m_subspaces, token_kv.size), np.int64)
+        attention_pq.build_adc_index(
+            codes_rows, token_kv, row_index, n_centroids, n_rows, index, ScratchArena()
+        )
+        subspace = np.arange(m_subspaces)[:, None]
+        expected = (subspace * n_rows + row_index) * n_centroids + codes_rows[token_kv].T
+        np.testing.assert_array_equal(index, expected)
+        luts = rng.normal(size=(m_subspaces, n_rows, n_centroids)).astype(np.float32)
+        scores = attention_pq.adc_scores_indexed(luts, index, ScratchArena())
+        reference = np.zeros(token_kv.size, np.float32)
+        for m in range(m_subspaces):
+            reference += luts[m, row_index, codes_rows[token_kv, m]]
+        np.testing.assert_array_equal(scores, reference)
+
     def test_shape_validation(self, pq_pair, head_dim):
         key_pq, value_pq = pq_pair
         with pytest.raises(Exception):

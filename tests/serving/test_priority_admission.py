@@ -140,6 +140,32 @@ class TestPreemptionOrdering:
             "c", "b", "a"
         ]
 
+    @pytest.mark.parametrize("priority_aware", [True, False])
+    def test_restored_victim_goes_after_never_preempted_ones(self, priority_aware):
+        """A restored sequence is the youngest running one; it must not be
+        the next victim while a never-preempted sequence of its class runs."""
+        scheduler = ContinuousBatchingScheduler(
+            max_batch_size=8, priority_aware=priority_aware
+        )
+        for rid, prio in [
+            ("i0", "interactive"),
+            ("b0", "best_effort"),
+            ("b1", "best_effort"),
+            ("b2", "best_effort"),
+        ]:
+            scheduler.submit(_state(rid, prio))
+        scheduler.admit()
+        victim = next(scheduler.preemption_victims())
+        assert victim.request_id == "b2"
+        scheduler.preempt(victim)
+        victim.preemptions += 1  # the engine counts each preemption
+        assert scheduler.admit_next() is victim
+        victims = [s.request_id for s in scheduler.preemption_victims()]
+        if priority_aware:
+            assert victims == ["b1", "b0", "b2", "i0"]
+        else:
+            assert victims == ["b1", "b0", "i0", "b2"]
+
     @settings(deadline=None, max_examples=60)
     @given(
         priorities=st.lists(st.sampled_from(PRIORITIES), min_size=1, max_size=12)
