@@ -14,19 +14,17 @@ per centroid.
 Each kernel is split in two.  The *code side* (:func:`build_adc_index`,
 :func:`build_value_bins`) turns the PQ codes and the element layout into
 flat LUT positions and centroid bins; it depends on nothing the query
-touches, so a caller keeps its output until a flush, adoption or reset
-changes the codes.  The *query side* (:func:`adc_scores_indexed`,
+touches.  The *query side* (:func:`adc_scores_indexed`,
 :func:`weighted_decode_indexed`) gathers the query's lookup tables and sums
-its probabilities through those indices — the only per-step work.  Every
-operation accumulates in a fixed element order that is independent of how
-many rows share the call — the property the fused batched decode path relies
-on to process many sequences per step while staying bit-identical to the
-per-sequence path (see :mod:`repro.core.attention_fused`).
+its probabilities through those indices.  Every operation accumulates in a
+fixed element order that is independent of how many rows share the call.
 
-The MILLION cache runs these kernels for single-query (decode) calls only:
-a multi-query prefill chunk is compute-bound, and there one GEMM over the
-reconstructed keys and values beats the per-element gathers at every chunk
-size (see :mod:`repro.core.million_cache`).
+These kernels are library primitives — the paper's LUT dataflow, which
+:mod:`repro.perf` models on a GPU — used by the benchmarks and as test
+oracles.  The MILLION cache itself attends through GEMMs over transiently
+reconstructed keys and values (see :mod:`repro.core.million_cache`): in
+NumPy the per-element gathers and the ``np.add.at`` scatter cost more than
+one reconstruction gather plus BLAS at every query count.
 """
 
 from __future__ import annotations
@@ -55,10 +53,6 @@ def gqa_token_kv_index(
     """
     rows = n_heads * n_queries
     out = arena.get(name, (rows, n_keys), np.int64)
-    memo_key = (n_heads, n_queries, n_keys, kv_heads)
-    if arena.memo.get(name) == memo_key:
-        return out  # map unchanged since last build (e.g. score then value
-        # kernels of one attend, or successive steps between flushes)
     group = n_heads // kv_heads
     kv_of_row = np.repeat(np.arange(n_heads, dtype=np.int64) // group, n_queries)
     np.add(
@@ -66,7 +60,6 @@ def gqa_token_kv_index(
         kv_of_row[:, None],
         out=out,
     )
-    arena.memo[name] = memo_key
     return out
 
 
@@ -220,8 +213,6 @@ def pq_attention_scores(
     key_codes: np.ndarray,
     key_pq: ProductQuantizer,
     scale: float = 1.0,
-    arena: ScratchArena | None = None,
-    index_key: object = None,
 ) -> np.ndarray:
     """Attention logits of queries against PQ-encoded keys.
 
@@ -231,11 +222,7 @@ def pq_attention_scores(
         ``(n_queries, n_heads, head_dim)``.
     key_codes:
         ``(n_keys, kv_heads, M)`` centroid indices.
-    index_key:
-        When given, the ``(M, n_heads * n_queries, n_keys)`` gather index is
-        kept in ``arena`` under this key and reused by the next call with an
-        equal key; the caller must change the key whenever ``key_codes`` or
-        the shapes may have changed.  ``None`` rebuilds it on every call.
+
     Returns
     -------
     ``(n_heads, n_queries, n_keys)`` float32 logits (already scaled).
@@ -249,7 +236,7 @@ def pq_attention_scores(
     require(head_dim == key_pq.dim, "query head_dim must match the key quantizer dim")
     require(m_subspaces == key_pq.m_subspaces, "codes M must match the key quantizer")
     require(n_heads % kv_heads == 0, "n_heads must be a multiple of kv_heads")
-    arena = arena or ScratchArena()
+    arena = ScratchArena()
 
     # One LUT per (query token, query head); flattening keeps the head axis
     # fastest so the reshape below is contiguous.
@@ -258,14 +245,11 @@ def pq_attention_scores(
     rows = n_heads * n_queries
     codes_rows = key_codes.reshape(n_keys * kv_heads, m_subspaces)
     row_index = np.arange(rows, dtype=np.int64)[:, None]
-    name = "adc.index" if index_key is None else "index.adc"
-    index = arena.get(name, (m_subspaces, rows, n_keys), np.int64)
-    if index_key is None or arena.memo.get(name) != index_key:
-        token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
-        build_adc_index(
-            codes_rows, token_kv, row_index, key_pq.n_centroids, rows, index, arena
-        )
-        arena.memo[name] = index_key
+    index = arena.get("adc.index", (m_subspaces, rows, n_keys), np.int64)
+    token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
+    build_adc_index(
+        codes_rows, token_kv, row_index, key_pq.n_centroids, rows, index, arena
+    )
     scores = adc_scores_indexed(luts, index, arena)
     scores = scores.reshape(n_heads, n_queries, n_keys)
     return scores * np.float32(scale)
@@ -275,8 +259,6 @@ def pq_weighted_values(
     probs: np.ndarray,
     value_codes: np.ndarray,
     value_pq: ProductQuantizer,
-    arena: ScratchArena | None = None,
-    index_key: object = None,
 ) -> np.ndarray:
     """Probability-weighted sum over PQ-encoded values.
 
@@ -286,9 +268,7 @@ def pq_weighted_values(
         ``(n_heads, n_queries, n_keys)`` attention probabilities.
     value_codes:
         ``(n_keys, kv_heads, M)`` centroid indices.
-    index_key:
-        As in :func:`pq_attention_scores`: keep the scatter bins in
-        ``arena`` under this key; ``None`` builds them transiently.
+
     Returns
     -------
     ``(n_queries, n_heads, head_dim)`` context vectors.
@@ -302,22 +282,19 @@ def pq_weighted_values(
     require(n_keys == keys_in_codes, "probs and value_codes disagree on n_keys")
     require(m_subspaces == value_pq.m_subspaces, "codes M must match the value quantizer")
     require(n_heads % kv_heads == 0, "n_heads must be a multiple of kv_heads")
-    arena = arena or ScratchArena()
+    arena = ScratchArena()
 
     rows = n_heads * n_queries
-    name = "wv.bins" if index_key is None else "index.wv"
-    bins = arena.get(name, (rows, n_keys, m_subspaces), np.int64)
-    if index_key is None or arena.memo.get(name) != index_key:
-        token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
-        build_value_bins(
-            value_codes.reshape(n_keys * kv_heads, m_subspaces),
-            token_kv,
-            np.arange(rows, dtype=np.int64)[:, None],
-            value_pq.n_centroids,
-            bins,
-            arena,
-        )
-        arena.memo[name] = index_key
+    bins = arena.get("wv.bins", (rows, n_keys, m_subspaces), np.int64)
+    token_kv = gqa_token_kv_index(n_heads, n_queries, n_keys, kv_heads, arena)
+    build_value_bins(
+        value_codes.reshape(n_keys * kv_heads, m_subspaces),
+        token_kv,
+        np.arange(rows, dtype=np.int64)[:, None],
+        value_pq.n_centroids,
+        bins,
+        arena,
+    )
     context = weighted_decode_indexed(
         probs.reshape(rows, n_keys), bins, rows, value_pq, arena
     )

@@ -1,28 +1,27 @@
 """The MILLION KV cache: PQ-encoded past plus a full-precision recent window.
 
-Single-query (decode) attention over the quantized past is computed entirely
-from codes and lookup tables (:mod:`repro.core.attention_pq`), the
-memory-bound case MILLION's LUT kernel is built for.  Multi-query (prefill)
-calls are compute-bound: they reconstruct the stored keys and values once,
-transiently, and run two batched GEMMs, as the paper runs prompt attention.
-Either way the recent window and the current token stay full precision and
-are merged through a single softmax, matching the decomposition of Eq. (7).
-An optional sparse outlier correction is available purely for the Table III
-sensitivity study — MILLION's point is that it is not needed.
+The PQ codes are the only persistent copy of the quantized past.  Every
+attention call, whatever its query count, reconstructs the stored keys and
+values transiently with one gather per side and contracts them with two
+batched GEMMs, the way KIVI and KVQuant attend over dequantized K/V (the
+paper's LUT kernel is modelled in :mod:`repro.perf`).  The recent window and
+the current token stay full precision and are merged through a single
+softmax, matching the decomposition of Eq. (7).  An optional sparse outlier
+correction is available purely for the Table III sensitivity study —
+MILLION's point is that it is not needed.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
+# Re-exported: the library's ADC kernels, looked up by profiling tools under
+# this module's name.
+from repro.core.attention_pq import pq_attention_scores, pq_weighted_values  # noqa: F401
 from repro.core.config import MillionConfig
 from repro.core.pq import ProductQuantizer
 from repro.core.storage import CodeStore
 from repro.utils.bitpack import code_dtype
-from repro.utils.scratch import ScratchArena
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import KVCacheLayer
 from repro.quant.cache_adapters import StreamingQuantizedKVCache
@@ -79,6 +78,14 @@ class _SparseCorrections:
         self.deltas.clear()
 
 
+def _flat_index_store(config: ModelConfig, quantizer: ProductQuantizer) -> CodeStore | None:
+    """Store for a side's kept flat indices, or ``None`` past 2 bytes per code."""
+    dtype = quantizer.flat_index_dtype
+    if dtype.itemsize > 2:
+        return None
+    return CodeStore((config.kv_heads, quantizer.m_subspaces), dtype)
+
+
 class MillionKVCacheLayer(StreamingQuantizedKVCache):
     """Per-layer MILLION cache (paper Fig. 4b/4c and Fig. 5).
 
@@ -88,10 +95,6 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
     schedule relies on this to interleave or resume prefill work without
     changing what a full rerun would compute).
     """
-
-    #: Process-wide id source for :attr:`cache_serial` (never reused, unlike
-    #: ``id()``, so content-change tracking across cache churn stays sound).
-    _serial_counter = itertools.count()
 
     def __init__(
         self,
@@ -118,15 +121,6 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         self.key_pq = key_pq
         self.value_pq = value_pq
         self.million_config = million_config
-        # Per-layer scratch buffers for the flat ADC kernels, reused across
-        # decode steps so attention performs no per-step allocations.
-        self.arena = ScratchArena()
-        # Content-change tracking for kept gather indices (this cache's
-        # decode calls and the fused decoder): (cache_serial, code_version)
-        # changes iff the stored code sequence may have changed, so steps
-        # without a flush reuse the indices built from the same codes.
-        self.cache_serial = next(self._serial_counter)
-        self.code_version = 0
         # Contiguous, amortized-doubling code storage: appends copy one block,
         # attention reads a zero-copy view — no per-step re-concatenation.
         self._key_codes = CodeStore(
@@ -135,6 +129,12 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         self._value_codes = CodeStore(
             (config.kv_heads, value_pq.m_subspaces), code_dtype(value_pq.nbits)
         )
+        # The codes' rows in the flattened centroid tables
+        # (ProductQuantizer.flat_index), appended beside them so a
+        # reconstruction is one plain gather.  Kept only when they fit in
+        # 2 bytes per code; wider tables derive them per call.
+        self._key_rows = _flat_index_store(config, key_pq)
+        self._value_rows = _flat_index_store(config, value_pq)
         self._key_corrections = _SparseCorrections()
         self._value_corrections = _SparseCorrections()
 
@@ -161,35 +161,6 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
             value_codes.reshape(t, kv_heads, -1),
         )
 
-    def encode_rows(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Encode ``(t, kv_heads, d)`` rows to ``(t, kv_heads, M)`` codes.
-
-        The pure compression half of the flush, exposed so the fused decode
-        path can encode the popped rows of many sequences in one call
-        (:meth:`ProductQuantizer.encode` is row-invariant, so the batched
-        codes are bit-identical to per-sequence encoding).  Sparse outlier
-        corrections are per-sequence COO state that cannot be split out of a
-        batched encode, so this path requires ``outlier_fraction == 0``.
-        """
-        require(
-            self.million_config.outlier_fraction == 0.0,
-            "encode_rows does not support sparse outlier corrections",
-        )
-        return self._encode_dense(keys, values)
-
-    def store_code_block(
-        self, key_codes: np.ndarray, value_codes: np.ndarray
-    ) -> None:
-        """Install pre-encoded code rows popped via :meth:`pop_flushable`."""
-        require(
-            key_codes.shape[0] == value_codes.shape[0],
-            "key and value code blocks must cover the same tokens",
-        )
-        self._store_code_rows(key_codes, value_codes)
-        self.account_flushed(key_codes.shape[0])
-
     def _store_code_rows(self, key_codes: np.ndarray, value_codes: np.ndarray) -> None:
         """Record a flushed block's ``(t, kv_heads, M)`` code rows.
 
@@ -198,9 +169,18 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         same code rows into ref-counted pool blocks without duplicating the
         outlier-splitting and encoding logic above.
         """
-        self._key_codes.append(key_codes)
-        self._value_codes.append(value_codes)
-        self.code_version += 1
+        self._append_codes(key_codes, value_codes)
+
+    def _append_codes(self, key_codes: np.ndarray, value_codes: np.ndarray) -> None:
+        """Extend the stored codes, and their kept flat indices, by ``t`` rows."""
+        for codes, store, rows, quantizer in (
+            (key_codes, self._key_codes, self._key_rows, self.key_pq),
+            (value_codes, self._value_codes, self._value_rows, self.value_pq),
+        ):
+            store.append(codes)
+            if rows is not None:
+                flat = quantizer.flat_index(codes.reshape(-1, quantizer.m_subspaces))
+                rows.append(flat.reshape(codes.shape))
 
     def _stored_key_codes(self) -> np.ndarray:
         return self._key_codes.view()
@@ -208,106 +188,30 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
     def _stored_value_codes(self) -> np.ndarray:
         return self._value_codes.view()
 
-    def stored_code_views(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(key_codes, value_codes)`` views, ``(stored, kv_heads, M)``.
-
-        The fused decode path reads these directly when it rebuilds its
-        batch-wide gather indices, instead of materializing per-request
-        copies.
-        """
-        return self._key_codes.view(), self._value_codes.view()
-
     # Attention hooks -----------------------------------------------------------
     #
-    # Single-query calls run the ADC kernels with gather indices kept in the
-    # arena until the codes change, bit-identical to the fused decoder.
-    # Multi-query calls reconstruct the stored rows (never kept) and contract
-    # them with one batched GEMM per side; query heads sharing a KV head are
-    # stacked as rows, ``(kv, group * n_q, d) @ (kv, d, T)``, so GQA needs no
-    # repeated copies of the reconstruction.
-
-    def _index_key(self, shape: tuple) -> tuple:
-        """Arena memo key of a single-query call's kept gather indices."""
-        return (self.cache_serial, self.code_version, shape)
+    # The stored rows are reconstructed transiently (never kept) and
+    # contracted with one batched GEMM per side; query heads sharing a KV
+    # head are stacked as rows, ``(kv, group * n_q, d) @ (kv, d, T)``, so GQA
+    # needs no repeated copies of the reconstruction.
 
     def _quantized_scores(self, queries: np.ndarray, scale: float) -> np.ndarray:
         n_queries, n_heads, head_dim = queries.shape
-        if n_queries > 1:
-            keys = self._reconstruct(
-                self._stored_key_codes(), self.key_pq, self._key_corrections
-            )
-            kv_heads = keys.shape[1]
-            grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
-            scores = np.matmul(grouped, keys.transpose(1, 2, 0))
-            scores = scores.reshape(n_heads, n_queries, keys.shape[0])
-            return scores * np.float32(scale)
-        scores = pq_attention_scores(
-            queries,
-            self._stored_key_codes(),
-            self.key_pq,
-            scale=scale,
-            arena=self.arena,
-            index_key=self._index_key(queries.shape),
-        )
-        if self._key_corrections.count:
-            scores = scores + self._key_score_corrections(queries) * np.float32(scale)
-        return scores
+        keys = self._reconstruct_keys()
+        kv_heads = keys.shape[1]
+        grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
+        scores = np.matmul(grouped, keys.transpose(1, 2, 0))
+        scores = scores.reshape(n_heads, n_queries, keys.shape[0])
+        return scores * np.float32(scale)
 
     def _quantized_weighted_values(self, probs: np.ndarray) -> np.ndarray:
         n_heads, n_queries, n_keys = probs.shape
-        if n_queries > 1:
-            values = self._reconstruct(
-                self._stored_value_codes(), self.value_pq, self._value_corrections
-            )
-            kv_heads = values.shape[1]
-            grouped = probs.reshape(kv_heads, -1, n_keys)
-            context = np.matmul(grouped, values.transpose(1, 0, 2))
-            context = context.reshape(n_heads, n_queries, -1)
-            return np.ascontiguousarray(context.transpose(1, 0, 2))
-        context = pq_weighted_values(
-            probs,
-            self._stored_value_codes(),
-            self.value_pq,
-            arena=self.arena,
-            index_key=self._index_key(probs.shape),
-        )
-        if self._value_corrections.count:
-            context = context + self._value_context_corrections(probs)
-        return context
-
-    def _key_score_corrections(self, queries: np.ndarray) -> np.ndarray:
-        """Sparse outlier contribution ``q · Δk`` added to the ADC scores."""
-        tokens, heads, channels, deltas = self._key_corrections.materialize()
-        n_queries, n_heads, _ = queries.shape
-        corrections = np.zeros((n_heads, n_queries, self._stored_tokens), dtype=np.float32)
-        group = n_heads // self.config.kv_heads
-        for offset in range(group):
-            query_heads = heads * group + offset
-            # contribution[h, :, token] += q[:, h, channel] * delta
-            contributions = queries[:, query_heads, channels] * deltas[None, :]
-            np.add.at(
-                corrections,
-                (query_heads[None, :], np.arange(n_queries)[:, None], tokens[None, :]),
-                contributions,
-            )
-        return corrections
-
-    def _value_context_corrections(self, probs: np.ndarray) -> np.ndarray:
-        """Sparse outlier contribution ``p · Δv`` added to the context."""
-        tokens, heads, channels, deltas = self._value_corrections.materialize()
-        n_heads, n_queries, _ = probs.shape
-        context = np.zeros((n_queries, n_heads, self.config.head_dim), dtype=np.float32)
-        group = n_heads // self.config.kv_heads
-        for offset in range(group):
-            query_heads = heads * group + offset
-            # context[:, h, channel] += probs[h, :, token] * delta
-            contributions = probs[query_heads, :, tokens].T * deltas[None, :]
-            np.add.at(
-                context,
-                (np.arange(n_queries)[:, None], query_heads[None, :], channels[None, :]),
-                contributions,
-            )
-        return context
+        values = self._reconstruct_values()
+        kv_heads = values.shape[1]
+        grouped = probs.reshape(kv_heads, -1, n_keys)
+        context = np.matmul(grouped, values.transpose(1, 0, 2))
+        context = context.reshape(n_heads, n_queries, -1)
+        return np.ascontiguousarray(context.transpose(1, 0, 2))
 
     # Memory accounting -----------------------------------------------------------
 
@@ -324,40 +228,51 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
     def dequantized_kv(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored keys/values as attention sees them, ``(stored, kv_heads, d)``.
 
-        PQ reconstructions plus the sparse outlier corrections; multi-query
-        attention reads exactly these rows.
+        PQ reconstructions plus the sparse outlier corrections; attention
+        reads exactly these rows.
         """
-        return (
-            self._reconstruct(self._stored_key_codes(), self.key_pq, self._key_corrections),
-            self._reconstruct(
-                self._stored_value_codes(), self.value_pq, self._value_corrections
-            ),
+        return self._reconstruct_keys(), self._reconstruct_values()
+
+    def _reconstruct_keys(self) -> np.ndarray:
+        return self._reconstruct(
+            self._key_codes, self._key_rows, self.key_pq, self._key_corrections
+        )
+
+    def _reconstruct_values(self) -> np.ndarray:
+        return self._reconstruct(
+            self._value_codes, self._value_rows, self.value_pq, self._value_corrections
         )
 
     def _reconstruct(
         self,
-        codes: np.ndarray,
+        codes: CodeStore,
+        rows: CodeStore | None,
         quantizer: ProductQuantizer,
         corrections: _SparseCorrections,
     ) -> np.ndarray:
-        """Decode ``(t, kv_heads, M)`` codes and add the outlier deltas."""
-        t, kv_heads, m_subspaces = codes.shape
-        rows = quantizer.decode(codes.reshape(t * kv_heads, m_subspaces))
-        rows = rows.reshape(t, kv_heads, quantizer.dim)
+        """Decode the ``(t, kv_heads, M)`` stored codes and add the outlier deltas."""
+        t, kv_heads, m_subspaces = codes.view().shape
+        if rows is None:
+            decoded = quantizer.decode(codes.view().reshape(t * kv_heads, m_subspaces))
+        else:
+            decoded = quantizer.decode_flat(
+                rows.view().reshape(t * kv_heads, m_subspaces)
+            )
+        decoded = decoded.reshape(t, kv_heads, quantizer.dim)
         if corrections.count:
             # Each (token, head, channel) holds at most one delta, so a plain
             # fancy-indexed add is exact.
             tokens, heads, channels, deltas = corrections.materialize()
-            rows[tokens, heads, channels] += deltas
-        return rows
+            decoded[tokens, heads, channels] += deltas
+        return decoded
 
     def reset(self) -> None:
         super().reset()
-        self._key_codes.clear()
-        self._value_codes.clear()
+        for store in (self._key_codes, self._value_codes, self._key_rows, self._value_rows):
+            if store is not None:
+                store.clear()
         self._key_corrections.clear()
         self._value_corrections.clear()
-        self.code_version += 1
 
 
 class MillionCacheFactory:

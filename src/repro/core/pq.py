@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.codebook import SubspaceCodebooks, train_codebooks
-from repro.utils.bitpack import code_dtype, packed_nbytes
+from repro.utils.bitpack import bits_required, code_dtype, packed_nbytes
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require
 
@@ -40,6 +40,8 @@ class ProductQuantizer:
         self._centroid_sq_norms: np.ndarray | None = None
         self._half_sq_norms_f32: np.ndarray | None = None
         self._centroids_t: dict[str, np.ndarray] = {}
+        # The centroid table with one item per centroid row (decode_flat).
+        self._centroid_rows: np.ndarray | None = None
 
     def centroid_sq_norms(self) -> np.ndarray:
         """``(M, K)`` squared centroid norms in float64 (cached)."""
@@ -160,14 +162,18 @@ class ProductQuantizer:
         codes = np.argmax(scores, axis=2).astype(code_dtype(self.nbits))
         return np.ascontiguousarray(codes.T)
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct ``(n, dim)`` vectors from centroid indices (Eq. 5).
+    @property
+    def flat_index_dtype(self) -> np.dtype:
+        """Narrowest unsigned dtype holding every :meth:`flat_index` entry."""
+        return code_dtype(bits_required(self.m_subspaces * self.n_centroids))
 
-        One ``np.take`` over the flattened ``(M * K, subspace_dim)`` centroid
-        table at ``m * K + code`` — a pure copy, so the output equals the
-        per-subspace lookup bit for bit.  Codes outside ``[0, K)`` are
-        rejected: the flat index would otherwise read a neighbouring
-        subspace's table.
+    def flat_index(self, codes: np.ndarray) -> np.ndarray:
+        """Rows ``m * K + code`` of ``(n, M)`` codes in the flattened centroid table.
+
+        The index :meth:`decode_flat` gathers with, in
+        :attr:`flat_index_dtype`.  Codes outside ``[0, K)`` are rejected:
+        their row would belong to a neighbouring subspace's table.  The range
+        scan is skipped when the code dtype cannot hold ``K``.
         """
         codes = np.asarray(codes)
         require(
@@ -175,13 +181,43 @@ class ProductQuantizer:
             f"codes must have shape (n, {self.m_subspaces}), got {codes.shape}",
         )
         n_centroids = self.n_centroids
+        bounded = (
+            codes.dtype.kind == "u" and np.iinfo(codes.dtype).max < n_centroids
+        )
         require(
-            codes.size == 0 or (codes.min() >= 0 and codes.max() < n_centroids),
+            bounded
+            or codes.size == 0
+            or (codes.min() >= 0 and codes.max() < n_centroids),
             f"codes must lie in [0, {n_centroids})",
         )
-        flat_index = codes + np.arange(self.m_subspaces, dtype=np.int64) * n_centroids
-        table = self.codebooks.centroids.reshape(-1, self.subspace_dim)
-        return np.take(table, flat_index, axis=0).reshape(codes.shape[0], self.dim)
+        offsets = np.arange(self.m_subspaces) * n_centroids
+        return np.add(
+            codes, offsets, dtype=self.flat_index_dtype, casting="unsafe"
+        )
+
+    def decode_flat(self, flat_index: np.ndarray) -> np.ndarray:
+        """Reconstruct ``(n, dim)`` vectors from ``(n, M)`` :meth:`flat_index` rows.
+
+        One ``np.take`` over the ``(M * K, subspace_dim)`` centroid table
+        viewed with one item per centroid row, so each gathered element is a
+        whole ``subspace_dim`` row: a pure copy, equal to the per-subspace
+        lookup bit for bit.
+        """
+        if self._centroid_rows is None:
+            table = np.ascontiguousarray(self.codebooks.centroids, dtype=np.float32)
+            row_bytes = table.itemsize * self.subspace_dim
+            row = (
+                np.dtype(f"u{row_bytes}")
+                if row_bytes in (4, 8)
+                else np.dtype((np.void, row_bytes))
+            )
+            self._centroid_rows = table.reshape(-1, self.subspace_dim).view(row)[:, 0]
+        rows = np.take(self._centroid_rows, flat_index)
+        return rows.view(np.float32).reshape(rows.shape[0], self.dim)
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """Reconstruct ``(n, dim)`` vectors from centroid indices (Eq. 5)."""
+        return self.decode_flat(self.flat_index(codes))
 
     def quantize(self, vectors: np.ndarray) -> np.ndarray:
         """Round-trip convenience: ``decode(encode(vectors))``."""

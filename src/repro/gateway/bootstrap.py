@@ -57,9 +57,9 @@ class GatewayConfig:
     ``"quality"`` (mixed policy at 1.5x the default uniform byte budget),
     ``"balanced"`` (alias of the default factory) and ``"compact"`` (mixed
     policy below the default budget).  Clients pick one with the request's
-    ``tier`` field; tiered engines decode mixed batches through the generic
-    fused path (different tiers use different codebooks, so the shared-ADC
-    fast path does not apply), hence the default is off.
+    ``tier`` field; tiers decode through the same stacked forward as
+    untiered requests.  Each tier calibrates its own codebooks at startup,
+    hence the default is off.
     """
 
     model: str = "llama-2-7b-tiny"

@@ -11,15 +11,9 @@ from repro.models.config import ModelConfig
 from repro.models.kv_cache import KVCacheLayer
 from repro.models.linear import Linear
 from repro.models.positional import RotaryEmbedding
+from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 
 KVObserver = Callable[[np.ndarray, np.ndarray], None]
-
-# Fused multi-sequence attention strategy: called with (attention_block,
-# caches, q, k, v, positions, layer_index=...) where q is (B, n_heads,
-# head_dim) and k/v are (B, kv_heads, head_dim) — one token per sequence —
-# and must return context of shape (B, n_heads, head_dim).  It owns
-# appending k/v to each cache; layer_index keys any per-layer scratch state.
-BatchAttend = Callable[..., np.ndarray]
 
 
 class AttentionBlock:
@@ -110,8 +104,7 @@ class AttentionBlock:
         x: np.ndarray,
         caches: list[KVCacheLayer],
         positions: np.ndarray,
-        batch_attend: Optional["BatchAttend"] = None,
-        layer_index: int = 0,
+        prof: PhaseProfiler = NULL_PROFILER,
     ) -> np.ndarray:
         """One attention step for ``B`` independent sequences stacked row-wise.
 
@@ -119,28 +112,35 @@ class AttentionBlock:
         sequence — and ``caches[b]`` / ``positions[b]`` belong to sequence
         ``b``.  Projections run as stacked row-invariant GEMMs, so each row's
         (q, k, v) is bit-identical to what the per-sequence path computes for
-        that sequence alone.  Attention is delegated to ``batch_attend``
-        (e.g. the fused MILLION ADC path) or falls back to one
-        ``append`` + ``attend`` per sequence — same calls, same bits, as the
-        per-sequence path.
+        that sequence alone; attention is one ``append`` + ``attend`` per
+        sequence — same calls, same bits, as the per-sequence path.  With
+        ``prof`` enabled the appends (flush and encode) and the attends are
+        timed as the ``decode/flush_encode`` and ``decode/attend`` phases.
         """
         x = np.asarray(x, dtype=np.float32)
         n_seqs = x.shape[0]
         q, k, v = self.project_qkv(x, positions, paired=True)
-        if batch_attend is not None:
-            context = batch_attend(
-                self, caches, q, k, v, positions, layer_index=layer_index
-            )
-        else:
-            context = np.empty_like(q)
-            for b, cache in enumerate(caches):
-                cache.append(k[b : b + 1], v[b : b + 1])
-                context[b] = cache.attend(
-                    q[b : b + 1],
-                    positions[b : b + 1],
-                    self.scale,
-                    alibi_head_slopes=self.alibi_head_slopes,
-                )[0]
+        context = np.empty_like(q)
+        timing = prof.enabled
+        append_seconds = attend_seconds = 0.0
+        for b, cache in enumerate(caches):
+            if timing:
+                start = prof.now()
+            cache.append(k[b : b + 1], v[b : b + 1])
+            if timing:
+                appended = prof.now()
+            context[b] = cache.attend(
+                q[b : b + 1],
+                positions[b : b + 1],
+                self.scale,
+                alibi_head_slopes=self.alibi_head_slopes,
+            )[0]
+            if timing:
+                append_seconds += appended - start
+                attend_seconds += prof.now() - appended
+        if timing:
+            prof.record("decode/flush_encode", append_seconds)
+            prof.record("decode/attend", attend_seconds)
         context = context.reshape(n_seqs, self.config.n_heads * self.config.head_dim)
         return self.wo(context, paired=True)
 

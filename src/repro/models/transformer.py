@@ -25,6 +25,7 @@ from repro.models.kv_cache import (
 from repro.models.linear import Embedding, Linear
 from repro.models.sampling import GreedySampler
 from repro.models.tensor_ops import ACTIVATION_FUNCTIONS, layer_norm, rms_norm
+from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 from repro.utils.rng import SeedLike, get_rng
 from repro.utils.validation import require
 
@@ -150,8 +151,7 @@ class TransformerBlock:
         x: np.ndarray,
         caches: Sequence[KVCacheLayer],
         positions: np.ndarray,
-        batch_attend=None,
-        layer_index: int = 0,
+        prof: PhaseProfiler = NULL_PROFILER,
     ) -> np.ndarray:
         """One block step for stacked single-token rows of ``B`` sequences.
 
@@ -160,8 +160,7 @@ class TransformerBlock:
         bit-identical to running :meth:`forward` on sequence ``b`` alone.
         """
         attn_out = self.attention.fused_decode(
-            self.attention_norm(x), list(caches), positions, batch_attend,
-            layer_index=layer_index,
+            self.attention_norm(x), list(caches), positions, prof
         )
         x = x + attn_out
         x = x + self.feed_forward(self.ffn_norm(x), paired=True)
@@ -328,21 +327,19 @@ class TransformerLM:
         self,
         tokens: np.ndarray,
         contexts: Sequence[ModelContext],
-        batch_attend=None,
+        prof: PhaseProfiler = NULL_PROFILER,
     ) -> np.ndarray:
         """Advance ``B`` independent sequences by one token in one pass.
 
         ``tokens[b]`` is appended to ``contexts[b]`` (each context carries its
         own per-layer caches and position); the return value is ``(B, vocab)``
         logits.  Every layer runs one stacked traversal — norms, paired
-        projections, one (possibly fused) attention call — instead of ``B``
-        full model traversals, and each row is bit-identical to calling
+        projections, then one ``append`` + ``attend`` per sequence against
+        its own caches, so every cache scheme is supported — instead of
+        ``B`` full model traversals, and each row is bit-identical to calling
         :meth:`decode_step` on that context alone (the tests' reference
-        serves each request alone, through :meth:`decode_step`).
-
-        ``batch_attend`` follows :data:`repro.models.attention.BatchAttend`;
-        ``None`` falls back to per-sequence ``append``/``attend`` against
-        each context's caches, which supports every cache scheme.
+        serves each request alone, through :meth:`decode_step`).  ``prof``
+        receives the attention phases (see :meth:`AttentionBlock.fused_decode`).
         """
         require(not self.kv_observers, "fused decode does not support kv observers")
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
@@ -361,9 +358,7 @@ class TransformerLM:
             x = x + self.position_embedding(positions)
         for layer_index, block in enumerate(self.blocks):
             caches = [context.caches[layer_index] for context in contexts]
-            x = block.fused_decode(
-                x, caches, positions, batch_attend, layer_index=layer_index
-            )
+            x = block.fused_decode(x, caches, positions, prof)
         x = self.final_norm(x)
         logits = self._project_logits(x, paired=True)
         for context in contexts:

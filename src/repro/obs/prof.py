@@ -11,8 +11,8 @@ disabled cost is one attribute check (the same contract as tracing; the
 ``serving.profiler_overhead`` benchmark gates both).
 
 Phases are ``/``-separated paths forming a static call tree:
-``decode/adc_gather`` is time inside the fused attention's segment-ADC
-gather, attributed under the engine's ``decode`` span.  The engine
+``decode/attend`` is time inside the stacked decode forward's per-sequence
+attention, attributed under the engine's ``decode`` span.  The engine
 records the *parent* phases (``decode``, ``prefill``) from the same wall
 split it already exports as ``decode_seconds_total``, so per-phase
 **self time** — a phase's total minus its direct children — sums exactly
@@ -47,7 +47,7 @@ class PhaseProfiler:
     """Thread-safe per-phase time accumulator.
 
     ``record(phase, seconds)`` adds one timed occurrence of ``phase`` (a
-    ``/``-separated path such as ``"decode/lut_build"``).  Engine stepper
+    ``/``-separated path such as ``"decode/attend"``).  Engine stepper
     threads record while scrape handlers snapshot; one lock serializes
     both.  There is deliberately no per-event storage — memory is
     O(distinct phases) no matter how long the server runs.

@@ -19,8 +19,8 @@ and leaves three hooks to subclasses:
 
 :class:`DequantizingKVCache` is the convenience base for schemes that
 materialise ``(K̂, V̂)`` (KIVI-like and KVQuant-like); MILLION's cache extends
-the streaming base directly, answers decode from the codes and reconstructs
-``(K̂, V̂)`` only transiently, for multi-query calls.
+the streaming base directly, keeps only the codes and reconstructs
+``(K̂, V̂)`` transiently, per attention call.
 """
 
 from __future__ import annotations
@@ -71,42 +71,8 @@ class StreamingQuantizedKVCache(KVCacheLayer):
         # adding the new block, mirroring the asynchronous quantization stream
         # that compresses older tokens while the new token is being processed.
         self._flush(keep=self.residual_window)
-        self.append_pending(keys, values)
-
-    def append_pending(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Stage new full-precision tokens *without* the pre-append flush.
-
-        This is one half of :meth:`append`; the other half is the flush
-        (:meth:`pop_flushable` + subclass storage + :meth:`account_flushed`).
-        The fused batched decode path drives the halves separately so it can
-        quantize the flushed rows of many sequences in one encoder call —
-        the split changes who calls the encoder, not what is computed.
-        """
-        keys = np.asarray(keys, dtype=np.float32)
-        values = np.asarray(values, dtype=np.float32)
-        self._validate_append(keys, values)
         self._pending.append(keys, values)
         self._seq_len += keys.shape[0]
-
-    def pop_flushable(self) -> tuple[np.ndarray, np.ndarray]:
-        """Remove and return the rows the next append-triggered flush would store.
-
-        Callers that take rows out through this method own the rest of the
-        flush protocol: compress and store the rows, then call
-        :meth:`account_flushed` with the row count.
-        """
-        flushable = self._flushable(self.residual_window)
-        if flushable == 0:
-            empty = np.zeros(
-                (0, self.config.kv_heads, self.config.head_dim), dtype=np.float32
-            )
-            return empty, empty.copy()
-        return self._pending.pop_front(flushable)
-
-    def account_flushed(self, n_tokens: int) -> None:
-        """Record that ``n_tokens`` popped rows are now in compressed storage."""
-        require(n_tokens >= 0, "n_tokens must be >= 0")
-        self._stored_tokens += n_tokens
 
     def pending_views(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(keys, values)`` views of the pending full-precision rows."""
@@ -213,6 +179,8 @@ class StreamingQuantizedKVCache(KVCacheLayer):
         pending_values = self._pending.values_view()
         pending_positions = np.arange(stored, stored + pending_keys.shape[0])
         if pending_keys.shape[0] > 0:
+            # A decode query sits at the last pending position, so its causal
+            # mask is all zeros; skipping the add leaves every score as is.
             pending_scores = attention_scores(
                 queries,
                 pending_keys,
@@ -220,7 +188,7 @@ class StreamingQuantizedKVCache(KVCacheLayer):
                 pending_positions,
                 scale,
                 alibi_head_slopes=alibi_head_slopes,
-                causal=True,
+                causal=bool(pending_positions[-1] > np.min(query_positions)),
             )
             score_blocks.append(pending_scores)
         if not score_blocks:

@@ -281,12 +281,7 @@ class PolicyCacheFactory:
 
     @property
     def million_config(self) -> Optional[MillionConfig]:
-        """The single MILLION config when the policy is uniform MILLION.
-
-        The serving engine keys its fused segment-ADC attention off this
-        attribute; mixed policies return ``None`` and decode through the
-        generic per-sequence attend inside the stacked forward.
-        """
+        """The single MILLION config when the policy is uniform MILLION (else None)."""
         if not self.policy.is_uniform:
             return None
         assignment = self.policy.assignment(0, 0)

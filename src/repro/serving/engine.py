@@ -4,14 +4,14 @@ One calibrated model serves many concurrent sequences: every request owns a
 private :class:`~repro.models.transformer.ModelContext` (its per-layer
 quantized caches + position).  Prefills swap contexts in and out of the
 shared :class:`~repro.models.transformer.TransformerLM`; decode advances the
-whole running batch through **one** fused stacked forward per step
-(:meth:`TransformerLM.fused_decode_step` plus
-:class:`~repro.core.attention_fused.FusedMillionAttention` for MILLION
-caches), whatever the batch size.  Weights and trained PQ codebooks
-are shared; per-sequence state is isolated, so with greedy sampling the
-batched output is token-identical to serving each request alone (the test
-suite's reference oracle, which sweeps batch shapes, preemption,
-cancellation and prefix sharing against it).
+whole running batch through **one** stacked forward per step
+(:meth:`TransformerLM.fused_decode_step`), whatever the batch size: the
+projections and MLPs run stacked, and each sequence appends to and attends
+over its own caches, exactly as it would alone.  Weights and trained PQ
+codebooks are shared; per-sequence state is isolated, so with greedy
+sampling the batched output is token-identical to serving each request
+alone (the test suite's reference oracle, which sweeps batch shapes,
+preemption, cancellation and prefix sharing against it).
 
 Scheduling is continuous batching (see
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`): a sequence
@@ -77,7 +77,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.attention_fused import FusedMillionAttention
 from repro.models.kv_cache import KVCacheFactory
 from repro.models.sampling import GreedySampler
 from repro.models.transformer import TransformerLM
@@ -227,25 +226,11 @@ class BatchedMillionEngine:
                 f"the {label!r} cache factory has no block pool; wrap a "
                 "calibrated factory in a PooledMillionCacheFactory over a BlockPool",
             )
-        self._fused_attention: Optional[FusedMillionAttention] = None
-        foreign_tier_factories = any(
-            tier_factory is not factory
-            for tier_factory in self.tier_factories.values()
-        )
-        if factory.million_config is not None and not foreign_tier_factories:
-            # One MILLION codebook set per layer gets the fused segment-ADC
-            # attention.  Mixed-precision policies and tier engines mix caches
-            # built from different quantizers in one fused batch, which the
-            # segment-ADC path cannot serve — they use the generic
-            # per-sequence attend inside the stacked forward.
-            self._fused_attention = FusedMillionAttention()
         # Phase profiler (repro.obs.prof): attributes step wall time to named
         # kernels.  Defaults to the shared no-op so every hook costs one
-        # ``enabled`` attribute check; the fused attention shares the same
-        # instance so kernel phases nest under the engine's ``decode`` root.
+        # ``enabled`` attribute check; the stacked decode forward records its
+        # attention phases into it, under the engine's ``decode`` root.
         self.prof = prof if prof is not None else NULL_PROFILER
-        if self._fused_attention is not None:
-            self._fused_attention.prof = self.prof
         # ``priority_aware=False`` collapses the priority classes into one
         # FIFO queue and orders preemption victims regardless of class
         # — the pre-priority behavior, kept as the baseline the
@@ -1104,7 +1089,7 @@ class BatchedMillionEngine:
             logits = self.model.fused_decode_step(
                 np.asarray(tokens, dtype=np.int64),
                 [state.context for state in live],
-                batch_attend=self._fused_attention,
+                prof=self.prof,
             )
             for row, (state, token) in enumerate(zip(live, tokens)):
                 state.next_logits = logits[row]

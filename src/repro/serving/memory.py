@@ -708,11 +708,12 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
     ``flush_block_multiple = block_tokens`` forces every flush onto block
     boundaries, so each flushed span fills whole blocks and sealed blocks are
     always full.  The layer keeps a contiguous *shadow* of its logical code
-    sequence (the inherited :class:`~repro.core.storage.CodeStore` pair) so
-    ADC attention still reads zero-copy views with amortized O(1) upkeep per
-    decode step; the pool blocks are the authoritative, ref-counted storage
-    that admission and preemption account against, and the shadow models the
-    GPU-side gather buffer (it is excluded from the quantized footprint, like
+    sequence (the inherited :class:`~repro.core.storage.CodeStore` pairs of
+    codes and their flat gather indices) so attention reconstructs from
+    zero-copy views with amortized O(1) upkeep per decode step; the pool
+    blocks are the authoritative, ref-counted storage that admission and
+    preemption account against, and the shadow models the GPU-side gather
+    buffer (it is excluded from the quantized footprint, like
     the working buffers of ``DequantizingKVCache``).
 
     The layer itself never touches the prefix-hash table: hashes are a
@@ -793,10 +794,10 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
             "shared blocks can only be adopted at a clean block boundary",
         )
         for block_id in block_ids:
-            self._key_codes.append(self.pool.key_codes(block_id))
-            self._value_codes.append(self.pool.value_codes(block_id))
+            self._append_codes(
+                self.pool.key_codes(block_id), self.pool.value_codes(block_id)
+            )
             self._block_table.append(int(block_id))
-        self.code_version += 1
         self._absorb_stored_tokens(len(block_ids) * self.pool.block_tokens)
 
     def drain_new_blocks(self) -> list[int]:

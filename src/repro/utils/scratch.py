@@ -1,12 +1,9 @@
-"""Reusable scratch buffers for per-step decode kernels.
+"""Reusable scratch buffers for the ADC attention kernels.
 
-The ADC attention kernels need several buffers per decode step (gather
-indices kept between flushes, LUT gathers, packed probabilities, centroid
-aggregates).  Allocating them anew every step makes the allocator the hot
-path once the numpy calls themselves are fused; a :class:`ScratchArena`
-keeps one growable buffer per logical name and hands out leading views, so
-steady-state decoding performs no per-step allocations (a test asserts the
-arena stops growing).
+The kernels need several buffers per call (gather indices, LUT gathers,
+centroid aggregates).  A :class:`ScratchArena` keeps one
+growable buffer per logical name and hands out leading views, so a caller
+that reuses an arena across calls performs no per-call allocations.
 """
 
 from __future__ import annotations
@@ -34,10 +31,6 @@ class ScratchArena:
         self._buffers: dict[str, np.ndarray] = {}
         self.grow_count = 0
         self.hit_count = 0
-        # Free-form per-buffer annotations: kernels stash a content key here
-        # (e.g. the shape parameters an index map was built from) so repeat
-        # calls can skip refilling an unchanged buffer.
-        self.memo: dict[str, object] = {}
 
     def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         size = int(np.prod(shape)) if shape else 1

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from support.reference import reference_adc_attend
+from support.reference import reference_adc_attend, reference_pq_decode
 
 from repro.core import attention_pq
 from repro.core.attention_pq import pq_attention_scores, pq_sparse_attention, pq_weighted_values
@@ -107,9 +107,10 @@ class TestPQAttentionPrimitives:
         assert scores.shape == (2, 2, 12)
         assert context.shape == (2, 2, head_dim)
 
-    def test_kept_indices_match_transient_and_rebuild_on_key_change(
-        self, pq_pair, head_dim, monkeypatch
-    ):
+    def test_every_call_builds_its_own_indices(self, pq_pair, head_dim, monkeypatch):
+        """The ADC primitives keep nothing between calls: each call builds
+        its gather indices from the codes it is given, so a call on new codes
+        never reads the previous call's."""
         key_pq, value_pq = pq_pair
         rng = np.random.default_rng(7)
         builds = {"adc": 0, "wv": 0}
@@ -136,25 +137,25 @@ class TestPQAttentionPrimitives:
                 key_pq.encode(keys.reshape(-1, head_dim)).reshape(n_keys, 2, -1),
                 value_pq.encode(values.reshape(-1, head_dim)).reshape(n_keys, 2, -1),
             )
-        arena = ScratchArena()
         for key in ("a", "a", "b", "c"):
             key_codes, value_codes = codes[key]
             n_keys = key_codes.shape[0]
             queries = rng.normal(size=(1, 4, head_dim)).astype(np.float32)
             probs = softmax(rng.normal(size=(4, 1, n_keys)), axis=-1)
-            np.testing.assert_array_equal(
-                pq_attention_scores(queries, key_codes, key_pq, 0.3, arena, index_key=key),
-                pq_attention_scores(queries, key_codes, key_pq, 0.3),
-            )
-            np.testing.assert_array_equal(
-                pq_weighted_values(probs, value_codes, value_pq, arena, index_key=key),
-                pq_weighted_values(probs, value_codes, value_pq),
-            )
-        # The repeated key reused its indices; every new key rebuilt them (the
-        # transient reference calls build both indices every time).
-        assert builds["adc"] == 3 + 4
-        assert builds["wv"] == 3 + 4
-        assert arena.memo["index.adc"] == arena.memo["index.wv"] == "c"
+            scores = pq_attention_scores(queries, key_codes, key_pq, 0.3)
+            context = pq_weighted_values(probs, value_codes, value_pq)
+            for head in range(4):
+                rows = key_codes[:, head // 2, :]
+                luts = key_pq.build_score_luts(queries[:, head, :])
+                np.testing.assert_array_equal(
+                    scores[head], key_pq.adc_scores(luts, rows) * np.float32(0.3)
+                )
+                np.testing.assert_allclose(
+                    context[:, head],
+                    value_pq.weighted_decode(probs[head], value_codes[:, head // 2, :]),
+                    rtol=1e-5, atol=1e-6,
+                )
+        assert builds == {"adc": 4, "wv": 4}
 
     @pytest.mark.parametrize(
         "n_queries,n_heads,kv_heads,n_keys",
@@ -221,40 +222,78 @@ class TestMillionKVCacheLayer:
         )
         return MillionKVCacheLayer(config, key_pq, value_pq, million)
 
-    def test_prefill_keeps_no_index_above_decode_shape(
-        self, mha_config, pq_pair, head_dim
-    ):
-        """Only single-query calls keep gather indices: a 64-query prefill
-        chunk attends through GEMMs and leaves no index behind."""
+    def test_attend_keeps_no_index(self, mha_config, pq_pair, head_dim):
+        """Attention reconstructs the stored rows transiently: neither a
+        64-query prefill chunk nor a decode step leaves anything behind."""
         key_pq, value_pq = pq_pair
         million = MillionConfig(m_subspaces=key_pq.m_subspaces, nbits=key_pq.nbits)
         cache = MillionKVCacheLayer(
             mha_config, key_pq, value_pq, million, flush_block_multiple=4
         )
         rng = np.random.default_rng(8)
-        keys, values = _random_kv(rng, 140, 2, head_dim)
-        queries = rng.normal(size=(140, 2, head_dim)).astype(np.float32)
-        cache.append(keys[:64], values[:64])
-        cache.append(keys[64:128], values[64:128])  # flushes the first chunk
-        cache.attend(queries[64:128], np.arange(64, 128), 0.25)
-        assert cache.stored_tokens == 64
-        assert not [name for name in cache.arena.capacities() if name.startswith("index.")]
-        keys_seen = []
-        for t in range(128, 140):
+        keys, values = _random_kv(rng, 588, 2, head_dim)
+        queries = rng.normal(size=(588, 2, head_dim)).astype(np.float32)
+        for start in range(0, 512, 64):
+            cache.append(keys[start : start + 64], values[start : start + 64])
+        cache.append(keys[512:576], values[512:576])  # flushes [448, 512)
+        assert cache.stored_tokens == 512
+        attributes = set(vars(cache))
+
+        def retained(call) -> int:
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                call()
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return after - before
+
+        # A kept decode index at this shape would be M * H * T * 8 = 64 KiB.
+        assert retained(
+            lambda: cache.attend(queries[512:576], np.arange(512, 576), 0.25)
+        ) < 8192
+        for t in range(576, 588):
             cache.append(keys[t : t + 1], values[t : t + 1])
-            cache.attend(queries[t : t + 1], np.asarray([t]), 0.25)
-            keys_seen.append(cache.arena.memo["index.adc"])
-            assert cache.arena.memo["index.wv"][:2] == keys_seen[-1][:2]
-        # Flushes land every 4 tokens, and only they change the kept key.
-        assert len(set(keys_seen)) == 3
-        capacities = cache.arena.capacities()
-        n_heads = mha_config.n_heads
-        for name, m_subspaces in (
-            ("index.adc", key_pq.m_subspaces),
-            ("index.wv", value_pq.m_subspaces),
-        ):
-            decode_size = m_subspaces * n_heads * cache.stored_tokens
-            assert capacities[name] <= 1 << (decode_size - 1).bit_length()
+            assert retained(
+                lambda: cache.attend(queries[t : t + 1], np.asarray([t]), 0.25)
+            ) < 8192
+        assert set(vars(cache)) == attributes
+
+    def test_kept_flat_indices_follow_code_changes(self, mha_config, pq_pair, head_dim):
+        """The per-cache flat gather indices are the codes' rows in the
+        centroid tables at every point: appends, flushes, reset and refill."""
+        key_pq, value_pq = pq_pair
+        million = MillionConfig(m_subspaces=key_pq.m_subspaces, nbits=key_pq.nbits)
+        cache = MillionKVCacheLayer(
+            mha_config, key_pq, value_pq, million, flush_block_multiple=4
+        )
+        rng = np.random.default_rng(9)
+
+        def check():
+            for codes, rows, quantizer in (
+                (cache._stored_key_codes(), cache._key_rows, key_pq),
+                (cache._stored_value_codes(), cache._value_rows, value_pq),
+            ):
+                flat = codes.reshape(-1, quantizer.m_subspaces)
+                assert rows.dtype.itemsize <= 2
+                np.testing.assert_array_equal(
+                    rows.view().reshape(flat.shape), quantizer.flat_index(flat)
+                )
+                np.testing.assert_array_equal(
+                    quantizer.decode_flat(rows.view().reshape(flat.shape)),
+                    reference_pq_decode(quantizer, flat),
+                )
+
+        for _ in range(2):
+            keys, values = _random_kv(rng, 23, 2, head_dim)
+            for t in range(23):
+                cache.append(keys[t : t + 1], values[t : t + 1])
+                check()
+            assert cache.stored_tokens == 20
+            cache.reset()
+            check()
+            assert len(cache._key_rows) == len(cache._value_rows) == 0
 
     def test_attention_approximates_exact(self, mha_config, pq_pair, head_dim):
         cache = self._make_cache(mha_config, pq_pair)
@@ -438,9 +477,10 @@ class TestMillionKVCacheLayer:
 
 
 class TestMultiQueryAttend:
-    """Multi-query calls attend over reconstructed keys/values with GEMMs."""
+    """Every call, decode included, attends over reconstructed keys/values
+    with GEMMs; it matches the ADC kernels up to float rounding."""
 
-    @pytest.mark.parametrize("n_queries", [2, 17, 128])
+    @pytest.mark.parametrize("n_queries", [1, 2, 17, 128])
     @pytest.mark.parametrize("outlier_fraction", [0.0, 0.05])
     @pytest.mark.parametrize("recent_window", [0, 32])
     @pytest.mark.parametrize("positional", ["rope", "alibi"])
@@ -492,7 +532,7 @@ class TestMultiQueryAttend:
 
     def test_chunk_memory_at_serving_shape(self):
         """A 128-query chunk over 1,024 stored tokens (H = kv = 4, d = 64,
-        M = 32, K = 256) stays small and leaves the arena untouched."""
+        M = 32, K = 256) stays small and keeps nothing."""
         rng = np.random.default_rng(0)
         pq = ProductQuantizer(SubspaceCodebooks(rng.normal(size=(32, 256, 2))))
         config = ModelConfig(
@@ -506,15 +546,14 @@ class TestMultiQueryAttend:
         cache.append(keys[1024:], values[1024:])
         assert cache.flush_state == (1024, 128)
         queries = rng.normal(size=(128, 4, 64)).astype(np.float32)
-        arena_bytes = cache.arena.total_bytes
         tracemalloc.start()
         try:
             cache.attend(queries, np.arange(1024, 1152), 0.125)
-            _, peak = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert cache.arena.total_bytes == arena_bytes
+        assert retained < 2**16
 
 
 class TestMillionCacheFactory:

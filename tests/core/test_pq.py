@@ -122,6 +122,32 @@ class TestEncodeDecode:
         assert decoded.dtype == np.float32
         np.testing.assert_array_equal(decoded, reference_pq_decode(quantizer, codes))
 
+    @pytest.mark.parametrize("nbits", [4, 8, 12])
+    @pytest.mark.parametrize("subspace_dim", [1, 2, 4])
+    def test_row_gather_decode_bit_identical(self, subspace_dim, nbits):
+        """Gathering whole centroid rows through the flat index equals the
+        per-subspace lookup bit for bit, at every row width."""
+        rng = np.random.default_rng(subspace_dim + nbits)
+        m_subspaces = 16
+        quantizer = ProductQuantizer(
+            SubspaceCodebooks(rng.normal(size=(m_subspaces, 2**nbits, subspace_dim)))
+        )
+        codes = rng.integers(0, 2**nbits, size=(57, m_subspaces)).astype(code_dtype(nbits))
+        flat = quantizer.flat_index(codes)
+        assert flat.dtype == code_dtype(int(np.log2(m_subspaces)) + nbits)
+        np.testing.assert_array_equal(
+            flat, codes + np.arange(m_subspaces) * 2**nbits
+        )
+        want = reference_pq_decode(quantizer, codes)
+        np.testing.assert_array_equal(quantizer.decode_flat(flat), want)
+        np.testing.assert_array_equal(quantizer.decode(codes), want)
+        np.testing.assert_array_equal(quantizer.decode(codes.astype(np.int64)), want)
+        for bad in (2**nbits, -1):
+            wide = codes.astype(np.int64)
+            wide[5, 3] = bad
+            with pytest.raises(ValueError):
+                quantizer.flat_index(wide)
+
     @pytest.mark.parametrize("nbits", [6, 12])
     def test_code_out_of_range_raises(self, nbits):
         """A code >= K must not read the next subspace's table."""

@@ -255,15 +255,26 @@ class _OldStyleMillionReference:
         self.pending_keys.append(np.asarray(keys, dtype=np.float32))
         self.pending_values.append(np.asarray(values, dtype=np.float32))
 
-    def attend(self, queries, query_positions, scale):
-        from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
+    def _decode(self, code_blocks, quantizer):
+        """``(stored, kv_heads, d)`` rows of the re-concatenated code blocks."""
+        codes = np.concatenate(code_blocks, axis=0)
+        t, kv_heads, m_subspaces = codes.shape
+        rows = quantizer.decode(codes.reshape(t * kv_heads, m_subspaces))
+        return rows.reshape(t, kv_heads, quantizer.dim)
 
+    def attend(self, queries, query_positions, scale):
+        # Stored tokens: the grouped GEMMs over the reconstructed rows,
+        # ``(kv, group * n_q, d) @ (kv, d, T)``, as the cache runs them.
         n_queries, n_heads, head_dim = queries.shape
+        kv_heads = self.config.kv_heads
         score_blocks = []
         if self.stored_tokens:
-            key_codes = np.concatenate(self.key_code_blocks, axis=0)
+            keys = self._decode(self.key_code_blocks, self.key_pq)
+            grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
+            stored_scores = np.matmul(grouped, keys.transpose(1, 2, 0))
             score_blocks.append(
-                pq_attention_scores(queries, key_codes, self.key_pq, scale=scale)
+                stored_scores.reshape(n_heads, n_queries, self.stored_tokens)
+                * np.float32(scale)
             )
         pending_keys = (
             np.concatenate(self.pending_keys, axis=0)
@@ -293,9 +304,13 @@ class _OldStyleMillionReference:
         probs = softmax(scores, axis=-1)
         context = np.zeros((n_queries, n_heads, head_dim), dtype=np.float32)
         if self.stored_tokens:
-            value_codes = np.concatenate(self.value_code_blocks, axis=0)
-            context += pq_weighted_values(
-                probs[..., : self.stored_tokens], value_codes, self.value_pq
+            values = self._decode(self.value_code_blocks, self.value_pq)
+            grouped = probs[..., : self.stored_tokens].reshape(
+                kv_heads, -1, self.stored_tokens
+            )
+            stored_context = np.matmul(grouped, values.transpose(1, 0, 2))
+            context += stored_context.reshape(n_heads, n_queries, head_dim).transpose(
+                1, 0, 2
             )
         if pending_keys.shape[0]:
             expanded = repeat_kv_heads(pending_values, n_heads)

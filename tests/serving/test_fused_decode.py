@@ -1,4 +1,4 @@
-"""Fused cross-request batched decode: bit-identity, arena reuse, timing.
+"""Fused cross-request batched decode: bit-identity, memory, timing.
 
 The hard correctness bar of the fused decode path is that it produces
 *bit-identical* token streams to every request served alone
@@ -13,17 +13,22 @@ construction.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import MillionConfig, calibrate_million
-from repro.core.attention_fused import FusedMillionAttention
+from repro.core.codebook import SubspaceCodebooks
 from repro.core.million_cache import MillionCacheFactory
 from repro.core.pq import ProductQuantizer
 from repro.gateway.metrics import GatewayMetrics, render_prometheus
 from repro.models import TemperatureSampler
+from repro.models.config import ModelConfig
 from repro.models.tensor_ops import paired_rows_matmul
+from repro.models.weights import build_model
 from repro.serving import BatchedMillionEngine
+from repro.utils.scratch import ScratchArena
 from support.reference import assert_logits_equal, pooled, served_logits, solo
 
 
@@ -317,15 +322,13 @@ class TestFusedPooled:
 class _Twins:
     """The same sequences in two worlds, checked step by step.
 
-    World 0 advances by :meth:`TransformerLM.fused_decode_step` through one
-    :class:`FusedMillionAttention`; world 1 by per-sequence ``forward``, the
-    per-sequence reference.  Edits go through :meth:`apply`, which performs
-    them on both worlds alike.
+    World 0 advances by :meth:`TransformerLM.fused_decode_step`; world 1 by
+    per-sequence ``forward``, the per-sequence reference.  Edits go through
+    :meth:`apply`, which performs them on both worlds alike.
     """
 
     def __init__(self, model, make_factory, prompts):
         self.model = model
-        self.fused = FusedMillionAttention()
         self.worlds = [[], []]
         for world in self.worlds:
             factory = make_factory()
@@ -351,16 +354,15 @@ class _Twins:
         )
 
     def step(self, tokens):
-        """One decode step; returns (fused logits, index rebuilds it caused)."""
-        before = self.fused.index_builds
+        """One decode step; the fused logits, checked against world 1."""
         logits = self.model.fused_decode_step(
-            np.asarray(tokens, dtype=np.int64), self.worlds[0], batch_attend=self.fused
+            np.asarray(tokens, dtype=np.int64), self.worlds[0]
         )
         for b, context in enumerate(self.worlds[1]):
             np.testing.assert_array_equal(
                 logits[b], self.forward(context, [tokens[b]])[0]
             )
-        return logits, self.fused.index_builds - before
+        return logits
 
     def apply(self, b, edit):
         """``edit(world, context)`` on sequence ``b`` of each world."""
@@ -368,39 +370,10 @@ class _Twins:
             edit(world, world[b])
 
 
-class _BatchRecorder:
-    """Stands in for an engine's fused attention and records, per fused
-    step, the batched request ids and the index rebuild count before it."""
-
-    def __init__(self, engine):
-        self.inner = engine._fused_attention
-        self.engine = engine
-        self.steps: list[tuple[tuple[str, ...], int]] = []
-        engine._fused_attention = self
-
-    def __call__(self, block, caches, *args, layer_index=0):
-        if layer_index == 0:
-            owner = {
-                id(state.context.caches[0]): state.request_id
-                for state in self.engine.scheduler.running
-            }
-            self.steps.append(
-                (tuple(owner[id(cache)] for cache in caches), self.inner.index_builds)
-            )
-        return self.inner(block, caches, *args, layer_index=layer_index)
-
-    def rebuilds(self) -> list[tuple[tuple[str, ...], int]]:
-        """``(request ids, index rebuilds)`` per fused step."""
-        counts = [before for _, before in self.steps] + [self.inner.index_builds]
-        return [
-            (ids, after - before)
-            for (ids, _), before, after in zip(self.steps, counts, counts[1:])
-        ]
-
-
-class TestKeptGatherIndices:
-    """The fused path keeps each layer's gather indices across steps; they
-    must be rebuilt exactly when some batched cache's codes changed."""
+class TestCodeEdits:
+    """Stacked decode keeps no batch-wide state: whatever changed a batched
+    cache's codes — a flush, a reset and refill, a prefix adoption, a
+    preemption and restore — the next step reads the current codes."""
 
     BLOCK_TOKENS = 4
 
@@ -410,11 +383,9 @@ class TestKeptGatherIndices:
             block_tokens=self.BLOCK_TOKENS,
         )
 
-    def test_only_code_changes_rebuild(
-        self, tiny_model, tiny_config, million_factory, million_config,
-        calibration_tokens,
+    def test_code_edits_seen_next_step(
+        self, tiny_model, million_factory, calibration_tokens,
     ):
-        n_layers = tiny_config.n_layers
         prompts = [calibration_tokens[s : s + n] for s, n in ((0, 21), (30, 9), (50, 14))]
         twins = _Twins(
             tiny_model,
@@ -426,22 +397,19 @@ class TestKeptGatherIndices:
         def step():
             nonlocal tokens
             due = twins.flush_due()
-            logits, rebuilt = twins.step(tokens)
+            logits = twins.step(tokens)
             tokens = [int(row.argmax()) for row in logits]
-            return due, rebuilt
+            return due
 
-        # Flushes land every BLOCK_TOKENS steps; the steps between them
-        # reuse every layer's indices.
-        history = [step() for _ in range(9)]
-        assert all(rebuilt == (n_layers if due else 0) for due, rebuilt in history)
-        assert {due for due, _ in history} == {True, False}
+        # Flushes land every BLOCK_TOKENS steps; both kinds of step match.
+        assert {step() for _ in range(9)} == {True, False}
 
         def quiet():
             while twins.flush_due():
                 step()
 
-        # A reset refilled to the same (stored, pending) split: same serial,
-        # same segment lengths, different codes.
+        # A reset refilled to the same (stored, pending) split: same segment
+        # lengths, different codes.
         def reset_and_refill(_world, context):
             stored, pending = context.caches[0].flush_state
             fresh = calibration_tokens[100 : 100 + stored + pending]
@@ -456,7 +424,7 @@ class TestKeptGatherIndices:
 
         quiet()
         twins.apply(1, reset_and_refill)
-        assert step() == (False, n_layers)
+        assert step() is False
 
         # Prefix adoption to the same split: sequence 2 drops its blocks and
         # adopts sequence 0's leading blocks of the same length.
@@ -476,46 +444,111 @@ class TestKeptGatherIndices:
 
         quiet()
         twins.apply(2, adopt_from_first)
-        assert step() == (False, n_layers)
-        # ... and the next quiet step reuses the rebuilt indices.
+        assert step() is False
         quiet()
-        assert step() == (False, 0)
+        assert step() is False
 
-    def test_preempt_and_restore_rebuild(
-        self, tiny_model, tiny_config, million_factory, million_config,
-        calibration_tokens,
+    def test_preempt_and_restore_rejoin_identical(
+        self, tiny_model, million_factory, calibration_tokens, monkeypatch,
     ):
         factory = self._pooled_factory(tiny_model, million_factory, 32)
-        fused_engine = BatchedMillionEngine(tiny_model, factory, max_batch_size=4)
-        recorder = _BatchRecorder(fused_engine)
+        engine = BatchedMillionEngine(tiny_model, factory, max_batch_size=4)
+        batches: list[tuple[str, ...]] = []
+        stacked = tiny_model.fused_decode_step
+
+        def recording(tokens, contexts, **kwargs):
+            owner = {
+                id(state.context): state.request_id
+                for state in engine.scheduler.running
+            }
+            batches.append(tuple(owner[id(context)] for context in contexts))
+            return stacked(tokens, contexts, **kwargs)
+
+        monkeypatch.setattr(tiny_model, "fused_decode_step", recording)
         prompts = [
             calibration_tokens[s : s + 13 + s % 7] for s in (0, 15, 40, 70, 90, 110)
         ]
         # Every sampled step's logits, across preemptions and restores, are
         # the ones each request computes alone.
-        got = served_logits(fused_engine, prompts, 14)
+        got = served_logits(engine, prompts, 14)
         want = solo(
             tiny_model, million_factory, prompts, 14, num_blocks=32,
             block_tokens=self.BLOCK_TOKENS, record_logits=True,
         )
         for want_logits, got_logits in zip(want, got):
             assert_logits_equal(want_logits, got_logits)
-        assert fused_engine.preemption_count > 0
-        steps = recorder.rebuilds()
-        n_layers = tiny_config.n_layers
+        assert engine.preemption_count > 0
         restored = 0
-        for i in range(1, len(steps)):
-            ids, rebuilt = steps[i]
-            if ids != steps[i - 1][0]:
-                # Membership changed: a join, a leave or a restore.
-                assert rebuilt == n_layers
-            seen_before = {r for batch, _ in steps[: i - 1] for r in batch}
-            restored += len((set(ids) - set(steps[i - 1][0])) & seen_before)
+        for i in range(1, len(batches)):
+            seen_before = {r for batch in batches[: i - 1] for r in batch}
+            restored += len((set(batches[i]) - set(batches[i - 1])) & seen_before)
         assert restored > 0, "a preempted request must rejoin a fused batch"
 
 
+class TestDecodeMemory:
+    """Decode keeps no buffer that scales with batch x context x M."""
+
+    def test_serving_shape_steps_keep_no_batch_state(self):
+        """4 sequences of ~1,100 stored tokens, 4 kv heads, M = 32, K = 256.
+
+        A kept ``(M, H * T)`` int64 gather index at this shape is 1.1 MB per
+        cache and side; one transient reconstruction is ``T * kv * d * 4``
+        = 1.1 MB.  Steps must retain neither kind of buffer, and peak no
+        higher than a few reconstructions.
+        """
+        rng = np.random.default_rng(0)
+        config = ModelConfig(
+            vocab_size=64, d_model=256, n_layers=2, n_heads=4, max_seq_len=2048
+        )
+        model = build_model(config, seed=0)
+        pq = ProductQuantizer(SubspaceCodebooks(rng.normal(size=(32, 256, 2))))
+        factory = MillionCacheFactory(
+            {layer: (pq, pq) for layer in range(config.n_layers)},
+            MillionConfig(m_subspaces=32, nbits=8),
+        )
+        contexts = []
+        for b in range(4):
+            context = model.fresh_context(factory)
+            n_tokens = 1100 + 3 * b
+            for cache in context.caches:
+                keys, values = rng.normal(size=(2, n_tokens, 4, 64)).astype(np.float32)
+                for start in range(0, n_tokens, 128):
+                    cache.append(keys[start : start + 128], values[start : start + 128])
+                cache.flush_all()
+            context.next_position = n_tokens
+            contexts.append(context)
+        tokens = np.arange(4)
+        peaks = []
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                start, _ = tracemalloc.get_traced_memory()
+                model.fused_decode_step(tokens, contexts)
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - start)
+        finally:
+            tracemalloc.stop()
+        assert current - base < 2**18
+        assert max(peaks) < 4 * 2**20
+        arenas = [
+            value
+            for context in contexts
+            for cache in context.caches
+            for value in vars(cache).values()
+            if isinstance(value, ScratchArena)
+        ]
+        assert not [
+            name
+            for arena in arenas
+            for name in arena.capacities()
+            if name.startswith("index.")
+        ]
+
+
 class TestArenaAndTiming:
-    def test_scratch_arena_stops_growing(
+    def test_steady_decode_keeps_no_scratch_state(
         self, tiny_model, million_factory, calibration_tokens
     ):
         engine = BatchedMillionEngine(
@@ -525,32 +558,28 @@ class TestArenaAndTiming:
             engine.add_request(calibration_tokens[s : s + 8 + s % 6], 60)
         for _ in range(12):
             engine.step()
-        arena = engine._fused_attention.arena
-        grows_after_warmup = arena.grow_count
-        total_bytes = arena.total_bytes
-        hits_before = arena.hit_count
-        index_names = {
-            f"index.{kind}.{layer}"
-            for kind in ("adc", "wv")
-            for layer in range(tiny_model.config.n_layers)
-        }
-        index_capacities = {
-            name: size
-            for name, size in arena.capacities().items()
-            if name.startswith("index.")
-        }
-        assert set(index_capacities) == index_names
-        for _ in range(10):
-            engine.step()
-        # Steady-state decode must reuse every scratch buffer, the per-layer
-        # kept indices included: no new allocations, only hits (buffers are
-        # sized to the high-water mark).
-        assert arena.grow_count == grows_after_warmup
-        assert arena.total_bytes == total_bytes
-        assert arena.hit_count > hits_before
-        assert {
-            name: arena.capacities()[name] for name in index_names
-        } == index_capacities
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(10):
+                engine.step()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Steady decode retains only the KV growth (4 sequences x 10 tokens)
+        # and the per-request token lists: no scratch or index buffers.
+        assert after - before < 2**16
+        holders = [engine, tiny_model] + [
+            cache
+            for state in engine.scheduler.running
+            for cache in state.context.caches
+        ]
+        assert not [
+            value
+            for holder in holders
+            for value in vars(holder).values()
+            if isinstance(value, ScratchArena)
+        ]
 
     def test_step_timing_split_and_fused_batch_size(
         self, tiny_model, million_factory, calibration_tokens

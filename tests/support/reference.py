@@ -8,8 +8,7 @@ the suites need an answer computed without it.  Two oracles live here:
   (:func:`~repro.serving.chunk_schedule`), then the engine's per-token
   order (context check, sample, stop check, decode) through
   per-sequence ``model.decode_step`` and ``cache.attend``.  It never
-  touches :class:`~repro.core.attention_fused.FusedMillionAttention`, and
-  nothing else is scheduled beside it.
+  stacks sequences, and nothing else is scheduled beside it.
 * :func:`oracle_logits` spells out the unbounded chunk schedule on the bare
   model: forward ``[0, A)``, flush, forward ``[A, P)``, then greedy decode.
 
@@ -27,9 +26,9 @@ problems.  Codebooks must match them bit for bit.
 :func:`reference_pq_decode` is the per-subspace centroid lookup that
 ``ProductQuantizer.decode`` flattens into one gather; the two must match bit
 for bit.  :func:`reference_adc_attend` is a MILLION cache's ``attend``
-computed from the codes through the ADC kernels and the softmax merge; a
-multi-query ``attend``, which runs GEMMs over reconstructed rows, must match
-it up to float rounding.
+computed from the codes through the ADC kernels and the softmax merge;
+``attend``, which runs GEMMs over reconstructed rows, must match it up to
+float rounding.
 """
 
 from __future__ import annotations
@@ -305,7 +304,7 @@ def reference_adc_attend(cache, queries, query_positions, scale, alibi_head_slop
     """
     queries = np.asarray(queries, dtype=np.float32)
     n_heads = queries.shape[1]
-    key_codes, value_codes = cache.stored_code_views()
+    key_codes, value_codes = cache._stored_key_codes(), cache._stored_value_codes()
     stored = key_codes.shape[0]
     pending_keys, pending_values = cache.pending_views()
     shape = (stored, cache.config.kv_heads, cache.config.head_dim)
