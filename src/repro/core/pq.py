@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.codebook import SubspaceCodebooks, train_codebooks
 from repro.utils.bitpack import bits_required, code_dtype, packed_nbytes
 from repro.utils.rng import SeedLike
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 
 class ProductQuantizer:
@@ -40,8 +40,10 @@ class ProductQuantizer:
         self._centroid_sq_norms: np.ndarray | None = None
         self._half_sq_norms_f32: np.ndarray | None = None
         self._centroids_t: dict[str, np.ndarray] = {}
-        # The centroid table with one item per centroid row (decode_flat).
+        # The centroid table with one item per centroid row (decode_flat),
+        # and each subspace's first row in it (flat_index).
         self._centroid_rows: np.ndarray | None = None
+        self._flat_offsets: np.ndarray | None = None
 
     def centroid_sq_norms(self) -> np.ndarray:
         """``(M, K)`` squared centroid norms in float64 (cached)."""
@@ -176,24 +178,24 @@ class ProductQuantizer:
         scan is skipped when the code dtype cannot hold ``K``.
         """
         codes = np.asarray(codes)
-        require(
-            codes.ndim == 2 and codes.shape[1] == self.m_subspaces,
-            f"codes must have shape (n, {self.m_subspaces}), got {codes.shape}",
-        )
+        if codes.ndim != 2 or codes.shape[1] != self.m_subspaces:
+            raise ValidationError(
+                f"codes must have shape (n, {self.m_subspaces}), got {codes.shape}"
+            )
+        offsets = self._flat_offsets
+        if offsets is None:
+            offsets = (np.arange(self.m_subspaces) * self.n_centroids).astype(
+                self.flat_index_dtype
+            )
+            self._flat_offsets = offsets
         n_centroids = self.n_centroids
-        bounded = (
-            codes.dtype.kind == "u" and np.iinfo(codes.dtype).max < n_centroids
-        )
-        require(
-            bounded
-            or codes.size == 0
-            or (codes.min() >= 0 and codes.max() < n_centroids),
-            f"codes must lie in [0, {n_centroids})",
-        )
-        offsets = np.arange(self.m_subspaces) * n_centroids
-        return np.add(
-            codes, offsets, dtype=self.flat_index_dtype, casting="unsafe"
-        )
+        if codes.dtype.kind == "u" and (1 << 8 * codes.dtype.itemsize) <= n_centroids:
+            # Every value of the dtype is a valid code, and the sum promotes
+            # to the offsets' (wider) dtype.
+            return np.add(codes, offsets)
+        if codes.size and not (codes.min() >= 0 and codes.max() < n_centroids):
+            raise ValidationError(f"codes must lie in [0, {n_centroids})")
+        return np.add(codes, offsets, dtype=offsets.dtype, casting="unsafe")
 
     def decode_flat(self, flat_index: np.ndarray) -> np.ndarray:
         """Reconstruct ``(n, dim)`` vectors from ``(n, M)`` :meth:`flat_index` rows.

@@ -49,7 +49,7 @@ from repro.core.storage import BlockArena
 from repro.models.config import ModelConfig
 from repro.obs.trace import NULL_RECORDER
 from repro.utils.bitpack import code_dtype
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 
 class PoolExhaustedError(RuntimeError):
@@ -60,9 +60,10 @@ class PoolExhaustedError(RuntimeError):
 class UnitLayout:
     """Code-row layout of one pool unit (a (layer, head-group) slot).
 
-    Uniform pools have one implicit layout for every unit; policy pools list
-    one per unit so heads quantized at different bit-widths can store their
-    differently-shaped code rows in the same pool.
+    A pool lists one layout per unit.  :meth:`BlockPool.for_model` repeats
+    one layout for every layer; policy pools give heads quantized at
+    different bit-widths their own, so differently-shaped code rows share
+    one pool.
     """
 
     kv_heads: int
@@ -78,17 +79,6 @@ class UnitLayout:
     @property
     def value_row_nbytes(self) -> int:
         return self.kv_heads * self.value_subspaces * np.dtype(self.value_dtype).itemsize
-
-    @property
-    def signature(self) -> tuple:
-        """Comparable identity (dtypes normalized)."""
-        return (
-            self.kv_heads,
-            self.key_subspaces,
-            self.value_subspaces,
-            np.dtype(self.key_dtype),
-            np.dtype(self.value_dtype),
-        )
 
 
 #: Seed of every content-hash chain (the hash "before" the first block).
@@ -138,75 +128,34 @@ class BlockPool:
                     evict ──┘            │ adopt (prefix hit)
         free <──────────────             └──> shared again
 
-    A *group* is one block per layer sealed over the same ``block_tokens``
+    A *group* is one block per unit sealed over the same ``block_tokens``
     token span; publication, lookup, adoption and eviction all operate on
-    groups so the per-layer caches of one sequence can never disagree about
+    groups so the per-unit caches of one sequence can never disagree about
     which spans are shared.
+
+    Blocks are byte rows as wide as the widest unit's code row.  A block
+    records the unit it was written for, and reads reinterpret its bytes
+    under that unit's :class:`UnitLayout`.
     """
 
     def __init__(
         self,
         num_blocks: int,
         block_tokens: int,
-        n_layers: int,
-        kv_heads: int = 0,
-        key_subspaces: int = 0,
-        value_subspaces: int = 0,
-        key_dtype: np.dtype | type = np.uint8,
-        value_dtype: np.dtype | type = np.uint8,
-        *,
-        unit_layouts: Optional[Sequence[UnitLayout]] = None,
+        unit_layouts: Sequence[UnitLayout],
     ) -> None:
         require(num_blocks >= 1, "num_blocks must be >= 1")
         require(block_tokens >= 1, "block_tokens must be >= 1")
-        require(n_layers >= 1, "n_layers must be >= 1")
-        require(
-            unit_layouts is not None
-            or (kv_heads >= 1 and key_subspaces >= 1 and value_subspaces >= 1),
-            "kv_heads/key_subspaces/value_subspaces are required when no "
-            "unit_layouts are given",
-        )
+        self._unit_layouts = tuple(unit_layouts)
+        require(len(self._unit_layouts) >= 1, "a pool needs at least one unit layout")
         self.block_tokens = int(block_tokens)
-        # Units per group.  Historically one block per transformer layer; a
-        # policy pool has one unit per (layer, head-group), and every group
-        # still seals one block per unit over the same token span.
-        self.n_layers = int(n_layers)
-        if unit_layouts is not None:
-            layouts = tuple(unit_layouts)
-            require(
-                len(layouts) == self.n_layers,
-                f"expected {self.n_layers} unit layouts, got {len(layouts)}",
-            )
-            self._unit_layouts: Optional[tuple[UnitLayout, ...]] = layouts
-            self._heterogeneous = len({l.signature for l in layouts}) > 1
-        else:
-            self._unit_layouts = None
-            self._heterogeneous = False
-        if self._heterogeneous:
-            # Byte-backed arenas sized for the widest unit; each row is the
-            # unit's packed code bytes, zero-padded to the arena width.  The
-            # unit a block was written for is recorded at write time so reads
-            # can reinterpret the bytes with the right dtype and head count.
-            key_width = max(l.key_row_nbytes for l in layouts)
-            value_width = max(l.value_row_nbytes for l in layouts)
-            self._keys = BlockArena(num_blocks, block_tokens, (key_width,), np.uint8)
-            self._values = BlockArena(
-                num_blocks, block_tokens, (value_width,), np.uint8
-            )
-        else:
-            if self._unit_layouts is not None:
-                only = self._unit_layouts[0]
-                kv_heads = only.kv_heads
-                key_subspaces = only.key_subspaces
-                value_subspaces = only.value_subspaces
-                key_dtype = only.key_dtype
-                value_dtype = only.value_dtype
-            self._keys = BlockArena(
-                num_blocks, block_tokens, (kv_heads, key_subspaces), key_dtype
-            )
-            self._values = BlockArena(
-                num_blocks, block_tokens, (kv_heads, value_subspaces), value_dtype
-            )
+        # Units per group: one per transformer layer, or one per (layer,
+        # head-group) in a policy pool.
+        self.n_layers = len(self._unit_layouts)
+        key_width = max(layout.key_row_nbytes for layout in self._unit_layouts)
+        value_width = max(layout.value_row_nbytes for layout in self._unit_layouts)
+        self._keys = BlockArena(num_blocks, block_tokens, (key_width,), np.uint8)
+        self._values = BlockArena(num_blocks, block_tokens, (value_width,), np.uint8)
         self._unit_of: Dict[int, int] = {}
         self._free: deque[int] = deque(range(num_blocks))
         self._refcounts = [0] * num_blocks
@@ -234,18 +183,19 @@ class BlockPool:
         num_blocks: int,
         block_tokens: int,
     ) -> "BlockPool":
-        """Size a pool for a model + MILLION configuration pair."""
+        """Size a pool for a model + MILLION configuration pair.
+
+        One unit per layer, every unit with the same layout.
+        """
         dtype = code_dtype(million_config.nbits)
-        return cls(
-            num_blocks=num_blocks,
-            block_tokens=block_tokens,
-            n_layers=model_config.n_layers,
+        layout = UnitLayout(
             kv_heads=model_config.kv_heads,
             key_subspaces=million_config.m_subspaces,
             value_subspaces=million_config.m_subspaces,
             key_dtype=dtype,
             value_dtype=dtype,
         )
+        return cls(num_blocks, block_tokens, [layout] * model_config.n_layers)
 
     @classmethod
     def for_policy(
@@ -260,9 +210,8 @@ class BlockPool:
         One unit per (layer, head-group), in layer-major order with groups
         ordered as :meth:`QuantPolicy.head_groups` yields them — the same
         deterministic order :class:`PooledPolicyCacheFactory` assigns unit
-        indices in.  A uniform policy yields layouts identical across units,
-        which routes through the typed-arena path and makes the pool
-        byte-identical to :meth:`for_model`.
+        indices in.  A uniform policy yields the same layouts as
+        :meth:`for_model`.
         """
         from repro.quant.policy import million_variant
 
@@ -287,15 +236,7 @@ class BlockPool:
                         value_dtype=dtype,
                     )
                 )
-        return cls(
-            num_blocks=num_blocks,
-            block_tokens=block_tokens,
-            n_layers=len(layouts),
-            kv_heads=layouts[0].kv_heads,
-            key_subspaces=layouts[0].key_subspaces,
-            value_subspaces=layouts[0].value_subspaces,
-            unit_layouts=layouts,
-        )
+        return cls(num_blocks, block_tokens, layouts)
 
     # Allocation ----------------------------------------------------------
 
@@ -369,107 +310,83 @@ class BlockPool:
         block_id: int,
         key_codes: np.ndarray,
         value_codes: np.ndarray,
-        unit: Optional[int] = None,
+        unit: int,
     ) -> None:
-        """Fill an allocated block with one full span of key/value code rows.
+        """Fill an allocated block with one full span of ``unit``'s code rows.
 
-        ``unit`` is the writer's pool unit; heterogeneous pools need it to
-        record which layout the block's bytes follow.  Uniform pools accept
-        and ignore it.
+        The block remembers ``unit``, whose layout its reads reinterpret the
+        bytes under.
         """
         self._check_live(block_id)
         require(
             block_id not in self._group_of,
             f"block {block_id} is published (shared blocks are immutable)",
         )
-        if not self._heterogeneous:
-            self._keys.write(block_id, key_codes)
-            self._values.write(block_id, value_codes)
-            return
-        require(
-            unit is not None and 0 <= unit < self.n_layers,
-            "heterogeneous pools require the writer's unit index",
-        )
+        if not 0 <= unit < self.n_layers:
+            raise ValidationError(f"unit {unit} is out of range [0, {self.n_layers})")
         layout = self._unit_layouts[unit]
-        self._keys.write(
-            block_id,
-            self._pack_rows(key_codes, layout.key_dtype,
-                            (layout.kv_heads, layout.key_subspaces),
-                            self._keys.row_shape[0]),
-        )
-        self._values.write(
-            block_id,
-            self._pack_rows(value_codes, layout.value_dtype,
-                            (layout.kv_heads, layout.value_subspaces),
-                            self._values.row_shape[0]),
-        )
+        self._write_rows(self._keys, block_id, key_codes, layout.key_dtype,
+                         (layout.kv_heads, layout.key_subspaces))
+        self._write_rows(self._values, block_id, value_codes, layout.value_dtype,
+                         (layout.kv_heads, layout.value_subspaces))
         self._unit_of[block_id] = int(unit)
 
-    def _pack_rows(
+    def _write_rows(
         self,
+        arena: BlockArena,
+        block_id: int,
         codes: np.ndarray,
         dtype: np.dtype | type,
         row_shape: tuple[int, int],
-        width: int,
-    ) -> np.ndarray:
+    ) -> None:
         codes = np.ascontiguousarray(codes, dtype=dtype)
-        require(
-            codes.shape == (self.block_tokens, *row_shape),
-            f"code rows must be ({self.block_tokens}, {row_shape[0]}, "
-            f"{row_shape[1]}), got {codes.shape}",
-        )
+        if codes.shape != (self.block_tokens, *row_shape):
+            raise ValidationError(
+                f"code rows must be ({self.block_tokens}, {row_shape[0]}, "
+                f"{row_shape[1]}), got {codes.shape}"
+            )
         raw = codes.view(np.uint8).reshape(self.block_tokens, -1)
-        if raw.shape[1] == width:
-            return raw
-        padded = np.zeros((self.block_tokens, width), dtype=np.uint8)
-        padded[:, : raw.shape[1]] = raw
-        return padded
+        arena.read(block_id)[:, : raw.shape[1]] = raw
 
-    def _unpack_rows(
+    def _read_rows(
         self,
-        raw: np.ndarray,
+        arena: BlockArena,
+        block_id: int,
         dtype: np.dtype | type,
         row_shape: tuple[int, int],
     ) -> np.ndarray:
         nbytes = row_shape[0] * row_shape[1] * np.dtype(dtype).itemsize
         return (
-            np.ascontiguousarray(raw[:, :nbytes])
+            arena.read(block_id)[:, :nbytes]
             .view(dtype)
             .reshape(self.block_tokens, *row_shape)
         )
 
+    def _written_layout(self, block_id: int) -> UnitLayout:
+        self._check_live(block_id)
+        unit = self._unit_of.get(block_id)
+        require(unit is not None, f"block {block_id} has not been written")
+        return self._unit_layouts[unit]
+
     def block_unit(self, block_id: int) -> Optional[int]:
-        """Unit a block was written for (``None`` on uniform pools)."""
+        """Unit a block was written for (``None`` until it is written)."""
         self._check_live(block_id)
         return self._unit_of.get(block_id)
 
     def key_codes(self, block_id: int) -> np.ndarray:
         """``(block_tokens, kv_heads, M)`` view of a block's key codes.
 
-        Zero-copy on uniform pools; heterogeneous pools reinterpret the
-        stored bytes under the writing unit's layout (one small copy — the
-        caller installs the rows into its contiguous shadow anyway).
+        The stored bytes reinterpreted under the writing unit's layout,
+        without a copy.  Contiguous when the unit fills the arena width.
         """
-        self._check_live(block_id)
-        if not self._heterogeneous:
-            return self._keys.read(block_id)
-        layout = self._unit_layouts[self._unit_of[block_id]]
-        return self._unpack_rows(
-            self._keys.read(block_id),
-            layout.key_dtype,
-            (layout.kv_heads, layout.key_subspaces),
-        )
+        layout = self._written_layout(block_id)
+        return self._read_rows(self._keys, block_id, layout.key_dtype,
+                               (layout.kv_heads, layout.key_subspaces))
 
     def value_codes(self, block_id: int) -> np.ndarray:
-        self._check_live(block_id)
-        if not self._heterogeneous:
-            return self._values.read(block_id)
-        layout = self._unit_layouts[self._unit_of[block_id]]
-        return self._unpack_rows(
-            self._values.read(block_id),
-            layout.value_dtype,
-            (layout.kv_heads, layout.value_subspaces),
-        )
+        layout = self._written_layout(block_id)
+        return self._read_rows(self._values, block_id, layout.value_dtype,
+                               (layout.kv_heads, layout.value_subspaces))
 
     # Prefix sharing ------------------------------------------------------
 
@@ -579,50 +496,22 @@ class BlockPool:
         """Blocks per sealed group — alias of ``n_layers`` (see ``__init__``)."""
         return self.n_layers
 
-    @property
-    def heterogeneous(self) -> bool:
-        """True when units carry different code-row layouts."""
-        return self._heterogeneous
-
-    @property
-    def key_row_shape(self) -> tuple[int, ...]:
-        """Per-token key-code row shape ``(kv_heads, M)``."""
-        require(
-            not self._heterogeneous,
-            "heterogeneous pools have no single row shape; use unit_key_shape(unit)",
-        )
-        return self._keys.row_shape
-
-    @property
-    def value_row_shape(self) -> tuple[int, ...]:
-        require(
-            not self._heterogeneous,
-            "heterogeneous pools have no single row shape; use unit_value_shape(unit)",
-        )
-        return self._values.row_shape
-
     def unit_key_shape(self, unit: int) -> tuple[int, int]:
         """Per-token key-code row shape ``(kv_heads, M)`` of one unit."""
-        if self._unit_layouts is None:
-            return self._keys.row_shape
         layout = self._unit_layouts[unit]
         return (layout.kv_heads, layout.key_subspaces)
 
     def unit_value_shape(self, unit: int) -> tuple[int, int]:
-        if self._unit_layouts is None:
-            return self._values.row_shape
         layout = self._unit_layouts[unit]
         return (layout.kv_heads, layout.value_subspaces)
 
     def unit_bytes_per_block(self, unit: int) -> float:
         """Logical bytes of one of ``unit``'s blocks (no pad).
 
-        On uniform pools this equals :attr:`bytes_per_block`; heterogeneous
-        pools pad narrow units up to the arena width physically, but memory
-        reports stay honest by charging each unit its own code bytes.
+        Equal to :attr:`bytes_per_block` for the widest units; narrower ones
+        occupy the full arena width physically, but memory reports charge
+        each unit its own code bytes.
         """
-        if self._unit_layouts is None:
-            return float(self.bytes_per_block)
         layout = self._unit_layouts[unit]
         return float(
             self.block_tokens * (layout.key_row_nbytes + layout.value_row_nbytes)

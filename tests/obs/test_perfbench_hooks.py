@@ -9,8 +9,14 @@ still resolves to a callable.
 
 from __future__ import annotations
 
+import numpy as np
+from support.reference import pooled
+
 from perfbench import layers
 from perfbench.spans import Tracer
+from repro.models.kv_cache import FullPrecisionCacheFactory
+from repro.serving import BatchedMillionEngine
+from repro.utils.bitpack import code_dtype
 
 
 def test_every_wrapped_entry_point_resolves(monkeypatch):
@@ -32,3 +38,24 @@ def test_every_wrapped_entry_point_resolves(monkeypatch):
     assert {name.split(".", 1)[0] for _, _, name in wrapped} >= {
         "engine", "scheduler", "memory", "model", "pq", "calib"
     }
+
+
+def test_traced_code_size_accessors_match_the_code_rows(tiny_model, million_factory):
+    """``--trace 1`` samples ``memory.kv_bytes_per_token`` from the pool's
+    block size and ``attn.code_bytes_per_token`` from the quantizers; both
+    must equal kv heads x (key + value subspaces) x code itemsize x layers."""
+    config = tiny_model.config
+    key_pq, value_pq = million_factory.quantizers[0]
+    itemsize = np.dtype(code_dtype(key_pq.nbits)).itemsize
+    expected = (
+        config.kv_heads
+        * (key_pq.m_subspaces + value_pq.m_subspaces)
+        * itemsize
+        * config.n_layers
+    )
+    try:
+        engine = BatchedMillionEngine(tiny_model, pooled(tiny_model, million_factory))
+        assert layers.kv_bytes_per_token(engine) == expected
+        assert layers.code_bytes_per_token(engine) == expected
+    finally:
+        tiny_model.reset_cache(FullPrecisionCacheFactory())

@@ -15,6 +15,7 @@ from repro.serving import (
     chain_hashes,
     hash_token_block,
 )
+from repro.serving.memory import UnitLayout
 from support.reference import BLOCK_TOKENS, pooled
 
 
@@ -59,29 +60,44 @@ class TestChainHashes:
 
 class TestBlockPool:
     def _pool(self, num_blocks=8, n_layers=2):
-        return BlockPool(
-            num_blocks=num_blocks,
-            block_tokens=4,
-            n_layers=n_layers,
-            kv_heads=2,
-            key_subspaces=8,
-            value_subspaces=8,
-        )
+        layout = UnitLayout(kv_heads=2, key_subspaces=8, value_subspaces=8)
+        return BlockPool(num_blocks, 4, [layout] * n_layers)
 
     def _codes(self, pool, seed=0):
         rng = np.random.default_rng(seed)
-        shape = (pool.block_tokens, *pool.key_row_shape)
+        shape = (pool.block_tokens, *pool.unit_key_shape(0))
         return rng.integers(0, 255, size=shape).astype(np.uint8)
 
     def test_allocate_write_read_roundtrip(self):
         pool = self._pool()
         block_id = pool.allocate_block()
         codes = self._codes(pool)
-        pool.write_block(block_id, codes, codes + 1)
+        pool.write_block(block_id, codes, codes + 1, unit=1)
         np.testing.assert_array_equal(pool.key_codes(block_id), codes)
         np.testing.assert_array_equal(pool.value_codes(block_id), codes + 1)
+        assert pool.block_unit(block_id) == 1
         assert pool.refcount(block_id) == 1
         assert pool.used_block_count == 1 and pool.free_block_count == 7
+
+    def test_reads_of_full_width_units_are_views_of_the_arena(self):
+        pool = self._pool()
+        block_id = pool.allocate_block()
+        codes = self._codes(pool)
+        pool.write_block(block_id, codes, codes, unit=0)
+        for read, arena in ((pool.key_codes, pool._keys), (pool.value_codes, pool._values)):
+            rows = read(block_id)
+            assert rows.shape == codes.shape and rows.dtype == np.uint8
+            assert rows.flags.c_contiguous
+            assert np.shares_memory(rows, arena.read(block_id))
+
+    def test_reading_an_unwritten_block_raises(self):
+        pool = self._pool()
+        block_id = pool.allocate_block()
+        assert pool.block_unit(block_id) is None
+        with pytest.raises(Exception, match="has not been written"):
+            pool.key_codes(block_id)
+        with pytest.raises(Exception, match="has not been written"):
+            pool.value_codes(block_id)
 
     def test_exhaustion_raises_when_nothing_evictable(self):
         pool = self._pool(num_blocks=2)
@@ -106,8 +122,8 @@ class TestBlockPool:
     def test_publish_adopt_and_refcounts(self):
         pool = self._pool()
         group = [pool.allocate_block() for _ in range(pool.n_layers)]
-        for bid in group:
-            pool.write_block(bid, self._codes(pool), self._codes(pool))
+        for unit, bid in enumerate(group):
+            pool.write_block(bid, self._codes(pool), self._codes(pool), unit)
         digest = hash_token_block(b"\x00" * 16, np.arange(4))
         pool.publish(digest, group)
         assert pool.lookup(digest) == tuple(group)
@@ -122,8 +138,8 @@ class TestBlockPool:
         digests = []
         for i in range(2):
             group = [pool.allocate_block() for _ in range(2)]
-            for bid in group:
-                pool.write_block(bid, self._codes(pool, i), self._codes(pool, i))
+            for unit, bid in enumerate(group):
+                pool.write_block(bid, self._codes(pool, i), self._codes(pool, i), unit)
             digest = hash_token_block(b"\x00" * 16, np.asarray([i]))
             pool.publish(digest, group)
             for bid in group:
@@ -142,8 +158,8 @@ class TestBlockPool:
     def test_adoption_protects_group_from_eviction(self):
         pool = self._pool(num_blocks=4, n_layers=2)
         group = [pool.allocate_block() for _ in range(2)]
-        for bid in group:
-            pool.write_block(bid, self._codes(pool), self._codes(pool))
+        for unit, bid in enumerate(group):
+            pool.write_block(bid, self._codes(pool), self._codes(pool), unit)
         digest = hash_token_block(b"\x00" * 16, np.arange(4))
         pool.publish(digest, group)
         for bid in group:
@@ -159,11 +175,11 @@ class TestBlockPool:
     def test_shared_blocks_are_immutable(self):
         pool = self._pool()
         group = [pool.allocate_block() for _ in range(pool.n_layers)]
-        for bid in group:
-            pool.write_block(bid, self._codes(pool), self._codes(pool))
+        for unit, bid in enumerate(group):
+            pool.write_block(bid, self._codes(pool), self._codes(pool), unit)
         pool.publish(hash_token_block(b"\x00" * 16, np.arange(4)), group)
         with pytest.raises(Exception, match="published"):
-            pool.write_block(group[0], self._codes(pool), self._codes(pool))
+            pool.write_block(group[0], self._codes(pool), self._codes(pool), unit=0)
 
     def test_stats_keys(self):
         stats = self._pool().stats()

