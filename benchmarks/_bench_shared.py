@@ -16,7 +16,7 @@ from repro.bench.schema import CaseResult
 from repro.core import collect_kv_samples
 from repro.data import load_corpus
 from repro.models import load_model
-from repro.serving import BlockPool, PooledMillionCacheFactory
+from repro.serving import PooledPolicyCacheFactory
 
 
 def run_registered(name: str, *, smoke: bool = False) -> CaseResult:
@@ -32,10 +32,10 @@ def never_evicting_factory(model, factory, n_sequences: int, block_tokens: int =
     contexts, so no block is reclaimed while an engine serves that many."""
     config = model.config
     blocks = n_sequences * config.n_layers * -(-config.max_seq_len // block_tokens)
-    pool = BlockPool.for_model(
-        config, factory.million_config, num_blocks=blocks, block_tokens=block_tokens
+    bits = round(factory.million_config.bits_per_value(config.head_dim))
+    return PooledPolicyCacheFactory(
+        config, {bits: factory}, num_blocks=blocks, block_tokens=block_tokens
     )
-    return PooledMillionCacheFactory.from_factory(factory, pool)
 
 
 @lru_cache(maxsize=None)

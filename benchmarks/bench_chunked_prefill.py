@@ -48,8 +48,7 @@ from repro.data import load_corpus
 from repro.models import ModelConfig, build_model
 from repro.serving import (
     BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
+    PooledPolicyCacheFactory,
 )
 
 
@@ -123,13 +122,12 @@ def _drive(config, million, base_factory, params: Params, chunked: bool):
     in-bench determinism check meaningful.
     """
     model = build_model(config, seed=0)
-    pool = BlockPool.for_model(
-        config, million,
-        num_blocks=params.pool_blocks, block_tokens=params.block_tokens,
-    )
     engine = BatchedMillionEngine(
         model,
-        PooledMillionCacheFactory.from_factory(base_factory, pool),
+        PooledPolicyCacheFactory(
+            config, {4: base_factory},
+            num_blocks=params.pool_blocks, block_tokens=params.block_tokens,
+        ),
         max_batch_size=params.short_streams + 1,
         prefill_token_budget=params.prefill_token_budget if chunked else None,
     )

@@ -35,7 +35,7 @@ from repro.bench import HIGHER, BenchContext, benchmark_case
 from repro.core import MillionConfig, calibrate_million
 from repro.data import load_corpus
 from repro.models import ModelConfig, build_model
-from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
+from repro.serving import BatchedMillionEngine, PooledPolicyCacheFactory
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ def build_engine(model, factory, million_config, params: Params, n_requests: int
         + 2
     )
     num_blocks = n_requests * per_request_blocks * model.config.n_layers + 8
-    pool = BlockPool.for_model(
-        model.config, million_config, num_blocks=num_blocks, block_tokens=params.block_tokens
+    pooled = PooledPolicyCacheFactory(
+        model.config, {4: factory}, num_blocks=num_blocks, block_tokens=params.block_tokens
     )
-    pooled = PooledMillionCacheFactory.from_factory(factory, pool)
     return BatchedMillionEngine(model, pooled, max_batch_size=n_requests)
 
 

@@ -38,8 +38,7 @@ from repro.loadgen import LoadReport, WorkloadSpec, replay, synthesize
 from repro.models import ModelConfig, build_model
 from repro.serving import (
     BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
+    PooledPolicyCacheFactory,
     SloPolicy,
 )
 
@@ -122,10 +121,9 @@ async def _run_mode(
     }
     for _ in range(params.repeats):
         model = build_model(config, seed=0)
-        pool = BlockPool.for_model(
-            config, million, num_blocks=params.pool_blocks, block_tokens=16
+        factory = PooledPolicyCacheFactory(
+            config, {4: base_factory}, num_blocks=params.pool_blocks, block_tokens=16
         )
-        factory = PooledMillionCacheFactory.from_factory(base_factory, pool)
         engine = BatchedMillionEngine(
             model,
             factory,

@@ -16,10 +16,16 @@ token-identical to serving that request alone on a single-slot engine, and
 reports per-request finish reasons plus aggregate throughput and
 ``engine.stats()``.
 
+``--tiers`` also serves every prompt on each quality tier — ``balanced``
+(the default policy), ``quality`` (half of each layer's heads at 8 bits) and
+``compact`` (half at 2 bits) — all over the one pool, and checks each
+request the same way, alone on its tier.
+
 Run with::
 
     python examples/batched_serving.py [--requests 6] [--batch-size 3]
     python examples/batched_serving.py --pool-blocks 64 --shared-prefix 96
+    python examples/batched_serving.py --requests 3 --tiers
 """
 
 from __future__ import annotations
@@ -29,10 +35,19 @@ import time
 
 import numpy as np
 
-from repro.core import MillionConfig, calibrate_million
+from repro.core import MillionCacheFactory, MillionConfig, calibrate_million
+from repro.core.calibration import collect_kv_samples, train_million_quantizers
 from repro.data import load_corpus
 from repro.models import load_model
-from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
+from repro.quant.policy import HeadAssignment, QuantPolicy, million_variant
+from repro.serving import BatchedMillionEngine, PooledPolicyCacheFactory
+
+
+def half_heads_at(config, bits: int) -> QuantPolicy:
+    """Every layer's first half of KV heads at ``bits``, the rest at 4 bits."""
+    half = config.kv_heads // 2
+    row = [HeadAssignment("million", bits if h < half else 4) for h in range(config.kv_heads)]
+    return QuantPolicy(config.n_layers, config.kv_heads, config.head_dim, [row] * config.n_layers)
 
 
 def main() -> None:
@@ -55,6 +70,11 @@ def main() -> None:
         default=96,
         help="system-prompt tokens shared by every request",
     )
+    parser.add_argument(
+        "--tiers",
+        action="store_true",
+        help="also serve every prompt on the balanced, quality and compact tiers",
+    )
     args = parser.parse_args()
 
     model = load_model("llama-2-7b-tiny", seed=0, max_seq_len=1024)
@@ -65,6 +85,24 @@ def main() -> None:
     )
     print("calibrating MILLION codebooks once for all requests ...")
     calibrated = calibrate_million(model, calibration, million)
+    default = QuantPolicy.uniform(model.config, "million", 4)
+    bank = {4: calibrated}
+    tiers = {}
+    if args.tiers:
+        print("calibrating the 2- and 8-bit codebooks of the tiers ...")
+        samples = collect_kv_samples(model, calibration, max_samples_per_layer=1536)
+        for bits in (2, 8):
+            variant = million_variant(
+                model.config.head_dim, bits, kmeans_iters=5, calibration_samples=1536
+            )
+            bank[bits] = MillionCacheFactory(
+                train_million_quantizers(samples, variant), variant
+            )
+        tiers = {
+            "balanced": default,
+            "quality": half_heads_at(model.config, 8),
+            "compact": half_heads_at(model.config, 2),
+        }
 
     system_prefix = load_corpus("wikitext2-syn", "test", args.shared_prefix, seed=99) % vocab
     prompts = [
@@ -77,25 +115,30 @@ def main() -> None:
     def engine(max_batch_size: int) -> BatchedMillionEngine:
         """An engine over a fresh pool.  A per-step prefill budget of one
         system prefix puts a chunk boundary at the prefix end, which makes
-        the prefix adoptable."""
-        pool = BlockPool.for_model(
-            model.config, million, num_blocks=args.pool_blocks,
-            block_tokens=args.block_tokens,
+        the prefix adoptable.  Every tier allocates from its one pool."""
+        factory = PooledPolicyCacheFactory(
+            model.config, bank, num_blocks=args.pool_blocks,
+            block_tokens=args.block_tokens, policy=default, tiers=tiers,
         )
         return BatchedMillionEngine(
             model,
-            PooledMillionCacheFactory.from_factory(calibrated, pool),
+            factory,
             max_batch_size=max_batch_size,
             prefill_token_budget=args.shared_prefix or None,
         )
 
     server = engine(args.batch_size)
-    for i, prompt in enumerate(prompts):
-        budget = args.max_new_tokens - 2 * (i % 3)
-        server.add_request(prompt, max_new_tokens=budget, request_id=f"user-{i}")
+    requests = [
+        (f"user-{i}" + (f"-{tier}" if tier else ""), prompt, tier)
+        for i, prompt in enumerate(prompts)
+        for tier in (None, *tiers)
+    ]
+    for n, (request_id, prompt, tier) in enumerate(requests):
+        budget = args.max_new_tokens - 2 * (n % 3)
+        server.add_request(prompt, max_new_tokens=budget, request_id=request_id, tier=tier)
 
     print(
-        f"serving {args.requests} requests with max_batch_size={args.batch_size} "
+        f"serving {len(requests)} requests with max_batch_size={args.batch_size} "
         f"pool_blocks={args.pool_blocks} ..."
     )
     start = time.perf_counter()
@@ -112,17 +155,19 @@ def main() -> None:
     wall = time.perf_counter() - start
 
     total_tokens = 0
-    for i, prompt in enumerate(prompts):
-        state = server.state_of(f"user-{i}")
+    for request_id, prompt, tier in requests:
+        state = server.state_of(request_id)
         total_tokens += len(state.generated)
         line = (
-            f"  user-{i}: prompt={prompt.size:3d} tokens "
+            f"  {request_id}: prompt={prompt.size:3d} tokens "
             f"generated={len(state.generated):2d} "
             f"finish={state.finish_reason.value:9s} "
             f"preemptions={state.preemptions}"
         )
         # The reference: the same request served alone, on its own pool.
-        (alone,) = engine(1).generate_batch([prompt], state.request.max_new_tokens)
+        alone_engine = engine(1)
+        alone_id = alone_engine.add_request(prompt, state.request.max_new_tokens, tier=tier)
+        alone = alone_engine.run()[alone_id]
         identical = np.array_equal(alone, state.generated_ids)
         line += f" identical-to-alone={identical}"
         assert identical, "batched output diverged from the request served alone"

@@ -32,7 +32,7 @@ from repro.core import MillionConfig, calibrate_million
 from repro.data import load_corpus
 from repro.gateway import AsyncEngineRunner, GatewayServer, ReplicaRouter
 from repro.models import load_model
-from repro.serving import BatchedMillionEngine, BlockPool, PooledMillionCacheFactory
+from repro.serving import BatchedMillionEngine, PooledPolicyCacheFactory
 
 
 async def http_post(host: str, port: int, path: str, payload: dict) -> bytes:
@@ -83,10 +83,9 @@ async def run_demo(args: argparse.Namespace) -> None:
             )
             calibration = load_corpus("wikitext2-syn", "train", 768) % model.config.vocab_size
             base_factory = calibrate_million(model, calibration, million)
-        pool = BlockPool.for_model(
-            model.config, million, num_blocks=512, block_tokens=16
+        factory = PooledPolicyCacheFactory(
+            model.config, {4: base_factory}, num_blocks=512, block_tokens=16
         )
-        factory = PooledMillionCacheFactory.from_factory(base_factory, pool)
         engines.append(BatchedMillionEngine(model, factory, max_batch_size=4))
 
     runners = [

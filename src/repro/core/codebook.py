@@ -36,6 +36,7 @@ class SubspaceCodebooks:
             self.centroids.ndim == 3,
             f"centroids must be 3-D (M, K, dsub), got shape {self.centroids.shape}",
         )
+        self._nbits = int(np.ceil(np.log2(self.n_centroids)))
 
     @property
     def m_subspaces(self) -> int:
@@ -57,7 +58,7 @@ class SubspaceCodebooks:
     @property
     def nbits(self) -> int:
         """Bits per code implied by the codebook size."""
-        return int(np.ceil(np.log2(self.n_centroids)))
+        return self._nbits
 
     def memory_bytes(self, bytes_per_value: float = 2.0) -> float:
         """GPU-resident codebook footprint (fp16 accounting)."""

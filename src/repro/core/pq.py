@@ -44,6 +44,7 @@ class ProductQuantizer:
         # and each subspace's first row in it (flat_index).
         self._centroid_rows: np.ndarray | None = None
         self._flat_offsets: np.ndarray | None = None
+        self._code_dtype: np.dtype | None = None
 
     def centroid_sq_norms(self) -> np.ndarray:
         """``(M, K)`` squared centroid norms in float64 (cached)."""
@@ -161,7 +162,9 @@ class ProductQuantizer:
                 0.5 * self.centroid_sq_norms()
             ).astype(np.float32)[:, None, :]
         scores -= self._half_sq_norms_f32
-        codes = np.argmax(scores, axis=2).astype(code_dtype(self.nbits))
+        if self._code_dtype is None:
+            self._code_dtype = code_dtype(self.nbits)
+        codes = np.argmax(scores, axis=2).astype(self._code_dtype)
         return np.ascontiguousarray(codes.T)
 
     @property

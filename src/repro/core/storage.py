@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 
 def _grow_capacity(current: int, needed: int, minimum: int) -> int:
@@ -89,12 +89,12 @@ class CodeStore:
     def append(self, rows: np.ndarray) -> None:
         """Append a ``(t, *row_shape)`` block by copying it into the store."""
         rows = np.asarray(rows)
-        require(
-            rows.ndim == len(self._row_shape) + 1
-            and rows.shape[1:] == self._row_shape,
-            f"rows must have shape (t, {', '.join(map(str, self._row_shape))}), "
-            f"got {rows.shape}",
-        )
+        if rows.shape[1:] != self._row_shape or rows.ndim != len(self._row_shape) + 1:
+            # The message is built only on failure: append runs per decode step.
+            raise ValidationError(
+                f"rows must have shape (t, {', '.join(map(str, self._row_shape))}), "
+                f"got {rows.shape}"
+            )
         t = rows.shape[0]
         if t == 0:
             return

@@ -11,8 +11,9 @@ subprocess and compares the tokens against a direct
 identity across the HTTP boundary, asserted end to end.
 
 Calibration runs once; replicas share the read-only quantizers but each gets
-its own model instance and its own block pool (engines step concurrently on
-executor threads, so no mutable state may be shared between replicas).
+its own model instance and its own block pool — one per replica, shared by
+every quality tier (engines step concurrently on executor threads, so no
+mutable state may be shared between replicas).
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
 from repro.serving.engine import BatchedMillionEngine
 from repro.serving.scheduler import SloPolicy
-from repro.serving.memory import (
-    BlockPool,
-    PooledMillionCacheFactory,
-    PooledPolicyCacheFactory,
-)
+from repro.serving.memory import PooledPolicyCacheFactory
 
 from repro.gateway.runner import AsyncEngineRunner
 from repro.gateway.router import ReplicaRouter
@@ -55,11 +52,13 @@ class GatewayConfig:
 
     ``tiers=True`` additionally calibrates per-request quality tiers:
     ``"quality"`` (mixed policy at 1.5x the default uniform byte budget),
-    ``"balanced"`` (alias of the default factory) and ``"compact"`` (mixed
-    policy below the default budget).  Clients pick one with the request's
-    ``tier`` field; tiers decode through the same stacked forward as
-    untiered requests.  Each tier calibrates its own codebooks at startup,
-    hence the default is off.
+    ``"balanced"`` (the default policy, sharing its blocks) and
+    ``"compact"`` (mixed policy below the default budget).  Clients pick one
+    with the request's ``tier`` field; tiers decode through the same stacked
+    forward as untiered requests and allocate from the replica's one pool of
+    ``pool_blocks`` blocks, so capacity moves between tiers.  Each bit width
+    a tier uses calibrates its own codebooks at startup, hence the default
+    is off.
     """
 
     model: str = "llama-2-7b-tiny"
@@ -126,11 +125,13 @@ class GatewayConfig:
             raise ValueError("pool_blocks must be >= 1: every replica serves from a block pool")
 
 
-def _tier_policies(model_config, sensitivity) -> dict[str, QuantPolicy]:
-    """The two non-default tier policies (mixed, all-MILLION, poolable)."""
+def _tier_policies(model_config, sensitivity, bits: int) -> dict[str, QuantPolicy]:
+    """Every named tier's policy (all-MILLION, poolable); ``"balanced"`` is
+    the default tier's uniform ``bits`` policy."""
     b2 = QuantPolicy.uniform(model_config, "million", 2).bytes_per_token()
     b4 = QuantPolicy.uniform(model_config, "million", 4).bytes_per_token()
     return {
+        "balanced": QuantPolicy.uniform(model_config, "million", bits),
         "quality": derive_policy(
             model_config, sensitivity, 1.5 * b4, schemes=("million",)
         ),
@@ -183,7 +184,7 @@ def build_engines(
             models[0], calibration, max_samples_per_layer=1536, seed=config.seed
         )
         sensitivity = measure_sensitivity(collector, kmeans_iters=4)
-        tier_policies = _tier_policies(models[0].config, sensitivity)
+        tier_policies = _tier_policies(models[0].config, sensitivity, config.bits)
         needed_bits = {
             assignment.bits
             for policy in tier_policies.values()
@@ -201,28 +202,17 @@ def build_engines(
             )
     engines = []
     for replica_index, model in enumerate(models):
-        pool = BlockPool.for_model(
+        # One pool per replica, whatever the tiers: "balanced" shares the
+        # default policy's units and blocks, so balanced requests are token-
+        # and accounting-identical to untiered ones.
+        factory = PooledPolicyCacheFactory(
             model.config,
-            million,
+            factory_bank,
             num_blocks=config.pool_blocks,
             block_tokens=config.block_tokens,
+            policy=QuantPolicy.uniform(model.config, "million", config.bits),
+            tiers=tier_policies,
         )
-        factory = PooledMillionCacheFactory.from_factory(base_factory, pool)
-        tier_factories = {}
-        if config.tiers:
-            # "balanced" aliases this replica's default factory, so balanced
-            # requests are token- and accounting-identical to untiered ones.
-            tier_factories["balanced"] = factory
-            for name, policy in tier_policies.items():
-                tier_pool = BlockPool.for_policy(
-                    model.config,
-                    policy,
-                    num_blocks=config.pool_blocks,
-                    block_tokens=config.block_tokens,
-                )
-                tier_factories[name] = PooledPolicyCacheFactory(
-                    policy, model.config, factory_bank, tier_pool
-                )
         slo_policy = None
         if config.interactive_ttft_slo_ms > 0 or config.best_effort_ttft_slo_ms > 0:
             slo_policy = SloPolicy(
@@ -243,7 +233,6 @@ def build_engines(
                 factory,
                 max_batch_size=config.max_batch_size,
                 max_queue_size=config.max_queue_size,
-                tier_factories=tier_factories or None,
                 trace=trace,
                 trace_track=f"replica-{replica_index}",
                 priority_aware=bool(config.priority_aware),

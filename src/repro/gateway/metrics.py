@@ -430,15 +430,14 @@ def render_prometheus(
                     "counter",
                     tier_labels,
                 )
-                if tier_stats["policy_bytes_per_token"] is not None:
-                    out.add(
-                        "repro_engine_tier_policy_bytes_per_token",
-                        float(tier_stats["policy_bytes_per_token"]),
-                        "Configured KV bytes per token of the tier's "
-                        "quantization policy.",
-                        "gauge",
-                        tier_labels,
-                    )
+                out.add(
+                    "repro_engine_tier_policy_bytes_per_token",
+                    float(tier_stats["policy_bytes_per_token"]),
+                    "Configured KV bytes per token of the tier's "
+                    "quantization policy.",
+                    "gauge",
+                    tier_labels,
+                )
         priority = stats.get("priority")
         if priority is not None:
             for class_label, class_stats in sorted(priority.items()):

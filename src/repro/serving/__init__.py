@@ -12,17 +12,17 @@
 * :mod:`~repro.serving.memory` — the paged KV memory manager:
   :class:`~repro.serving.memory.BlockPool` (bounded, ref-counted quantized
   blocks with content-hash prefix sharing) and
-  :class:`~repro.serving.memory.PooledMillionCacheFactory`, the pool-backed
-  cache factory the engine requires (memory-aware admission, preemption,
-  prefix sharing).
+  :class:`~repro.serving.memory.PooledPolicyCacheFactory`, the pool-backed
+  cache factory the engine requires: every quality tier's policy over one
+  pool (memory-aware admission, preemption, prefix sharing).
 """
 
 from repro.serving.engine import BatchedMillionEngine, chunk_schedule
 from repro.serving.memory import (
     BlockPool,
     PoolExhaustedError,
-    PooledMillionCacheFactory,
     PooledMillionKVCacheLayer,
+    PooledPolicyCacheFactory,
     chain_hashes,
     hash_token_block,
 )
@@ -51,8 +51,8 @@ __all__ = [
     "PRIORITIES",
     "PoolExhaustedError",
     "QueueFullError",
-    "PooledMillionCacheFactory",
     "PooledMillionKVCacheLayer",
+    "PooledPolicyCacheFactory",
     "RequestState",
     "RequestStatus",
     "SloCapacityError",

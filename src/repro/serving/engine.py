@@ -18,11 +18,12 @@ Scheduling is continuous batching (see
 that finishes frees its slot immediately and the next queued request is
 admitted on the following step, so the running set stays full under load.
 
-Every cache factory allocates from a :class:`~repro.serving.memory.BlockPool`
-(:class:`~repro.serving.memory.PooledMillionCacheFactory`, or
-:class:`~repro.serving.memory.PooledPolicyCacheFactory` for mixed-precision
-tiers).  On top of slot-count scheduling the engine manages that memory, and
-every prefill follows one resumable **chunk schedule**:
+The engine takes one :class:`~repro.serving.memory.PooledPolicyCacheFactory`,
+which owns the replica's one :class:`~repro.serving.memory.BlockPool`; a
+request's quality tier selects a quantization policy over units of that
+pool, so every request allocates from, adopts from and preempts within the
+same blocks.  On top of slot-count scheduling the engine manages that
+memory, and every prefill follows one resumable **chunk schedule**:
 
 * **Chunk schedule.**  A prompt of ``P`` tokens is split at
   ``A = B * floor((P - 1) / B)`` (``B`` = pool block tokens).  The aligned
@@ -46,7 +47,7 @@ every prefill follows one resumable **chunk schedule**:
   never follows load.
 * **Memory-aware admission.**  The scheduler's admission gate refuses the
   queue head until the pool can cover its first chunk (minus prefix hits)
-  plus one decode block per layer of headroom.
+  plus one decode group of its tier's units of headroom.
 * **Stall-free batching.**  Chunk sub-steps run round-robin over the
   prefilling sequences under the per-step token budget, before the fused
   decode half of the same step (Sarathi-style); a sequence decodes only
@@ -77,9 +78,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.models.kv_cache import KVCacheFactory
 from repro.models.sampling import GreedySampler
-from repro.models.transformer import TransformerLM
+from repro.models.transformer import ModelContext, TransformerLM
 from repro.obs.hist import BATCH_BUCKETS, Histogram, LATENCY_BUCKETS_S
 from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
@@ -88,9 +88,9 @@ from repro.serving.memory import (
     BlockPool,
     PoolExhaustedError,
     PooledMillionKVCacheLayer,
+    PooledPolicyCacheFactory,
     chain_hashes,
     hash_token_block,
-    ROOT_HASH,
 )
 from repro.serving.request import (
     PRIORITIES,
@@ -190,11 +190,10 @@ class BatchedMillionEngine:
     def __init__(
         self,
         model: TransformerLM,
-        factory: KVCacheFactory,
+        factory: PooledPolicyCacheFactory,
         max_batch_size: int = 8,
         max_unclaimed_results: int = 1024,
         max_queue_size: Optional[int] = None,
-        tier_factories: Optional[dict[str, KVCacheFactory]] = None,
         trace: Optional[TraceRecorder] = None,
         trace_track: str = "engine",
         priority_aware: bool = True,
@@ -207,25 +206,15 @@ class BatchedMillionEngine:
             prefill_token_budget is None or prefill_token_budget >= 1,
             "prefill_token_budget must be >= 1",
         )
+        require(
+            isinstance(factory, PooledPolicyCacheFactory),
+            "the cache factory must be a PooledPolicyCacheFactory: calibrated "
+            "quantizers over the replica's block pool",
+        )
         self.model = model
+        # A request carrying ``tier="quality"`` builds its caches under the
+        # factory's "quality" policy, over units of the same pool.
         self.factory = factory
-        # Per-request quality tiers: a request carrying ``tier="quality"``
-        # builds its caches from ``tier_factories["quality"]`` instead of the
-        # default factory.  Each tier is typically a different quantization
-        # policy (see repro.quant.policy) — same model weights, different
-        # KV fidelity/footprint trade-off.
-        self.tier_factories: dict[str, KVCacheFactory] = dict(tier_factories or {})
-        for name in self.tier_factories:
-            require(
-                isinstance(name, str) and name != "",
-                "tier names must be non-empty strings",
-            )
-        for label, tier_factory in (("default", factory), *self.tier_factories.items()):
-            require(
-                isinstance(getattr(tier_factory, "pool", None), BlockPool),
-                f"the {label!r} cache factory has no block pool; wrap a "
-                "calibrated factory in a PooledMillionCacheFactory over a BlockPool",
-            )
         # Phase profiler (repro.obs.prof): attributes step wall time to named
         # kernels.  Defaults to the shared no-op so every hook costs one
         # ``enabled`` attribute check; the stacked decode forward records its
@@ -256,13 +245,21 @@ class BatchedMillionEngine:
         # from the budget alone — never from load — because every chunk
         # boundary is a published-block state, and two runs of a prompt must
         # pass through identical flush states for published content (and
-        # hence prefix adoption) to be deterministic.
+        # hence prefix adoption) to be deterministic.  It is the largest
+        # multiple of the block size inside the budget (at least one block);
+        # without a budget it covers ``max_seq_len``, so any prompt's aligned
+        # prefix is one chunk.
         self.prefill_token_budget = (
             None if prefill_token_budget is None else int(prefill_token_budget)
         )
+        block = self.pool.block_tokens
+        if self.prefill_token_budget is None:
+            self._chunk_tokens = block * -(-model.config.max_seq_len // block)
+        else:
+            self._chunk_tokens = block * max(1, self.prefill_token_budget // block)
         # Per-tier lifetime counters ("default" = requests without a tier).
         self._tier_requests_total: dict[str, int] = {
-            label: 0 for label in ("default", *self.tier_factories)
+            label: 0 for label in ("default", *factory.tier_names)
         }
         # Lifetime counters (reported by stats()).
         self.preemption_count = 0
@@ -302,14 +299,8 @@ class BatchedMillionEngine:
         self.decode_step_hist = Histogram(LATENCY_BUCKETS_S)
         self.fused_batch_hist = Histogram(BATCH_BUCKETS)
         # Pool events (evictions, adoptions) record onto this engine's track.
-        for pool in self._all_pools():
-            pool.trace = self.trace
-            pool.trace_track = trace_track
-
-    def _all_pools(self) -> list[BlockPool]:
-        """Every distinct block pool this engine allocates from (default + tiers)."""
-        factories = (self.factory, *self.tier_factories.values())
-        return list({id(f.pool): f.pool for f in factories}.values())
+        self.pool.trace = self.trace
+        self.pool.trace_track = trace_track
 
     # Submission ---------------------------------------------------------------
 
@@ -337,25 +328,24 @@ class BatchedMillionEngine:
         # Unknown tiers fail here, in the caller's stack frame — the gateway
         # maps this ValueError to a 400 before the request ever queues.
         require(
-            request.tier is None or request.tier in self.tier_factories,
+            request.tier is None or request.tier in self.factory.tier_names,
             f"unknown tier {request.tier!r}; available tiers: "
-            f"{sorted(self.tier_factories)}",
+            f"{sorted(self.factory.tier_names)}",
         )
         state = RequestState(request=request, rng=get_rng(request.seed))
-        # A request its whole pool cannot hold would be force-admitted and
+        # A request the whole pool cannot hold would be force-admitted and
         # fail inside step(), taking every other stream on the replica down.
-        pool = self._pool_for(state)
         total = min(
             request.prompt_ids.size + request.max_new_tokens,
             self.model.config.max_seq_len,
         )
-        sealed_blocks = self._sealed_tokens(state, total) // pool.block_tokens
-        needed = sealed_blocks * pool.n_layers
+        sealed_blocks = self._sealed_tokens(state, total) // self.pool.block_tokens
+        needed = sealed_blocks * self._units(state)
         require(
-            needed <= pool.num_blocks,
+            needed <= self.pool.num_blocks,
             f"request of {request.prompt_ids.size} prompt + "
             f"{request.max_new_tokens} new tokens needs {needed} pool blocks; "
-            f"the pool holds {pool.num_blocks}",
+            f"the pool holds {self.pool.num_blocks}",
         )
         # Scheduler first: a QueueFullError (backpressure) must leave no
         # trace in the engine's state table.
@@ -483,37 +473,17 @@ class BatchedMillionEngine:
             state.context = self.model.save_context()
             self.model.restore_context(saved)
 
-    def _factory_for(self, state: RequestState) -> KVCacheFactory:
-        """The cache factory serving this request's quality tier."""
-        if state.request.tier is None:
-            return self.factory
-        return self.tier_factories[state.request.tier]
-
-    def _pool_for(self, state: RequestState) -> BlockPool:
-        """The block pool this request's caches allocate from."""
-        return self._factory_for(state).pool
-
-    def _residual_window_for(self, state: RequestState) -> int:
-        """Full-precision residual window of this request's cache scheme."""
-        return self._factory_for(state).recent_window
-
-    def _chunk_tokens_for(self, pool: BlockPool) -> int:
-        """Fixed chunk size against ``pool``: the largest multiple of its
-        block size inside ``prefill_token_budget`` (at least one block).
-        Without a budget the chunk covers ``max_seq_len``, so any prompt's
-        aligned prefix is one chunk."""
-        block = pool.block_tokens
-        if self.prefill_token_budget is None:
-            return block * -(-self.model.config.max_seq_len // block)
-        return block * max(1, self.prefill_token_budget // block)
+    def _units(self, state: RequestState) -> int:
+        """Blocks per group of this request's tier (its pool units)."""
+        return self.factory.tier(state.request.tier).units
 
     def _pooled_caches(self, state: RequestState) -> list[PooledMillionKVCacheLayer]:
         """Pool-backed caches in *unit order* (layer-major, head-groups ascending).
 
         Head-group composite layers contribute their pooled sub-caches in
-        group order, matching the unit indexing of
-        :meth:`BlockPool.for_policy` — so position ``u`` in this list always
-        owns pool unit ``u``, which block adoption and publication rely on.
+        group order, matching the unit order of the tier in the pool — so
+        position ``u`` in this list owns the tier's ``u``-th unit, which
+        block adoption and publication rely on.
         """
         assert state.context is not None
         caches: list[PooledMillionKVCacheLayer] = []
@@ -583,9 +553,9 @@ class BatchedMillionEngine:
         """Tokens in sealed pool blocks once ``total`` history tokens are
         cached: the aligned prompt prefix ``A``, or ``B*floor((total-1-W)/B)``
         once decode has flushed past it (``W`` = residual window)."""
-        block = self._pool_for(state).block_tokens
+        block = self.pool.block_tokens
         aligned = block * ((state.request.prompt_ids.size - 1) // block)
-        window = self._residual_window_for(state)
+        window = self.factory.recent_window
         return max(aligned, block * (max(0, total - 1 - window) // block))
 
     def _prefill_plan(self, state: RequestState) -> _PrefillPlan:
@@ -600,30 +570,31 @@ class BatchedMillionEngine:
 
         The plan (notably its hash chain) is memoized on the state while the
         request waits in the queue — the admission gate runs every step and
-        must not rehash a long prefix each time.
+        must not rehash a long prefix each time.  The chain is seeded with
+        the tier's root hash, so it only meets blocks of the same tier.
         """
-        pool = self._pool_for(state)
         if state.prefill_plan is not None:
             return state.prefill_plan
-        block = pool.block_tokens
+        block = self.pool.block_tokens
+        root = self.factory.tier(state.request.tier).root_hash
         prompt = state.request.prompt_ids
         aligned = block * ((prompt.size - 1) // block)
-        bounds = chunk_schedule(prompt.size, block, self._chunk_tokens_for(pool))
+        bounds = chunk_schedule(prompt.size, block, self._chunk_tokens)
         if state.generated:
             history = state.token_history
             # The last generated token's decode step is always replayed, so
             # only blocks strictly before it are adoption candidates.
-            hashes = tuple(chain_hashes(history[: history.size - 1], block))
+            hashes = tuple(chain_hashes(history[: history.size - 1], block, root))
             stored_final = self._sealed_tokens(state, history.size)
             state.prefill_plan = _PrefillPlan(
                 aligned, hashes, stored_final, True, bounds
             )
         else:
-            hashes = tuple(chain_hashes(prompt[:aligned], block))
+            hashes = tuple(chain_hashes(prompt[:aligned], block, root))
             state.prefill_plan = _PrefillPlan(aligned, hashes, aligned, False, bounds)
         return state.prefill_plan
 
-    def _round_hits(self, pool: BlockPool, aligned: int, hits: int) -> int:
+    def _round_hits(self, aligned: int, hits: int) -> int:
         """Leading chain hits a prompt with aligned prefix ``aligned`` can adopt.
 
         Adopting ``k`` blocks resumes from the state ``(stored == k*B,
@@ -634,10 +605,10 @@ class BatchedMillionEngine:
         chunk size below ``A`` and at ``A`` itself, so hits are capped at
         ``A`` and, short of it, rounded down to a whole number of chunks.
         """
-        block = pool.block_tokens
+        block = self.pool.block_tokens
         usable = min(hits, aligned // block)
         if usable * block < aligned:
-            usable -= usable % (self._chunk_tokens_for(pool) // block)
+            usable -= usable % (self._chunk_tokens // block)
         return usable
 
     def _usable_hits(self, state: RequestState, plan: _PrefillPlan, hits: int) -> int:
@@ -648,14 +619,13 @@ class BatchedMillionEngine:
         the block boundary before appending, so any block boundary at or
         past the prompt end is a state the original replay passed through.
         """
-        pool = self._pool_for(state)
         if (
             plan.is_restore
-            and self._residual_window_for(state) == 0
-            and hits * pool.block_tokens >= state.request.prompt_ids.size
+            and self.factory.recent_window == 0
+            and hits * self.pool.block_tokens >= state.request.prompt_ids.size
         ):
             return hits
-        return self._round_hits(pool, plan.aligned, hits)
+        return self._round_hits(plan.aligned, hits)
 
     def _admission_gate(self, state: RequestState) -> bool:
         """Can the pool cover this request's first chunk (plus decode headroom)?
@@ -668,14 +638,13 @@ class BatchedMillionEngine:
         First chunks admitted earlier but not yet run hold their blocks'
         worth of the pool, so two admissions never count on the same room.
         """
-        pool = self._pool_for(state)
+        pool = self.pool
         plan = self._prefill_plan(state)
         hits = pool.longest_prefix(plan.hashes)
         usable = self._usable_hits(state, plan, hits)
         block = pool.block_tokens
         needed_groups = min(
-            plan.stored_final // block - usable,
-            self._chunk_tokens_for(pool) // block,
+            plan.stored_final // block - usable, self._chunk_tokens // block
         )
         # Cached groups this prefill will adopt leave the evictable set the
         # moment they are adopted, so they must not double as reclaimable
@@ -683,17 +652,16 @@ class BatchedMillionEngine:
         adopted_from_cache = sum(
             1 for h in plan.hashes[:usable] if pool.group_is_evictable(h)
         )
-        needed = (needed_groups + 1 + adopted_from_cache) * pool.n_layers
+        needed = (needed_groups + 1 + adopted_from_cache) * self._units(state)
         promised = sum(
             other.prefill_plan.promised
             for other in self.scheduler.running
-            if other.prefilling and self._pool_for(other) is pool
+            if other.prefilling
         )
         return pool.can_allocate(needed + promised)
 
     def _register_new_blocks(self, state: RequestState) -> None:
         """Publish blocks sealed by the last forward under their chain hashes."""
-        pool = self._pool_for(state)
         caches = self._pooled_caches(state)
         per_unit = [cache.drain_new_blocks() for cache in caches]
         n_new = len(per_unit[0])
@@ -702,8 +670,13 @@ class BatchedMillionEngine:
         )
         if n_new == 0:
             return
+        pool = self.pool
         block = pool.block_tokens
-        prev_hash = state.block_hashes[-1] if state.block_hashes else ROOT_HASH
+        prev_hash = (
+            state.block_hashes[-1]
+            if state.block_hashes
+            else self.factory.tier(state.request.tier).root_hash
+        )
         start = len(state.block_hashes)
         for j in range(n_new):
             lo = (start + j) * block
@@ -725,7 +698,7 @@ class BatchedMillionEngine:
         run are taken, so adoption never changes its logits.  The adopted
         groups count as hits that the admission counted as misses.
         """
-        pool = self._pool_for(state)
+        pool = self.pool
         prof = self.prof
         if prof.enabled:
             t = prof.now()
@@ -762,15 +735,19 @@ class BatchedMillionEngine:
         """
         begin_start = time.perf_counter()
         plan = self._prefill_plan(state)
-        state.context = self.model.fresh_context(self._factory_for(state))
+        config = self.model.config
+        tier = state.request.tier
+        state.context = ModelContext(
+            [self.factory.create(i, config, tier) for i in range(config.n_layers)],
+            self.factory,
+        )
         state.block_hashes = []
         plan.cursor = 0
         self.prefix_block_misses += len(plan.hashes)
         self._adopt_published(state, plan)
         if plan.cursor < plan.aligned:
-            pool = self._pool_for(state)
-            chunk_groups = (plan.next_bound() - plan.cursor) // pool.block_tokens
-            plan.promised = chunk_groups * pool.n_layers
+            chunk_groups = (plan.next_bound() - plan.cursor) // self.pool.block_tokens
+            plan.promised = chunk_groups * self._units(state)
         state.prefilling = True
         if self.prof.enabled:
             self.prof.record("prefill", time.perf_counter() - begin_start)
@@ -806,10 +783,9 @@ class BatchedMillionEngine:
         was preempted making room for its own chunk and left the running
         set, or adopted published blocks past its prompt end.
         """
-        pool = self._pool_for(state)
         plan = state.prefill_plan
         assert plan is not None and plan.cursor >= 0
-        block = pool.block_tokens
+        block = self.pool.block_tokens
         prompt_tokens = state.request.prompt_ids.size
         sub_start = time.perf_counter()
         prof = self.prof
@@ -821,7 +797,7 @@ class BatchedMillionEngine:
         computed = 0
         if cursor < plan.aligned:
             hi = plan.next_bound()
-            demand = ((hi - cursor) // block) * pool.n_layers
+            demand = ((hi - cursor) // block) * self._units(state)
             if not self._ensure_decode_capacity(state, demand=demand):
                 return 0, None  # preempted; restarts from scratch on restore
             if timing:
@@ -939,9 +915,8 @@ class BatchedMillionEngine:
 
     def _decode_block_demand(self, state: RequestState) -> int:
         """Pool blocks ``state``'s next decode step will allocate on flush."""
-        pool = self._pool_for(state)
         caches = self._pooled_caches(state)
-        return caches[0].flushable_blocks() * pool.n_layers
+        return caches[0].flushable_blocks() * len(caches)
 
     def _ensure_decode_capacity(
         self,
@@ -958,22 +933,21 @@ class BatchedMillionEngine:
         as decode.
 
         ``reserved`` is block demand already promised to sequences decoding
-        in the same fused step *against the same pool* — their flush
-        allocations have not happened yet, so the pool must cover the sum,
-        not just this sequence's share.  The victim is the first candidate in
+        in the same fused step — their flush allocations have not happened
+        yet, so the pool must cover the sum, not just this sequence's share.
+        The victim is the first candidate in
         :meth:`ContinuousBatchingScheduler.preemption_victims` order (lowest
         priority class first; within a class, never-preempted sequences
-        before preempted ones, youngest first) that decodes
-        against the contended pool — preempting a sequence on another pool
-        would free nothing here.  ``exclude`` holds sequences that must not
-        be victims: the fused path passes the states already collected into
-        this step's batch, whose input token (sampled, or forced by a
-        restore replay) would be lost if their context were freed
-        mid-batch.  Returns ``False`` if ``state`` itself was preempted
-        (every eligible same-pool candidate outranks it and the pool still
+        before preempted ones, youngest first), whatever its tier: every
+        tier allocates from the one pool.  ``exclude`` holds sequences that
+        must not be victims: the fused path passes the states already
+        collected into this step's batch, whose input token (sampled, or
+        forced by a restore replay) would be lost if their context were
+        freed mid-batch.  Returns ``False`` if ``state`` itself was
+        preempted (every eligible candidate outranks it and the pool still
         cannot cover its flush).
         """
-        pool = self._pool_for(state)
+        pool = self.pool
         assert state.context is not None
         excluded = {id(s) for s in exclude}
         if demand is None:
@@ -985,18 +959,11 @@ class BatchedMillionEngine:
                     for candidate in self.scheduler.preemption_victims()
                     if candidate.status is RequestStatus.RUNNING
                     and id(candidate) not in excluded
-                    and self._pool_for(candidate) is pool
                 ),
                 state,
             )
             if victim is state:
-                same_pool_running = sum(
-                    1
-                    for candidate in self.scheduler.running
-                    if candidate.status is RequestStatus.RUNNING
-                    and self._pool_for(candidate) is pool
-                )
-                if same_pool_running <= 1:
+                if self.scheduler.running_count <= 1:
                     raise PoolExhaustedError(
                         f"block pool ({pool.num_blocks} blocks) cannot "
                         f"hold a single sequence of "
@@ -1030,10 +997,8 @@ class BatchedMillionEngine:
         timing = self.prof.enabled
         sample_seconds = 0.0
         sampled = 0
-        # Reserved block demand is tracked per pool: tier engines may decode
-        # sequences against different pools in one fused step, and a pool
-        # only has to cover the flushes of its own sequences.
-        reserved: dict[int, int] = {}
+        # Flush blocks promised to the rows already collected.
+        reserved = 0
         max_seq_len = self.model.config.max_seq_len
         for state in self.scheduler.running:
             if state.status is not RequestStatus.RUNNING:
@@ -1041,14 +1006,11 @@ class BatchedMillionEngine:
             plan = state.prefill_plan
             if state.prefilling and not plan.replaying:
                 continue  # prompt chunks not finished; no logits to sample
-            pool = self._pool_for(state)
             # ``exclude=live`` protects sequences already collected into this
             # fused batch: each holds an input token whose forward has not
             # run yet, so preempting one here would null its context out from
             # under the stacked decode (and orphan a sampled token).
-            if not self._ensure_decode_capacity(
-                state, reserved.get(id(pool), 0), exclude=live
-            ):
+            if not self._ensure_decode_capacity(state, reserved, exclude=live):
                 continue
             processed.append(state)
             request = state.request
@@ -1078,9 +1040,7 @@ class BatchedMillionEngine:
                         state.request_id, token, True, state.finish_reason
                     )
                     continue
-            reserved[id(pool)] = reserved.get(id(pool), 0) + (
-                self._decode_block_demand(state)
-            )
+            reserved += self._decode_block_demand(state)
             live.append(state)
             tokens.append(token)
         self.last_fused_batch_size = len(live)
@@ -1273,7 +1233,7 @@ class BatchedMillionEngine:
         block = self.pool.block_tokens
         aligned = block * (max(0, prompt_tokens - 1) // block)
         hits = self.pool.longest_token_prefix(prompt_ids)
-        return self._round_hits(self.pool, aligned, hits)
+        return self._round_hits(aligned, hits)
 
     @property
     def queue_full(self) -> bool:
@@ -1310,19 +1270,16 @@ class BatchedMillionEngine:
 
         ``kv_bytes`` is the live KV footprint of the tier's running
         sequences (pool-backed caches report fair shares of shared blocks);
-        ``policy_bytes_per_token`` is the tier factory's modelled steady-state
-        cost when it exposes one (policy factories do), else ``None``.
+        ``policy_bytes_per_token`` is the tier policy's modelled steady-state
+        cost.
         """
         tiers: dict[str, dict] = {}
-        for label, factory in (("default", self.factory), *self.tier_factories.items()):
-            bytes_per_token = getattr(factory, "bytes_per_token", None)
+        for label, name in (("default", None), *((n, n) for n in self.factory.tier_names)):
             tiers[label] = {
                 "running": 0,
                 "kv_bytes": 0.0,
-                "requests_total": self._tier_requests_total.get(label, 0),
-                "policy_bytes_per_token": (
-                    float(bytes_per_token()) if callable(bytes_per_token) else None
-                ),
+                "requests_total": self._tier_requests_total[label],
+                "policy_bytes_per_token": self.factory.bytes_per_token(name),
             }
         for state in self.scheduler.running:
             label = state.request.tier or "default"

@@ -5,12 +5,14 @@ vLLM's paged KV allocator, specialised to MILLION's PQ-compressed cache:
 
 * :class:`BlockPool` owns a bounded budget of fixed-size KV blocks.  A block
   holds ``block_tokens`` quantized code rows (keys + values) for **one**
-  layer; one logical *group* of ``n_layers`` blocks stores a block-aligned
-  span of a sequence across every layer.  Blocks are ref-counted; sealed
-  groups are published under a content hash of the token prefix they encode,
-  so identical prompt prefixes across requests resolve to the *same* blocks
-  (copy-on-write sharing: sealed blocks are immutable, divergence after a
-  shared prefix writes to freshly allocated private blocks).
+  pool *unit* — a (layer, head-group) slot of one quality tier; one logical
+  *group* holds one block per unit of the tier that wrote it and stores a
+  block-aligned span of a sequence across every layer.  Blocks are
+  ref-counted; sealed groups are published under a content hash of the
+  token prefix they encode, so identical prompt prefixes across requests of
+  one tier resolve to the *same* blocks (copy-on-write sharing: sealed
+  blocks are immutable, divergence after a shared prefix writes to freshly
+  allocated private blocks).
 * :class:`PooledMillionKVCacheLayer` is the MILLION cache whose quantized
   code rows live in pool blocks instead of private storage.  Flushes are
   forced onto ``block_tokens`` boundaries, so every sealed block is full and
@@ -19,8 +21,10 @@ vLLM's paged KV allocator, specialised to MILLION's PQ-compressed cache:
   chunk of ``k·block_tokens`` tokens ends in ``flush_all()``, sealing and
   publishing whole groups, so a prefill paused at any chunk boundary is in
   exactly the state its cold run passes through there.
-* :class:`PooledMillionCacheFactory` wires calibrated per-layer quantizers to
-  one shared pool and plugs into
+* :class:`PooledPolicyCacheFactory` is a replica's one cache factory: it
+  lays out every quality tier's :class:`~repro.quant.policy.QuantPolicy`
+  as units of one pool it builds and owns, wires the calibrated quantizers
+  to them, and plugs into
   :class:`~repro.serving.engine.BatchedMillionEngine`, which adds
   memory-aware admission and preemption on top (see its docstring for the
   chunk schedule that makes shared and cold prefills bit-identical).
@@ -38,7 +42,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +55,9 @@ from repro.obs.trace import NULL_RECORDER
 from repro.utils.bitpack import code_dtype
 from repro.utils.validation import ValidationError, require
 
+if TYPE_CHECKING:
+    from repro.quant.policy import QuantPolicy
+
 
 class PoolExhaustedError(RuntimeError):
     """Raised when an allocation cannot be satisfied even after eviction."""
@@ -60,10 +67,9 @@ class PoolExhaustedError(RuntimeError):
 class UnitLayout:
     """Code-row layout of one pool unit (a (layer, head-group) slot).
 
-    A pool lists one layout per unit.  :meth:`BlockPool.for_model` repeats
-    one layout for every layer; policy pools give heads quantized at
-    different bit-widths their own, so differently-shaped code rows share
-    one pool.
+    A pool lists one layout per unit.  :class:`PooledPolicyCacheFactory`
+    gives every head group of every tier its own, so differently-shaped code
+    rows share one pool.
     """
 
     kv_heads: int
@@ -100,6 +106,23 @@ def hash_token_block(prev_hash: bytes, tokens: np.ndarray) -> bytes:
     return digest.digest()
 
 
+def unit_range_root(base: int, units: int) -> bytes:
+    """Seed of the chain hashes of groups over pool units ``[base, base+units)``.
+
+    The range that starts at unit 0 (a pool's default tier) keeps
+    :data:`ROOT_HASH`, so its hashes are those of a single-tier pool.  Every
+    other range gets its own seed: equal token prefixes written by different
+    tiers never share a hash, so a tier adopts only blocks its own
+    quantizers wrote.  The digest is personalised, so no token block hashes
+    to a seed.
+    """
+    if base == 0:
+        return ROOT_HASH
+    digest = hashlib.blake2b(digest_size=16, person=b"repro-unit-range")
+    digest.update(np.asarray([base, units], dtype=np.int64).tobytes())
+    return digest.digest()
+
+
 def chain_hashes(
     tokens: np.ndarray, block_tokens: int, prev_hash: bytes = ROOT_HASH
 ) -> list[bytes]:
@@ -128,14 +151,17 @@ class BlockPool:
                     evict ──┘            │ adopt (prefix hit)
         free <──────────────             └──> shared again
 
-    A *group* is one block per unit sealed over the same ``block_tokens``
-    token span; publication, lookup, adoption and eviction all operate on
-    groups so the per-unit caches of one sequence can never disagree about
-    which spans are shared.
+    ``unit_ranges`` partitions the units, in order, into ``(base, count)``
+    ranges, one per quality tier (default: one range over every unit).  A
+    *group* is one block per unit of one range, sealed over the same
+    ``block_tokens`` token span; publication, lookup, adoption and eviction
+    all operate on groups so the per-unit caches of one sequence can never
+    disagree about which spans are shared.
 
-    Blocks are byte rows as wide as the widest unit's code row.  A block
-    records the unit it was written for, and reads reinterpret its bytes
-    under that unit's :class:`UnitLayout`.
+    Blocks are byte rows as wide as the widest unit's code row, so every
+    tier allocates from the same blocks.  A block records the unit it was
+    written for, and reads reinterpret its bytes under that unit's
+    :class:`UnitLayout`.
     """
 
     def __init__(
@@ -143,15 +169,30 @@ class BlockPool:
         num_blocks: int,
         block_tokens: int,
         unit_layouts: Sequence[UnitLayout],
+        unit_ranges: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
         require(num_blocks >= 1, "num_blocks must be >= 1")
         require(block_tokens >= 1, "block_tokens must be >= 1")
         self._unit_layouts = tuple(unit_layouts)
         require(len(self._unit_layouts) >= 1, "a pool needs at least one unit layout")
         self.block_tokens = int(block_tokens)
-        # Units per group: one per transformer layer, or one per (layer,
-        # head-group) in a policy pool.
-        self.n_layers = len(self._unit_layouts)
+        self.n_units = len(self._unit_layouts)
+        self.unit_ranges = tuple(
+            (int(base), int(count))
+            for base, count in (unit_ranges or [(0, self.n_units)])
+        )
+        end = 0
+        for base, count in self.unit_ranges:
+            require(base == end and count >= 1, "unit ranges must be consecutive")
+            end = base + count
+        require(
+            end == self.n_units,
+            f"unit ranges {self.unit_ranges} must partition the {self.n_units} units",
+        )
+        self._range_units = dict(self.unit_ranges)
+        # Blocks per group of the first range (the default tier: one per
+        # transformer layer).
+        self.n_layers = self.unit_ranges[0][1]
         key_width = max(layout.key_row_nbytes for layout in self._unit_layouts)
         value_width = max(layout.value_row_nbytes for layout in self._unit_layouts)
         self._keys = BlockArena(num_blocks, block_tokens, (key_width,), np.uint8)
@@ -160,11 +201,13 @@ class BlockPool:
         self._free: deque[int] = deque(range(num_blocks))
         self._refcounts = [0] * num_blocks
         self._allocated = [False] * num_blocks
-        # Published groups: chain hash -> one block id per layer.
+        # Published groups: chain hash -> one block id per unit of a range.
         self._groups: Dict[bytes, Tuple[int, ...]] = {}
         self._group_of: Dict[int, bytes] = {}
-        # Published groups whose blocks all have refcount 0, oldest first.
+        # Published groups whose blocks all have refcount 0, oldest first,
+        # and the number of blocks they hold.
         self._evictable: "OrderedDict[bytes, None]" = OrderedDict()
+        self._evictable_blocks = 0
         # Counters (monotonic; reported by stats()).
         self.allocations = 0
         self.evictions = 0
@@ -174,69 +217,6 @@ class BlockPool:
         # adoptions show up on the replica's timeline.
         self.trace = NULL_RECORDER
         self.trace_track = "pool"
-
-    @classmethod
-    def for_model(
-        cls,
-        model_config: ModelConfig,
-        million_config: MillionConfig,
-        num_blocks: int,
-        block_tokens: int,
-    ) -> "BlockPool":
-        """Size a pool for a model + MILLION configuration pair.
-
-        One unit per layer, every unit with the same layout.
-        """
-        dtype = code_dtype(million_config.nbits)
-        layout = UnitLayout(
-            kv_heads=model_config.kv_heads,
-            key_subspaces=million_config.m_subspaces,
-            value_subspaces=million_config.m_subspaces,
-            key_dtype=dtype,
-            value_dtype=dtype,
-        )
-        return cls(num_blocks, block_tokens, [layout] * model_config.n_layers)
-
-    @classmethod
-    def for_policy(
-        cls,
-        model_config: ModelConfig,
-        policy,
-        num_blocks: int,
-        block_tokens: int,
-    ) -> "BlockPool":
-        """Size a pool for a mixed-precision all-MILLION policy.
-
-        One unit per (layer, head-group), in layer-major order with groups
-        ordered as :meth:`QuantPolicy.head_groups` yields them — the same
-        deterministic order :class:`PooledPolicyCacheFactory` assigns unit
-        indices in.  A uniform policy yields the same layouts as
-        :meth:`for_model`.
-        """
-        from repro.quant.policy import million_variant
-
-        policy.validate_for_model(model_config)
-        layouts: list[UnitLayout] = []
-        for layer in range(policy.n_layers):
-            for assignment, heads in policy.head_groups(layer):
-                require(
-                    assignment.scheme == "million",
-                    "pooled serving only supports all-MILLION policies "
-                    f"(layer {layer} assigns {assignment.scheme!r}); other "
-                    "schemes lack a block-sized shared-code representation",
-                )
-                variant = million_variant(model_config.head_dim, assignment.bits)
-                dtype = code_dtype(variant.nbits)
-                layouts.append(
-                    UnitLayout(
-                        kv_heads=len(heads),
-                        key_subspaces=variant.m_subspaces,
-                        value_subspaces=variant.m_subspaces,
-                        key_dtype=dtype,
-                        value_dtype=dtype,
-                    )
-                )
-        return cls(num_blocks, block_tokens, layouts)
 
     # Allocation ----------------------------------------------------------
 
@@ -257,6 +237,7 @@ class BlockPool:
                 "referenced and no cached group is evictable"
             )
         chain_hash, _ = self._evictable.popitem(last=False)
+        self._evictable_blocks -= len(self._groups[chain_hash])
         for block_id in self._groups.pop(chain_hash):
             del self._group_of[block_id]
             self._reclaim(block_id)
@@ -277,6 +258,14 @@ class BlockPool:
     def incref(self, block_id: int) -> None:
         self._check_live(block_id)
         self._refcounts[block_id] += 1
+        chain_hash = self._group_of.get(block_id)
+        if chain_hash is not None:
+            self._unmark_evictable(chain_hash)
+
+    def _unmark_evictable(self, chain_hash: bytes) -> None:
+        if chain_hash in self._evictable:
+            del self._evictable[chain_hash]
+            self._evictable_blocks -= len(self._groups[chain_hash])
 
     def decref(self, block_id: int) -> None:
         """Drop one reference; frees (or caches) the block at refcount 0."""
@@ -296,6 +285,7 @@ class BlockPool:
             # Published group fully unreferenced: keep the contents around
             # for future prefix hits, evictable in LRU order.
             self._evictable[chain_hash] = None
+            self._evictable_blocks += len(self._groups[chain_hash])
 
     def _check_live(self, block_id: int) -> None:
         require(
@@ -322,8 +312,8 @@ class BlockPool:
             block_id not in self._group_of,
             f"block {block_id} is published (shared blocks are immutable)",
         )
-        if not 0 <= unit < self.n_layers:
-            raise ValidationError(f"unit {unit} is out of range [0, {self.n_layers})")
+        if not 0 <= unit < self.n_units:
+            raise ValidationError(f"unit {unit} is out of range [0, {self.n_units})")
         layout = self._unit_layouts[unit]
         self._write_rows(self._keys, block_id, key_codes, layout.key_dtype,
                          (layout.kv_heads, layout.key_subspaces))
@@ -405,21 +395,26 @@ class BlockPool:
         is only *adoptable* by a prefill that passes through the same flush
         state (see ``BatchedMillionEngine._round_hits``); this pool counts
         raw hits.
+
+        The group must hold one written block per unit of one unit range, in
+        unit order: the blocks one sequence of that range's tier sealed.
         """
         ids = tuple(int(b) for b in block_ids)
-        require(
-            len(ids) == self.n_layers,
-            f"group must have one block per layer ({self.n_layers}), got {len(ids)}",
-        )
         for block_id in ids:
             self._check_live(block_id)
             require(
                 block_id not in self._group_of,
                 f"block {block_id} is already published",
             )
+        if not self._is_range_group(ids):
+            raise ValidationError(
+                f"group must hold one written block per unit of one of the "
+                f"unit ranges {self.unit_ranges}, in order; got units "
+                f"{[self._unit_of.get(block_id) for block_id in ids]}"
+            )
+        self._unmark_evictable(chain_hash)
         previous = self._groups.pop(chain_hash, None)
         if previous is not None:
-            self._evictable.pop(chain_hash, None)
             for block_id in previous:
                 del self._group_of[block_id]
                 if self._refcounts[block_id] == 0:
@@ -427,6 +422,16 @@ class BlockPool:
         self._groups[chain_hash] = ids
         for block_id in ids:
             self._group_of[block_id] = chain_hash
+
+    def _is_range_group(self, ids: Sequence[int]) -> bool:
+        """True if ``ids`` are allocated blocks written with one unit range's
+        consecutive units, in order."""
+        units = [self._unit_of.get(block_id) for block_id in ids]
+        return (
+            len(ids) > 0
+            and self._range_units.get(units[0]) == len(ids)
+            and units == list(range(units[0], units[0] + len(ids)))
+        )
 
     def lookup(self, chain_hash: bytes) -> Optional[Tuple[int, ...]]:
         """Published group for a chain hash, or ``None`` (no refcount change)."""
@@ -458,7 +463,8 @@ class BlockPool:
         of an exactly block-aligned prompt stays full-precision so the last
         forward produces logits) and counts published groups.  This is the
         read-only probe routers and admission heuristics use to estimate
-        prefix reuse before committing a request to this pool.
+        prefix reuse before committing a request to this pool.  The hashes
+        are the default tier's (seeded with :data:`ROOT_HASH`).
         """
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         if tokens.size == 0:
@@ -469,11 +475,11 @@ class BlockPool:
     def adopt(self, chain_hash: bytes) -> Tuple[int, ...]:
         """Take one reference on every block of a published group.
 
-        Returns the per-layer block ids.  Raises ``KeyError`` if the hash is
+        Returns the per-unit block ids.  Raises ``KeyError`` if the hash is
         not published (callers should gate on :meth:`longest_prefix`).
         """
         ids = self._groups[chain_hash]
-        self._evictable.pop(chain_hash, None)
+        self._unmark_evictable(chain_hash)
         for block_id in ids:
             self._refcounts[block_id] += 1
         self.adoptions += 1
@@ -490,11 +496,6 @@ class BlockPool:
     @property
     def num_blocks(self) -> int:
         return self._keys.num_blocks
-
-    @property
-    def n_units(self) -> int:
-        """Blocks per sealed group — alias of ``n_layers`` (see ``__init__``)."""
-        return self.n_layers
 
     def unit_key_shape(self, unit: int) -> tuple[int, int]:
         """Per-token key-code row shape ``(kv_heads, M)`` of one unit."""
@@ -528,7 +529,8 @@ class BlockPool:
 
     @property
     def evictable_block_count(self) -> int:
-        return len(self._evictable) * self.n_layers
+        """Blocks held by cached groups (the sum of their sizes)."""
+        return self._evictable_blocks
 
     @property
     def available_block_count(self) -> int:
@@ -590,6 +592,35 @@ class BlockPool:
             "adoptions": self.adoptions,
         }
 
+    def check_invariants(self) -> None:
+        """Assert that the pool's bookkeeping is consistent (a test helper).
+
+        Free and allocated blocks partition the pool; free blocks hold no
+        reference, unit or group, and private allocated blocks hold at least
+        one reference.  Every published group is allocated blocks written
+        with one unit range's consecutive units.  The evictable set is
+        exactly the published groups whose refcounts are all 0, and
+        :attr:`evictable_block_count` is the sum of their sizes.
+        """
+        free = set(self._free)
+        assert len(free) == len(self._free), "the free list holds a block twice"
+        for block_id in range(self.num_blocks):
+            refs = self._refcounts[block_id]
+            assert self._allocated[block_id] != (block_id in free), block_id
+            if block_id in free:
+                assert refs == 0 and block_id not in self._unit_of, block_id
+            elif block_id not in self._group_of:
+                assert refs >= 1, f"private block {block_id} has no reference"
+        for chain_hash, ids in self._groups.items():
+            assert self._is_range_group(ids), f"group {chain_hash.hex()} is malformed"
+            assert all(self._group_of[b] == chain_hash for b in ids), chain_hash.hex()
+            idle = all(self._refcounts[b] == 0 for b in ids)
+            assert idle == (chain_hash in self._evictable), chain_hash.hex()
+        assert len(self._group_of) == sum(len(ids) for ids in self._groups.values())
+        assert self._evictable_blocks == sum(
+            len(self._groups[h]) for h in self._evictable
+        ), "evictable_block_count is not the evictable groups' size sum"
+
 
 class PooledMillionKVCacheLayer(MillionKVCacheLayer):
     """MILLION cache layer whose quantized code rows live in pool blocks.
@@ -625,7 +656,7 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
             "pooled MILLION caches do not support sparse outlier corrections "
             "(they are per-sequence state that cannot be shared by prefix)",
         )
-        require(0 <= layer_index < pool.n_layers, "layer_index out of pool range")
+        require(0 <= layer_index < pool.n_units, "layer_index out of pool range")
         require(
             pool.unit_key_shape(layer_index)
             == (config.kv_heads, key_pq.m_subspaces),
@@ -736,67 +767,47 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
         return float(total)
 
 
-class PooledMillionCacheFactory:
-    """Creates pool-backed :class:`PooledMillionKVCacheLayer` instances.
+@dataclass(frozen=True)
+class PoolTier:
+    """One quality tier's units in a replica's pool.
 
-    A drop-in replacement for :class:`~repro.core.million_cache.MillionCacheFactory`
-    whose caches allocate quantized storage from one shared :class:`BlockPool`
-    — the form :class:`~repro.serving.engine.BatchedMillionEngine` requires.
-    The pool is what gives the engine prefix caching, memory-aware admission
-    and preemption.
+    ``base`` is the tier's first pool unit and ``units`` its group size (one
+    unit per (layer, head group), layer-major, groups in
+    :meth:`QuantPolicy.head_groups` order); ``layer_base`` holds each
+    layer's first unit.  ``root_hash`` seeds the tier's chain hashes
+    (:func:`unit_range_root`).
     """
 
-    def __init__(
-        self,
-        quantizers: dict[int, tuple[ProductQuantizer, ProductQuantizer]],
-        million_config: MillionConfig,
-        pool: BlockPool,
-    ) -> None:
-        require(len(quantizers) > 0, "quantizers mapping must not be empty")
-        require(
-            million_config.outlier_fraction == 0.0,
-            "pooled serving requires outlier_fraction == 0.0",
-        )
-        self.quantizers = dict(quantizers)
-        self.million_config = million_config
-        self.pool = pool
-
-    @classmethod
-    def from_factory(cls, factory, pool: BlockPool) -> "PooledMillionCacheFactory":
-        """Wrap an already-calibrated ``MillionCacheFactory`` around a pool."""
-        return cls(factory.quantizers, factory.million_config, pool)
-
-    def create(self, layer_index: int, config: ModelConfig) -> PooledMillionKVCacheLayer:
-        if layer_index not in self.quantizers:
-            raise KeyError(f"no trained MILLION quantizers for layer {layer_index}")
-        key_pq, value_pq = self.quantizers[layer_index]
-        return PooledMillionKVCacheLayer(
-            config, key_pq, value_pq, self.million_config, self.pool, layer_index
-        )
-
-    def bits_per_value(self, head_dim: int) -> float:
-        """Effective bits per cached scalar for reporting."""
-        return self.million_config.bits_per_value(head_dim)
-
-    @property
-    def recent_window(self) -> int:
-        """Full-precision residual window of every cache this factory builds."""
-        return self.million_config.recent_window
+    policy: "QuantPolicy"
+    base: int
+    units: int
+    layer_base: Tuple[int, ...]
+    root_hash: bytes
 
 
 class PooledPolicyCacheFactory:
-    """Pool-backed caches for a mixed-precision all-MILLION policy.
+    """A replica's one cache factory: every quality tier over one pool.
 
-    The policy analogue of :class:`PooledMillionCacheFactory`: every head
-    group of every layer becomes one pool *unit* (indexed layer-major, groups
-    in :meth:`QuantPolicy.head_groups` order — the exact order
-    :meth:`BlockPool.for_policy` laid the units out in).  Single-group layers
-    get a plain :class:`PooledMillionKVCacheLayer` over the full layer config;
-    multi-group layers compose per-group pooled caches under a
-    :class:`~repro.quant.policy_cache.HeadGroupKVCache`, so heads at
-    different bit-widths share one ref-counted pool and one prefix-hash
-    table.  A uniform policy collapses to exactly today's pooled path.
+    Each tier is a :class:`~repro.quant.policy.QuantPolicy` — per-head
+    precision as data — over the calibrated ``MillionCacheFactory`` of each
+    bit width it uses (``million_factories``, keyed by bits).  The default
+    tier is ``policy``, or the uniform policy of the single calibrated bit
+    width; ``tiers`` maps request tier names to their policies.  Every head
+    group of every layer of a tier becomes one pool unit; the pool's units
+    are the distinct tiers' layouts concatenated, default first, and the
+    one :class:`BlockPool` of ``num_blocks`` blocks this factory builds and
+    owns serves them all, so capacity moves freely between tiers.
 
+    A tier whose policy equals an earlier one's (a ``"balanced"`` alias of
+    the default, say) shares its units, chain-hash seed and published
+    blocks.  The default tier's units start at 0, so its hashes and blocks
+    are exactly those of an untiered pool; every other tier seeds its chain
+    hashes with its unit range and adopts only blocks its own quantizers
+    wrote.
+
+    Single-group layers get a plain :class:`PooledMillionKVCacheLayer` over
+    the full layer config; multi-group layers compose per-group pooled
+    caches under a :class:`~repro.quant.policy_cache.HeadGroupKVCache`.
     Only MILLION heads can be pooled: prefix sharing requires the quantized
     representation to be a deterministic, block-sized function of the token
     prefix, which fp16/KIVI/KVQuant heads (per-sequence scales or no
@@ -807,84 +818,124 @@ class PooledPolicyCacheFactory:
 
     def __init__(
         self,
-        policy,
         model_config: ModelConfig,
         million_factories: dict,
-        pool: BlockPool,
+        *,
+        num_blocks: int,
+        block_tokens: int,
+        policy=None,
+        tiers: Optional[dict] = None,
     ) -> None:
-        from repro.quant.policy import million_variant
+        from repro.quant.policy import QuantPolicy
 
-        policy.validate_for_model(model_config)
-        require(
-            policy.schemes_used() == {"million"},
-            "pooled serving only supports all-MILLION policies; got "
-            f"{sorted(policy.schemes_used())}",
-        )
-        self.policy = policy
         self.model_config = model_config
         self.million_factories = dict(million_factories)
-        self.pool = pool
-        windows = set()
+        if policy is None:
+            require(
+                len(self.million_factories) == 1,
+                "pass the default tier's policy when factories of several "
+                "bit widths are given",
+            )
+            (bits,) = self.million_factories
+            policy = QuantPolicy.uniform(model_config, "million", bits)
+        layouts: list[UnitLayout] = []
+        self._tiers: Dict[Optional[str], PoolTier] = {}
+        for name, tier_policy in ((None, policy), *(tiers or {}).items()):
+            require(
+                name is None or (isinstance(name, str) and name != ""),
+                "tier names must be non-empty strings",
+            )
+            tier = next(
+                (t for t in self._tiers.values() if t.policy == tier_policy), None
+            )
+            self._tiers[name] = tier or self._lay_out(name, tier_policy, layouts)
+        distinct = list({t.base: t for t in self._tiers.values()}.values())
+        windows = {
+            self.million_factories[a.bits].million_config.recent_window
+            for t in distinct
+            for a in t.policy.distinct_assignments()
+        }
+        require(
+            len(windows) == 1,
+            "all tier factories of one pool must share one recent_window; "
+            f"got {sorted(windows)}",
+        )
+        #: Full-precision residual window of every cache of every tier.
+        self.recent_window = windows.pop()
+        self.pool = BlockPool(
+            num_blocks, block_tokens, layouts, [(t.base, t.units) for t in distinct]
+        )
+        #: The default tier's per-layer quantizers.
+        self.quantizers = self.million_factories[policy.assignment(0, 0).bits].quantizers
+
+    def _lay_out(self, name, policy, layouts: list[UnitLayout]) -> PoolTier:
+        """Append tier ``name``'s units to ``layouts``; its :class:`PoolTier`."""
+        from repro.quant.policy import million_variant
+
+        policy.validate_for_model(self.model_config)
+        require(
+            policy.schemes_used() == {"million"},
+            f"tier {name or 'default'!r}: pooled serving only supports "
+            f"all-MILLION policies; got {sorted(policy.schemes_used())}",
+        )
         for assignment in policy.distinct_assignments():
             require(
                 assignment.bits in self.million_factories,
                 f"policy uses million-{assignment.bits} but no calibrated "
                 "factory was provided for that bit budget",
             )
-            factory = self.million_factories[assignment.bits]
+            config = self.million_factories[assignment.bits].million_config
             require(
-                factory.million_config.outlier_fraction == 0.0,
+                config.outlier_fraction == 0.0,
                 "pooled serving requires outlier_fraction == 0.0",
             )
-            expected = million_variant(model_config.head_dim, assignment.bits)
+            expected = million_variant(self.model_config.head_dim, assignment.bits)
             require(
-                (factory.million_config.m_subspaces, factory.million_config.nbits)
-                == (expected.m_subspaces, expected.nbits),
-                f"factory for million-{assignment.bits} has (M={factory.million_config.m_subspaces}, "
-                f"nbits={factory.million_config.nbits}) but the policy's byte model and the "
-                f"pool layout assume (M={expected.m_subspaces}, nbits={expected.nbits})",
+                (config.m_subspaces, config.nbits) == (expected.m_subspaces, expected.nbits),
+                f"factory for million-{assignment.bits} has (M={config.m_subspaces}, "
+                f"nbits={config.nbits}) but the policy's byte model assumes "
+                f"(M={expected.m_subspaces}, nbits={expected.nbits})",
             )
-            windows.add(factory.million_config.recent_window)
-        require(
-            len(windows) == 1,
-            "all tier factories of one pooled policy must share one "
-            f"recent_window; got {sorted(windows)}",
-        )
-        self._recent_window = windows.pop()
-        # Unit index of each layer's first group, layer-major.
-        self._unit_base = []
-        base = 0
+        base = len(layouts)
+        layer_base = []
         for layer in range(policy.n_layers):
-            self._unit_base.append(base)
-            base += len(policy.head_groups(layer))
-        require(
-            base == pool.n_units,
-            f"policy needs {base} pool units but the pool has {pool.n_units} "
-            "(build the pool with BlockPool.for_policy over the same policy)",
-        )
+            layer_base.append(len(layouts))
+            for assignment, heads in policy.head_groups(layer):
+                config = self.million_factories[assignment.bits].million_config
+                dtype = code_dtype(config.nbits)
+                layouts.append(
+                    UnitLayout(len(heads), config.m_subspaces, config.m_subspaces, dtype, dtype)
+                )
+        units = len(layouts) - base
+        return PoolTier(policy, base, units, tuple(layer_base), unit_range_root(base, units))
+
+    @property
+    def tier_names(self) -> tuple[str, ...]:
+        """Names a request's ``tier`` may carry (the default tier is ``None``)."""
+        return tuple(name for name in self._tiers if name is not None)
+
+    def tier(self, name: Optional[str] = None) -> PoolTier:
+        """The units of tier ``name`` (``None``: the default tier)."""
+        return self._tiers[name]
 
     def _pooled_cache(
-        self, layer_index: int, unit_index: int, bits: int, config: ModelConfig
+        self, layer_index: int, unit: int, bits: int, config: ModelConfig
     ) -> PooledMillionKVCacheLayer:
         factory = self.million_factories[bits]
         key_pq, value_pq = factory.quantizers[layer_index]
         return PooledMillionKVCacheLayer(
-            config,
-            key_pq,
-            value_pq,
-            factory.million_config,
-            self.pool,
-            unit_index,
+            config, key_pq, value_pq, factory.million_config, self.pool, unit
         )
 
-    def create(self, layer_index: int, config: ModelConfig):
+    def create(self, layer_index: int, config: ModelConfig, tier: Optional[str] = None):
+        """Layer ``layer_index``'s cache under tier ``tier``'s policy."""
         from repro.quant.policy_cache import HeadGroupKVCache, head_subset_config
 
-        groups = self.policy.head_groups(layer_index)
-        base = self._unit_base[layer_index]
+        pool_tier = self._tiers[tier]
+        groups = pool_tier.policy.head_groups(layer_index)
+        unit = pool_tier.layer_base[layer_index]
         if len(groups) == 1:
-            assignment, _ = groups[0]
-            return self._pooled_cache(layer_index, base, assignment.bits, config)
+            return self._pooled_cache(layer_index, unit, groups[0][0].bits, config)
         sub_caches = []
         for offset, (assignment, heads) in enumerate(groups):
             sub_config = head_subset_config(config, len(heads))
@@ -892,38 +943,26 @@ class PooledPolicyCacheFactory:
                 (
                     heads,
                     self._pooled_cache(
-                        layer_index, base + offset, assignment.bits, sub_config
+                        layer_index, unit + offset, assignment.bits, sub_config
                     ),
                 )
             )
         return HeadGroupKVCache(config, sub_caches)
 
-    @property
-    def million_config(self) -> Optional[MillionConfig]:
-        """The single MILLION config when the policy is uniform (else None)."""
-        if not self.policy.is_uniform:
-            return None
-        bits = self.policy.assignment(0, 0).bits
-        return self.million_factories[bits].million_config
-
-    @property
-    def recent_window(self) -> int:
-        """Residual window shared by every tier of this policy."""
-        return self._recent_window
-
-    def bytes_per_token(self) -> float:
-        """Modelled steady-state KV bytes per token under this policy."""
-        return self.policy.bytes_per_token()
+    def bytes_per_token(self, tier: Optional[str] = None) -> float:
+        """Modelled steady-state KV bytes per token under ``tier``'s policy."""
+        return self._tiers[tier].policy.bytes_per_token()
 
 
 __all__ = [
     "ROOT_HASH",
     "BlockPool",
     "PoolExhaustedError",
-    "PooledMillionCacheFactory",
     "PooledMillionKVCacheLayer",
+    "PoolTier",
     "PooledPolicyCacheFactory",
     "UnitLayout",
     "chain_hashes",
     "hash_token_block",
+    "unit_range_root",
 ]

@@ -53,6 +53,18 @@ class TestCodebooks:
         with pytest.raises(Exception):
             train_codebooks(calibration_vectors, m_subspaces=5, nbits=4)
 
+    @pytest.mark.parametrize(
+        "nbits, dtype", [(6, np.uint8), (8, np.uint8), (12, np.uint16)]
+    )
+    def test_code_dtype_follows_nbits(self, nbits, dtype):
+        rng = np.random.default_rng(nbits)
+        codebooks = SubspaceCodebooks(rng.normal(size=(2, 2**nbits, 2)))
+        assert codebooks.nbits == nbits
+        quantizer = ProductQuantizer(codebooks)
+        for _ in range(2):  # the dtype is cached after the first encode
+            codes = quantizer.encode(rng.normal(size=(5, 4)).astype(np.float32))
+            assert codes.dtype == dtype == code_dtype(nbits)
+
     def test_max_samples_subsampling(self, calibration_vectors):
         codebooks = train_codebooks(calibration_vectors, 4, 4, seed=0, max_samples=256)
         assert codebooks.centroids.shape == (4, 16, 8)

@@ -23,6 +23,7 @@ from repro.models.config import ModelConfig
 from repro.models.tensor_ops import softmax
 from repro.quant.cache_adapters import KiviKVCache
 from repro.quant.kivi import KiviConfig
+from repro.utils.validation import ValidationError
 
 
 class TestCodeStore:
@@ -92,6 +93,11 @@ class TestCodeStore:
             store.append(np.zeros((3, 2, 5), dtype=np.uint8))
         with pytest.raises(Exception):
             store.append(np.zeros((2, 4), dtype=np.uint8))  # missing token axis
+
+    def test_wrong_shape_error_names_the_shapes(self):
+        store = CodeStore((2, 4), np.uint8)
+        with pytest.raises(ValidationError, match=r"\(t, 2, 4\), got \(3, 2, 5\)"):
+            store.append(np.zeros((3, 2, 5), dtype=np.uint8))
 
 
 class TestBlockArena:

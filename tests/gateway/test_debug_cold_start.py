@@ -20,22 +20,17 @@ from repro.models.tokenizer import ByteTokenizer
 from repro.obs.export import validate_chrome_trace
 from repro.obs.prof import PhaseProfiler, validate_prof_payload
 from repro.obs.trace import TraceRecorder
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
-)
+from repro.serving import BatchedMillionEngine, PooledPolicyCacheFactory
 
 
 def _make_server(tiny_config, million_config, million_factory, profiled=True):
     """A pooled chunked-prefill replica that has never served a request."""
     model = build_model(tiny_config, seed=7)
-    pool = BlockPool.for_model(
-        tiny_config, million_config, num_blocks=64, block_tokens=4
-    )
     engine = BatchedMillionEngine(
         model,
-        PooledMillionCacheFactory.from_factory(million_factory, pool),
+        PooledPolicyCacheFactory(
+            tiny_config, {4: million_factory}, num_blocks=64, block_tokens=4
+        ),
         trace=TraceRecorder(capacity=1024),
         trace_track="replica-0",
         prof=PhaseProfiler() if profiled else None,

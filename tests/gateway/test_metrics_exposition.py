@@ -18,21 +18,15 @@ from repro.gateway import AsyncEngineRunner, GatewayServer, ReplicaRouter
 from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
 from repro.obs.promtext import parse_exposition
+from repro.quant.policy import QuantPolicy
 from repro.serving import BatchedMillionEngine
 from support.reference import pooled
 
 
-def _make_server(config, factory, tier_factories=None, **engine_kwargs):
-    """One replica; the default and every tier factory get their own pool."""
+def _make_server(config, factory, tiers=None, **engine_kwargs):
+    """One replica; the default tier and every named tier share its pool."""
     model = build_model(config, seed=7)
-    engine = BatchedMillionEngine(
-        model,
-        pooled(model, factory),
-        tier_factories={
-            name: pooled(model, tier) for name, tier in (tier_factories or {}).items()
-        },
-        **engine_kwargs,
-    )
+    engine = BatchedMillionEngine(model, pooled(model, factory, tiers=tiers), **engine_kwargs)
     runner = AsyncEngineRunner(engine, name="replica-0")
     return GatewayServer(ReplicaRouter([runner]), tokenizer=ByteTokenizer())
 
@@ -122,7 +116,7 @@ class TestServedScrapes:
         async def scenario():
             server = _make_server(
                 tiny_config, million_factory,
-                tier_factories={"quality": million_factory},
+                tiers={"quality": QuantPolicy.uniform(tiny_config, "million", 4)},
             )
             host, port = await server.start(port=0)
             try:

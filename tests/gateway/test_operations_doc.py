@@ -18,21 +18,16 @@ from repro.gateway import AsyncEngineRunner, GatewayServer, ReplicaRouter
 from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
 from repro.obs.promtext import parse_exposition
-from repro.serving import (
-    BatchedMillionEngine,
-    BlockPool,
-    PooledMillionCacheFactory,
-)
+from repro.serving import BatchedMillionEngine, PooledPolicyCacheFactory
 
 OPERATIONS_MD = Path(__file__).resolve().parents[2] / "docs" / "OPERATIONS.md"
 
 
 def _scrape_families(config, million_config, factory, gw):
     model = build_model(config, seed=7)
-    pool = BlockPool.for_model(
-        config, million_config, num_blocks=64, block_tokens=32
+    pooled = PooledPolicyCacheFactory(
+        config, {4: factory}, num_blocks=64, block_tokens=32
     )
-    pooled = PooledMillionCacheFactory.from_factory(factory, pool)
     engine = BatchedMillionEngine(model, pooled)
     server = GatewayServer(
         ReplicaRouter([AsyncEngineRunner(engine)]), tokenizer=ByteTokenizer()

@@ -20,7 +20,7 @@ from repro.gateway import AsyncEngineRunner, GatewayServer, ReplicaRouter
 from repro.gateway.protocol import CompletionRequest, ProtocolError
 from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
-from repro.quant.policy import million_variant
+from repro.quant.policy import QuantPolicy, million_variant
 from repro.serving import BatchedMillionEngine
 from support.reference import pooled
 
@@ -38,13 +38,16 @@ def tiered_engine_parts(tiny_config, million_factory, kv_samples):
 
 def _make_tiered_server(config, default_factory, quality_factory):
     model = build_model(config, seed=7)
-    default = pooled(model, default_factory)
-    engine = BatchedMillionEngine(
+    factory = pooled(
         model,
-        default,
-        max_batch_size=4,
-        tier_factories={"quality": pooled(model, quality_factory), "balanced": default},
+        {4: default_factory, 8: quality_factory},
+        policy=QuantPolicy.uniform(config, "million", 4),
+        tiers={
+            "quality": QuantPolicy.uniform(config, "million", 8),
+            "balanced": QuantPolicy.uniform(config, "million", 4),
+        },
     )
+    engine = BatchedMillionEngine(model, factory, max_batch_size=4)
     runner = AsyncEngineRunner(engine, name="replica-0")
     return GatewayServer(ReplicaRouter([runner]), tokenizer=ByteTokenizer())
 
@@ -106,7 +109,7 @@ class TestTieredServing:
                 await server.stop()
 
         results, metrics = asyncio.run(scenario())
-        # The balanced tier aliases the default factory: identical tokens.
+        # The balanced tier shares the default policy: identical tokens.
         assert results["balanced"] == results[None]
         assert len(results["quality"]) == 4
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.models import GreedySampler
 from repro.models.kv_cache import FullPrecisionCacheFactory
+from repro.quant.policy import QuantPolicy
 from repro.serving import (
     BatchedMillionEngine,
     ContinuousBatchingScheduler,
@@ -86,16 +87,13 @@ class TestContinuousBatchingScheduler:
 
 class TestBatchedMillionEngine:
     def test_unpooled_factory_refused(self, tiny_model, million_factory):
-        with pytest.raises(ValueError, match="PooledMillionCacheFactory"):
+        with pytest.raises(ValueError, match="PooledPolicyCacheFactory"):
             BatchedMillionEngine(tiny_model, million_factory)
 
-    def test_unpooled_tier_factory_refused(self, tiny_model, million_factory):
-        with pytest.raises(ValueError, match="PooledMillionCacheFactory") as refused:
-            BatchedMillionEngine(
-                tiny_model,
-                pooled(tiny_model, million_factory),
-                tier_factories={"quality": million_factory},
-            )
+    def test_unpoolable_tier_policy_refused(self, tiny_model, tiny_config, million_factory):
+        fp16 = QuantPolicy.uniform(tiny_config, "fp16", 16)
+        with pytest.raises(ValueError, match="all-MILLION") as refused:
+            pooled(tiny_model, million_factory, tiers={"quality": fp16})
         assert "'quality'" in str(refused.value)
 
     def test_batched_tokens_identical_to_sequential_greedy(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.serving import (
@@ -474,3 +477,102 @@ class TestStats:
         assert aggregate < 2.5 * single
         solo.run()
         shared.run()
+
+
+class PoolMachine(RuleBasedStateMachine):
+    """Random allocate/write/publish/adopt/decref/evict traffic over a pool
+    of two tiers (4- and 8-unit groups), checked against the references the
+    test holds: each is a block and the chain hash it was published or
+    adopted under (``None`` for a private block)."""
+
+    RANGES = ((0, 4), (4, 8))
+
+    def __init__(self):
+        super().__init__()
+        layout = UnitLayout(kv_heads=1, key_subspaces=2, value_subspaces=2)
+        self.pool = BlockPool(24, 2, [layout] * 12, unit_ranges=self.RANGES)
+        self.held: list[tuple] = []
+        self.sealed: list[list[int]] = []  # written, unpublished groups
+        self.published: dict[bytes, tuple] = {}
+
+    def _allocate(self, n):
+        return [self.pool.allocate_block() for _ in range(n)]
+
+    def _pick(self, data, items):
+        return items.pop(data.draw(st.integers(0, len(items) - 1)))
+
+    @rule(tier=st.sampled_from(RANGES), seed=st.integers(0, 255))
+    def seal(self, tier, seed):
+        base, units = tier
+        if not self.pool.can_allocate(units):
+            return
+        blocks = self._allocate(units)
+        codes = np.full((2, 1, 2), seed, dtype=np.uint8)
+        for offset, block in enumerate(blocks):
+            self.pool.write_block(block, codes, codes, unit=base + offset)
+        self.sealed.append(blocks)
+
+    @rule(data=st.data(), key=st.integers(0, 3))
+    def publish(self, data, key):
+        if not self.sealed:
+            return
+        blocks = self._pick(data, self.sealed)
+        chain_hash = bytes([len(blocks), key]) * 8
+        self.pool.publish(chain_hash, blocks)
+        # A republished hash replaces its group: the old blocks turn private.
+        self.held = [(b, None if h == chain_hash else h) for b, h in self.held]
+        self.published[chain_hash] = tuple(blocks)
+        self.held.extend((block, chain_hash) for block in blocks)
+
+    @rule(data=st.data())
+    def adopt(self, data):
+        if self.published:
+            chain_hash = data.draw(st.sampled_from(sorted(self.published)))
+            self.held.extend((b, chain_hash) for b in self.pool.adopt(chain_hash))
+
+    @rule(data=st.data())
+    def decref(self, data):
+        if self.held:
+            self.pool.decref(self._pick(data, self.held)[0])
+
+    @rule(data=st.data())
+    def release_group(self, data):
+        """Drop every reference held under one chain hash: the group idles."""
+        hashes = sorted({h for _, h in self.held if h is not None})
+        if hashes:
+            chain_hash = data.draw(st.sampled_from(hashes))
+            for block, h in [ref for ref in self.held if ref[1] == chain_hash]:
+                self.pool.decref(block)
+            self.held = [ref for ref in self.held if ref[1] != chain_hash]
+
+    @rule(data=st.data())
+    def drop_sealed(self, data):
+        if self.sealed:
+            for block in self._pick(data, self.sealed):
+                self.pool.decref(block)
+
+    @rule(n=st.integers(1, 6))
+    def burst(self, n):
+        """Private allocations: evict cached groups once the free list is empty."""
+        if self.pool.can_allocate(n):
+            self.held.extend((block, None) for block in self._allocate(n))
+
+    @invariant()
+    def consistent(self):
+        self.pool.check_invariants()
+        refs = {}
+        for block in [b for b, _ in self.held] + [b for g in self.sealed for b in g]:
+            refs[block] = refs.get(block, 0) + 1
+        for block in range(self.pool.num_blocks):
+            assert self.pool.refcount(block) == refs.get(block, 0)
+        for chain_hash, blocks in list(self.published.items()):
+            found = self.pool.lookup(chain_hash)
+            if found is None:  # evicted: only an unreferenced group may go
+                assert all(h != chain_hash for _, h in self.held)
+                del self.published[chain_hash]
+            else:
+                assert found == blocks
+
+
+TestPoolMachine = PoolMachine.TestCase
+TestPoolMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -1,5 +1,5 @@
-"""Tests for policy-driven serving: quality tiers, heterogeneous pools and
-the batch-size-dependent fused/per-sequence decode switch."""
+"""Tests for policy-driven serving: quality tiers as policies over one
+heterogeneous pool, and fused decode at every batch size."""
 
 from __future__ import annotations
 
@@ -10,8 +10,11 @@ from repro.core.calibration import train_million_quantizers
 from repro.core.million_cache import MillionCacheFactory
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
 from repro.serving import BatchedMillionEngine, GenerationRequest
-from repro.serving.memory import BlockPool, PooledPolicyCacheFactory, UnitLayout
-from support.reference import pooled, solo
+from repro.serving.memory import ROOT_HASH, BlockPool, UnitLayout
+from support.reference import BLOCK_TOKENS, pooled, solo
+
+#: Pool of the preemption test: holds either tiered request alone, not both.
+POOL_PRESSURE_BLOCKS = 48
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,16 @@ def mixed_policy(tiny_config, kv_samples):
     return derive_policy(tiny_config, sensitivity, budget, schemes=("million",))
 
 
+@pytest.fixture(scope="module")
+def compact_policy(tiny_config, kv_samples):
+    from repro.core.calibration import measure_sensitivity
+
+    sensitivity = measure_sensitivity(kv_samples, kmeans_iters=2, max_tokens=512)
+    b2 = QuantPolicy.uniform(tiny_config, "million", 2).bytes_per_token()
+    b4 = QuantPolicy.uniform(tiny_config, "million", 4).bytes_per_token()
+    return derive_policy(tiny_config, sensitivity, (b2 + b4) / 2.0, schemes=("million",))
+
+
 def _drain(engine, request_ids):
     tokens = {rid: [] for rid in request_ids}
     finished = set()
@@ -46,24 +59,34 @@ def _drain(engine, request_ids):
                 tokens[out.request_id].append(out.token)
             if out.finished:
                 finished.add(out.request_id)
+    engine.pool.check_invariants()
     return tokens
 
 
+def _tier_policies(tiny_config, mixed_policy, compact_policy):
+    """The default tier's policy and the named tiers, as the gateway lays them out."""
+    default = QuantPolicy.uniform(tiny_config, "million", 4)
+    return default, {"balanced": default, "quality": mixed_policy, "compact": compact_policy}
+
+
 class TestUnitLayoutPool:
-    def test_for_model_matches_uniform_policy_pool(self, tiny_config, million_config):
-        by_model = BlockPool.for_model(
-            tiny_config, million_config, num_blocks=8, block_tokens=4
-        )
-        by_policy = BlockPool.for_policy(
-            tiny_config,
-            QuantPolicy.uniform(tiny_config, "million", 4),
-            num_blocks=8,
-            block_tokens=4,
-        )
+    def test_for_model_matches_uniform_policy_pool(
+        self, tiny_model, tiny_config, million_config, million_factory
+    ):
+        """One calibrated factory's pool is the uniform policy's: one unit per
+        layer, each as wide as the factory's code rows."""
+        by_model = pooled(tiny_model, million_factory, num_blocks=8).pool
+        by_policy = pooled(
+            tiny_model, {4: million_factory}, num_blocks=8,
+            policy=QuantPolicy.uniform(tiny_config, "million", 4),
+        ).pool
         assert by_model.n_units == by_policy.n_units == tiny_config.n_layers
+        assert by_model.unit_ranges == ((0, tiny_config.n_layers),)
         assert by_model.bytes_per_block == by_policy.bytes_per_block
         for unit in range(by_model.n_units):
-            assert by_model.unit_key_shape(unit) == by_policy.unit_key_shape(unit)
+            assert by_model.unit_key_shape(unit) == by_policy.unit_key_shape(unit) == (
+                tiny_config.kv_heads, million_config.m_subspaces
+            )
             assert by_model.unit_value_shape(unit) == by_policy.unit_value_shape(unit)
             assert by_model.unit_bytes_per_block(unit) == by_model.bytes_per_block
 
@@ -105,49 +128,89 @@ class TestUnitLayoutPool:
             pool.write_block(block, codes, codes, unit=2)
         pool.write_block(block, codes, codes, unit=0)
 
-    def test_for_policy_unit_accounting(self, tiny_config, mixed_policy):
-        pool = BlockPool.for_policy(
-            tiny_config, mixed_policy, num_blocks=8, block_tokens=4
+    def test_for_policy_unit_accounting(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy
+    ):
+        factory = pooled(
+            tiny_model, factory_bank, num_blocks=8,
+            policy=QuantPolicy.uniform(tiny_config, "million", 4),
+            tiers={"quality": mixed_policy},
         )
+        pool = factory.pool
         units = sum(
             len(mixed_policy.head_groups(layer))
             for layer in range(tiny_config.n_layers)
         )
-        assert pool.n_units == units
-        total = sum(pool.unit_bytes_per_block(u) for u in range(units))
+        quality = factory.tier("quality")
+        assert (quality.base, quality.units) == (tiny_config.n_layers, units)
+        assert pool.n_units == tiny_config.n_layers + units
+        assert pool.unit_ranges == ((0, tiny_config.n_layers), (quality.base, units))
+        total = sum(
+            pool.unit_bytes_per_block(u) for u in range(quality.base, quality.base + units)
+        )
         assert total == pytest.approx(4 * mixed_policy.bytes_per_token())
+
+    def test_one_pool_for_every_tier(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+    ):
+        """Tiers share one pool of the requested size, as wide as its widest
+        unit; an equal policy shares its units and hash seed."""
+        default, tiers = _tier_policies(tiny_config, mixed_policy, compact_policy)
+        factory = pooled(tiny_model, factory_bank, num_blocks=64, policy=default, tiers=tiers)
+        pool = factory.pool
+        assert pool.num_blocks == 64
+        assert factory.tier_names == ("balanced", "quality", "compact")
+        assert factory.tier("balanced") is factory.tier(None)
+        assert factory.tier(None).root_hash == ROOT_HASH
+        roots = {factory.tier(name).root_hash for name in (None, "quality", "compact")}
+        assert len(roots) == 3
+        assert [r[0] for r in pool.unit_ranges] == [
+            factory.tier(name).base for name in (None, "quality", "compact")
+        ]
+        widest = max(pool.unit_bytes_per_block(u) for u in range(pool.n_units))
+        assert pool.bytes_per_block == widest
+        assert pool.n_layers == tiny_config.n_layers
+
+    def test_publish_requires_one_tiers_consecutive_units(self):
+        layout = UnitLayout(kv_heads=1, key_subspaces=2, value_subspaces=2)
+        pool = BlockPool(32, 2, [layout] * 6, unit_ranges=[(0, 2), (2, 4)])
+        codes = np.zeros((2, 1, 2), dtype=np.uint8)
+
+        def written(units):
+            blocks = [pool.allocate_block() for _ in units]
+            for block, unit in zip(blocks, units):
+                pool.write_block(block, codes, codes, unit=unit)
+            return blocks
+
+        for units in ([0, 1, 2, 3], [2, 3], [1, 2], [2, 4, 3, 5], [0]):
+            with pytest.raises(Exception, match="unit ranges"):
+                pool.publish(bytes(16), written(units))
+        pool.publish(b"a" * 16, written([0, 1]))
+        pool.publish(b"b" * 16, written([2, 3, 4, 5]))
+        pool.check_invariants()
+        for ranges in ([(0, 2), (3, 3)], [(0, 2), (2, 3)], [(0, 2), (2, 0), (2, 4)]):
+            with pytest.raises(Exception, match="unit ranges"):
+                BlockPool(4, 2, [layout] * 6, unit_ranges=ranges)
 
 
 class TestQualityTiers:
     def _engine(
-        self, tiny_model, tiny_config, factory_bank, mixed_policy,
-        balanced_own_pool=False,
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy,
+        num_blocks=64, **engine_kwargs,
     ):
-        default = pooled(tiny_model, factory_bank[4], num_blocks=64)
-        balanced = (
-            pooled(tiny_model, factory_bank[4], num_blocks=64)
-            if balanced_own_pool
-            else default
-        )
-        tier_pool = BlockPool.for_policy(
-            tiny_config, mixed_policy, num_blocks=64, block_tokens=4
-        )
-        quality = PooledPolicyCacheFactory(
-            mixed_policy, tiny_config, factory_bank, tier_pool
+        default, tiers = _tier_policies(tiny_config, mixed_policy, compact_policy)
+        factory = pooled(
+            tiny_model, factory_bank, num_blocks=num_blocks, policy=default, tiers=tiers
         )
         return BatchedMillionEngine(
-            tiny_model,
-            default,
-            max_batch_size=4,
-            tier_factories={"quality": quality, "balanced": balanced},
+            tiny_model, factory, max_batch_size=4, **engine_kwargs
         )
 
-    @pytest.mark.parametrize("balanced_own_pool", [False, True])
     def test_tier_routing_and_stats(
-        self, tiny_model, tiny_config, factory_bank, mixed_policy, balanced_own_pool
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
     ):
         engine = self._engine(
-            tiny_model, tiny_config, factory_bank, mixed_policy, balanced_own_pool
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
         )
         prompt = np.arange(1, 17, dtype=np.int64) % tiny_config.vocab_size
         rids = [
@@ -160,35 +223,118 @@ class TestQualityTiers:
         assert tiers["default"]["requests_total"] == 1
         assert tiers["quality"]["requests_total"] == 1
         assert tiers["balanced"]["requests_total"] == 1
+        assert tiers["compact"]["requests_total"] == 0
         assert tiers["quality"]["policy_bytes_per_token"] == pytest.approx(
             mixed_policy.bytes_per_token()
         )
+        assert tiers["default"]["policy_bytes_per_token"] == pytest.approx(
+            QuantPolicy.uniform(tiny_config, "million", 4).bytes_per_token()
+        )
         # Same quantizers, same prompt: the balanced tier decodes the default
-        # tier's tokens whether it shares the default pool or has its own.
+        # tier's tokens.
         assert tokens[rids[2]] == tokens[rids[0]]
-        default_pool = engine.factory.pool
-        balanced_pool = engine.tier_factories["balanced"].pool
-        assert (balanced_pool is not default_pool) == balanced_own_pool
-        if balanced_own_pool:
-            # Each pool served exactly one of the two identical requests.
-            assert balanced_pool.allocations > 0
-            assert balanced_pool.allocations == default_pool.allocations
 
     def test_balanced_tier_token_identical_to_default(
-        self, tiny_model, tiny_config, factory_bank, mixed_policy
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
     ):
-        engine = self._engine(tiny_model, tiny_config, factory_bank, mixed_policy)
+        """Balanced requests are untiered ones: same tokens, and they adopt
+        the blocks an untiered request published."""
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+        )
         prompt = np.arange(3, 27, dtype=np.int64) % tiny_config.vocab_size
         rid_default = engine.add_request(prompt, max_new_tokens=8)
         tokens_default = _drain(engine, [rid_default])[rid_default]
+        assert engine.pool.adoptions == 0
         rid_balanced = engine.add_request(prompt, max_new_tokens=8, tier="balanced")
         tokens_balanced = _drain(engine, [rid_balanced])[rid_balanced]
         assert tokens_default == tokens_balanced
+        assert engine.pool.adoptions > 0
+        assert engine.prefill_tokens_reused == BLOCK_TOKENS * (
+            (prompt.size - 1) // BLOCK_TOKENS
+        )
+
+    def test_every_tier_identical_to_solo(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+    ):
+        """Tiers batched over one pool decode exactly what each request
+        decodes alone under its tier's policy."""
+        default, tiers = _tier_policies(tiny_config, mixed_policy, compact_policy)
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+        )
+        prompt = np.arange(5, 35, dtype=np.int64) % tiny_config.vocab_size
+        names = (None, "quality", "balanced", "compact")
+        rids = [
+            engine.add_request(prompt[: 18 + 3 * i], max_new_tokens=10, tier=name)
+            for i, name in enumerate(names)
+        ]
+        got = _drain(engine, rids)
+        for i, (name, rid) in enumerate(zip(names, rids)):
+            (want,) = solo(
+                tiny_model, factory_bank, [prompt[: 18 + 3 * i]], 10,
+                policy=tiers.get(name, default),
+            )
+            assert got[rid] == want.tolist(), name
+
+    def test_tiers_adopt_none_of_each_others_blocks(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+    ):
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy,
+            num_blocks=256,
+        )
+        prompt = np.arange(7, 40, dtype=np.int64) % tiny_config.vocab_size
+        rid = engine.add_request(prompt, max_new_tokens=4, tier="quality")
+        _drain(engine, [rid])
+        published = engine.pool.cached_group_count
+        assert published > 0
+        rid = engine.add_request(prompt, max_new_tokens=4, tier="compact")
+        _drain(engine, [rid])
+        # The compact request computed its whole prompt and published its
+        # own groups beside the quality tier's.
+        assert engine.pool.adoptions == 0 and engine.prefill_tokens_reused == 0
+        assert engine.pool.cached_group_count == 2 * published
+        assert engine.pool.evictions == 0
+        rid = engine.add_request(prompt, max_new_tokens=4, tier="quality")
+        _drain(engine, [rid])
+        assert engine.pool.adoptions > 0
+
+    def test_preempts_a_best_effort_victim_of_another_tier(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+    ):
+        """Under pool pressure an interactive quality request preempts a
+        best-effort compact one: one pool, one victim order.  The restored
+        victim still decodes exactly what it decodes alone."""
+        default, tiers = _tier_policies(tiny_config, mixed_policy, compact_policy)
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy,
+            num_blocks=POOL_PRESSURE_BLOCKS,
+        )
+        prompt = np.arange(2, 30, dtype=np.int64) % tiny_config.vocab_size
+        victim = engine.add_request(
+            prompt, max_new_tokens=24, tier="compact", priority="best_effort"
+        )
+        for _ in range(3):
+            engine.step()
+        winner = engine.add_request(prompt[:20], max_new_tokens=24, tier="quality")
+        _drain(engine, [victim, winner])
+        assert engine.state_of(victim).preemptions >= 1
+        assert engine.state_of(winner).preemptions == 0
+        assert engine.priority_preemptions == {
+            "interactive": 0, "best_effort": engine.preemption_count
+        }
+        for rid, tier, p in ((victim, "compact", prompt), (winner, "quality", prompt[:20])):
+            (want,) = solo(tiny_model, factory_bank, [p], 24, policy=tiers[tier])
+            np.testing.assert_array_equal(engine.state_of(rid).generated_ids, want)
+        assert all(engine.pool.refcount(b) == 0 for b in range(engine.pool.num_blocks))
 
     def test_unknown_tier_rejected_at_submission(
-        self, tiny_model, tiny_config, factory_bank, mixed_policy
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
     ):
-        engine = self._engine(tiny_model, tiny_config, factory_bank, mixed_policy)
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy
+        )
         with pytest.raises(ValueError, match="unknown tier"):
             engine.add_request(np.asarray([1, 2, 3]), max_new_tokens=2, tier="turbo")
 

@@ -16,7 +16,7 @@ Comparisons are exact (``assert_array_equal``): batching, preemption,
 cancellation and prefix adoption must not change a single bit.
 
 :func:`pooled` wraps a calibrated factory in a fresh block pool, the only
-form the serving engine accepts.
+form the serving engine accepts; :func:`solo` takes a tier's policy too.
 
 :func:`reference_kmeans` and :func:`reference_train_codebooks` are the
 sequential per-problem k-means (one problem, one distance evaluation per
@@ -44,7 +44,7 @@ from repro.models.positional import alibi_bias
 from repro.models.sampling import GreedySampler
 from repro.models.tensor_ops import softmax
 from repro.quant.kmeans import KMeansResult
-from repro.serving import BlockPool, PooledMillionCacheFactory, chunk_schedule
+from repro.serving import PooledPolicyCacheFactory, chunk_schedule
 from repro.utils.rng import get_rng, spawn_rngs
 
 #: Default pool of :func:`pooled`: room for everything a test serves, so
@@ -53,14 +53,24 @@ POOL_BLOCKS = 1024
 BLOCK_TOKENS = 4
 
 
-def pooled(model, factory, *, num_blocks: int = POOL_BLOCKS, block_tokens: int = BLOCK_TOKENS):
-    """A calibrated ``MillionCacheFactory`` over a fresh ``num_blocks``-block
-    pool of ``block_tokens``-token blocks."""
-    pool = BlockPool.for_model(
-        model.config, factory.million_config,
-        num_blocks=num_blocks, block_tokens=block_tokens,
+def pooled(
+    model, factory, *, num_blocks: int = POOL_BLOCKS, block_tokens: int = BLOCK_TOKENS,
+    policy=None, tiers=None,
+):
+    """Calibrated factories over a fresh ``num_blocks``-block pool of
+    ``block_tokens``-token blocks.
+
+    ``factory`` is one calibrated ``MillionCacheFactory`` (its uniform
+    policy is the default tier), or a ``{bits: factory}`` bank with the
+    default tier's ``policy``; ``tiers`` maps tier names to policies.
+    """
+    if not isinstance(factory, dict):
+        bits = round(factory.million_config.bits_per_value(model.config.head_dim))
+        factory = {bits: factory}
+    return PooledPolicyCacheFactory(
+        model.config, factory, num_blocks=num_blocks, block_tokens=block_tokens,
+        policy=policy, tiers=tiers,
     )
-    return PooledMillionCacheFactory.from_factory(factory, pool)
 
 
 class RecordingSampler:
@@ -117,10 +127,12 @@ def solo(
     stop_token: Optional[int] = None,
     sampler=None,
     seed=None,
+    policy=None,
 ) -> list:
     """Serve each prompt alone; its tokens, or its sampled logits.
 
-    ``factory`` is a calibrated ``MillionCacheFactory``; every prompt gets
+    ``factory`` is a calibrated ``MillionCacheFactory``, or a ``{bits:
+    factory}`` bank served under ``policy`` (a tier's); every prompt gets
     its own ``num_blocks``-block pool of ``block_tokens``-token blocks
     (:func:`pooled`).  ``budget`` is the engine's ``prefill_token_budget``:
     the chunk size is its largest block multiple (``max_seq_len`` rounded up
@@ -141,7 +153,8 @@ def solo(
         rng = get_rng(seed)
         tokens = []
         cache_factory = pooled(
-            model, factory, num_blocks=num_blocks, block_tokens=block_tokens
+            model, factory, num_blocks=num_blocks, block_tokens=block_tokens,
+            policy=policy,
         )
         with model.temporary_context(cache_factory) as m:
             bounds = chunk_schedule(prompt.size, block_tokens, chunk)
