@@ -11,6 +11,7 @@ vectorized-vs-naive ADC speedup ratio is gated against the baseline.
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -56,16 +57,41 @@ def _repeats(ctx: BenchContext) -> int:
     return 5 if ctx.smoke else 20
 
 
+#: Call sizes of ``kernels.pq_encode``: a decode-step flush, a prefill
+#: chunk's flush, and a call whose untiled score tensor was 128 MiB.
+ENCODE_SIZES = (64, 512, 4096)
+
+
 @benchmark_case("kernels.pq_encode", suite="kernels", budget_s=60.0, smoke_budget_s=20.0)
 def bench_pq_encode(ctx: BenchContext) -> None:
+    """Encode time per call size, and the bytes one call holds beyond its
+    output (tracemalloc peak, untimed)."""
     setup = kernel_setup(ctx.smoke)
     pq, n = setup["pq"], setup["n_tokens"]
     batch = setup["vectors"][:n]
-    ctx.set_params(n_vectors=n, m_subspaces=pq.m_subspaces, nbits=pq.nbits)
+    ctx.set_params(
+        n_vectors=n, sizes=list(ENCODE_SIZES), m_subspaces=pq.m_subspaces, nbits=pq.nbits
+    )
     per_call = ctx.measure(lambda: pq.encode(batch), repeats=_repeats(ctx))
     assert pq.encode(batch).shape == (n, pq.m_subspaces)
     ctx.record("encode_us", per_call * 1e6, unit="us", gated=False)
     ctx.emit(f"pq.encode of {n} vectors: {per_call * 1e6:.1f} us/call")
+    rng = np.random.default_rng(1)
+    ctx.emit("n_vectors  encode_us  peak_transient_bytes")
+    for size in ENCODE_SIZES:
+        vectors = rng.normal(size=(size, pq.dim)).astype(np.float32)
+        size_call = ctx.measure(lambda: pq.encode(vectors), repeats=_repeats(ctx))
+        tracemalloc.start()
+        try:
+            codes = pq.encode(vectors)
+            transient = tracemalloc.get_traced_memory()[1] - codes.nbytes
+        finally:
+            tracemalloc.stop()
+        ctx.record(f"encode_us@{size}", size_call * 1e6, unit="us", gated=False)
+        ctx.record(
+            f"encode_peak_transient_bytes@{size}", transient, unit="B", gated=False
+        )
+        ctx.emit(f"{size:9d}  {size_call * 1e6:9.1f}  {transient:20d}")
 
 
 @benchmark_case("kernels.lut_build", suite="kernels", budget_s=60.0, smoke_budget_s=20.0)

@@ -171,13 +171,19 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         """
         self._append_codes(key_codes, value_codes)
 
+    #: Keep each side's codes beside its kept flat index, so
+    #: :meth:`_stored_key_codes` is a zero-copy view.  Pooled layers, whose
+    #: codes live in pool blocks, keep the index alone.
+    _CODES_BESIDE_INDEX = True
+
     def _append_codes(self, key_codes: np.ndarray, value_codes: np.ndarray) -> None:
         """Extend the stored codes, and their kept flat indices, by ``t`` rows."""
         for codes, store, rows, quantizer in (
             (key_codes, self._key_codes, self._key_rows, self.key_pq),
             (value_codes, self._value_codes, self._value_rows, self.value_pq),
         ):
-            store.append(codes)
+            if rows is None or self._CODES_BESIDE_INDEX:
+                store.append(codes)
             if rows is not None:
                 flat = quantizer.flat_index(codes.reshape(-1, quantizer.m_subspaces))
                 rows.append(flat.reshape(codes.shape))
@@ -202,7 +208,8 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
         scores = np.matmul(grouped, keys.transpose(1, 2, 0))
         scores = scores.reshape(n_heads, n_queries, keys.shape[0])
-        return scores * np.float32(scale)
+        scores *= np.float32(scale)
+        return scores
 
     def _quantized_weighted_values(self, probs: np.ndarray) -> np.ndarray:
         n_heads, n_queries, n_keys = probs.shape
@@ -250,14 +257,14 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         quantizer: ProductQuantizer,
         corrections: _SparseCorrections,
     ) -> np.ndarray:
-        """Decode the ``(t, kv_heads, M)`` stored codes and add the outlier deltas."""
-        t, kv_heads, m_subspaces = codes.view().shape
-        if rows is None:
-            decoded = quantizer.decode(codes.view().reshape(t * kv_heads, m_subspaces))
-        else:
-            decoded = quantizer.decode_flat(
-                rows.view().reshape(t * kv_heads, m_subspaces)
-            )
+        """Decode the ``(t, kv_heads, M)`` stored rows and add the outlier deltas.
+
+        Gathers with the kept flat index when there is one, else from the codes.
+        """
+        stored = codes.view() if rows is None else rows.view()
+        t, kv_heads, m_subspaces = stored.shape
+        flat = stored.reshape(t * kv_heads, m_subspaces)
+        decoded = quantizer.decode(flat) if rows is None else quantizer.decode_flat(flat)
         decoded = decoded.reshape(t, kv_heads, quantizer.dim)
         if corrections.count:
             # Each (token, head, channel) holds at most one delta, so a plain

@@ -1,16 +1,18 @@
 """Product quantizer: encode/decode, score lookup tables and ADC.
 
-The two operations that make MILLION fast are implemented here exactly as the
-paper's CUDA kernel computes them, just vectorised in NumPy:
+The paper's two hot operations, vectorised in NumPy:
 
-* :meth:`ProductQuantizer.build_score_luts` — ``q_n × Cᵀ`` (Eq. 7, step 1),
-  the per-token lookup table that the kernel keeps in L1/shared memory;
-* :meth:`ProductQuantizer.adc_scores` — gathering LUT entries with the stored
-  codes, so attention logits against quantized keys never de-quantize them;
-* :meth:`ProductQuantizer.weighted_decode` — the value-side trick: attention
-  probabilities are *aggregated per centroid* first and only then multiplied
-  by the centroid table, so the weighted sum over values is ``O(n + K·d)``
-  instead of ``O(n·d)`` de-quantization work.
+* :meth:`ProductQuantizer.encode` — on-the-fly quantization of every flushed
+  key/value (Eq. 4), the write path of the serving cache;
+* :meth:`ProductQuantizer.decode_flat` — reconstruction as one row gather
+  over the flattened centroid table, which every MILLION ``attend`` runs
+  before its two GEMMs.
+
+The ADC kernels of Eq. 7 — :meth:`ProductQuantizer.build_score_luts`,
+:meth:`ProductQuantizer.adc_scores` and
+:meth:`ProductQuantizer.weighted_decode`, which score and aggregate straight
+from the codes — are kept as the reference the reconstruction path is
+checked against; serving does not call them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ class ProductQuantizer:
     #: invariant to the row count (for >= 2 rows; a unit test pins this);
     #: longer contractions fall back to the explicitly row-invariant d-loop.
     _SMALL_SUBSPACE_DIM = 8
+
+    #: Budget of one :meth:`encode` tile's ``(M, rows, K)`` float32 scores:
+    #: 16 rows at M=32, K=256.  The whole-call score tensor left cache from
+    #: a few hundred rows on, and set the serving process's peak memory.
+    _ENCODE_TILE_BYTES = 512 * 1024
 
     def __init__(self, codebooks: SubspaceCodebooks) -> None:
         self.codebooks = codebooks
@@ -144,28 +151,40 @@ class ProductQuantizer:
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Quantize ``(n, dim)`` vectors to ``(n, M)`` centroid indices (Eq. 4).
 
-        All subspaces are assigned in one einsum-based distance computation.
-        Every operation (einsum contraction, broadcasting, per-row argmin) is
-        element-independent, so a row's codes do not depend on how many rows
-        share the call — the fused decode path relies on this to batch the
-        flush-time encodes of many sequences into one call while staying
-        bit-identical to the per-sequence encodes.
+        Rows are assigned in tiles of :meth:`encode_tile_rows`, so the
+        ``(M, rows, K)`` float32 score block stays within
+        ``_ENCODE_TILE_BYTES`` (and in cache) whatever ``n`` is.  A row's
+        codes depend only on that row: the distance kernel is row-invariant
+        (see :meth:`_subspace_cross`) and the argmax is per row, so the codes
+        do not depend on the tiling or on how many rows share the call.
         """
         subvectors = self.codebooks.split_vectors(vectors)
-        sub_t = np.ascontiguousarray(subvectors.transpose(1, 0, 2), dtype=np.float32)
-        # argmin_k ||x - c_k||^2 == argmax_k (x.c_k - ||c_k||^2 / 2): the
-        # ||x||^2 term is constant per row and dropped, halving the passes
-        # over the (M, n, K) score tensor.
-        scores = self._subspace_cross(sub_t, np.float32)
+        n = subvectors.shape[0]
         if self._half_sq_norms_f32 is None:
             self._half_sq_norms_f32 = (
                 0.5 * self.centroid_sq_norms()
             ).astype(np.float32)[:, None, :]
-        scores -= self._half_sq_norms_f32
         if self._code_dtype is None:
             self._code_dtype = code_dtype(self.nbits)
-        codes = np.argmax(scores, axis=2).astype(self._code_dtype)
-        return np.ascontiguousarray(codes.T)
+        codes = np.empty((n, self.m_subspaces), dtype=self._code_dtype)
+        tile = self.encode_tile_rows()
+        for start in range(0, n, tile):
+            sub_t = np.ascontiguousarray(subvectors[start : start + tile].transpose(1, 0, 2))
+            # argmin_k ||x - c_k||^2 == argmax_k (x.c_k - ||c_k||^2 / 2): the
+            # ||x||^2 term is constant per row and dropped, halving the passes
+            # over the score block.
+            scores = self._subspace_cross(sub_t, np.float32)
+            scores -= self._half_sq_norms_f32
+            codes[start : start + tile] = np.argmax(scores, axis=2).T
+            del scores  # one score block alive at a time
+        return codes
+
+    def encode_tile_rows(self) -> int:
+        """Rows per :meth:`encode` tile: the most whose ``(M, rows, K)``
+        float32 scores fit ``_ENCODE_TILE_BYTES``, and at least two, the
+        smallest GEMM the row-invariance contract covers."""
+        row_bytes = self.m_subspaces * self.n_centroids * np.dtype(np.float32).itemsize
+        return max(2, self._ENCODE_TILE_BYTES // row_bytes)
 
     @property
     def flat_index_dtype(self) -> np.dtype:

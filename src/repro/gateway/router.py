@@ -5,9 +5,9 @@ prompt prefix land on the replica that already holds the published blocks —
 otherwise every replica prefills the shared system prompt once.  The router
 therefore scores each replica by how deep a published block chain it holds
 for the incoming prompt — the prompt's chained BLAKE2b hashes are computed
-once and every replica's pool is probed with the same chain
-(:meth:`BlockPool.longest_prefix`) — and only falls back to least-loaded
-placement when no replica has seen the prefix:
+once, from the root of the request's quality tier, and every replica's pool
+is probed with the same chain (:meth:`BlockPool.longest_prefix`) — and only
+falls back to least-loaded placement when no replica has seen the prefix:
 
 1. **Pool affinity** — deepest published prefix wins (ties: lower load).
 2. **Sticky affinity** — an LRU table of recently routed chain hashes covers
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.gateway.runner import AsyncEngineRunner
-from repro.serving.memory import chain_hashes
+from repro.serving.memory import ROOT_HASH, chain_hashes
 from repro.serving.scheduler import QueueFullError
 from repro.utils.validation import require
 
@@ -75,13 +75,22 @@ class ReplicaRouter:
         self.rejected = 0
         self.health_avoided = 0
 
-    def route(self, prompt_ids: np.ndarray) -> RoutingDecision:
-        """Pick a replica for a prompt and register its prefix affinity."""
+    def route(self, prompt_ids: np.ndarray, tier: Optional[str] = None) -> RoutingDecision:
+        """Pick a replica for a prompt and register its prefix affinity.
+
+        The prompt is hashed from quality tier ``tier``'s chain-hash root
+        (``None``: the default tier), so it matches only groups that tier
+        wrote and could adopt.  An unknown tier gets no affinity; the
+        engine rejects it at submission.
+        """
         prompt_ids = np.asarray(prompt_ids, dtype=np.int64).reshape(-1)
         # Hash the span the prefill protocol would seal (see
         # BlockPool.longest_token_prefix for the -1 alignment).
         aligned = self.block_tokens * max(0, (prompt_ids.size - 1) // self.block_tokens)
-        hashes = chain_hashes(prompt_ids[:aligned], self.block_tokens)
+        root = self._tier_root(tier)
+        hashes = (
+            [] if root is None else chain_hashes(prompt_ids[:aligned], self.block_tokens, root)
+        )
         candidates = [
             (index, runner)
             for index, runner in enumerate(self.runners)
@@ -106,6 +115,19 @@ class ReplicaRouter:
             self.load_routed += 1
         self._register(hashes, decision.replica_index)
         return decision
+
+    def _tier_root(self, tier: Optional[str]) -> Optional[bytes]:
+        """Chain-hash root of ``tier`` (``None`` if the replicas lack it).
+
+        Every replica is built from one factory configuration, so the first
+        replica's tier layout is every replica's.
+        """
+        if tier is None:
+            return ROOT_HASH
+        factory = self.runners[0].engine.factory
+        if tier not in factory.tier_names:
+            return None
+        return factory.tier(tier).root_hash
 
     # Health ---------------------------------------------------------------
 

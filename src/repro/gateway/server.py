@@ -572,7 +572,7 @@ class GatewayServer:
             return
 
         try:
-            decision = self.router.route(completion.prompt_ids)
+            decision = self.router.route(completion.prompt_ids, completion.tier)
             request_id, queue = await decision.runner.submit(
                 completion.to_generation_request()
             )

@@ -1,8 +1,9 @@
 """Dense attention helpers shared by every KV-cache implementation.
 
 All full-precision and dequantizing caches funnel through
-:func:`dense_attention`; the MILLION cache reuses the masking/bias helpers but
-computes its scores through ADC lookup tables instead of materialised keys.
+:func:`dense_attention`; the MILLION cache reuses the masking/bias helpers
+and scores its stored tokens with a GEMM over keys it reconstructs
+transiently from the PQ codes (see :mod:`repro.core.million_cache`).
 """
 
 from __future__ import annotations

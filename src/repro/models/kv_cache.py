@@ -2,9 +2,9 @@
 
 Every cache scheme (full precision, KIVI-like, KVQuant-like, MILLION) is a
 :class:`KVCacheLayer`.  The cache owns the attention computation over the
-tokens it stores, which is what allows MILLION to answer attention queries
-through ADC lookup tables without ever de-quantizing its keys while simpler
-schemes materialise ``(K̂, V̂)`` and share :func:`dense_attention`.
+tokens it stores, which is what lets MILLION keep only PQ codes and
+reconstruct ``(K̂, V̂)`` transiently inside each call, while simpler schemes
+keep their materialised ``(K̂, V̂)`` and share :func:`dense_attention`.
 
 The interface is *lazy*: keys/values appended by the most recent call stay in
 a full-precision pending block until the next append, mirroring the paper's

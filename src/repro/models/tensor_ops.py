@@ -61,11 +61,17 @@ def paired_rows_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return (exp / np.sum(exp, axis=axis, keepdims=True)).astype(np.float32)
+    """Numerically stable softmax along ``axis``.
+
+    The float64 work runs in place in one copy of ``x``: a prefill chunk's
+    scores are the largest transient of a forward, so shift, exp and
+    normalise share one buffer instead of holding a temporary each.
+    """
+    buf = np.array(x, dtype=np.float64)
+    buf -= np.max(buf, axis=axis, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= np.sum(buf, axis=axis, keepdims=True)
+    return buf.astype(np.float32)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

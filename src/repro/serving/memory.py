@@ -627,14 +627,16 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
 
     ``flush_block_multiple = block_tokens`` forces every flush onto block
     boundaries, so each flushed span fills whole blocks and sealed blocks are
-    always full.  The layer keeps a contiguous *shadow* of its logical code
-    sequence (the inherited :class:`~repro.core.storage.CodeStore` pairs of
-    codes and their flat gather indices) so attention reconstructs from
-    zero-copy views with amortized O(1) upkeep per decode step; the pool
-    blocks are the authoritative, ref-counted storage that admission and
-    preemption account against, and the shadow models the GPU-side gather
-    buffer (it is excluded from the quantized footprint, like
-    the working buffers of ``DequantizingKVCache``).
+    always full.  The pool blocks are the authoritative, ref-counted copy of
+    the codes that admission and preemption account against.  Beside them
+    the layer keeps exactly one contiguous *shadow* per side, so attention
+    reconstructs from a zero-copy view with amortized O(1) upkeep per decode
+    step: the codes' flat gather index when it fits in 2 bytes per code,
+    otherwise the codes themselves.  The shadow models the GPU-side gather
+    buffer and is excluded from the quantized footprint, like the working
+    buffers of ``DequantizingKVCache``.  :meth:`_stored_key_codes` and
+    :meth:`_stored_value_codes` read the codes back from the pool blocks
+    through the block table.
 
     The layer itself never touches the prefix-hash table: hashes are a
     function of *token ids*, which only the engine sees.  The engine adopts
@@ -683,6 +685,8 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
         # forward so it can register them under their token-chain hashes.
         self._new_blocks: list[int] = []
 
+    _CODES_BESIDE_INDEX = False
+
     # Storage hooks ---------------------------------------------------------
 
     def _store_code_rows(self, key_codes: np.ndarray, value_codes: np.ndarray) -> None:
@@ -700,12 +704,25 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
             self._block_table.append(block_id)
             self._new_blocks.append(block_id)
 
+    def _stored_key_codes(self) -> np.ndarray:
+        return self._pool_code_rows(self.pool.key_codes, self.key_pq)
+
+    def _stored_value_codes(self) -> np.ndarray:
+        return self._pool_code_rows(self.pool.value_codes, self.value_pq)
+
+    def _pool_code_rows(self, read, quantizer: ProductQuantizer) -> np.ndarray:
+        """The ``(stored, kv_heads, M)`` code rows of the block table's blocks."""
+        empty = np.empty(
+            (0, self.config.kv_heads, quantizer.m_subspaces), code_dtype(quantizer.nbits)
+        )
+        return np.concatenate([empty, *(read(block_id) for block_id in self._block_table)])
+
     def adopt_shared_blocks(self, block_ids: Sequence[int]) -> None:
         """Extend this cache with already-quantized shared blocks.
 
         The caller must have taken the references (via
-        :meth:`BlockPool.adopt`); this installs the code rows in the shadow
-        and accounts for the adopted tokens.  Only legal at a block boundary
+        :meth:`BlockPool.adopt`); this extends the layer's shadow with the
+        blocks' rows and accounts for the adopted tokens.  Only legal at a block boundary
         with no pending full-precision tokens (i.e. during prefill).
         """
         require(

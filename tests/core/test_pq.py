@@ -1,15 +1,18 @@
 """Tests for PQ codebooks, encode/decode, ADC and weighted decode."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support.reference import reference_pq_decode
+from support.reference import reference_encode, reference_pq_decode
 
 from repro.core.codebook import SubspaceCodebooks, train_codebooks
 from repro.core.config import MillionConfig
 from repro.core.pq import ProductQuantizer
 from repro.utils.bitpack import code_dtype
+from repro.utils.validation import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +244,108 @@ class TestADC:
         codes = pq.encode(keys)
         adc = pq.adc_scores(pq.build_score_luts(queries), codes)
         np.testing.assert_allclose(adc, queries @ pq.decode(codes).T, atol=1e-3)
+
+
+def _encode_presets(head_dim=64):
+    """``(M, nbits)`` of every ``for_equivalent_bits`` preset at ``head_dim``,
+    plus one subspace dimension above ``_SMALL_SUBSPACE_DIM`` (the loop
+    kernel)."""
+    presets = set()
+    for bits in (1, 2, 3, 4, 6, 8):
+        for small in (False, True):
+            try:
+                config = MillionConfig.for_equivalent_bits(
+                    head_dim, bits, prefer_small_codebooks=small
+                )
+            except ValidationError:
+                continue  # M does not divide head_dim at this budget
+            presets.add((config.m_subspaces, config.nbits))
+    loop_subspaces = head_dim // (2 * ProductQuantizer._SMALL_SUBSPACE_DIM)
+    return sorted(presets) + [(loop_subspaces, 6)]
+
+
+ENCODE_PRESETS = _encode_presets()
+
+#: Cap on the untiled reference's score tensor, which bounds ``n`` at the
+#: 12-bit preset (K=4096).
+_REFERENCE_SCORE_BYTES = 40 << 20
+
+
+def _tie_quantizer(m_subspaces, nbits, dim=64, seed=0):
+    """Random codebooks whose last centroid duplicates the first."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.standard_normal(
+        (m_subspaces, 2**nbits, dim // m_subspaces)
+    ).astype(np.float32)
+    centroids[:, -1] = centroids[:, 0]
+    return ProductQuantizer(SubspaceCodebooks(centroids=centroids))
+
+
+def _tie_vectors(pq, n, tie_share, seed):
+    """Random vectors, a ``tie_share`` of whose subvectors are replaced by
+    midpoints of centroid pairs: equidistant up to float rounding."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, pq.dim)).astype(np.float32)
+    subvectors = vectors.reshape(n, pq.m_subspaces, pq.subspace_dim)
+    centroids = pq.codebooks.centroids
+    subspace = np.arange(pq.m_subspaces)
+    first = rng.integers(0, pq.n_centroids, size=(n, pq.m_subspaces))
+    second = rng.integers(0, pq.n_centroids, size=(n, pq.m_subspaces))
+    midpoints = (centroids[subspace, first] + centroids[subspace, second]) / np.float32(2)
+    ties = rng.random((n, pq.m_subspaces)) < tie_share
+    subvectors[ties] = midpoints[ties]
+    return vectors
+
+
+def _assert_encode_matches_reference(pq, vectors):
+    codes = pq.encode(vectors)
+    expected = reference_encode(pq, vectors)
+    assert codes.dtype == expected.dtype and codes.flags.c_contiguous
+    np.testing.assert_array_equal(codes, expected)
+
+
+class TestTiledEncode:
+    """``encode`` assigns rows in tiles; codes equal one untiled pass."""
+
+    def test_served_tile_is_16_rows(self):
+        assert _tie_quantizer(32, 8).encode_tile_rows() == 16
+
+    @pytest.mark.parametrize("m_subspaces,nbits", ENCODE_PRESETS)
+    def test_tile_boundaries(self, m_subspaces, nbits):
+        pq = _tie_quantizer(m_subspaces, nbits)
+        tile = pq.encode_tile_rows()
+        # 2 * tile + 1 leaves a lone last row (the duplicated-row GEMM).
+        for n in sorted({0, 1, 2, tile - 1, tile, tile + 1, 2 * tile + 1}):
+            _assert_encode_matches_reference(pq, _tie_vectors(pq, n, 0.5, seed=n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        preset=st.sampled_from(ENCODE_PRESETS),
+        n=st.integers(1, 600),
+        tie_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(preset=(32, 8), n=600, tie_share=1.0, seed=0)
+    @example(preset=(32, 8), n=33, tie_share=0.3, seed=1)
+    def test_encode_equals_untiled_reference(self, preset, n, tie_share, seed):
+        pq = _tie_quantizer(*preset, seed=seed)
+        row_bytes = pq.m_subspaces * pq.n_centroids * 4
+        n = min(n, _REFERENCE_SCORE_BYTES // row_bytes)
+        _assert_encode_matches_reference(pq, _tie_vectors(pq, n, tie_share, seed))
+
+    def test_transient_memory_is_one_tile(self):
+        """4,096 vectors at the served M=32, K=256: the untiled score tensor
+        alone was 128 MiB; a tile's is 512 KiB."""
+        pq = _tie_quantizer(32, 8)
+        vectors = _tie_vectors(pq, 4096, 0.0, seed=0)
+        pq.encode(vectors[:2])  # caches the centroid norms
+        tracemalloc.start()
+        try:
+            codes = pq.encode(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - codes.nbytes <= 1 << 20
 
 
 class TestMillionConfig:

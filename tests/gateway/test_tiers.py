@@ -22,7 +22,7 @@ from repro.models import build_model
 from repro.models.tokenizer import ByteTokenizer
 from repro.quant.policy import QuantPolicy, million_variant
 from repro.serving import BatchedMillionEngine
-from support.reference import pooled
+from support.reference import BLOCK_TOKENS, pooled
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +126,35 @@ class TestTieredServing:
             assert samples[key] == 1.0, (key, samples)
             running = f'repro_engine_tier_running{{replica="0",tier="{tier}"}}'
             assert samples[running] == 0.0
+
+
+class TestTieredRouting:
+    def test_tiered_prompt_routes_by_prefix_only_to_its_tier(
+        self, tiny_config, tiered_engine_parts, calibration_tokens
+    ):
+        """The same 40-token prompt served untiered on replica 0 and
+        ``compact`` on replica 1: each tier's prompt routes by prefix to the
+        replica holding that tier's blocks, the only ones it can adopt."""
+        default_factory, quality_factory = tiered_engine_parts
+        prompt = calibration_tokens[:40]
+        runners = []
+        for index, tier in enumerate((None, "compact")):
+            model = build_model(tiny_config, seed=7)
+            factory = pooled(
+                model,
+                {4: default_factory, 8: quality_factory},
+                policy=QuantPolicy.uniform(tiny_config, "million", 8),
+                tiers={"compact": QuantPolicy.uniform(tiny_config, "million", 4)},
+            )
+            engine = BatchedMillionEngine(model, factory, max_batch_size=4)
+            engine.add_request(prompt, max_new_tokens=2, tier=tier)
+            engine.run()
+            assert engine.pool.cached_group_count > 0
+            runners.append(AsyncEngineRunner(engine, name=f"replica-{index}"))
+
+        for tier, holder in (("compact", 1), (None, 0)):
+            decision = ReplicaRouter(runners).route(prompt, tier)
+            assert (decision.replica_index, decision.reason) == (holder, "prefix")
+            assert decision.affinity_blocks == (prompt.size - 1) // BLOCK_TOKENS
+        # An unknown tier gets no affinity; the engine refuses it at submission.
+        assert ReplicaRouter(runners).route(prompt, "turbo").reason == "least_loaded"

@@ -1,11 +1,15 @@
 """Tests for the numerical primitives, including the online-softmax merge."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support.reference import reference_softmax
 
 from repro.models.tensor_ops import (
+    NEG_INF,
     OnlineSoftmaxState,
     cross_entropy,
     gelu,
@@ -34,6 +38,36 @@ class TestSoftmax:
     def test_axis(self):
         x = np.random.default_rng(1).normal(size=(3, 5))
         np.testing.assert_allclose(softmax(x, axis=0).sum(axis=0), 1.0, rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    def test_bit_identical_to_reference_with_masked_entries(self, dtype, axis):
+        """Same IEEE operations in the same order as three temporaries,
+        including rows whose entries are all masked to -1e30."""
+        rng = np.random.default_rng(2)
+        x = (rng.normal(size=(3, 7, 33)) * 8.0).astype(dtype)
+        x[rng.random(x.shape) < 0.4] = NEG_INF
+        x[1, 2] = NEG_INF
+        x[:, :, 0] = NEG_INF
+        before = x.copy()
+        out = softmax(x, axis=axis)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, reference_softmax(x, axis=axis))
+        np.testing.assert_array_equal(x, before)  # the input is not written
+
+    def test_peak_memory_is_one_float64_copy_plus_output(self):
+        """A prefill chunk's scores: the float64 work shares one buffer."""
+        x = np.random.default_rng(3).normal(size=(4, 128, 1152)).astype(np.float32)
+        softmax(x[:1, :2])
+        tracemalloc.start()
+        try:
+            out = softmax(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float64_copy = x.size * np.dtype(np.float64).itemsize
+        # Row maxima and sums are 1/1152 of the buffer each.
+        assert peak <= float64_copy + out.nbytes + 64 * 1024
 
 
 class TestLogSoftmax:

@@ -14,6 +14,7 @@ from support.reference import pooled
 
 from perfbench import layers
 from perfbench.spans import Tracer
+from repro.core.million_cache import MillionKVCacheLayer
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.serving import BatchedMillionEngine
 from repro.utils.bitpack import code_dtype
@@ -59,3 +60,32 @@ def test_traced_code_size_accessors_match_the_code_rows(tiny_model, million_fact
         assert layers.code_bytes_per_token(engine) == expected
     finally:
         tiny_model.reset_cache(FullPrecisionCacheFactory())
+
+
+def test_traced_encode_is_one_span_per_flush_side(
+    monkeypatch, tiny_model, million_factory, calibration_tokens
+):
+    """``pq.encode_s`` sums ``ProductQuantizer.encode`` spans: one per call,
+    so one per flushed side, however many row tiles the call encodes."""
+    flushed_rows = []
+    encode_dense = MillionKVCacheLayer._encode_dense
+
+    def counted(self, keys, values):
+        flushed_rows.append(keys.shape[0] * keys.shape[1])
+        return encode_dense(self, keys, values)
+
+    monkeypatch.setattr(MillionKVCacheLayer, "_encode_dense", counted)
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        engine = BatchedMillionEngine(tiny_model, pooled(tiny_model, million_factory))
+        for start in (0, 100):
+            engine.add_request(calibration_tokens[start : start + 90], max_new_tokens=12)
+        engine.run()
+    finally:
+        tracer.restore()
+        tiny_model.reset_cache(FullPrecisionCacheFactory())
+    spans = [span for span in tracer.spans if span.name == "pq.encode"]
+    assert len(spans) == 2 * len(flushed_rows)
+    key_pq, _ = million_factory.quantizers[0]
+    assert max(flushed_rows) > 2 * key_pq.encode_tile_rows()

@@ -8,6 +8,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.codebook import SubspaceCodebooks
+from repro.core.config import MillionConfig
+from repro.core.pq import ProductQuantizer
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.serving import (
     BatchedMillionEngine,
@@ -18,8 +21,9 @@ from repro.serving import (
     chain_hashes,
     hash_token_block,
 )
-from repro.serving.memory import UnitLayout
-from support.reference import BLOCK_TOKENS, pooled
+from repro.serving.memory import PooledMillionKVCacheLayer, UnitLayout
+from repro.utils.bitpack import code_dtype
+from support.reference import BLOCK_TOKENS, pooled, reference_pq_decode
 
 
 @pytest.fixture()
@@ -189,6 +193,81 @@ class TestBlockPool:
         for key in ("num_blocks", "free_blocks", "used_blocks", "utilization",
                     "memory_bytes", "allocations", "evictions", "adoptions"):
             assert key in stats
+
+
+class TestPooledLayerShadow:
+    """A pooled layer keeps one shadow per side beside its pool blocks."""
+
+    @pytest.mark.parametrize(
+        "m_subspaces,nbits,index_shadow",
+        [(16, 8, True), (32, 12, False)],  # flat index of 4,096 / 131,072 rows
+    )
+    def test_stored_codes_are_the_pool_blocks(
+        self, tiny_config, m_subspaces, nbits, index_shadow
+    ):
+        rng = np.random.default_rng(4)
+        head_dim, kv_heads = tiny_config.head_dim, tiny_config.kv_heads
+        quantizer = ProductQuantizer(
+            SubspaceCodebooks(
+                rng.standard_normal(
+                    (m_subspaces, 2**nbits, head_dim // m_subspaces)
+                ).astype(np.float32)
+            )
+        )
+        dtype = code_dtype(nbits)
+        pool = BlockPool(
+            16, 4, [UnitLayout(kv_heads, m_subspaces, m_subspaces, dtype, dtype)]
+        )
+        million = MillionConfig(m_subspaces=m_subspaces, nbits=nbits)
+
+        def layer():
+            return PooledMillionKVCacheLayer(
+                tiny_config, quantizer, quantizer, million, pool, 0
+            )
+
+        def filled(cache, n_tokens):
+            keys = rng.standard_normal((n_tokens, kv_heads, head_dim)).astype(np.float32)
+            values = rng.standard_normal(keys.shape).astype(np.float32)
+            cache.append(keys, values)
+            cache.flush_all()
+            return [
+                quantizer.encode(x.reshape(-1, head_dim)).reshape(n_tokens, kv_heads, -1)
+                for x in (keys, values)
+            ]
+
+        owner = layer()
+        adopted_codes = filled(owner, 12)
+        cache = layer()
+        for block_id in owner.block_table:
+            pool.incref(block_id)
+        cache.adopt_shared_blocks(owner.block_table)
+        own_codes = filled(cache, 8)
+        assert cache.stored_tokens == 20 and len(cache.block_table) == 5
+        stored = (cache._stored_key_codes(), cache._stored_value_codes())
+        for side, (codes, reads) in enumerate(
+            zip(stored, (pool.key_codes, pool.value_codes))
+        ):
+            assert codes.dtype == dtype
+            np.testing.assert_array_equal(
+                codes, np.concatenate([reads(b) for b in cache.block_table])
+            )
+            np.testing.assert_array_equal(codes[:12], adopted_codes[side])
+            np.testing.assert_array_equal(codes[12:], own_codes[side])
+            # The shadow reconstructs exactly the pool's codes.
+            np.testing.assert_array_equal(
+                cache.dequantized_kv()[side].reshape(-1, head_dim),
+                reference_pq_decode(quantizer, codes.reshape(-1, m_subspaces)),
+            )
+        for codes, rows in (
+            (cache._key_codes, cache._key_rows),
+            (cache._value_codes, cache._value_rows),
+        ):
+            if index_shadow:
+                assert len(codes) == 0 and codes.capacity == 0
+                assert len(rows) == 20
+            else:
+                assert rows is None and len(codes) == 20
+        assert layer()._stored_key_codes().shape == (0, kv_heads, m_subspaces)
 
 
 class TestPrefixSharing:

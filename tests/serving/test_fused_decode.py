@@ -107,6 +107,29 @@ class TestKernelRowInvariance:
             ]
             np.testing.assert_array_equal(full, np.concatenate(parts))
 
+    @pytest.mark.parametrize("subspace_dim", [1, 2, 4, 8])
+    def test_subspace_gemm_rows_invariant_at_encode_tiles(self, subspace_dim):
+        """``encode`` runs the distance GEMM on tiles of
+        ``encode_tile_rows()`` rows (a lone last row is duplicated); each
+        row must equal the same row of one 600-row GEMM."""
+        rng = np.random.default_rng(3)
+        m_subspaces = 64 // subspace_dim
+        pq = ProductQuantizer(
+            SubspaceCodebooks(
+                rng.standard_normal((m_subspaces, 256, subspace_dim)).astype(np.float32)
+            )
+        )
+        sub_t = rng.standard_normal((m_subspaces, 600, subspace_dim)).astype(np.float32)
+        full = pq._subspace_cross(sub_t, np.float32)
+        tile = pq.encode_tile_rows()
+        for start in (0, tile, 583):
+            for rows in (1, 2, tile - 1, tile, tile + 1):
+                part = np.ascontiguousarray(sub_t[:, start : start + rows])
+                np.testing.assert_array_equal(
+                    pq._subspace_cross(part, np.float32),
+                    full[:, start : start + rows],
+                )
+
     def test_lut_layouts_and_batching_bit_equal(self):
         rng = np.random.default_rng(2)
         pq = ProductQuantizer.fit(

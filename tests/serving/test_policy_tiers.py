@@ -11,7 +11,7 @@ from repro.core.million_cache import MillionCacheFactory
 from repro.quant.policy import QuantPolicy, derive_policy, million_variant
 from repro.serving import BatchedMillionEngine, GenerationRequest
 from repro.serving.memory import ROOT_HASH, BlockPool, UnitLayout
-from support.reference import BLOCK_TOKENS, pooled, solo
+from support.reference import BLOCK_TOKENS, pooled, reference_pq_decode, solo
 
 #: Pool of the preemption test: holds either tiered request alone, not both.
 POOL_PRESSURE_BLOCKS = 48
@@ -276,6 +276,46 @@ class TestQualityTiers:
                 policy=tiers.get(name, default),
             )
             assert got[rid] == want.tolist(), name
+
+    @pytest.mark.parametrize("tier", [None, "quality"])
+    def test_running_caches_read_own_and_adopted_codes_from_the_pool(
+        self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy, tier
+    ):
+        """Mid-decode, every pooled layer of a request that adopted a prefix
+        reads its codes back from its pool blocks, and its one shadow (the
+        flat index) reconstructs exactly those codes."""
+        engine = self._engine(
+            tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy,
+            num_blocks=256,
+        )
+        prompt = np.arange(2, 30, dtype=np.int64) % tiny_config.vocab_size
+        _drain(engine, [engine.add_request(prompt, max_new_tokens=2, tier=tier)])
+        engine.add_request(prompt, max_new_tokens=20, tier=tier)
+        for _ in range(12):
+            engine.step()
+        (state,) = engine.scheduler.running
+        assert 0 < engine.prefill_tokens_reused
+        caches = engine._pooled_caches(state)
+        assert len(caches) == engine.factory.tier(tier).units
+        for cache in caches:
+            assert cache.stored_tokens > engine.prefill_tokens_reused
+            for codes, store, rows, read, quantizer, side in (
+                (cache._stored_key_codes(), cache._key_codes, cache._key_rows,
+                 engine.pool.key_codes, cache.key_pq, 0),
+                (cache._stored_value_codes(), cache._value_codes, cache._value_rows,
+                 engine.pool.value_codes, cache.value_pq, 1),
+            ):
+                np.testing.assert_array_equal(
+                    codes, np.concatenate([read(b) for b in cache.block_table])
+                )
+                assert len(store) == 0 and len(rows) == cache.stored_tokens
+                np.testing.assert_array_equal(
+                    cache.dequantized_kv()[side].reshape(-1, quantizer.dim),
+                    reference_pq_decode(
+                        quantizer, codes.reshape(-1, quantizer.m_subspaces)
+                    ),
+                )
+        _drain(engine, [state.request_id])
 
     def test_tiers_adopt_none_of_each_others_blocks(
         self, tiny_model, tiny_config, factory_bank, mixed_policy, compact_policy

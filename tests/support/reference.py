@@ -23,9 +23,11 @@ sequential per-problem k-means (one problem, one distance evaluation per
 k-means++ step) that :func:`repro.quant.kmeans.kmeans_batch` stacks over
 problems.  Codebooks must match them bit for bit.
 
-:func:`reference_pq_decode` is the per-subspace centroid lookup that
-``ProductQuantizer.decode`` flattens into one gather; the two must match bit
-for bit.  :func:`reference_adc_attend` is a MILLION cache's ``attend``
+:func:`reference_encode` is ``ProductQuantizer.encode`` in one untiled
+pass, :func:`reference_softmax` is ``softmax`` with a temporary per step,
+and :func:`reference_pq_decode` is the per-subspace centroid lookup that
+``ProductQuantizer.decode`` flattens into one gather; each must match its
+kernel bit for bit.  :func:`reference_adc_attend` is a MILLION cache's ``attend``
 computed from the codes through the ADC kernels and the softmax merge;
 ``attend``, which runs GEMMs over reconstructed rows, must match it up to
 float rounding.
@@ -45,6 +47,7 @@ from repro.models.sampling import GreedySampler
 from repro.models.tensor_ops import softmax
 from repro.quant.kmeans import KMeansResult
 from repro.serving import PooledPolicyCacheFactory, chunk_schedule
+from repro.utils.bitpack import code_dtype
 from repro.utils.rng import get_rng, spawn_rngs
 
 #: Default pool of :func:`pooled`: room for everything a test serves, so
@@ -288,6 +291,26 @@ def reference_train_codebooks(
         )
         centroids[m] = result.centroids
     return SubspaceCodebooks(centroids=centroids)
+
+
+def reference_encode(quantizer, vectors):
+    """``quantizer.encode`` in one untiled pass over the whole
+    ``(M, n, K)`` score tensor."""
+    subvectors = quantizer.codebooks.split_vectors(vectors)
+    sub_t = np.ascontiguousarray(subvectors.transpose(1, 0, 2), dtype=np.float32)
+    scores = quantizer._subspace_cross(sub_t, np.float32)
+    scores -= (0.5 * quantizer.centroid_sq_norms()).astype(np.float32)[:, None, :]
+    codes = np.argmax(scores, axis=2).astype(code_dtype(quantizer.nbits))
+    return np.ascontiguousarray(codes.T)
+
+
+def reference_softmax(x, axis=-1):
+    """:func:`~repro.models.tensor_ops.softmax` with a float64 temporary per
+    step (shift, exp, normalise)."""
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return (exp / np.sum(exp, axis=axis, keepdims=True)).astype(np.float32)
 
 
 def reference_pq_decode(quantizer, codes):
