@@ -327,14 +327,14 @@ def render_prometheus(
             out.add(
                 "repro_engine_fused_decode_steps_total",
                 timing["fused_decode_steps"],
-                "Engine steps decoded through the fused batched forward.",
+                "Engine steps whose model traversal stacked single-token rows.",
                 "counter",
                 labels,
             )
             out.add(
                 "repro_engine_last_fused_batch_size",
                 timing["last_fused_batch_size"],
-                "Rows in the last fused decode step (0 = the step ran no decode forward).",
+                "Single-token rows stacked in the last step's traversal (0 = none).",
                 "gauge",
                 labels,
             )
@@ -355,7 +355,7 @@ def render_prometheus(
             out.add(
                 "repro_engine_prefill_chunks_total",
                 timing.get("prefill_chunks_total", 0),
-                "Chunked-prefill sub-steps executed (aligned chunks and tails).",
+                "Prefill segments run (aligned chunks and residual tails).",
                 "counter",
                 labels,
             )
@@ -402,7 +402,7 @@ def render_prometheus(
             out.add_histogram(
                 "repro_engine_fused_batch_size",
                 histograms["fused_batch_size"],
-                "Sequences per fused decode step.",
+                "Single-token rows stacked per traversal.",
                 labels,
             )
         tiers = stats.get("tiers")

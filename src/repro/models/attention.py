@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -70,79 +70,63 @@ class AttentionBlock:
     def forward(
         self,
         x: np.ndarray,
-        cache: KVCacheLayer,
+        caches: Sequence[KVCacheLayer],
         positions: np.ndarray,
         kv_observer: Optional[KVObserver] = None,
-        paired: bool = False,
+        prof: PhaseProfiler = NULL_PROFILER,
     ) -> np.ndarray:
-        """Run attention for ``x`` of shape ``(tokens, d_model)``.
+        """Run attention for ``x`` of shape ``(rows, d_model)``.
 
-        New keys/values are appended to ``cache`` (post-RoPE, exactly as they
-        would be stored on a real serving stack) before the cache computes the
-        causal attention context.
+        Either every row belongs to ``caches[0]`` (one context's rows; the
+        projections are plain GEMMs), or there is one cache per row (single
+        tokens of different sequences stacked row-wise; the projections use
+        the row-invariant paired kernel, so each row is bit-identical to its
+        sequence run alone).  Each cache appends its rows' keys/values
+        (post-RoPE, exactly as a real serving stack stores them) and then
+        computes their causal attention context.  With ``prof`` enabled the
+        appends (flush and encode) and the attends are timed as the
+        ``decode/flush_encode`` and ``decode/attend`` phases.
         """
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ValueError(
                 f"expected x of shape (tokens, {self.config.d_model}), got {x.shape}"
             )
+        n_rows = x.shape[0]
+        if len(caches) not in (1, n_rows):
+            raise ValueError(f"expected 1 or {n_rows} caches, got {len(caches)}")
+        paired = len(caches) == n_rows
         q, k, v = self.project_qkv(x, positions, paired=paired)
         if kv_observer is not None:
             kv_observer(k, v)
-        cache.append(k, v)
-        context = cache.attend(
-            q,
-            positions,
-            self.scale,
-            alibi_head_slopes=self.alibi_head_slopes,
-        )
-        context = context.reshape(x.shape[0], self.config.n_heads * self.config.head_dim)
-        return self.wo(context, paired=paired)
-
-    def fused_decode(
-        self,
-        x: np.ndarray,
-        caches: list[KVCacheLayer],
-        positions: np.ndarray,
-        prof: PhaseProfiler = NULL_PROFILER,
-    ) -> np.ndarray:
-        """One attention step for ``B`` independent sequences stacked row-wise.
-
-        ``x`` is ``(B, d_model)`` — one single-token hidden state per
-        sequence — and ``caches[b]`` / ``positions[b]`` belong to sequence
-        ``b``.  Projections run as stacked row-invariant GEMMs, so each row's
-        (q, k, v) is bit-identical to what the per-sequence path computes for
-        that sequence alone; attention is one ``append`` + ``attend`` per
-        sequence — same calls, same bits, as the per-sequence path.  With
-        ``prof`` enabled the appends (flush and encode) and the attends are
-        timed as the ``decode/flush_encode`` and ``decode/attend`` phases.
-        """
-        x = np.asarray(x, dtype=np.float32)
-        n_seqs = x.shape[0]
-        q, k, v = self.project_qkv(x, positions, paired=True)
-        context = np.empty_like(q)
+        span = n_rows // len(caches)
+        contexts = []
         timing = prof.enabled
         append_seconds = attend_seconds = 0.0
         for b, cache in enumerate(caches):
+            rows = slice(b * span, (b + 1) * span)
             if timing:
                 start = prof.now()
-            cache.append(k[b : b + 1], v[b : b + 1])
+            cache.append(k[rows], v[rows])
             if timing:
                 appended = prof.now()
-            context[b] = cache.attend(
-                q[b : b + 1],
-                positions[b : b + 1],
-                self.scale,
-                alibi_head_slopes=self.alibi_head_slopes,
-            )[0]
+            contexts.append(
+                cache.attend(
+                    q[rows],
+                    positions[rows],
+                    self.scale,
+                    alibi_head_slopes=self.alibi_head_slopes,
+                )
+            )
             if timing:
                 append_seconds += appended - start
                 attend_seconds += prof.now() - appended
         if timing:
             prof.record("decode/flush_encode", append_seconds)
             prof.record("decode/attend", attend_seconds)
-        context = context.reshape(n_seqs, self.config.n_heads * self.config.head_dim)
-        return self.wo(context, paired=True)
+        context = contexts[0] if len(contexts) == 1 else np.concatenate(contexts)
+        context = context.reshape(n_rows, self.config.n_heads * self.config.head_dim)
+        return self.wo(context, paired=paired)
 
     def num_parameters(self) -> int:
         return sum(layer.num_parameters() for layer in (self.wq, self.wk, self.wv, self.wo))

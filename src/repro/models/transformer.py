@@ -9,6 +9,7 @@ be swapped in without touching the model code.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -53,6 +54,24 @@ class ModelContext:
     @property
     def context_length(self) -> int:
         return self.next_position
+
+
+@dataclass
+class Segment:
+    """Tokens one context advances by in :meth:`TransformerLM.forward_segments`.
+
+    ``seal`` runs ``flush_all`` on each layer's cache right after the
+    segment's append and attend (a prefill chunk that ends on a published
+    block boundary) and skips the final norm and LM head: a sealed segment
+    has no logits.  ``seconds`` is filled by the traversal with a
+    multi-token segment's own block and head time (0 for single tokens,
+    which run stacked).
+    """
+
+    context: ModelContext
+    token_ids: np.ndarray
+    seal: bool = False
+    seconds: float = 0.0
 
 
 class Norm:
@@ -133,38 +152,23 @@ class TransformerBlock:
     def forward(
         self,
         x: np.ndarray,
-        cache: KVCacheLayer,
-        positions: np.ndarray,
-        kv_observer=None,
-        paired: bool = False,
-    ) -> np.ndarray:
-        attn_out = self.attention.forward(
-            self.attention_norm(x), cache, positions, kv_observer=kv_observer,
-            paired=paired,
-        )
-        x = x + attn_out
-        x = x + self.feed_forward(self.ffn_norm(x), paired=paired)
-        return x
-
-    def fused_decode(
-        self,
-        x: np.ndarray,
         caches: Sequence[KVCacheLayer],
         positions: np.ndarray,
+        kv_observer=None,
         prof: PhaseProfiler = NULL_PROFILER,
     ) -> np.ndarray:
-        """One block step for stacked single-token rows of ``B`` sequences.
+        """One block step over one context's rows, or over stacked single-token
+        rows of ``len(caches)`` sequences (see :meth:`AttentionBlock.forward`).
 
-        Norms, residual adds and activations are row-wise, and the linear
-        projections use the row-invariant paired kernel, so row ``b`` is
-        bit-identical to running :meth:`forward` on sequence ``b`` alone.
+        Norms, residual adds and activations are row-wise, and stacked rows
+        use the row-invariant paired projections, so each stacked row is
+        bit-identical to running its sequence alone.
         """
-        attn_out = self.attention.fused_decode(
-            self.attention_norm(x), list(caches), positions, prof
+        paired = len(caches) == x.shape[0]
+        x = x + self.attention.forward(
+            self.attention_norm(x), caches, positions, kv_observer, prof
         )
-        x = x + attn_out
-        x = x + self.feed_forward(self.ffn_norm(x), paired=True)
-        return x
+        return x + self.feed_forward(self.ffn_norm(x), paired=paired)
 
     def num_parameters(self) -> int:
         return (
@@ -267,60 +271,113 @@ class TransformerLM:
         """Total modelled KV-cache footprint across all layers."""
         return float(sum(cache.memory_bytes() for cache in self.caches))
 
-    def advance_position(self, n_tokens: int) -> None:
-        """Advance the decode position without running the model.
-
-        For callers that install cached KV state into the per-layer caches
-        directly — e.g. shared prompt-prefix blocks adopted from a serving
-        block pool — so that subsequent :meth:`forward` calls assign the
-        correct positions to new tokens.  The caches themselves must already
-        hold ``n_tokens`` additional tokens; this only moves the position
-        counter.
-        """
-        require(n_tokens >= 0, "n_tokens must be >= 0")
-        require(
-            self._next_position + n_tokens <= self.config.max_seq_len,
-            f"advancing by {n_tokens} tokens exceeds max_seq_len "
-            f"{self.config.max_seq_len}",
-        )
-        self._next_position += n_tokens
-
     # Forward passes -----------------------------------------------------
 
     def forward(self, token_ids: np.ndarray) -> np.ndarray:
-        """Append ``token_ids`` to the context and return their logits.
+        """Append ``token_ids`` to the live context and return their logits.
 
         ``token_ids`` is a 1-D array; the returned logits have shape
         ``(len(token_ids), vocab_size)``.  Calling ``forward`` repeatedly
         continues the same sequence (prefill followed by single-token decode
-        steps is simply ``forward(prompt)`` then ``forward([token])``).
+        steps is simply ``forward(prompt)`` then ``forward([token])``).  It is
+        one segment of :meth:`forward_segments`.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        require(token_ids.size > 0, "token_ids must contain at least one token")
-        positions = np.arange(
-            self._next_position, self._next_position + token_ids.size, dtype=np.int64
+        context = self.save_context()
+        (logits,) = self.forward_segments([Segment(context, token_ids)])
+        self._next_position = context.next_position
+        return logits
+
+    def forward_segments(
+        self, segments: Sequence[Segment], prof: PhaseProfiler = NULL_PROFILER
+    ) -> list[Optional[np.ndarray]]:
+        """Advance every segment's context by its tokens in one traversal.
+
+        Each segment appends to and attends over its own context's caches,
+        after the earlier segments of the same context, exactly as if the
+        segments ran one by one.  Per layer, every multi-token segment runs
+        the block over its own rows with plain GEMMs (a context's prefill
+        chunk), then all single-token segments run stacked through the
+        row-invariant paired projections (decode rows), so every segment's
+        output is bit-identical to running it alone.  A sealed segment's
+        caches are flushed right after its block step, so a context's
+        multi-token segments must precede its single-token ones, and a sealed
+        single-token segment must be its context's last.
+
+        Returns each segment's ``(tokens, vocab)`` logits, or ``None`` for a
+        sealed segment, which skips the final norm and the LM head.  A
+        multi-token segment's ``seconds`` receives its own block and head
+        time; stacked rows share theirs, and ``prof`` receives their
+        attention phases (see :meth:`AttentionBlock.forward`).
+        """
+        require(len(segments) > 0, "at least one segment required")
+        require(
+            len(segments) == 1 or not self.kv_observers,
+            "kv observers support one segment per forward",
         )
-        if int(positions[-1]) >= self.config.max_seq_len:
-            raise ValueError(
-                f"context length {int(positions[-1]) + 1} exceeds max_seq_len "
-                f"{self.config.max_seq_len}"
+        ids, positions, ends, row_contexts, sealed_rows = [], [], {}, set(), set()
+        for segment in segments:
+            tokens = np.asarray(segment.token_ids, dtype=np.int64).reshape(-1)
+            require(tokens.size > 0, "token_ids must contain at least one token")
+            key = id(segment.context)
+            require(
+                key not in sealed_rows,
+                "a sealed single-token segment must be its context's last",
             )
-        # Single-token (decode-style) forwards use the row-invariant paired
-        # projection kernel so their logits match the rows of a fused batched
-        # decode step bit for bit; multi-token prefill keeps full GEMMs.
-        paired = token_ids.size == 1
-        x = self.token_embedding(token_ids)
-        if self.position_embedding is not None:
-            x = x + self.position_embedding(positions)
-        for layer_index, block in enumerate(self.blocks):
-            observer = self._make_layer_observer(layer_index)
-            x = block.forward(
-                x, self.caches[layer_index], positions, kv_observer=observer,
-                paired=paired,
+            if tokens.size == 1:
+                row_contexts.add(key)
+                if segment.seal:
+                    sealed_rows.add(key)
+            require(
+                tokens.size == 1 or key not in row_contexts,
+                "a context's multi-token segments must precede its single-token ones",
             )
-        x = self.final_norm(x)
-        logits = self._project_logits(x, paired=paired)
-        self._next_position += token_ids.size
+            start = ends.get(key, segment.context.next_position)
+            end = start + tokens.size
+            if end > self.config.max_seq_len:
+                raise ValueError(
+                    f"context length {end} exceeds max_seq_len "
+                    f"{self.config.max_seq_len}"
+                )
+            ids.append(tokens)
+            positions.append(np.arange(start, end, dtype=np.int64))
+            ends[key] = end
+            segment.seconds = 0.0
+        chunks = [i for i, tokens in enumerate(ids) if tokens.size > 1]
+        rows = [i for i, tokens in enumerate(ids) if tokens.size == 1]
+        hidden = {i: self._embed(ids[i], positions[i]) for i in chunks}
+        if rows:
+            row_positions = np.concatenate([positions[i] for i in rows])
+            x_rows = self._embed(np.concatenate([ids[i] for i in rows]), row_positions)
+        for layer, block in enumerate(self.blocks):
+            observer = self._make_layer_observer(layer)
+            for i in chunks:
+                segment = segments[i]
+                cache = segment.context.caches[layer]
+                began = time.perf_counter()
+                hidden[i] = block.forward(hidden[i], [cache], positions[i], observer)
+                if segment.seal:
+                    cache.flush_all()
+                segment.seconds += time.perf_counter() - began
+            if rows:
+                caches = [segments[i].context.caches[layer] for i in rows]
+                x_rows = block.forward(x_rows, caches, row_positions, observer, prof)
+                for i, cache in zip(rows, caches):
+                    if segments[i].seal:
+                        cache.flush_all()
+        logits: list[Optional[np.ndarray]] = [None] * len(segments)
+        for i in chunks:
+            segment = segments[i]
+            if not segment.seal:
+                began = time.perf_counter()
+                logits[i] = self._project_logits(self.final_norm(hidden[i]))
+                segment.seconds += time.perf_counter() - began
+        kept = [j for j, i in enumerate(rows) if not segments[i].seal]
+        if kept:
+            out = self._project_logits(self.final_norm(x_rows[kept]), paired=True)
+            for n, j in enumerate(kept):
+                logits[rows[j]] = out[n : n + 1]
+        for segment, tokens in zip(segments, ids):
+            segment.context.next_position += tokens.size
         return logits
 
     def fused_decode_step(
@@ -329,41 +386,12 @@ class TransformerLM:
         contexts: Sequence[ModelContext],
         prof: PhaseProfiler = NULL_PROFILER,
     ) -> np.ndarray:
-        """Advance ``B`` independent sequences by one token in one pass.
-
-        ``tokens[b]`` is appended to ``contexts[b]`` (each context carries its
-        own per-layer caches and position); the return value is ``(B, vocab)``
-        logits.  Every layer runs one stacked traversal — norms, paired
-        projections, then one ``append`` + ``attend`` per sequence against
-        its own caches, so every cache scheme is supported — instead of
-        ``B`` full model traversals, and each row is bit-identical to calling
-        :meth:`decode_step` on that context alone (the tests' reference
-        serves each request alone, through :meth:`decode_step`).  ``prof``
-        receives the attention phases (see :meth:`AttentionBlock.fused_decode`).
-        """
-        require(not self.kv_observers, "fused decode does not support kv observers")
+        """Advance each context by one token: one-row segments of
+        :meth:`forward_segments`; returns ``(len(contexts), vocab)`` logits."""
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         require(tokens.size == len(contexts), "one token per context required")
-        require(tokens.size > 0, "tokens must contain at least one token")
-        positions = np.asarray(
-            [context.next_position for context in contexts], dtype=np.int64
-        )
-        if int(positions.max()) >= self.config.max_seq_len:
-            raise ValueError(
-                f"context length {int(positions.max()) + 1} exceeds max_seq_len "
-                f"{self.config.max_seq_len}"
-            )
-        x = self.token_embedding(tokens)
-        if self.position_embedding is not None:
-            x = x + self.position_embedding(positions)
-        for layer_index, block in enumerate(self.blocks):
-            caches = [context.caches[layer_index] for context in contexts]
-            x = block.fused_decode(x, caches, positions, prof)
-        x = self.final_norm(x)
-        logits = self._project_logits(x, paired=True)
-        for context in contexts:
-            context.next_position += 1
-        return logits
+        segments = [Segment(context, tokens[b : b + 1]) for b, context in enumerate(contexts)]
+        return np.concatenate(self.forward_segments(segments, prof))
 
     def prefill(self, token_ids: np.ndarray) -> np.ndarray:
         """Process the prompt in one batch (the paper's prefill stage)."""
@@ -382,25 +410,25 @@ class TransformerLM:
         stop_token: Optional[int] = None,
         reset: bool = True,
     ) -> np.ndarray:
-        """Auto-regressively generate up to ``max_new_tokens`` tokens."""
+        """Auto-regressively generate up to ``max_new_tokens`` tokens.
+
+        Stops after the last token: nothing computes logits that no one reads.
+        """
         require(max_new_tokens >= 0, "max_new_tokens must be >= 0")
         sampler = sampler or GreedySampler()
         rng = get_rng(seed)
         if reset:
             self.reset_cache()
-        logits = self.prefill(np.asarray(prompt_ids, dtype=np.int64))
+        logits = self.prefill(np.asarray(prompt_ids, dtype=np.int64))[-1]
         generated: list[int] = []
-        next_logits = logits[-1]
         for _ in range(max_new_tokens):
             if self._next_position >= self.config.max_seq_len:
                 break
-            token = sampler(next_logits, rng)
+            token = sampler(logits, rng)
             generated.append(token)
-            if stop_token is not None and token == stop_token:
+            if token == stop_token or len(generated) == max_new_tokens:
                 break
-            if self._next_position >= self.config.max_seq_len:
-                break
-            next_logits = self.decode_step(token)
+            logits = self.decode_step(token)
         return np.asarray(generated, dtype=np.int64)
 
     # Introspection ------------------------------------------------------
@@ -416,6 +444,12 @@ class TransformerLM:
         return total
 
     # Internal helpers ---------------------------------------------------
+
+    def _embed(self, token_ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        x = self.token_embedding(token_ids)
+        if self.position_embedding is not None:
+            x = x + self.position_embedding(positions)
+        return x
 
     def _project_logits(self, x: np.ndarray, paired: bool = False) -> np.ndarray:
         if self.lm_head is not None:

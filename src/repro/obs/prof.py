@@ -11,10 +11,10 @@ disabled cost is one attribute check (the same contract as tracing; the
 ``serving.profiler_overhead`` benchmark gates both).
 
 Phases are ``/``-separated paths forming a static call tree:
-``decode/attend`` is time inside the stacked decode forward's per-sequence
-attention, attributed under the engine's ``decode`` span.  The engine
-records the *parent* phases (``decode``, ``prefill``) from the same wall
-split it already exports as ``decode_seconds_total``, so per-phase
+``decode/attend`` is time inside the per-sequence attention of the stacked
+rows of a step's traversal, attributed under the engine's ``decode`` span.
+The engine records the *parent* phases (``decode``, ``prefill``) from the
+same wall split it already exports as ``decode_seconds_total``, so per-phase
 **self time** — a phase's total minus its direct children — sums exactly
 to the measured step wall time, with the un-instrumented remainder
 (norms, MLPs, logit projections, Python glue) showing up as the parent's

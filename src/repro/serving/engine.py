@@ -2,13 +2,13 @@
 
 One calibrated model serves many concurrent sequences: every request owns a
 private :class:`~repro.models.transformer.ModelContext` (its per-layer
-quantized caches + position).  Prefills swap contexts in and out of the
-shared :class:`~repro.models.transformer.TransformerLM`; decode advances the
-whole running batch through **one** stacked forward per step
-(:meth:`TransformerLM.fused_decode_step`), whatever the batch size: the
-projections and MLPs run stacked, and each sequence appends to and attends
-over its own caches, exactly as it would alone.  Weights and trained PQ
-codebooks are shared; per-sequence state is isolated, so with greedy
+quantized caches + position).  Each engine step makes **one** model
+traversal (:meth:`TransformerLM.forward_segments`) over a ragged list of
+segments: prompt chunks, residual tails, restore-replay rows and decode
+rows.  A chunk runs its own rows with plain GEMMs; the single-token rows run
+stacked through the row-invariant projections; every segment appends to and
+attends over its own caches, exactly as it would alone.  Weights and
+trained PQ codebooks are shared; per-sequence state is isolated, so with greedy
 sampling the batched output is token-identical to serving each request
 alone (the test suite's reference oracle, which sweeps batch shapes,
 preemption, cancellation and prefix sharing against it).
@@ -48,38 +48,42 @@ memory, and every prefill follows one resumable **chunk schedule**:
 * **Memory-aware admission.**  The scheduler's admission gate refuses the
   queue head until the pool can cover its first chunk (minus prefix hits)
   plus one decode group of its tier's units of headroom.
-* **Stall-free batching.**  Chunk sub-steps run round-robin over the
-  prefilling sequences under the per-step token budget, before the fused
-  decode half of the same step (Sarathi-style); a sequence decodes only
-  after its schedule finishes.  Later chunks make room through the same
-  preemption order as decode.
-* **Preemption with recompute.**  Before each decode step the engine checks
-  the pool can cover the step's flush; if not, a running sequence is
-  preempted — lowest priority class first; within a class never-preempted
-  sequences youngest first, then already-preempted ones (so ``best_effort``
-  work is sacrificed before ``interactive`` work, and a restored sequence
-  is not the next victim): its
-  non-shared blocks are freed and it re-queues at the front of its class's
-  queue.  Restoration replays the prompt's chunk schedule, then feeds
-  every generated token back as a teacher-forced row of the fused decode
-  step, one token per engine step, so a long replay never stalls the
-  running streams.  Forced flushing is deterministic in the total token
-  count, so the restored cache state and the next sampled token are
-  bit-identical to an uncontended run (a test asserts this).
+* **Stall-free batching.**  A step plans chunks round-robin over the
+  prefilling sequences under the per-step token budget, then one row per
+  sequence past its prompt, and runs them all in the same traversal
+  (Sarathi-style); a sequence decodes only after its schedule finishes.
+  Right after the traversal every sequence whose logits are its next
+  token's samples and emits, so a prompt's tail and its first token share
+  a step, and no row is computed for a request's final token.  A sequence
+  whose next chunk starts with a block that an earlier segment of the step
+  will publish sits the step out: it adopts the block right after the
+  traversal publishes it and runs its next segment on the next step.
+* **Preemption with recompute.**  Every planned segment's flush demand is
+  reserved before the traversal; when the pool cannot cover it, a running
+  sequence is preempted — lowest priority class first; within a class
+  never-preempted sequences youngest first, then already-preempted ones (so
+  ``best_effort`` work is sacrificed before ``interactive`` work, and a
+  restored sequence is not the next victim): it leaves the step's batch,
+  its non-shared blocks are freed and it re-queues at the front of its
+  class's queue.  Restoration replays the prompt's chunk schedule, then
+  feeds every generated token back as a teacher-forced row, one token per
+  engine step, so a long replay never stalls the running streams.  Forced
+  flushing is deterministic in the total token count, so the restored
+  cache state and the next sampled token are bit-identical to an
+  uncontended run (a test asserts this).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.models.sampling import GreedySampler
-from repro.models.transformer import ModelContext, TransformerLM
+from repro.models.transformer import ModelContext, Segment, TransformerLM
 from repro.obs.hist import BATCH_BUCKETS, Histogram, LATENCY_BUCKETS_S
 from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
@@ -150,12 +154,13 @@ class _PrefillPlan:
 
     ``cursor`` is how many history tokens are already incorporated (adopted
     or computed); ``-1`` means the request has not been admitted yet.  The
-    plan persists on the state across steps until the schedule completes.
-    Once the cursor reaches the prompt end of a restore, the plan is
-    :attr:`replaying`: the sequence joins the fused decode step as a
-    teacher-forced row, one history token per step.  ``promised`` is the
-    pool blocks of the first chunk, reserved from admission until that
-    chunk runs; ``reused`` counts adopted tokens not yet reported in a
+    plan persists on the state across steps until the schedule completes;
+    the planner advances the cursor when it plans a segment, before the
+    step's traversal computes it.  Once the cursor reaches the prompt end of
+    a restore, the plan is :attr:`replaying`: the sequence adds one
+    teacher-forced row per step, its next history token.  ``promised`` is
+    the pool blocks of the first chunk, reserved from admission until that
+    chunk is planned; ``reused`` counts adopted tokens not yet reported in a
     trace span.
     """
 
@@ -176,6 +181,26 @@ class _PrefillPlan:
     def replaying(self) -> bool:
         """Prompt chunks done; generated tokens remain to be fed back."""
         return self.cursor >= self.bounds[-1]
+
+
+@dataclass
+class _Batch:
+    """The segments of one step's traversal and the pool room they hold.
+
+    ``work`` lists ``(state, segment, chunk_end)`` in traversal order, with
+    ``chunk_end`` the prompt position a chunk or tail ends at and ``None``
+    for a decode or replay row.  ``pending`` and ``blocks`` map each
+    planned state's ``id`` to the pending rows its segments leave in its
+    caches and the pool blocks their flushes will allocate.
+    ``publishing`` holds the chain hashes their seals will publish, and
+    ``waiting`` the states that sat out to adopt them once published.
+    """
+
+    work: list = field(default_factory=list)
+    pending: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
+    publishing: set = field(default_factory=set)
+    waiting: list = field(default_factory=list)
 
 
 class BatchedMillionEngine:
@@ -217,8 +242,8 @@ class BatchedMillionEngine:
         self.factory = factory
         # Phase profiler (repro.obs.prof): attributes step wall time to named
         # kernels.  Defaults to the shared no-op so every hook costs one
-        # ``enabled`` attribute check; the stacked decode forward records its
-        # attention phases into it, under the engine's ``decode`` root.
+        # ``enabled`` attribute check; the traversal's stacked rows record
+        # their attention phases into it, under the engine's ``decode`` root.
         self.prof = prof if prof is not None else NULL_PROFILER
         # ``priority_aware=False`` collapses the priority classes into one
         # FIFO queue and orders preemption victims regardless of class
@@ -271,9 +296,9 @@ class BatchedMillionEngine:
         self.prefix_block_hits = 0
         self.prefix_block_misses = 0
         # Per-step timing split (reported by stats() and /metrics): wall time
-        # spent admitting/prefilling vs decoding, and the rows of the last
-        # fused decode step, restore replay rows included (0 when the step
-        # ran no decode forward).
+        # spent admitting/prefilling vs decoding; steps whose traversal
+        # stacked single-token rows, and the last step's row count (decode
+        # and replay rows, and one-token tails; 0 when it stacked none).
         self.step_count = 0
         self.fused_decode_steps = 0
         self.prefill_seconds_total = 0.0
@@ -281,11 +306,12 @@ class BatchedMillionEngine:
         self.last_prefill_seconds = 0.0
         self.last_decode_seconds = 0.0
         self.last_fused_batch_size = 0
-        # Chunk accounting: sub-steps executed, and the fraction of the
-        # per-step token budget the last step actually spent on prefill work
-        # (0.0 when the step had no prefill work or there is no budget; may
-        # exceed 1.0 — the final sub-step of a step is allowed to overshoot
-        # so a budget smaller than one chunk still makes progress).
+        # Chunk accounting: prefill segments (aligned chunks and tails) run,
+        # and the fraction of the per-step token budget the last step
+        # actually spent on them (0.0 when the step had no prefill work or
+        # there is no budget; may exceed 1.0 — the last chunk of a step is
+        # allowed to overshoot so a budget smaller than one chunk still makes
+        # progress).
         self.prefill_chunks_total = 0
         self.last_budget_utilization = 0.0
         # Tracing + latency histograms (repro.obs).  ``trace`` defaults to
@@ -413,7 +439,6 @@ class BatchedMillionEngine:
         state.prefill_plan = None
         state.prefilling = False
         self._release_context(state)
-        state.next_logits = None
         self._record_result(state)
         if self.trace.enabled:
             self.trace.instant(
@@ -460,18 +485,6 @@ class BatchedMillionEngine:
         return output
 
     # Serving loop -------------------------------------------------------------
-
-    @contextmanager
-    def _bound(self, state: RequestState) -> Iterator[TransformerLM]:
-        """Swap ``state``'s context into the shared model for one operation."""
-        saved = self.model.save_context()
-        assert state.context is not None
-        self.model.restore_context(state.context)
-        try:
-            yield self.model
-        finally:
-            state.context = self.model.save_context()
-            self.model.restore_context(saved)
 
     def _units(self, state: RequestState) -> int:
         """Blocks per group of this request's tier (its pool units)."""
@@ -526,7 +539,6 @@ class BatchedMillionEngine:
         # Release the per-sequence KV caches immediately; keeping every
         # finished context alive would grow memory with total requests served.
         self._release_context(state)
-        state.next_logits = None
 
     # Prefill protocol ---------------------------------------------------------
 
@@ -691,7 +703,8 @@ class BatchedMillionEngine:
     def _adopt_published(self, state: RequestState, plan: _PrefillPlan) -> None:
         """Adopt published groups past the cursor that the schedule may skip.
 
-        Runs at admission and again before every aligned chunk, so a prefix
+        Runs at admission, before a step's first aligned chunk, and right
+        after the traversal for a sequence that sat the step out, so a prefix
         published by a request admitted in the same step — or computed while
         this one waited for budget — is computed once.  Only hits that
         :meth:`_usable_hits` proves to be states of this request's own cold
@@ -708,10 +721,9 @@ class BatchedMillionEngine:
         if usable > have:
             hashes = plan.hashes[have:usable]
             groups = [pool.adopt(h) for h in hashes]
-            with self._bound(state) as model:
-                for unit, cache in enumerate(self._pooled_caches(state)):
-                    cache.adopt_shared_blocks([g[unit] for g in groups])
-                model.advance_position(len(groups) * block)
+            for unit, cache in enumerate(self._pooled_caches(state)):
+                cache.adopt_shared_blocks([g[unit] for g in groups])
+            state.context.next_position += len(groups) * block
             state.block_hashes.extend(hashes)
             plan.cursor = usable * block
             plan.reused += len(groups) * block
@@ -724,16 +736,14 @@ class BatchedMillionEngine:
     def _begin_prefill(self, state: RequestState) -> None:
         """Admit a request into the running set with only adoption done.
 
-        The compute — chunk forwards and the residual tail — happens in
-        :meth:`_prefill_chunk_work` later in the same step; a restore's
-        generated tokens are replayed by :meth:`_decode_fused`.
-        Adoption runs here because the admission gate already accounted for
-        the adopted groups leaving the evictable set; deferring it would let
-        a decode flush in the same step evict the blocks the gate promised.
-        Until the schedule completes the state is ``prefilling`` and the
-        decode half of every step skips it.
+        Its chunks and tail are planned by :meth:`_plan_prefill` later in
+        the same step; a restore's generated tokens are replayed as rows
+        (:meth:`_plan_rows`).  Adoption runs here because the admission gate
+        already accounted for the adopted groups leaving the evictable set;
+        deferring it would let a flush in the same step evict the blocks the
+        gate promised.  Until the schedule completes the state is
+        ``prefilling``.
         """
-        begin_start = time.perf_counter()
         plan = self._prefill_plan(state)
         config = self.model.config
         tier = state.request.tier
@@ -749,348 +759,12 @@ class BatchedMillionEngine:
             chunk_groups = (plan.next_bound() - plan.cursor) // self.pool.block_tokens
             plan.promised = chunk_groups * self._units(state)
         state.prefilling = True
-        if self.prof.enabled:
-            self.prof.record("prefill", time.perf_counter() - begin_start)
 
-    def _end_prefill(self, state: RequestState) -> Optional[StepOutput]:
-        """Prefill complete: the request decodes next, unless it is done already.
+    # One traversal per step ---------------------------------------------------
 
-        Returns the finish output, not yet emitted, if it is done."""
-        state.prefilling = False
-        state.prefill_plan = None
-        if state.request.max_new_tokens <= len(state.generated):
-            self._finish(state, FinishReason.LENGTH)
-        elif state.context.next_position >= self.model.config.max_seq_len:
-            self._finish(state, FinishReason.CONTEXT_FULL)
-        if state.is_finished:
-            return StepOutput(state.request_id, None, True, state.finish_reason)
-        return None
-
-    def _prefill_chunk_substep(
-        self, state: RequestState
-    ) -> tuple[int, Optional[StepOutput]]:
-        """Advance one prefilling sequence by one chunk of its prompt schedule.
-
-        Before an aligned chunk, newly published groups are adopted (see
-        :meth:`_adopt_published`).  Then one of two moves, by cursor
-        position: an **aligned chunk** (forward + forced flush + publication
-        — the pool protocol's sealed state) or the **residual tail**
-        (pending-only forward that produces the next-token logits; no
-        allocation).  A restore's schedule continues with its replay rows in
-        :meth:`_decode_fused`.  Returns the tokens computed and, when a fresh
-        prompt's schedule completed, the finish output (if the request
-        finished immediately).  A return of ``(0, None)`` means the state
-        was preempted making room for its own chunk and left the running
-        set, or adopted published blocks past its prompt end.
-        """
-        plan = state.prefill_plan
-        assert plan is not None and plan.cursor >= 0
-        block = self.pool.block_tokens
-        prompt_tokens = state.request.prompt_ids.size
-        sub_start = time.perf_counter()
-        prof = self.prof
-        timing = prof.enabled
-        plan.promised = 0  # the first chunk claims its own room from here
-        if plan.cursor < plan.aligned:
-            self._adopt_published(state, plan)
-        cursor = plan.cursor
-        computed = 0
-        if cursor < plan.aligned:
-            hi = plan.next_bound()
-            demand = ((hi - cursor) // block) * self._units(state)
-            if not self._ensure_decode_capacity(state, demand=demand):
-                return 0, None  # preempted; restarts from scratch on restore
-            if timing:
-                t = prof.now()
-            with self._bound(state) as model:
-                caches = self._pooled_caches(state)
-                model.forward(self._history_slice(state, cursor, hi))
-                for cache in caches:
-                    cache.flush_all()
-                self._register_new_blocks(state)
-            computed = hi - cursor
-            plan.cursor = hi
-            if timing:
-                prof.lap("prefill/chunk", t)
-        elif cursor < prompt_tokens:
-            # Residual tail [A, P): stays pending (the existing
-            # residual-window path), produces the next-token logits.
-            if timing:
-                t = prof.now()
-            with self._bound(state) as model:
-                logits = model.forward(
-                    self._history_slice(state, cursor, prompt_tokens)
-                )
-            state.next_logits = logits[-1]
-            computed = prompt_tokens - cursor
-            plan.cursor = prompt_tokens
-            if timing:
-                prof.lap("prefill/chunk", t)
-        self.prefill_tokens_computed += computed
-        self.prefill_chunks_total += 1
-        if timing:
-            prof.record("prefill", time.perf_counter() - sub_start)
-        if self.trace.enabled:
-            self.trace.complete(
-                "restore" if plan.is_restore else "prefill",
-                sub_start,
-                time.perf_counter(),
-                track=self.trace_track,
-                request_id=state.request_id,
-                args={
-                    "chunk_end": plan.cursor,
-                    "tokens_computed": computed,
-                    "tokens_reused": plan.reused,
-                    "is_restore": plan.is_restore,
-                },
-            )
-        plan.reused = 0
-        if plan.cursor >= prompt_tokens + len(state.generated):
-            return computed, self._end_prefill(state)
-        return computed, None
-
-    def _prefill_chunk_work(self) -> tuple[list[StepOutput], int]:
-        """Run chunk sub-steps round-robin until the token budget is spent.
-
-        Prefilling sequences advance in admission order, one sub-step each
-        per pass, so two concurrent long prompts share the budget instead of
-        the older one monopolizing it.  The budget check runs *before* each
-        sub-step — a budget smaller than one chunk still guarantees one
-        sub-step of forward progress per engine step (stall-free, never
-        stalled-out).  Without a budget every prompt schedule runs to
-        completion; a restore's replay rows run in :meth:`_decode_fused`.
-        """
-        outputs: list[StepOutput] = []
-        budget = self.prefill_token_budget or math.inf
-        spent = 0
-        while True:
-            pending = [
-                s
-                for s in self.scheduler.running
-                if s.status is RequestStatus.RUNNING
-                and s.prefilling
-                and not s.prefill_plan.replaying
-            ]
-            if not pending or spent >= budget:
-                break
-            progressed = 0
-            for state in pending:
-                if spent >= budget:
-                    break
-                if state.status is not RequestStatus.RUNNING or not state.prefilling:
-                    continue  # preempted by an earlier sub-step of this pass
-                tokens, output = self._prefill_chunk_substep(state)
-                spent += tokens
-                progressed += tokens
-                if output is not None:
-                    outputs.append(self._emit(output))
-            if progressed == 0:
-                # Every candidate was preempted or adopted past its prompt
-                # end; retry next step.
-                break
-        return outputs, spent
-
-    # Preemption ---------------------------------------------------------------
-
-    def _preempt(self, state: RequestState) -> None:
-        """Evict a running sequence: free its blocks, re-queue it at the front."""
-        self.preemption_count += 1
-        self.priority_preemptions[state.priority] += 1
-        state.preemptions += 1
-        self._release_context(state)
-        state.next_logits = None
-        state.prefill_plan = None  # the restore plan depends on generated tokens
-        state.prefilling = False  # a mid-chunk victim restarts its schedule
-        self.scheduler.preempt(state)
-        if self.trace.enabled:
-            self.trace.instant(
-                "preempted",
-                track=self.trace_track,
-                request_id=state.request_id,
-                args={
-                    "generated": len(state.generated),
-                    "preemptions": state.preemptions,
-                },
-            )
-
-    def _decode_block_demand(self, state: RequestState) -> int:
-        """Pool blocks ``state``'s next decode step will allocate on flush."""
-        caches = self._pooled_caches(state)
-        return caches[0].flushable_blocks() * len(caches)
-
-    def _ensure_decode_capacity(
-        self,
-        state: RequestState,
-        reserved: int = 0,
-        exclude: Sequence[RequestState] = (),
-        demand: Optional[int] = None,
-    ) -> bool:
-        """Make room for ``state``'s next decode step, preempting if needed.
-
-        ``demand`` overrides the computed decode-flush demand — chunked
-        prefill passes the block cost of the next aligned chunk so a
-        mid-prefill sequence claims room through the same victim ordering
-        as decode.
-
-        ``reserved`` is block demand already promised to sequences decoding
-        in the same fused step — their flush allocations have not happened
-        yet, so the pool must cover the sum, not just this sequence's share.
-        The victim is the first candidate in
-        :meth:`ContinuousBatchingScheduler.preemption_victims` order (lowest
-        priority class first; within a class, never-preempted sequences
-        before preempted ones, youngest first), whatever its tier: every
-        tier allocates from the one pool.  ``exclude`` holds sequences that
-        must not be victims: the fused path passes the states already
-        collected into this step's batch, whose input token (sampled, or
-        forced by a restore replay) would be lost if their context were
-        freed mid-batch.  Returns ``False`` if ``state`` itself was
-        preempted (every eligible candidate outranks it and the pool still
-        cannot cover its flush).
-        """
-        pool = self.pool
-        assert state.context is not None
-        excluded = {id(s) for s in exclude}
-        if demand is None:
-            demand = self._decode_block_demand(state)
-        while demand and not pool.can_allocate(reserved + demand):
-            victim = next(
-                (
-                    candidate
-                    for candidate in self.scheduler.preemption_victims()
-                    if candidate.status is RequestStatus.RUNNING
-                    and id(candidate) not in excluded
-                ),
-                state,
-            )
-            if victim is state:
-                if self.scheduler.running_count <= 1:
-                    raise PoolExhaustedError(
-                        f"block pool ({pool.num_blocks} blocks) cannot "
-                        f"hold a single sequence of "
-                        f"{state.context.next_position} tokens; enlarge the "
-                        "pool or shorten the request"
-                    )
-                self._preempt(state)
-                return False
-            self._preempt(victim)
-        return True
-
-    # Decode -------------------------------------------------------------------
-
-    def _decode_fused(self) -> list[StepOutput]:
-        """Advance every running sequence by one token in one fused forward.
-
-        The capacity gate, sampling and finish checks run per sequence in
-        admission order (sample, stop check, context check, decode — the
-        order of :meth:`TransformerLM.generate`), then the surviving rows run
-        as one :meth:`TransformerLM.fused_decode_step`, whatever their
-        number.  A restore whose prompt chunks are done joins as a
-        teacher-forced row: its input is the history token at its cursor,
-        nothing is sampled or emitted, and its logits are dropped until the
-        cursor reaches the end of its history, where its prefill ends.
-        Outputs are emitted in admission order.
-        """
-        processed: list[RequestState] = []
-        results: dict[str, StepOutput] = {}
-        live: list[RequestState] = []
-        tokens: list[int] = []
-        timing = self.prof.enabled
-        sample_seconds = 0.0
-        sampled = 0
-        # Flush blocks promised to the rows already collected.
-        reserved = 0
-        max_seq_len = self.model.config.max_seq_len
-        for state in self.scheduler.running:
-            if state.status is not RequestStatus.RUNNING:
-                continue  # preempted or cancelled earlier in this very step
-            plan = state.prefill_plan
-            if state.prefilling and not plan.replaying:
-                continue  # prompt chunks not finished; no logits to sample
-            # ``exclude=live`` protects sequences already collected into this
-            # fused batch: each holds an input token whose forward has not
-            # run yet, so preempting one here would null its context out from
-            # under the stacked decode (and orphan a sampled token).
-            if not self._ensure_decode_capacity(state, reserved, exclude=live):
-                continue
-            processed.append(state)
-            request = state.request
-            assert state.context is not None
-            if state.prefilling:
-                token = state.generated[plan.cursor - request.prompt_ids.size]
-            else:
-                assert state.next_logits is not None
-                if state.context.next_position >= max_seq_len:
-                    self._finish(state, FinishReason.CONTEXT_FULL)
-                    results[state.request_id] = StepOutput(
-                        state.request_id, None, True, state.finish_reason
-                    )
-                    continue
-                sampler = request.sampler or GreedySampler()
-                if timing:
-                    sample_start = time.perf_counter()
-                    token = sampler(state.next_logits, state.rng)
-                    sample_seconds += time.perf_counter() - sample_start
-                    sampled += 1
-                else:
-                    token = sampler(state.next_logits, state.rng)
-                state.generated.append(token)
-                if request.stop_token is not None and token == request.stop_token:
-                    self._finish(state, FinishReason.STOP_TOKEN)
-                    results[state.request_id] = StepOutput(
-                        state.request_id, token, True, state.finish_reason
-                    )
-                    continue
-            reserved += self._decode_block_demand(state)
-            live.append(state)
-            tokens.append(token)
-        self.last_fused_batch_size = len(live)
-        if live:
-            self.fused_decode_steps += 1
-            logits = self.model.fused_decode_step(
-                np.asarray(tokens, dtype=np.int64),
-                [state.context for state in live],
-                prof=self.prof,
-            )
-            for row, (state, token) in enumerate(zip(live, tokens)):
-                state.next_logits = logits[row]
-                self._register_new_blocks(state)
-                if state.prefilling:
-                    # Replay rows count as prefill work, as chunks do.
-                    self.prefill_tokens_computed += 1
-                    plan = state.prefill_plan
-                    plan.cursor += 1
-                    history = state.request.prompt_ids.size + len(state.generated)
-                    if plan.cursor == history:
-                        output = self._end_prefill(state)
-                        if output is not None:
-                            results[state.request_id] = output
-                    continue
-                if len(state.generated) >= state.request.max_new_tokens:
-                    self._finish(state, FinishReason.LENGTH)
-                results[state.request_id] = StepOutput(
-                    state.request_id, token, state.is_finished, state.finish_reason
-                )
-        if timing and sampled:
-            self.prof.record("decode/sample", sample_seconds, count=sampled)
-        return [
-            self._emit(results[state.request_id])
-            for state in processed
-            if state.request_id in results
-        ]
-
-    def step(self) -> list[StepOutput]:
-        """One engine iteration: admit + prefill, then one decode per sequence.
-
-        The decode half runs one stacked forward for the whole running
-        batch (:meth:`_decode_fused`).  The prefill half advances every
-        mid-prefill sequence by block-aligned chunks under
-        ``prefill_token_budget``, so one step mixes bounded prefill work with
-        a full decode of the non-prefilling batch — a long prompt makes
-        forward progress without freezing in-flight streams.
-        """
-        step_start = time.perf_counter()
-        self.step_count += 1
-        admitted_count = 0
+    def _admit(self) -> int:
+        """Admit queued requests while the gate allows; returns how many."""
+        admitted = 0
         while True:
             state = self.scheduler.admit_next(self._admission_gate)
             if (
@@ -1103,8 +777,8 @@ class BatchedMillionEngine:
                 # than its whole pool, so evicting cached groups makes room.
                 state = self.scheduler.admit_next(gate=None)
             if state is None:
-                break
-            admitted_count += 1
+                return admitted
+            admitted += 1
             if state.admissions == 1 and state.queue_wait_s is not None:
                 # First admission only: restores after preemption would
                 # otherwise double-count one request's queue wait.
@@ -1119,40 +793,342 @@ class BatchedMillionEngine:
                         args={"tier": state.request.tier or "default"},
                     )
             self._begin_prefill(state)
-        outputs, chunk_spent = self._prefill_chunk_work()
+
+    def _plan_prefill(self, batch: _Batch) -> int:
+        """Plan prompt chunks and tails round-robin under the token budget.
+
+        Prefilling sequences take one chunk each per pass, in admission
+        order, so two concurrent long prompts share the budget instead of the
+        older one monopolizing it.  The budget is checked *before* each
+        chunk: a budget smaller than one chunk still moves one chunk per step
+        (stall-free, never stalled-out), and the last chunk may overshoot.
+        Without a budget every prompt schedule is planned to its end; a
+        restore's replay rows are planned by :meth:`_plan_rows`.  Returns the
+        prompt tokens planned.
+        """
+        budget = self.prefill_token_budget or math.inf
+        spent = 0
+        idle: set[int] = set()  # planned all it can this step
+        while spent < budget:
+            pending = [
+                s
+                for s in self.scheduler.running
+                if s.prefilling and not s.prefill_plan.replaying and id(s) not in idle
+            ]
+            if not pending:
+                break
+            for state in pending:
+                if spent >= budget:
+                    break
+                # A state may have been preempted by an earlier chunk's room.
+                rows = (
+                    self._plan_chunk(batch, state)
+                    if state.status is RequestStatus.RUNNING
+                    else 0
+                )
+                spent += rows
+                if rows <= 1:
+                    # A one-token chunk is sealed after the stacked rows'
+                    # block step, so it must be its sequence's last segment.
+                    idle.add(id(state))
+        return spent
+
+    def _plan_chunk(self, batch: _Batch, state: RequestState) -> int:
+        """Plan ``state``'s next aligned chunk or its residual tail.
+
+        Before an aligned chunk the sequence adopts newly published groups
+        (:meth:`_adopt_published`) — only before its first segment of the
+        step, since after it its caches trail its cursor.  If groups that a
+        segment planned earlier in this step will publish would let it adopt
+        further, it sits the step out and adopts them once they are
+        published, after the traversal, so a shared prompt is computed once.
+        An aligned chunk is sealed: its blocks are
+        flushed and published.  The tail ``[A, P)`` stays pending and
+        produces the next-token logits.  Returns the tokens planned, 0 when
+        the state plans nothing more this step.
+        """
+        plan = state.prefill_plan
+        block = self.pool.block_tokens
+        if plan.cursor < plan.aligned and id(state) not in batch.pending:
+            self._adopt_published(state, plan)
+        lo = plan.cursor
+        if lo < plan.aligned:
+            if self._sits_out(state, plan, batch.publishing):
+                batch.waiting.append(state)
+                return 0
+            hi, seal = plan.next_bound(), True
+        elif lo < state.request.prompt_ids.size:
+            hi, seal = state.request.prompt_ids.size, False
+        else:
+            return 0  # adopted past its prompt end: it replays from here
+        if not self._reserve(batch, state, hi - lo, seal):
+            return 0
+        plan.promised = 0  # the first chunk's room is reserved in the batch now
+        if seal:
+            batch.publishing.update(plan.hashes[lo // block : hi // block])
+        plan.cursor = hi
+        segment = Segment(state.context, self._history_slice(state, lo, hi), seal)
+        batch.work.append((state, segment, hi))
+        return hi - lo
+
+    def _sits_out(self, state: RequestState, plan: _PrefillPlan, publishing: set) -> bool:
+        """Would the groups in ``publishing`` let ``state`` adopt past its cursor?"""
+        pool, hashes = self.pool, plan.hashes
+        have = hits = plan.cursor // pool.block_tokens
+        while hits < len(hashes) and (
+            hashes[hits] in publishing or pool.lookup(hashes[hits]) is not None
+        ):
+            hits += 1
+        return self._usable_hits(state, plan, hits) > have
+
+    def _plan_rows(self, batch: _Batch) -> None:
+        """One row per running sequence past its prompt, in admission order.
+
+        A row is the history token at the sequence's position: a decoding
+        sequence's last sampled token, or a restore's next replayed token
+        (its first one right after its tail, if that was planned this step).
+        A sequence whose position is already at its history's end — a prompt
+        whose tail was planned this step — samples after the traversal
+        instead.  A sequence preempted to make room for its own row has no
+        row.
+        """
+        for state in self.scheduler.running:
+            plan = state.prefill_plan
+            if state.status is not RequestStatus.RUNNING or (
+                state.prefilling and not plan.replaying
+            ):
+                continue
+            position = plan.cursor if state.prefilling else state.context.next_position
+            if position == state.request.prompt_ids.size + len(state.generated):
+                continue
+            if not self._reserve(batch, state, 1, seal=False):
+                continue
+            token = self._history_slice(state, position, position + 1)
+            batch.work.append((state, Segment(state.context, token), None))
+            if state.prefilling:
+                plan.cursor += 1
+
+    def _after_traversal(
+        self, batch: _Batch, logits: list, start: float, end: float
+    ) -> list[StepOutput]:
+        """Count, publish, then sample each sequence at its next token.
+
+        Prompt chunks and tails are prefill work — one ``prefill/chunk``
+        record and one trace span each — and replay rows count as prefill
+        tokens.  A sequence samples once its position reaches the end of its
+        history (a fresh prompt's tail, a restore's last replay row, a decode
+        row), with the finish checks in :meth:`TransformerLM.generate`'s
+        order: context full (no sample), stop token, length.  Outputs are
+        emitted in traversal order.
+        """
+        prof, trace = self.prof, self.trace
+        last: dict[int, tuple] = {}  # each state's last segment's logits
+        for (state, segment, chunk_end), out in zip(batch.work, logits):
+            last[id(state)] = (state, out)
+            if chunk_end is None:
+                if state.prefilling:  # a replay row
+                    self.prefill_tokens_computed += 1
+                continue
+            plan = state.prefill_plan
+            tokens = segment.token_ids.size
+            self.prefill_tokens_computed += tokens
+            self.prefill_chunks_total += 1
+            if prof.enabled:
+                prof.record("prefill/chunk", segment.seconds)
+            if trace.enabled:
+                trace.complete(
+                    "restore" if plan.is_restore else "prefill",
+                    start,
+                    end,
+                    track=self.trace_track,
+                    request_id=state.request_id,
+                    args={
+                        "chunk_end": chunk_end,
+                        "tokens_computed": tokens,
+                        "tokens_reused": plan.reused,
+                        "is_restore": plan.is_restore,
+                    },
+                )
+            plan.reused = 0
+        outputs = []
+        sample_seconds, sampled = 0.0, 0
+        max_seq_len = self.model.config.max_seq_len
+        for state, out in last.values():
+            self._register_new_blocks(state)
+            request = state.request
+            position = state.context.next_position
+            if position < request.prompt_ids.size + len(state.generated):
+                continue  # mid-prompt or mid-replay: no token yet
+            state.prefilling = False
+            state.prefill_plan = None
+            if position >= max_seq_len:
+                self._finish(state, FinishReason.CONTEXT_FULL)
+                outputs.append(
+                    self._emit(StepOutput(state.request_id, None, True, state.finish_reason))
+                )
+                continue
+            sampler = request.sampler or GreedySampler()
+            sample_start = time.perf_counter()
+            token = sampler(out[-1], state.rng)
+            sample_seconds += time.perf_counter() - sample_start
+            sampled += 1
+            state.generated.append(token)
+            if request.stop_token is not None and token == request.stop_token:
+                self._finish(state, FinishReason.STOP_TOKEN)
+            elif len(state.generated) >= request.max_new_tokens:
+                self._finish(state, FinishReason.LENGTH)
+            outputs.append(
+                self._emit(
+                    StepOutput(state.request_id, token, state.is_finished, state.finish_reason)
+                )
+            )
+        if prof.enabled and sampled:
+            prof.record("decode/sample", sample_seconds, count=sampled)
+        return outputs
+
+    # Preemption ---------------------------------------------------------------
+
+    def _preempt(self, state: RequestState) -> None:
+        """Evict a running sequence: free its blocks, re-queue it at the front."""
+        self.preemption_count += 1
+        self.priority_preemptions[state.priority] += 1
+        state.preemptions += 1
+        self._release_context(state)
+        state.prefill_plan = None  # the restore plan depends on generated tokens
+        state.prefilling = False  # a mid-chunk victim restarts its schedule
+        self.scheduler.preempt(state)
+        if self.trace.enabled:
+            self.trace.instant(
+                "preempted",
+                track=self.trace_track,
+                request_id=state.request_id,
+                args={
+                    "generated": len(state.generated),
+                    "preemptions": state.preemptions,
+                },
+            )
+
+    def _reserve(self, batch: _Batch, state: RequestState, rows: int, seal: bool) -> bool:
+        """Reserve the pool blocks a planned segment's flushes will allocate.
+
+        The demand follows from the pending rows ``state``'s earlier segments
+        in this batch leave behind (a restore's tail before its first replay
+        row): the append flushes whole blocks beyond the residual window, and
+        a seal flushes every whole block left.  Returns ``False`` when the
+        segment cannot run because ``state`` was preempted.
+        """
+        pending = batch.pending.get(id(state))
+        if pending is None:
+            pending = self._pooled_caches(state)[0].flush_state[1]
+        window, block = self.factory.recent_window, self.pool.block_tokens
+        flushed = max(0, (pending - window) // block)
+        pending += rows - flushed * block
+        if seal:
+            flushed += pending // block
+            pending %= block
+        demand = flushed * self._units(state)
+        if not self._make_room(state, demand, batch):
+            return False
+        batch.blocks[id(state)] = batch.blocks.get(id(state), 0) + demand
+        batch.pending[id(state)] = pending
+        return True
+
+    def _make_room(self, state: RequestState, demand: int, batch: _Batch) -> bool:
+        """Make the pool cover ``demand`` blocks beside the batch's reserved ones.
+
+        While it cannot, the first sequence in
+        :meth:`ContinuousBatchingScheduler.preemption_victims` order is
+        preempted (lowest priority class first; within a class,
+        never-preempted sequences before preempted ones, youngest first),
+        whatever its tier: every tier allocates from the one pool.  A victim
+        leaves the batch with its planned segments and their room, so the
+        traversal never runs a preempted sequence.  Returns ``False`` if
+        ``state`` itself was preempted.
+        """
+        pool = self.pool
+        while demand and not pool.can_allocate(sum(batch.blocks.values()) + demand):
+            victim = next(iter(self.scheduler.preemption_victims()))
+            if victim is state and self.scheduler.running_count <= 1:
+                raise PoolExhaustedError(
+                    f"block pool ({pool.num_blocks} blocks) cannot "
+                    f"hold a single sequence of "
+                    f"{state.context.next_position} tokens; enlarge the "
+                    "pool or shorten the request"
+                )
+            batch.work = [item for item in batch.work if item[0] is not victim]
+            batch.blocks.pop(id(victim), None)
+            batch.pending.pop(id(victim), None)
+            self._preempt(victim)
+            if victim is state:
+                return False
+        return True
+
+    def step(self) -> list[StepOutput]:
+        """One engine iteration: admit, plan, one model traversal, then emit.
+
+        Planning collects the step's segments — prompt chunks and tails under
+        ``prefill_token_budget`` (:meth:`_plan_prefill`), then one row per
+        sequence past its prompt (:meth:`_plan_rows`) — and reserves their
+        pool room.  :meth:`TransformerLM.forward_segments` advances them all
+        in one traversal, and :meth:`_after_traversal` publishes sealed
+        blocks and samples each sequence whose logits are its next token's.
+        A long prompt makes bounded progress per step without freezing
+        in-flight streams.
+        """
+        step_start = time.perf_counter()
+        self.step_count += 1
+        admitted = self._admit()
+        batch = _Batch()
+        spent = self._plan_prefill(batch)
+        planned = time.perf_counter()
+        self._plan_rows(batch)
+        segments = [segment for _, segment, _ in batch.work]
+        logits = self.model.forward_segments(segments, self.prof) if segments else []
+        traversed = time.perf_counter()
+        outputs = self._after_traversal(batch, logits, planned, traversed)
+        adopting = time.perf_counter()
+        for state in batch.waiting:
+            if state.status is RequestStatus.RUNNING:  # unless a later victim
+                self._adopt_published(state, state.prefill_plan)
+        step_end = time.perf_counter()
+        chunks = [segment for _, segment, end in batch.work if end is not None]
+        rows = sum(1 for segment in segments if segment.token_ids.size == 1)
         budget = self.prefill_token_budget
-        self.last_budget_utilization = (
-            chunk_spent / budget if chunk_spent and budget else 0.0
+        self.last_budget_utilization = spent / budget if spent and budget else 0.0
+        # Prefill is admission, chunk planning, the chunks' own block time
+        # inside the traversal and the sat-out adoptions after it; the rest
+        # of the step is decode.
+        self.last_prefill_seconds = (
+            planned - step_start + sum(c.seconds for c in chunks) + step_end - adopting
         )
-        decode_start = time.perf_counter()
-        outputs.extend(self._decode_fused())
-        decode_end = time.perf_counter()
-        self.last_prefill_seconds = decode_start - step_start
-        self.last_decode_seconds = decode_end - decode_start
+        self.last_decode_seconds = step_end - step_start - self.last_prefill_seconds
         self.prefill_seconds_total += self.last_prefill_seconds
         self.decode_seconds_total += self.last_decode_seconds
+        self.last_fused_batch_size = rows
+        self.fused_decode_steps += int(rows > 0)
         if self.prof.enabled:
-            # The ``decode`` root phase is the same wall split exported as
-            # ``decode_seconds_total``, so the kernel phases' self times sum
-            # exactly to the measured decode wall (the remainder — norms,
-            # MLPs, logit projection, Python glue — is ``decode`` self time).
+            # The roots are the same wall split exported as the two seconds
+            # totals, so the kernel phases' self times sum exactly to them
+            # (the remainder — norms, MLPs, logit projection, Python glue —
+            # is the roots' self time).
+            self.prof.record("prefill", self.last_prefill_seconds)
             self.prof.record("decode", self.last_decode_seconds)
         decoded = [o for o in outputs if o.token is not None]
-        if admitted_count or chunk_spent:
+        if admitted or chunks:
             self.prefill_step_hist.observe(self.last_prefill_seconds)
-        if decoded or self.last_fused_batch_size:
+        if decoded or rows:
             self.decode_step_hist.observe(self.last_decode_seconds)
-            if self.last_fused_batch_size:
-                self.fused_batch_hist.observe(self.last_fused_batch_size)
+            if rows:
+                self.fused_batch_hist.observe(rows)
             if self.trace.enabled:
                 self.trace.complete(
                     "decode_step",
-                    decode_start,
-                    decode_end,
+                    planned,
+                    step_end,
                     track=self.trace_track,
                     args={
                         "batch": len(decoded),
-                        "fused_batch": self.last_fused_batch_size,
+                        "fused_batch": rows,
                         "requests": sorted(o.request_id for o in decoded),
                     },
                 )

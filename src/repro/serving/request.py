@@ -123,14 +123,15 @@ class RequestState:
     """Mutable per-sequence serving state owned by the engine.
 
     ``context`` is the sequence's private :class:`ModelContext` (per-layer
-    caches + position); the engine swaps it into the shared model for each
-    prefill/decode step.
+    caches + position); each engine step advances it by its segments of the
+    step's one model traversal.  The history token at its position is the
+    sequence's next row: its last sampled token, or during a restore its next
+    replayed token.
     """
 
     request: GenerationRequest
     status: RequestStatus = RequestStatus.QUEUED
     context: Optional[ModelContext] = None
-    next_logits: Optional[np.ndarray] = None
     generated: list[int] = field(default_factory=list)
     rng: Optional[np.random.Generator] = None
     finish_reason: Optional[FinishReason] = None
@@ -143,9 +144,9 @@ class RequestState:
     # cursor) from admission until the schedule completes.  Cleared on
     # preemption and cancel.
     prefill_plan: Optional[object] = None
-    # True while a pooled sequence still has prefill work: it holds
-    # a running slot but the decode half of every step skips it (its
-    # ``next_logits`` are absent or stale until the schedule finishes).
+    # True while a pooled sequence still has prefill work (prompt chunks,
+    # or a restore's replay rows): it holds a running slot but samples no
+    # token until the schedule finishes.
     prefilling: bool = False
     # Lifecycle timestamps on the process-wide monotonic clock
     # (time.perf_counter), stamped by the scheduler.  ``admitted_at`` and

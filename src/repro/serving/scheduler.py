@@ -415,9 +415,8 @@ class ContinuousBatchingScheduler:
         """Running sequences whose chunked prefill has not completed yet.
 
         These hold a running slot (they were admitted once their first
-        chunk fit) but are skipped by the decode half of every engine step
-        until their chunk schedule finishes.  Between steps this is 0 when
-        the engine has no per-step prefill budget.
+        chunk fit) but sample no token until their schedule finishes: the
+        prompt's chunks, then a restore's replay rows.
         """
         return sum(1 for state in self._running.values() if state.prefilling)
 

@@ -172,10 +172,10 @@ class TestAttentionBlock:
         block = AttentionBlock(config, linear(16, 16), linear(16, 16), linear(16, 16), linear(16, 16), rope=rope)
         cache = FullPrecisionCacheFactory().create(0, config)
         x = rng.normal(size=(5, 16)).astype(np.float32)
-        out = block.forward(x, cache, np.arange(5))
+        out = block.forward(x, [cache], np.arange(5))
         assert out.shape == (5, 16)
         assert cache.seq_len == 5
-        out2 = block.forward(x[:1], cache, np.asarray([5]))
+        out2 = block.forward(x[:1], [cache], np.asarray([5]))
         assert out2.shape == (1, 16)
         assert cache.seq_len == 6
 
@@ -189,7 +189,7 @@ class TestAttentionBlock:
         seen = []
         block.forward(
             rng.normal(size=(3, 16)).astype(np.float32),
-            cache,
+            [cache],
             np.arange(3),
             kv_observer=lambda k, v: seen.append((k.shape, v.shape)),
         )
@@ -203,4 +203,4 @@ class TestAttentionBlock:
         block = AttentionBlock(config, linear(16, 16), linear(16, 16), linear(16, 16), linear(16, 16))
         cache = FullPrecisionCacheFactory().create(0, config)
         with pytest.raises(ValueError):
-            block.forward(np.zeros((3, 8), np.float32), cache, np.arange(3))
+            block.forward(np.zeros((3, 8), np.float32), [cache], np.arange(3))

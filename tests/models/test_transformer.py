@@ -18,6 +18,7 @@ from repro.models import (
 )
 from repro.models.config import ModelConfig as Config
 from repro.models.weights import OutlierSpec
+from repro.obs.prof import NULL_PROFILER
 
 
 class TestModelConfig:
@@ -124,6 +125,25 @@ class TestGeneration:
 
     def test_zero_tokens(self, tiny_model):
         assert tiny_model.generate(np.arange(4), 0).size == 0
+
+    def test_no_forward_for_the_last_token(self, tiny_model, monkeypatch):
+        """One prefill and one decode step per token but the last."""
+        calls = []
+        traverse = tiny_model.forward_segments
+
+        def counting(segments, prof=NULL_PROFILER):
+            calls.append(len(segments))
+            return traverse(segments, prof)
+
+        monkeypatch.setattr(tiny_model, "forward_segments", counting)
+        prompt = np.arange(6)
+        out = tiny_model.generate(prompt, 5)
+        assert out.size == 5
+        assert calls == [1] * 5
+        assert tiny_model.context_length == prompt.size + 5 - 1
+        calls.clear()
+        out = tiny_model.generate(prompt, 10, stop_token=int(out[0]))
+        assert out.size == 1 and calls == [1]
 
     def test_generation_respects_max_seq_len(self, tiny_config):
         short = ModelConfig(**{**tiny_config.to_dict(), "max_seq_len": 10, "name": "short"})

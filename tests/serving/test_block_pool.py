@@ -281,7 +281,9 @@ class TestPrefixSharing:
         aligned = BLOCK_TOKENS * ((prompt.size - 1) // BLOCK_TOKENS)
         for _ in range(n_requests):
             engine.add_request(prompt, max_new_tokens=4)
-        engine.step()  # admits and prefills all four
+        engine.step()  # admits all four; one computes, three sit out and adopt
+        assert engine.prefill_tokens_computed == prompt.size
+        engine.step()  # the three run their tails
         # Prefix compute paid once; every other request only runs the tail.
         tail = prompt.size - aligned
         assert engine.prefill_tokens_computed == prompt.size + (n_requests - 1) * tail

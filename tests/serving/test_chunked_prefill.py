@@ -162,9 +162,9 @@ class TestChunkedDeterminism:
         """A restore feeds its generated tokens back one per engine step
         while every other decoding stream keeps emitting one token per step."""
         prompts = [calibration_tokens[i : i + 60] for i in (0, 70, 140)]
-        # 64 blocks preempt two streams after 4 generated tokens each.
+        # 64 blocks preempt a decoding stream after 5 of its 16 tokens.
         engine = chunked_engine_factory(num_blocks=64)
-        ids = [engine.add_request(p, max_new_tokens=12) for p in prompts]
+        ids = [engine.add_request(p, max_new_tokens=16) for p in prompts]
         states = [engine.state_of(rid) for rid in ids]
         replayed = {}  # request id -> generated tokens when first preempted
         results = {rid: [] for rid in ids}
@@ -195,7 +195,7 @@ class TestChunkedDeterminism:
                 if decoding and not s.is_finished:
                     assert emitted[s.request_id] == 1
         assert any(n >= 2 for n in replayed.values())
-        want = solo(tiny_model, million_factory, prompts, 12, num_blocks=64, budget=8)
+        want = solo(tiny_model, million_factory, prompts, 16, num_blocks=64, budget=8)
         for rid, stream in zip(ids, want):
             assert results[rid] == stream.tolist()
 

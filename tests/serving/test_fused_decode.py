@@ -476,23 +476,25 @@ class TestCodeEdits:
         factory = self._pooled_factory(tiny_model, million_factory, 32)
         engine = BatchedMillionEngine(tiny_model, factory, max_batch_size=4)
         batches: list[tuple[str, ...]] = []
-        stacked = tiny_model.fused_decode_step
+        traverse = tiny_model.forward_segments
 
-        def recording(tokens, contexts, **kwargs):
+        def recording(segments, prof):
             owner = {
                 id(state.context): state.request_id
                 for state in engine.scheduler.running
             }
-            batches.append(tuple(owner[id(context)] for context in contexts))
-            return stacked(tokens, contexts, **kwargs)
+            rows = [s for s in segments if len(s.token_ids) == 1]
+            batches.append(tuple(owner[id(s.context)] for s in rows))
+            return traverse(segments, prof)
 
-        monkeypatch.setattr(tiny_model, "fused_decode_step", recording)
+        monkeypatch.setattr(tiny_model, "forward_segments", recording)
         prompts = [
             calibration_tokens[s : s + 13 + s % 7] for s in (0, 15, 40, 70, 90, 110)
         ]
         # Every sampled step's logits, across preemptions and restores, are
         # the ones each request computes alone.
         got = served_logits(engine, prompts, 14)
+        monkeypatch.undo()
         want = solo(
             tiny_model, million_factory, prompts, 14, num_blocks=32,
             block_tokens=self.BLOCK_TOKENS, record_logits=True,
@@ -590,9 +592,12 @@ class TestArenaAndTiming:
         engine.step()
         timing = engine.stats()["step_timing"]
         assert timing["steps"] == 1
-        assert timing["last_fused_batch_size"] == 3
+        # The prompt step samples each first token; no row is stacked yet.
+        assert timing["last_fused_batch_size"] == 0
         assert timing["last_prefill_seconds"] > 0.0
         assert timing["last_decode_seconds"] > 0.0
+        engine.step()
+        assert engine.stats()["step_timing"]["last_fused_batch_size"] == 3
         engine.run()
         timing = engine.stats()["step_timing"]
         assert timing["fused_decode_steps"] >= 1
