@@ -11,8 +11,10 @@ then from this process:
    serves is synthesized from seeds, so both processes hold the same model;
 3. exercises ``/metrics``: validates the whole scrape as Prometheus text
    exposition (:func:`repro.obs.promtext.parse_exposition`), checks the
-   gateway/engine/pool counters moved, and that the TTFT/ITL histogram
-   families exist with ``_count`` matching the requests served;
+   gateway/engine/pool counters moved, that every histogram family of
+   :data:`repro.gateway.metrics.FAMILIES` is present and every scraped
+   family is registered there, and that the TTFT/ITL ``_count`` matches the
+   requests served;
 4. pulls ``/debug/trace`` and asserts it is a schema-valid Chrome trace
    containing at least one complete request span;
 5. pulls ``/debug/prof`` and validates the profiler payload (phase table +
@@ -59,21 +61,10 @@ import numpy as np  # noqa: E402
 
 from repro.data import load_corpus  # noqa: E402
 from repro.gateway import GatewayConfig, build_engines  # noqa: E402
+from repro.gateway.metrics import FAMILIES  # noqa: E402
 from repro.obs.export import validate_chrome_trace  # noqa: E402
 from repro.obs.prof import validate_prof_payload  # noqa: E402
 from repro.obs.promtext import ExpositionError, parse_exposition  # noqa: E402
-
-#: Histogram families the serving gate relies on; a scrape without them is
-#: a failure even if the rest of the exposition parses.
-GATED_FAMILIES = (
-    "repro_gateway_ttft_seconds",
-    "repro_gateway_itl_seconds",
-    "repro_gateway_priority_ttft_seconds",
-    "repro_gateway_priority_itl_seconds",
-    "repro_engine_queue_wait_seconds",
-    "repro_engine_step_seconds",
-    "repro_engine_fused_batch_size",
-)
 
 CONFIG = GatewayConfig(
     max_seq_len=512,
@@ -237,9 +228,15 @@ def check_gateway(codebook_cache: str) -> tuple[list[int], list[int]]:
                 "/metrics is not valid Prometheus text exposition:\n"
                 + "\n".join(error.errors)
             )
-        for family in GATED_FAMILIES:
-            assert family in families, f"gated family missing from /metrics: {family}"
-            assert families[family].type == "histogram", family
+        # Every registered histogram renders from boot; a scrape without one
+        # fails even if the rest of the exposition parses.
+        for family in FAMILIES:
+            if family.type == "histogram":
+                assert family.name in families, f"histogram missing from /metrics: {family.name}"
+                assert families[family.name].type == "histogram", family.name
+        registered = {family.name for family in FAMILIES}
+        unregistered = sorted(set(families) - registered)
+        assert not unregistered, f"/metrics exports unregistered families: {unregistered}"
         ttft = families["repro_gateway_ttft_seconds"]
         assert ttft.value(tier="default", le="+Inf") == 1.0, (
             "TTFT _count should match the 1 request served"

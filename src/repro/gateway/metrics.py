@@ -1,32 +1,35 @@
 """Prometheus text-format rendering of gateway, router and engine state.
 
-``GET /metrics`` renders three layers into the standard
-`text exposition format <https://prometheus.io/docs/instrumenting/exposition_formats/>`_:
-
-* gateway HTTP counters (requests by path/status, streamed tokens, client
-  disconnects, in-flight requests) and TTFT/ITL latency histograms, sliced
-  by quality tier and by priority class;
-* router decision counters (prefix vs sticky vs least-loaded placements);
-* per-replica engine statistics straight from ``engine.stats()`` — scheduler
-  queue depths (total and per priority class), prefill reuse, preemptions,
-  SLO rejections, and block-pool occupancy/pressure — labelled
-  ``{replica="<index>"}``.
+Every ``GET /metrics`` family is defined once, in :data:`FAMILIES`: one
+frozen :class:`MetricFamily` per family, holding its name, type, declared
+label keys, help text and a sample reader over the scrape inputs.
+:func:`render_prometheus` walks that table family by family into the
+`text exposition format <https://prometheus.io/docs/instrumenting/exposition_formats/>`_,
+so all lines of one family form one contiguous group, and
+:func:`catalogue_markdown` renders the same table as the metric catalogue
+of ``docs/OPERATIONS.md``.  The families read the gateway's HTTP counters
+and TTFT/ITL histograms (by quality tier and by priority class), the
+router's decision counters, the health engine's last verdicts, and each
+replica's ``engine.stats()`` (labelled ``{replica="<index>"}``).
 
 Rendering is pull-based and stateless: every scrape reflects the live
-counters, nothing is sampled or aggregated in between.
+counters, nothing is sampled or aggregated in between.  A family without
+samples (no router, no health engine, no profiled phase yet) is left out.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import partial, reduce
+from operator import getitem
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.obs.health import HealthEngine, state_value
 from repro.obs.hist import Histogram, LATENCY_BUCKETS_S
 from repro.serving.request import PRIORITIES
-
-_GATEWAY_PREFIX = "repro_gateway"
 
 
 def _escape_label(value: str) -> str:
@@ -110,64 +113,241 @@ class GatewayMetrics:
         self.priority_itl_seconds[priority].observe(seconds)
 
 
-class _Lines:
-    """Accumulates exposition lines with one HELP/TYPE header per metric."""
+#: A reader yields ``(label values in declared-key order, value)`` pairs;
+#: a histogram's value is a :meth:`repro.obs.hist.Histogram.snapshot`.
+Reader = Callable[[Any], Iterable[tuple[tuple, Any]]]
 
-    def __init__(self) -> None:
-        self._lines: list[str] = []
-        self._declared: set[str] = set()
 
-    def _declare(self, name: str, help_text: str, metric_type: str) -> None:
-        if name not in self._declared:
-            self._lines.append(f"# HELP {name} {help_text}")
-            self._lines.append(f"# TYPE {name} {metric_type}")
-            self._declared.add(name)
+@dataclass(frozen=True)
+class MetricFamily:
+    """One ``/metrics`` family, defined once.
 
-    def _sample(self, name: str, labels: Optional[dict], value) -> None:
-        label_str = ""
-        if labels:
-            inner = ",".join(
-                f'{key}="{_escape_label(str(val))}"' for key, val in labels.items()
-            )
-            label_str = "{" + inner + "}"
-        self._lines.append(f"{name}{label_str} {_render_value(value)}")
+    ``source`` names the scrape input ``read`` takes: ``"gateway"`` (the
+    :class:`GatewayMetrics`), ``"router"`` (router stats), ``"health"`` (the
+    :class:`HealthEngine`) or ``"replica"`` (one ``engine.stats()`` dict, read
+    once per replica; the renderer prepends the ``replica`` label).  A family
+    whose input is absent from the scrape is not rendered.
+    """
 
-    def add(
-        self,
-        name: str,
-        value,
-        help_text: str,
-        metric_type: str = "gauge",
-        labels: Optional[dict] = None,
-    ) -> None:
-        self._declare(name, help_text, metric_type)
-        self._sample(name, labels, value)
-
-    def add_histogram(
-        self,
-        name: str,
-        snapshot: dict,
-        help_text: str,
-        labels: Optional[dict] = None,
-    ) -> None:
-        """Render a :meth:`repro.obs.hist.Histogram.snapshot` as a proper
-        Prometheus histogram family: cumulative ``_bucket`` samples with an
-        explicit ``+Inf``, then ``_sum`` and ``_count``."""
-        self._declare(name, help_text, "histogram")
-        labels = labels or {}
-        cumulative = 0
-        for bound, count in zip(snapshot["buckets"], snapshot["counts"]):
-            cumulative += count
-            self._sample(
-                f"{name}_bucket", {**labels, "le": repr(float(bound))}, cumulative
-            )
-        self._sample(f"{name}_bucket", {**labels, "le": "+Inf"}, snapshot["count"])
-        self._sample(f"{name}_sum", labels, float(snapshot["sum"]))
-        self._sample(f"{name}_count", labels, snapshot["count"])
+    name: str
+    type: str
+    help: str
+    labels: tuple[str, ...]
+    read: Reader
+    source: str
 
     @property
-    def text(self) -> str:
-        return "\n".join(self._lines) + "\n"
+    def label_keys(self) -> tuple[str, ...]:
+        """Every label key of the family's samples, ``le`` excluded."""
+        return ("replica", *self.labels) if self.source == "replica" else self.labels
+
+
+_gateway = partial(MetricFamily, source="gateway")
+_router = partial(MetricFamily, source="router")
+_health = partial(MetricFamily, source="health")
+_replica = partial(MetricFamily, source="replica")
+
+
+def _at(*path: str, cast: Callable = lambda value: value) -> Reader:
+    """Reader of one unlabelled per-replica value at ``stats[path[0]][path[1]]...``."""
+    return lambda stats: [((), cast(reduce(getitem, path, stats)))]
+
+
+def _by(section: str, key: str, cast: Callable = lambda value: value) -> Reader:
+    """Reader of ``stats[section][label][key]`` for every label, in sorted order."""
+    return lambda stats: [
+        ((label,), cast(entry[key])) for label, entry in sorted(stats[section].items())
+    ]
+
+
+def _hist(store: str) -> Reader:
+    """Reader of a :class:`GatewayMetrics` histogram dict, one series per label."""
+    return lambda m: [
+        ((label,), hist.snapshot()) for label, hist in sorted(getattr(m, store).items())
+    ]
+
+
+FAMILIES: tuple[MetricFamily, ...] = (
+    # Gateway (HTTP front door) -------------------------------------------
+    _gateway("repro_gateway_http_requests_total", "counter",
+             "HTTP requests served, by path and status.", ("path", "status"),
+             lambda m: sorted(m.http_requests.items())),
+    _gateway("repro_gateway_tokens_streamed_total", "counter",
+             "Completion tokens sent to clients (streaming and non-streaming).", (),
+             lambda m: [((), m.tokens_streamed)]),
+    _gateway("repro_gateway_streams_started_total", "counter",
+             "SSE streams opened.", (), lambda m: [((), m.streams_started)]),
+    _gateway("repro_gateway_streams_cancelled_total", "counter",
+             "Streams cancelled by client disconnect.", (),
+             lambda m: [((), m.streams_cancelled)]),
+    _gateway("repro_gateway_requests_in_flight", "gauge",
+             "Completion requests currently being served.", (),
+             lambda m: [((), m.in_flight)]),
+    _gateway("repro_gateway_ttft_seconds", "histogram",
+             "Time from HTTP accept to first completion token, by tier.", ("tier",),
+             _hist("ttft_seconds")),
+    _gateway("repro_gateway_itl_seconds", "histogram",
+             "Gap between consecutive completion tokens, by tier.", ("tier",),
+             _hist("itl_seconds")),
+    _gateway("repro_gateway_priority_ttft_seconds", "histogram",
+             "Time from HTTP accept to first completion token, by priority class.",
+             ("priority",), _hist("priority_ttft_seconds")),
+    _gateway("repro_gateway_priority_itl_seconds", "histogram",
+             "Gap between consecutive completion tokens, by priority class.",
+             ("priority",), _hist("priority_itl_seconds")),
+    # Router --------------------------------------------------------------
+    _router("repro_router_decisions_total", "counter",
+            "Routing decisions by strategy: prefix (pool-hash hit), sticky (recent "
+            "same-prefix placement) or load (least-loaded fallback).", ("strategy",),
+            lambda r: [((key,), r[f"{key}_routed"]) for key in ("prefix", "sticky", "load")]),
+    _router("repro_router_rejected_total", "counter",
+            "Requests rejected because every replica queue was full.", (),
+            lambda r: [((), r["rejected"])]),
+    _router("repro_router_health_avoided_total", "counter",
+            "Routing decisions that excluded at least one degraded or unhealthy replica.",
+            (), lambda r: [((), r["health_avoided"])]),
+    # Health engine (its last evaluation; the scrape never re-samples) -------
+    _health("repro_health_state", "gauge",
+            "Gateway health verdict (0 ok, 1 degraded, 2 unhealthy).", (),
+            lambda h: [((), state_value(h.state))]),
+    _health("repro_health_replica_state", "gauge",
+            "Per-replica health verdict (0 ok, 1 degraded, 2 unhealthy).", ("replica",),
+            lambda h: [((str(index),), state_value(state))
+                       for index, state in enumerate(h.replica_states)]),
+    _health("repro_slo_burn_rate", "gauge",
+            "TTFT SLO burn rate over the health window, by priority class (1.0 spends "
+            "the error budget exactly as it accrues); only classes with a configured SLO.",
+            ("priority",),
+            lambda h: [((p,), float(h.burn_rates[p])) for p in sorted(h.burn_rates)]),
+    # Engine (per replica) ------------------------------------------------
+    _replica("repro_engine_running", "gauge",
+             "Sequences currently decoding.", (), _at("running")),
+    _replica("repro_engine_queued", "gauge",
+             "Requests waiting for admission.", (), _at("queued")),
+    _replica("repro_engine_finished", "gauge",
+             "Finished requests not yet evicted.", (), _at("finished")),
+    _replica("repro_engine_preemptions_total", "counter",
+             "Sequences evicted under memory pressure.", (), _at("preemptions")),
+    _replica("repro_engine_prefill_tokens_computed_total", "counter",
+             "Prompt tokens prefilled from scratch.", (), _at("prefill_tokens_computed")),
+    _replica("repro_engine_prefill_tokens_reused_total", "counter",
+             "Prompt tokens adopted from published pool blocks.", (),
+             _at("prefill_tokens_reused")),
+    _replica("repro_engine_prefix_block_hits_total", "counter",
+             "Prefill block lookups that adopted a published group.", (),
+             _at("prefix_block_hits")),
+    _replica("repro_engine_prefix_block_misses_total", "counter",
+             "Prefill block lookups that had to compute.", (), _at("prefix_block_misses")),
+    _replica("repro_engine_active_cache_memory_bytes", "gauge",
+             "Modelled KV bytes across running sequences (shared blocks once).", (),
+             _at("active_cache_memory_bytes", cast=float)),
+    _replica("repro_engine_fused_decode_steps_total", "counter",
+             "Engine steps whose one model traversal stacked at least one single-token "
+             "row (decode rows, restore-replay rows, one-token tails).", (),
+             _at("step_timing", "fused_decode_steps")),
+    _replica("repro_engine_last_fused_batch_size", "gauge",
+             "Single-token rows stacked in the last step's traversal (decode and replay "
+             "rows plus one-token tails; 0 = none).", (),
+             _at("step_timing", "last_fused_batch_size")),
+    _replica("repro_engine_prefill_seconds_total", "counter",
+             "Wall seconds spent in admission + prefill across steps.", (),
+             _at("step_timing", "prefill_seconds_total", cast=float)),
+    _replica("repro_engine_decode_seconds_total", "counter",
+             "Wall seconds spent decoding across steps.", (),
+             _at("step_timing", "decode_seconds_total", cast=float)),
+    _replica("repro_engine_prefill_chunks_total", "counter",
+             "Prefill segments run: aligned chunks and residual tails (restore-replay "
+             "rows are rows, not segments); with --chunked-prefill 0 a fresh prompt "
+             "takes one or two (aligned prefix, tail).", (),
+             _at("step_timing", "prefill_chunks_total")),
+    _replica("repro_engine_step_budget_utilization", "gauge",
+             "Prefill tokens computed in the last step over --prefill-token-budget; 0 "
+             "when the step had no prefill work or with --chunked-prefill 0 (no budget), "
+             "above 1.0 when the minimum one-block chunk overshoots a tiny budget.", (),
+             _at("step_timing", "last_budget_utilization", cast=float)),
+    _replica("repro_engine_phase_seconds", "counter",
+             "Wall seconds the continuous profiler attributed to a named engine phase "
+             "(decode/attend, prefill/chunk, ...; self times and flamegraphs at "
+             "/debug/prof); absent with --profiler 0.", ("phase",),
+             _by("phases", "total_s", cast=float)),
+    _replica("repro_engine_queue_wait_seconds", "histogram",
+             "Queue wait from submission to first admission.", (),
+             _at("histograms", "queue_wait_seconds")),
+    _replica("repro_engine_step_seconds", "histogram",
+             "Wall seconds of one engine step, split by kind: prefill (admission, chunk "
+             "planning and the multi-token segments' block time; observed on steps that "
+             "admitted or ran a chunk or tail) and decode (the rest of the step; observed "
+             "on steps that emitted a token or stacked a row); the two kinds of one step "
+             "sum to its wall.", ("kind",),
+             lambda stats: [((kind,), stats["histograms"][f"{kind}_step_seconds"])
+                            for kind in ("prefill", "decode")]),
+    _replica("repro_engine_fused_batch_size", "histogram",
+             "Single-token rows stacked per traversal (steps without rows are not "
+             "observed).", (), _at("histograms", "fused_batch_size")),
+    _replica("repro_engine_tier_running", "gauge",
+             "Sequences currently decoding, by quality tier.", ("tier",),
+             _by("tiers", "running")),
+    _replica("repro_engine_tier_kv_bytes", "gauge",
+             "Modelled KV bytes across running sequences, by quality tier.", ("tier",),
+             _by("tiers", "kv_bytes", cast=float)),
+    _replica("repro_engine_tier_requests_total", "counter",
+             "Requests submitted, by quality tier.", ("tier",),
+             _by("tiers", "requests_total")),
+    _replica("repro_engine_tier_policy_bytes_per_token", "gauge",
+             "Configured KV bytes per token of the tier's quantization policy.", ("tier",),
+             _by("tiers", "policy_bytes_per_token", cast=float)),
+    _replica("repro_engine_priority_queued", "gauge",
+             "Requests waiting for admission, by priority class.", ("priority",),
+             _by("priority", "queued")),
+    _replica("repro_engine_priority_running", "gauge",
+             "Sequences currently decoding, by priority class.", ("priority",),
+             _by("priority", "running")),
+    _replica("repro_engine_priority_preemptions_total", "counter",
+             "Sequences evicted under memory pressure, by the victim's priority class.",
+             ("priority",), _by("priority", "preemptions")),
+    _replica("repro_engine_slo_rejections_total", "counter",
+             "Submissions refused by the SLO admission gate, by priority class.",
+             ("priority",), _by("priority", "slo_rejections")),
+    # Block pool (per replica; one pool serves every tier) -----------------
+    _replica("repro_pool_pressure", "gauge",
+             "Fraction of pool blocks an allocation burst could not obtain (pinned by "
+             "running sequences; reclaimable cached blocks exert no pressure).", (),
+             _at("pool", "pressure", cast=float)),
+    _replica("repro_pool_utilization", "gauge",
+             "Fraction of pool blocks holding content (pinned or reclaimable cache).", (),
+             _at("pool", "utilization", cast=float)),
+    _replica("repro_pool_used_blocks", "gauge",
+             "Pool blocks holding content.", (), _at("pool", "used_blocks")),
+    _replica("repro_pool_num_blocks", "gauge",
+             "Total pool blocks (the --pool-blocks budget).", (), _at("pool", "num_blocks")),
+    _replica("repro_pool_cached_groups", "gauge",
+             "Published block groups available for prefix reuse.", (),
+             _at("pool", "cached_groups")),
+    _replica("repro_pool_adoptions_total", "counter",
+             "Published groups adopted by later sequences.", (), _at("pool", "adoptions")),
+    _replica("repro_pool_evictions_total", "counter",
+             "Cached groups evicted to satisfy allocations.", (), _at("pool", "evictions")),
+)
+
+
+def _sample(name: str, labels: dict, value) -> str:
+    inner = ",".join(f'{key}="{_escape_label(str(val))}"' for key, val in labels.items())
+    label_str = "{" + inner + "}" if inner else ""
+    return f"{name}{label_str} {_render_value(value)}"
+
+
+def _histogram_lines(name: str, labels: dict, snapshot: dict) -> list[str]:
+    """A :meth:`repro.obs.hist.Histogram.snapshot` as one histogram series:
+    cumulative ``_bucket`` samples with an explicit ``+Inf``, then ``_sum``
+    and ``_count``."""
+    lines, cumulative = [], 0
+    for bound, count in zip(snapshot["buckets"], snapshot["counts"]):
+        cumulative += count
+        lines.append(_sample(f"{name}_bucket", {**labels, "le": repr(float(bound))}, cumulative))
+    lines.append(_sample(f"{name}_bucket", {**labels, "le": "+Inf"}, snapshot["count"]))
+    lines.append(_sample(f"{name}_sum", labels, float(snapshot["sum"])))
+    lines.append(_sample(f"{name}_count", labels, snapshot["count"]))
+    return lines
 
 
 def render_prometheus(
@@ -181,315 +361,55 @@ def render_prometheus(
     ``health`` renders the health engine's *last* evaluation (the server
     evaluates before rendering) — the scrape never re-samples.
     """
-    out = _Lines()
-
-    for (path, status), count in sorted(metrics.http_requests.items()):
-        out.add(
-            f"{_GATEWAY_PREFIX}_http_requests_total",
-            count,
-            "HTTP requests served, by path and status.",
-            "counter",
-            {"path": path, "status": status},
-        )
-    out.add(
-        f"{_GATEWAY_PREFIX}_tokens_streamed_total",
-        metrics.tokens_streamed,
-        "Completion tokens sent to clients (streaming and non-streaming).",
-        "counter",
-    )
-    out.add(
-        f"{_GATEWAY_PREFIX}_streams_started_total",
-        metrics.streams_started,
-        "SSE streams opened.",
-        "counter",
-    )
-    out.add(
-        f"{_GATEWAY_PREFIX}_streams_cancelled_total",
-        metrics.streams_cancelled,
-        "Streams cancelled by client disconnect.",
-        "counter",
-    )
-    out.add(
-        f"{_GATEWAY_PREFIX}_requests_in_flight",
-        metrics.in_flight,
-        "Completion requests currently being served.",
-        "gauge",
-    )
-    for tier in sorted(metrics.ttft_seconds):
-        out.add_histogram(
-            f"{_GATEWAY_PREFIX}_ttft_seconds",
-            metrics.ttft_seconds[tier].snapshot(),
-            "Time from HTTP accept to first completion token, by tier.",
-            {"tier": tier},
-        )
-    for tier in sorted(metrics.itl_seconds):
-        out.add_histogram(
-            f"{_GATEWAY_PREFIX}_itl_seconds",
-            metrics.itl_seconds[tier].snapshot(),
-            "Gap between consecutive completion tokens, by tier.",
-            {"tier": tier},
-        )
-    for priority in PRIORITIES:
-        out.add_histogram(
-            f"{_GATEWAY_PREFIX}_priority_ttft_seconds",
-            metrics.priority_ttft_seconds[priority].snapshot(),
-            "Time from HTTP accept to first completion token, by priority class.",
-            {"priority": priority},
-        )
-    for priority in PRIORITIES:
-        out.add_histogram(
-            f"{_GATEWAY_PREFIX}_priority_itl_seconds",
-            metrics.priority_itl_seconds[priority].snapshot(),
-            "Gap between consecutive completion tokens, by priority class.",
-            {"priority": priority},
-        )
-
-    if router_stats is not None:
-        for reason in ("prefix", "sticky", "load"):
-            out.add(
-                "repro_router_decisions_total",
-                router_stats[f"{reason}_routed"],
-                "Routing decisions by strategy.",
-                "counter",
-                {"strategy": reason},
-            )
-        out.add(
-            "repro_router_rejected_total",
-            router_stats["rejected"],
-            "Requests rejected because every replica queue was full.",
-            "counter",
-        )
-        out.add(
-            "repro_router_health_avoided_total",
-            router_stats.get("health_avoided", 0),
-            "Routing decisions that excluded at least one degraded or "
-            "unhealthy replica.",
-            "counter",
-        )
-
-    if health is not None:
-        out.add(
-            "repro_health_state",
-            state_value(health.state),
-            "Gateway health verdict (0 ok, 1 degraded, 2 unhealthy).",
-            "gauge",
-        )
-        for index, replica_state in enumerate(health.replica_states):
-            out.add(
-                "repro_health_replica_state",
-                state_value(replica_state),
-                "Per-replica health verdict (0 ok, 1 degraded, 2 unhealthy).",
-                "gauge",
-                {"replica": str(index)},
-            )
-        for priority in sorted(health.burn_rates):
-            out.add(
-                "repro_slo_burn_rate",
-                float(health.burn_rates[priority]),
-                "TTFT SLO burn rate over the health window, by priority "
-                "class (1.0 spends the error budget exactly as it accrues).",
-                "gauge",
-                {"priority": priority},
-            )
-
-    engine_gauges = (
-        ("running", "repro_engine_running", "Sequences currently decoding."),
-        ("queued", "repro_engine_queued", "Requests waiting for admission."),
-        ("finished", "repro_engine_finished", "Finished requests not yet evicted."),
-    )
-    engine_counters = (
-        ("preemptions", "repro_engine_preemptions_total",
-         "Sequences evicted under memory pressure."),
-        ("prefill_tokens_computed", "repro_engine_prefill_tokens_computed_total",
-         "Prompt tokens prefillled from scratch."),
-        ("prefill_tokens_reused", "repro_engine_prefill_tokens_reused_total",
-         "Prompt tokens adopted from published pool blocks."),
-        ("prefix_block_hits", "repro_engine_prefix_block_hits_total",
-         "Prefill block lookups that adopted a published group."),
-        ("prefix_block_misses", "repro_engine_prefix_block_misses_total",
-         "Prefill block lookups that had to compute."),
-    )
-    for index, stats in enumerate(replica_stats):
-        labels = {"replica": str(index)}
-        for key, name, help_text in engine_gauges:
-            out.add(name, stats[key], help_text, "gauge", labels)
-        for key, name, help_text in engine_counters:
-            out.add(name, stats[key], help_text, "counter", labels)
-        out.add(
-            "repro_engine_active_cache_memory_bytes",
-            float(stats["active_cache_memory_bytes"]),
-            "Modelled KV bytes across running sequences (shared blocks once).",
-            "gauge",
-            labels,
-        )
-        timing = stats.get("step_timing")
-        if timing is not None:
-            out.add(
-                "repro_engine_fused_decode_steps_total",
-                timing["fused_decode_steps"],
-                "Engine steps whose model traversal stacked single-token rows.",
-                "counter",
-                labels,
-            )
-            out.add(
-                "repro_engine_last_fused_batch_size",
-                timing["last_fused_batch_size"],
-                "Single-token rows stacked in the last step's traversal (0 = none).",
-                "gauge",
-                labels,
-            )
-            out.add(
-                "repro_engine_prefill_seconds_total",
-                float(timing["prefill_seconds_total"]),
-                "Wall seconds spent in admission + prefill across steps.",
-                "counter",
-                labels,
-            )
-            out.add(
-                "repro_engine_decode_seconds_total",
-                float(timing["decode_seconds_total"]),
-                "Wall seconds spent decoding across steps.",
-                "counter",
-                labels,
-            )
-            out.add(
-                "repro_engine_prefill_chunks_total",
-                timing.get("prefill_chunks_total", 0),
-                "Prefill segments run (aligned chunks and residual tails).",
-                "counter",
-                labels,
-            )
-            out.add(
-                "repro_engine_step_budget_utilization",
-                float(timing.get("last_budget_utilization", 0.0)),
-                "Prefill tokens computed in the last step over the per-step "
-                "token budget (0 when the step had no prefill work; may "
-                "exceed 1.0 when a minimum chunk overshoots the budget).",
-                "gauge",
-                labels,
-            )
-        phases = stats.get("phases")
-        if phases:
-            for phase in sorted(phases):
-                out.add(
-                    "repro_engine_phase_seconds",
-                    float(phases[phase]["total_s"]),
-                    "Wall seconds attributed to a named engine phase "
-                    "(see /debug/prof for self times and flamegraphs).",
-                    "counter",
-                    {**labels, "phase": phase},
-                )
-        histograms = stats.get("histograms")
-        if histograms is not None:
-            out.add_histogram(
-                "repro_engine_queue_wait_seconds",
-                histograms["queue_wait_seconds"],
-                "Queue wait from submission to first admission.",
-                labels,
-            )
-            out.add_histogram(
-                "repro_engine_step_seconds",
-                histograms["prefill_step_seconds"],
-                "Wall seconds of one engine step's phase, by kind.",
-                {**labels, "kind": "prefill"},
-            )
-            out.add_histogram(
-                "repro_engine_step_seconds",
-                histograms["decode_step_seconds"],
-                "Wall seconds of one engine step's phase, by kind.",
-                {**labels, "kind": "decode"},
-            )
-            out.add_histogram(
-                "repro_engine_fused_batch_size",
-                histograms["fused_batch_size"],
-                "Single-token rows stacked per traversal.",
-                labels,
-            )
-        tiers = stats.get("tiers")
-        if tiers is not None:
-            for tier_label, tier_stats in sorted(tiers.items()):
-                tier_labels = {**labels, "tier": tier_label}
-                out.add(
-                    "repro_engine_tier_running",
-                    tier_stats["running"],
-                    "Sequences currently decoding, by quality tier.",
-                    "gauge",
-                    tier_labels,
-                )
-                out.add(
-                    "repro_engine_tier_kv_bytes",
-                    float(tier_stats["kv_bytes"]),
-                    "Modelled KV bytes across running sequences, by quality tier.",
-                    "gauge",
-                    tier_labels,
-                )
-                out.add(
-                    "repro_engine_tier_requests_total",
-                    tier_stats["requests_total"],
-                    "Requests submitted, by quality tier.",
-                    "counter",
-                    tier_labels,
-                )
-                out.add(
-                    "repro_engine_tier_policy_bytes_per_token",
-                    float(tier_stats["policy_bytes_per_token"]),
-                    "Configured KV bytes per token of the tier's "
-                    "quantization policy.",
-                    "gauge",
-                    tier_labels,
-                )
-        priority = stats.get("priority")
-        if priority is not None:
-            for class_label, class_stats in sorted(priority.items()):
-                class_labels = {**labels, "priority": class_label}
-                out.add(
-                    "repro_engine_priority_queued",
-                    class_stats["queued"],
-                    "Requests waiting for admission, by priority class.",
-                    "gauge",
-                    class_labels,
-                )
-                out.add(
-                    "repro_engine_priority_running",
-                    class_stats["running"],
-                    "Sequences currently decoding, by priority class.",
-                    "gauge",
-                    class_labels,
-                )
-                out.add(
-                    "repro_engine_priority_preemptions_total",
-                    class_stats["preemptions"],
-                    "Sequences evicted under memory pressure, by the "
-                    "victim's priority class.",
-                    "counter",
-                    class_labels,
-                )
-                out.add(
-                    "repro_engine_slo_rejections_total",
-                    class_stats["slo_rejections"],
-                    "Submissions refused by the SLO admission gate, by "
-                    "priority class.",
-                    "counter",
-                    class_labels,
-                )
-        pool = stats["pool"]
-        out.add("repro_pool_pressure", float(pool["pressure"]),
-                "Fraction of pool blocks an allocation burst could not "
-                "obtain (pinned by running sequences).", "gauge", labels)
-        out.add("repro_pool_utilization", float(pool["utilization"]),
-                "Fraction of pool blocks holding content.", "gauge", labels)
-        out.add("repro_pool_used_blocks", pool["used_blocks"],
-                "Pool blocks holding content.", "gauge", labels)
-        out.add("repro_pool_num_blocks", pool["num_blocks"],
-                "Total pool blocks.", "gauge", labels)
-        out.add("repro_pool_cached_groups", pool["cached_groups"],
-                "Published block groups available for prefix reuse.", "gauge", labels)
-        out.add("repro_pool_adoptions_total", pool["adoptions"],
-                "Published groups adopted by later sequences.", "counter", labels)
-        out.add("repro_pool_evictions_total", pool["evictions"],
-                "Cached groups evicted to satisfy allocations.", "counter", labels)
-
-    return out.text
+    inputs = {"gateway": metrics, "router": router_stats, "health": health}
+    lines: list[str] = []
+    for family in FAMILIES:
+        if family.source == "replica":
+            samples = [
+                ((str(index), *values), value)
+                for index, stats in enumerate(replica_stats)
+                for values, value in family.read(stats)
+            ]
+        else:
+            source = inputs[family.source]
+            samples = list(family.read(source)) if source is not None else []
+        if not samples:
+            continue
+        lines.append(f"# HELP {family.name} {family.help}")
+        lines.append(f"# TYPE {family.name} {family.type}")
+        for values, value in samples:
+            labels = dict(zip(family.label_keys, values))
+            if family.type == "histogram":
+                lines.extend(_histogram_lines(family.name, labels, value))
+            else:
+                lines.append(_sample(family.name, labels, value))
+    return "\n".join(lines) + "\n"
 
 
-__all__ = ["GatewayMetrics", "render_prometheus"]
+def catalogue_markdown() -> str:
+    """:data:`FAMILIES` as the markdown table of ``docs/OPERATIONS.md``."""
+    rows = ["| Family | Type | Labels | Meaning |", "| --- | --- | --- | --- |"]
+    for family in FAMILIES:
+        labels = ", ".join(f"`{key}`" for key in family.label_keys) or "—"
+        rows.append(f"| `{family.name}` | {family.type} | {labels} | {family.help} |")
+    return "\n".join(rows) + "\n"
+
+
+_CATALOGUE_BLOCK = re.compile(
+    r"(<!-- metric-families:begin[^>]*-->\n).*?(<!-- metric-families:end -->)", re.S
+)
+
+
+def splice_catalogue(doc: str) -> str:
+    """``doc`` with the text between its catalogue markers regenerated."""
+    return _CATALOGUE_BLOCK.sub(lambda m: m[1] + catalogue_markdown() + m[2], doc, count=1)
+
+
+__all__ = [
+    "FAMILIES",
+    "GatewayMetrics",
+    "MetricFamily",
+    "catalogue_markdown",
+    "render_prometheus",
+    "splice_catalogue",
+]

@@ -6,8 +6,9 @@ unescaped label value — silently breaks every dashboard built on it.
 This module is the consumer side of that contract, used three ways:
 
 * the gateway test suite validates every scrape it takes;
-* ``scripts/gateway_smoke.py`` fails CI on an invalid exposition or a
-  missing gated family;
+* ``scripts/gateway_smoke.py`` fails CI on an invalid exposition, a
+  missing histogram family or a family the gateway's table does not
+  register;
 * benchmarks read histogram families back without regexes.
 
 Only the subset the gateway emits is supported (``counter``, ``gauge``,
@@ -138,12 +139,27 @@ def parse_exposition(text: str) -> dict[str, Family]:
     """Parse a scrape into families; raises :class:`ExpositionError` on faults.
 
     Beyond shape, this checks the invariants dashboards rely on: HELP and
-    TYPE headers precede every family's samples, histogram buckets are
-    cumulative-monotonic with a ``+Inf`` bucket equal to ``_count``,
-    counters are finite and non-negative, and no sample is duplicated.
+    TYPE headers precede every family's samples, all lines of one family
+    form one contiguous group, histogram buckets are cumulative-monotonic
+    with a ``+Inf`` bucket equal to ``_count``, counters are finite and
+    non-negative, and no sample is duplicated.
     """
     errors: list[str] = []
     families: dict[str, Family] = {}
+    ended: set[str] = set()  # families whose group another family's line closed
+    current = ""  # the family of the last header or sample line
+
+    def enter(name: str, line_no: int) -> None:
+        nonlocal current
+        if name == current:
+            return
+        if name in ended:
+            errors.append(
+                f"line {line_no}: {name} resumes after its group ended (all lines "
+                "of a family must be contiguous)"
+            )
+        ended.add(current)
+        current = name
 
     def family_for(sample_name: str) -> str:
         if sample_name in families:
@@ -162,6 +178,7 @@ def parse_exposition(text: str) -> dict[str, Family]:
         if line.startswith("# HELP "):
             parts = line[len("# HELP ") :].split(" ", 1)
             name = parts[0]
+            enter(name, line_no)
             family = families.setdefault(name, Family(name))
             if family.help:
                 errors.append(f"line {line_no}: duplicate HELP for {name}")
@@ -173,6 +190,7 @@ def parse_exposition(text: str) -> dict[str, Family]:
                 errors.append(f"line {line_no}: malformed TYPE line {line!r}")
                 continue
             name, metric_type = parts
+            enter(name, line_no)
             family = families.setdefault(name, Family(name))
             if family.type:
                 errors.append(f"line {line_no}: duplicate TYPE for {name}")
@@ -210,6 +228,7 @@ def parse_exposition(text: str) -> dict[str, Family]:
             rest = rest.split()[0]
         value = _parse_value(rest, line_no, errors)
         base = family_for(name)
+        enter(base, line_no)
         if base not in families:
             errors.append(
                 f"line {line_no}: sample {name!r} has no preceding HELP/TYPE "

@@ -90,18 +90,6 @@ def family_value(
         return default
 
 
-def sum_family(families: dict, name: str, **labels) -> float:
-    """Sum every sample whose labels are a superset of ``labels``."""
-    family = families.get(name)
-    if family is None:
-        return 0.0
-    return sum(
-        s.value
-        for s in family.samples
-        if all(s.labels.get(k) == v for k, v in labels.items())
-    )
-
-
 def histogram_snapshot(
     families: dict, name: str, **labels
 ) -> Optional[dict]:
@@ -391,5 +379,4 @@ __all__ = [
     "poll",
     "render_frame",
     "run_top",
-    "sum_family",
 ]

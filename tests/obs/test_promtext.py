@@ -127,3 +127,29 @@ class TestValidation:
     def test_timestamps_rejected(self):
         text = "# HELP m help\n# TYPE m gauge\nm 1 1700000000\n"
         assert "trailing fields" in self._errors(text)
+
+    def test_family_split_by_another_family_rejected(self):
+        # A replica-major render: m's second sample comes after n's group.
+        text = (
+            "# HELP m help\n# TYPE m gauge\nm{replica=\"0\"} 1\n"
+            "# HELP n help\n# TYPE n gauge\nn{replica=\"0\"} 1\n"
+            "m{replica=\"1\"} 1\n"
+        )
+        assert "m resumes after its group ended" in self._errors(text)
+
+    def test_histogram_series_after_another_family_rejected(self):
+        text = (
+            "# HELP h help\n# TYPE h histogram\n"
+            'h_bucket{le="+Inf"} 1\nh_sum 1\n'
+            "# HELP m help\n# TYPE m gauge\nm 1\nh_count 1\n"
+        )
+        assert "h resumes after its group ended" in self._errors(text)
+
+    def test_contiguous_families_in_any_order_accepted(self):
+        text = (
+            "# HELP n help\n# TYPE n gauge\nn 1\n"
+            "# HELP m help\n# TYPE m gauge\nm{k=\"a\"} 1\n"
+            "# a free-form comment does not end a group\n"
+            "m{k=\"b\"} 2\n"
+        )
+        assert parse_exposition(text)["m"].value(k="b") == 2.0

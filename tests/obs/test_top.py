@@ -10,7 +10,6 @@ from repro.obs.top import (
     family_value,
     histogram_snapshot,
     render_frame,
-    sum_family,
 )
 
 SCRAPE = """\
@@ -87,15 +86,6 @@ class TestReadingFamilies:
         assert family_value(fam, "repro_engine_running", replica="1") == 1
         assert family_value(fam, "no_such_family", default=7.0) == 7.0
         assert family_value(fam, "repro_engine_running", replica="9") == 0.0
-
-    def test_sum_family_superset_match(self, current):
-        assert sum_family(current.families, "repro_engine_running") == 4
-        assert (
-            sum_family(
-                current.families, "repro_engine_phase_seconds", phase="decode"
-            )
-            == 3.0
-        )
 
     def test_histogram_snapshot_inverts_the_renderer(self, current):
         snap = histogram_snapshot(
