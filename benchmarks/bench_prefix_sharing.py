@@ -7,11 +7,16 @@ first request quantizes the aligned prefix into published blocks and every
 later request adopts them, so the prefix's prefill compute and pool blocks
 are paid once.  The benchmark measures:
 
-* **prefill throughput** (prompt tokens / wall time of the admission step)
-  for the shared-prefix workload versus the same shapes with unique
-  prefixes, and asserts the sharing speedup is at least 2x;
-* **peak pool blocks and modelled KV bytes** right after all prefills, where
-  sharing should hold the prefix cost constant in N.
+* **prefill throughput** (prompt tokens / wall time until every request
+  has its first token) for the shared-prefix workload versus the same
+  shapes with unique prefixes, and asserts the sharing speedup is at least
+  2x;
+* **peak pool blocks and modelled KV bytes** at that point, right after all
+  prefills, where sharing should hold the prefix cost constant in N;
+* **decode time per token** after that point, unique over shared
+  (``shared_decode_speedup_x``, ungated): sequences decoding over one
+  adopted prefix reconstruct it once per layer per step instead of once
+  per sequence.
 
 Registered as ``serving.prefix_sharing`` in the unified harness.  Run
 standalone with::
@@ -67,23 +72,36 @@ def build_engine(model, factory, million_config, params: Params, n_requests: int
 
 
 def run_workload(model, factory, million_config, params: Params, prompts):
-    """Serve ``prompts`` on a fresh pool; returns timing and peak stats."""
+    """Serve ``prompts`` on a fresh pool; returns timing and peak stats.
+
+    Prefill is every step until each request has its first token (sharers
+    of a prefix adopt it after the step that publishes it); the pool and
+    KV figures are read at that point, and decode is the rest of the run.
+    """
     engine = build_engine(model, factory, million_config, params, len(prompts))
-    for prompt in prompts:
-        engine.add_request(prompt, max_new_tokens=params.max_new_tokens)
+    states = [
+        engine.state_of(engine.add_request(prompt, max_new_tokens=params.max_new_tokens))
+        for prompt in prompts
+    ]
     start = time.perf_counter()
-    engine.step()  # admits + prefills every request (batch == len(prompts))
+    while not all(state.generated for state in states):
+        engine.step()
     prefill_seconds = time.perf_counter() - start
     peak = engine.stats()
+    start = time.perf_counter()
     engine.run()
+    decode_seconds = time.perf_counter() - start
+    decode_tokens = sum(len(state.generated) - 1 for state in states)
     total_prompt_tokens = sum(p.size for p in prompts)
     return {
         "prefill_seconds": prefill_seconds,
         "prefill_tokens_per_s": total_prompt_tokens / prefill_seconds,
+        "decode_ms_per_token": 1e3 * decode_seconds / decode_tokens,
         "computed": peak["prefill_tokens_computed"],
         "reused": peak["prefill_tokens_reused"],
         "peak_used_blocks": peak["pool"]["used_blocks"],
         "peak_kv_bytes": peak["active_cache_memory_bytes"],
+        "shared_rows": engine.stats()["pool"]["reconstructed_rows"]["shared"],
     }
 
 
@@ -131,6 +149,7 @@ def measure_prefix_sharing(ctx: BenchContext, params: Params) -> None:
     speedup = shared["prefill_tokens_per_s"] / unshared["prefill_tokens_per_s"]
     block_ratio = unshared["peak_used_blocks"] / shared["peak_used_blocks"]
     kv_ratio = unshared["peak_kv_bytes"] / shared["peak_kv_bytes"]
+    decode_speedup = unshared["decode_ms_per_token"] / shared["decode_ms_per_token"]
 
     ctx.record("prefill_speedup_x", speedup, unit="x", direction=HIGHER, tolerance_pct=60.0)
     # Block/token accounting is deterministic (integer block bookkeeping), so
@@ -144,23 +163,24 @@ def measure_prefix_sharing(ctx: BenchContext, params: Params) -> None:
                unit="tok/s", direction=HIGHER, gated=False)
     ctx.record("unique_prefill_tokens_per_s", unshared["prefill_tokens_per_s"],
                unit="tok/s", direction=HIGHER, gated=False)
+    ctx.record("shared_decode_speedup_x", decode_speedup, unit="x", direction=HIGHER,
+               gated=False)
 
     ctx.emit(
-        "workload   prefill_tok/s  computed  reused  peak_blocks  peak_kv_bytes",
-        (
-            f"unique     {unshared['prefill_tokens_per_s']:12.1f}  "
-            f"{unshared['computed']:8d}  {unshared['reused']:6d}  "
-            f"{unshared['peak_used_blocks']:11d}  {unshared['peak_kv_bytes']:13.0f}"
-        ),
-        (
-            f"shared     {shared['prefill_tokens_per_s']:12.1f}  "
-            f"{shared['computed']:8d}  {shared['reused']:6d}  "
-            f"{shared['peak_used_blocks']:11d}  {shared['peak_kv_bytes']:13.0f}"
+        "workload   prefill_tok/s  computed  reused  peak_blocks  peak_kv_bytes  "
+        "decode_ms/tok  shared_rows",
+        *(
+            f"{name:9}  {run['prefill_tokens_per_s']:13.1f}  {run['computed']:8d}  "
+            f"{run['reused']:6d}  {run['peak_used_blocks']:11d}  "
+            f"{run['peak_kv_bytes']:13.0f}  {run['decode_ms_per_token']:13.2f}  "
+            f"{run['shared_rows']:11d}"
+            for name, run in (("unique", unshared), ("shared", shared))
         ),
         "",
         f"prefill speedup from sharing: {speedup:.2f}x",
         f"peak pool blocks reduced:     {block_ratio:.2f}x",
         f"peak modelled KV reduced:     {kv_ratio:.2f}x",
+        f"decode speedup from sharing:  {decode_speedup:.2f}x",
     )
 
 

@@ -14,7 +14,9 @@ pool small forces preemption and restore, which keeps greedy outputs
 unchanged: at the end the script verifies every request's batched output is
 token-identical to serving that request alone on a single-slot engine, and
 reports per-request finish reasons plus aggregate throughput and
-``engine.stats()``.
+``engine.stats()``.  Sequences decoding together over the adopted prefix
+reconstruct it once per layer per step and all reuse it (the ``shared``
+reconstructed rows); without ``--tiers`` the script asserts that happened.
 
 ``--tiers`` also serves every prompt on each quality tier — ``balanced``
 (the default policy), ``quality`` (half of each layer's heads at 8 bits) and
@@ -172,6 +174,11 @@ def main() -> None:
         line += f" identical-to-alone={identical}"
         assert identical, "batched output diverged from the request served alone"
         print(line)
+    rows = server.stats()["pool"]["reconstructed_rows"]
+    if not tiers:
+        # The burst's sequences decode over one adopted system prefix, which
+        # each step reconstructs once per layer for all of them.
+        assert rows["shared"] > 0, "no decode step shared the system prefix"
     print(
         f"served {total_tokens} tokens in {wall:.2f}s "
         f"({total_tokens / wall:.1f} tok/s aggregate)"
@@ -193,6 +200,10 @@ def main() -> None:
         f"({100 * pool_stats['utilization']:.1f}%), "
         f"{pool_stats['adoptions']} adoptions, "
         f"{pool_stats['evictions']} evictions"
+    )
+    print(
+        f"  reconstructed rows: {rows['gathered']} gathered, "
+        f"{rows['shared']} taken from shared prefix runs"
     )
 
 

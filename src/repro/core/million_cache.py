@@ -2,16 +2,24 @@
 
 The PQ codes are the only persistent copy of the quantized past.  Every
 attention call, whatever its query count, reconstructs the stored keys and
-values transiently with one gather per side and contracts them with two
-batched GEMMs, the way KIVI and KVQuant attend over dequantized K/V (the
-paper's LUT kernel is modelled in :mod:`repro.perf`).  The recent window and
-the current token stay full precision and are merged through a single
-softmax, matching the decomposition of Eq. (7).  An optional sparse outlier
-correction is available purely for the Table III sensitivity study —
+values transiently and contracts them with two batched GEMMs, the way KIVI
+and KVQuant attend over dequantized K/V (the paper's LUT kernel is modelled
+in :mod:`repro.perf`).  A reconstruction starts from the cache's
+:class:`ReconstructedRun`: rows another cache holding the same codes
+already reconstructed, as the serving layer arranges for sequences that
+adopted one shared prefix (Hydragen's shared-prefix observation).  It
+gathers only the rows after the run, one row gather per side, into the
+run's buffer right after it.  An unshared cache holds the zero-length run
+and gathers every row into a fresh array through the same path.  The recent
+window and the current token stay full precision and are merged through a
+single softmax, matching the decomposition of Eq. (7).  An optional sparse
+outlier correction is available purely for the Table III sensitivity study —
 MILLION's point is that it is not needed.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +86,39 @@ class _SparseCorrections:
         self.deltas.clear()
 
 
+@dataclass(frozen=True)
+class ReconstructedRun:
+    """K̂ and V̂ of a cache's leading ``tokens`` stored rows.
+
+    ``keys`` and ``values`` are ``(capacity, kv_heads, d)`` buffers whose
+    first ``tokens`` rows hold the run.  Caches whose leading code rows are
+    equal share one run: each, in turn, gathers its own rows into the
+    buffers right after the run and attends over the contiguous leading
+    rows, so nothing is copied and the rows are bit-equal to gathering them
+    all.  A cache that shares nothing holds a zero-length, zero-capacity
+    run.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    tokens: int
+
+
+def decode_rows(
+    stored: np.ndarray, quantizer: ProductQuantizer, out: np.ndarray, from_codes: bool
+) -> None:
+    """Decode ``(t, kv_heads, M)`` stored rows into ``out`` ``(t, kv_heads, d)``.
+
+    ``stored`` holds flat gather indices (:meth:`ProductQuantizer.flat_index`),
+    or codes when ``from_codes``.
+    """
+    flat = stored.reshape(-1, stored.shape[-1])
+    quantizer.decode_flat(
+        quantizer.flat_index(flat) if from_codes else flat,
+        out=out.reshape(-1, out.shape[-1]),
+    )
+
+
 def _flat_index_store(config: ModelConfig, quantizer: ProductQuantizer) -> CodeStore | None:
     """Store for a side's kept flat indices, or ``None`` past 2 bytes per code."""
     dtype = quantizer.flat_index_dtype
@@ -137,6 +178,11 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         self._value_rows = _flat_index_store(config, value_pq)
         self._key_corrections = _SparseCorrections()
         self._value_corrections = _SparseCorrections()
+        empty = np.empty((0, config.kv_heads, config.head_dim), dtype=np.float32)
+        #: The leading stored rows' reconstruction, reused instead of
+        #: gathered (see :meth:`_reconstruct`); set for a layer's attends by
+        #: :func:`repro.serving.memory.shared_prefix_runs`.
+        self.shared_run = ReconstructedRun(empty, empty, 0)
 
     # Storage hooks -----------------------------------------------------------
 
@@ -236,18 +282,22 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         """The stored keys/values as attention sees them, ``(stored, kv_heads, d)``.
 
         PQ reconstructions plus the sparse outlier corrections; attention
-        reads exactly these rows.
+        reads exactly these rows.  While the cache holds a shared run they
+        are views of the run's buffers, which the next holder's
+        reconstruction overwrites past the run.
         """
         return self._reconstruct_keys(), self._reconstruct_values()
 
     def _reconstruct_keys(self) -> np.ndarray:
         return self._reconstruct(
-            self._key_codes, self._key_rows, self.key_pq, self._key_corrections
+            self._key_codes, self._key_rows, self.key_pq, self._key_corrections,
+            self.shared_run.keys,
         )
 
     def _reconstruct_values(self) -> np.ndarray:
         return self._reconstruct(
-            self._value_codes, self._value_rows, self.value_pq, self._value_corrections
+            self._value_codes, self._value_rows, self.value_pq, self._value_corrections,
+            self.shared_run.values,
         )
 
     def _reconstruct(
@@ -256,16 +306,25 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         rows: CodeStore | None,
         quantizer: ProductQuantizer,
         corrections: _SparseCorrections,
+        buffer: np.ndarray,
     ) -> np.ndarray:
         """Decode the ``(t, kv_heads, M)`` stored rows and add the outlier deltas.
 
-        Gathers with the kept flat index when there is one, else from the codes.
+        ``buffer`` is the side's buffer of :attr:`shared_run`, whose leading
+        ``shared_run.tokens`` rows are already reconstructed.  The rest are
+        gathered into place after them: in ``buffer`` itself when it holds
+        ``t`` rows, else in a fresh array that the run is copied into first
+        (for the zero-length run, nothing).
         """
-        stored = codes.view() if rows is None else rows.view()
-        t, kv_heads, m_subspaces = stored.shape
-        flat = stored.reshape(t * kv_heads, m_subspaces)
-        decoded = quantizer.decode(flat) if rows is None else quantizer.decode_flat(flat)
-        decoded = decoded.reshape(t, kv_heads, quantizer.dim)
+        stored = (codes if rows is None else rows).view()
+        t = stored.shape[0]
+        run = self.shared_run.tokens
+        if buffer.shape[0] >= t:
+            decoded = buffer[:t]
+        else:
+            decoded = np.empty((t, *buffer.shape[1:]), dtype=np.float32)
+            decoded[:run] = buffer[:run]
+        decode_rows(stored[run:], quantizer, decoded[run:], from_codes=rows is None)
         if corrections.count:
             # Each (token, head, channel) holds at most one delta, so a plain
             # fancy-indexed add is exact.

@@ -327,6 +327,13 @@ FAMILIES: tuple[MetricFamily, ...] = (
              "Published groups adopted by later sequences.", (), _at("pool", "adoptions")),
     _replica("repro_pool_evictions_total", "counter",
              "Cached groups evicted to satisfy allocations.", (), _at("pool", "evictions")),
+    _replica("repro_pool_reconstructed_rows_total", "counter",
+             "K/V rows the pool's caches reconstructed for attention (one per token per "
+             "side per cache), by kind: gathered from codes, or shared (taken from a "
+             "leading run of blocks several sequences hold, gathered once per layer).",
+             ("kind",),
+             lambda stats: [((kind,), stats["pool"]["reconstructed_rows"][kind])
+                            for kind in ("gathered", "shared")]),
 )
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.models.attention import AttentionBlock
+from repro.models.attention import AttentionBlock, ShareRuns, no_sharing
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import (
     FullPrecisionCacheFactory,
@@ -156,6 +156,7 @@ class TransformerBlock:
         positions: np.ndarray,
         kv_observer=None,
         prof: PhaseProfiler = NULL_PROFILER,
+        share: ShareRuns = no_sharing,
     ) -> np.ndarray:
         """One block step over one context's rows, or over stacked single-token
         rows of ``len(caches)`` sequences (see :meth:`AttentionBlock.forward`).
@@ -166,7 +167,7 @@ class TransformerBlock:
         """
         paired = len(caches) == x.shape[0]
         x = x + self.attention.forward(
-            self.attention_norm(x), caches, positions, kv_observer, prof
+            self.attention_norm(x), caches, positions, kv_observer, prof, share
         )
         return x + self.feed_forward(self.ffn_norm(x), paired=paired)
 
@@ -288,7 +289,10 @@ class TransformerLM:
         return logits
 
     def forward_segments(
-        self, segments: Sequence[Segment], prof: PhaseProfiler = NULL_PROFILER
+        self,
+        segments: Sequence[Segment],
+        prof: PhaseProfiler = NULL_PROFILER,
+        share: ShareRuns = no_sharing,
     ) -> list[Optional[np.ndarray]]:
         """Advance every segment's context by its tokens in one traversal.
 
@@ -301,7 +305,8 @@ class TransformerLM:
         output is bit-identical to running it alone.  A sealed segment's
         caches are flushed right after its block step, so a context's
         multi-token segments must precede its single-token ones, and a sealed
-        single-token segment must be its context's last.
+        single-token segment must be its context's last.  ``share`` spans
+        each layer's stacked rows (see :meth:`AttentionBlock.forward`).
 
         Returns each segment's ``(tokens, vocab)`` logits, or ``None`` for a
         sealed segment, which skips the final norm and the LM head.  A
@@ -360,7 +365,9 @@ class TransformerLM:
                 segment.seconds += time.perf_counter() - began
             if rows:
                 caches = [segments[i].context.caches[layer] for i in rows]
-                x_rows = block.forward(x_rows, caches, row_positions, observer, prof)
+                x_rows = block.forward(
+                    x_rows, caches, row_positions, observer, prof, share
+                )
                 for i, cache in zip(rows, caches):
                     if segments[i].seal:
                         cache.flush_all()

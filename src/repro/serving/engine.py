@@ -7,7 +7,9 @@ traversal (:meth:`TransformerLM.forward_segments`) over a ragged list of
 segments: prompt chunks, residual tails, restore-replay rows and decode
 rows.  A chunk runs its own rows with plain GEMMs; the single-token rows run
 stacked through the row-invariant projections; every segment appends to and
-attends over its own caches, exactly as it would alone.  Weights and
+attends over its own caches, exactly as it would alone (per layer, stacked
+rows whose caches adopted the same prefix blocks reconstruct that prefix
+once: :func:`~repro.serving.memory.shared_prefix_runs`).  Weights and
 trained PQ codebooks are shared; per-sequence state is isolated, so with greedy
 sampling the batched output is token-identical to serving each request
 alone (the test suite's reference oracle, which sweeps batch shapes,
@@ -87,7 +89,6 @@ from repro.models.transformer import ModelContext, Segment, TransformerLM
 from repro.obs.hist import BATCH_BUCKETS, Histogram, LATENCY_BUCKETS_S
 from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
-from repro.quant.policy_cache import HeadGroupKVCache
 from repro.serving.memory import (
     BlockPool,
     PoolExhaustedError,
@@ -95,6 +96,8 @@ from repro.serving.memory import (
     PooledPolicyCacheFactory,
     chain_hashes,
     hash_token_block,
+    pooled_units,
+    shared_prefix_runs,
 )
 from repro.serving.request import (
     PRIORITIES,
@@ -491,21 +494,11 @@ class BatchedMillionEngine:
         return self.factory.tier(state.request.tier).units
 
     def _pooled_caches(self, state: RequestState) -> list[PooledMillionKVCacheLayer]:
-        """Pool-backed caches in *unit order* (layer-major, head-groups ascending).
-
-        Head-group composite layers contribute their pooled sub-caches in
-        group order, matching the unit order of the tier in the pool — so
-        position ``u`` in this list owns the tier's ``u``-th unit, which
-        block adoption and publication rely on.
-        """
+        """Pool-backed caches in *unit order* (:func:`pooled_units`): position
+        ``u`` owns the tier's ``u``-th unit, which block adoption and
+        publication rely on."""
         assert state.context is not None
-        caches: list[PooledMillionKVCacheLayer] = []
-        for cache in state.context.caches:
-            if isinstance(cache, HeadGroupKVCache):
-                caches.extend(cache.sub_caches)
-            else:
-                caches.append(cache)
-        return caches
+        return pooled_units(state.context.caches)
 
     def _release_context(self, state: RequestState) -> None:
         """Return the sequence's pool blocks and drop its caches."""
@@ -1083,7 +1076,11 @@ class BatchedMillionEngine:
         planned = time.perf_counter()
         self._plan_rows(batch)
         segments = [segment for _, segment, _ in batch.work]
-        logits = self.model.forward_segments(segments, self.prof) if segments else []
+        logits = (
+            self.model.forward_segments(segments, self.prof, share=shared_prefix_runs)
+            if segments
+            else []
+        )
         traversed = time.perf_counter()
         outputs = self._after_traversal(batch, logits, planned, traversed)
         adopting = time.perf_counter()

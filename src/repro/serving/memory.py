@@ -41,17 +41,20 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict, deque
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import MillionConfig
-from repro.core.million_cache import MillionKVCacheLayer
+from repro.core.million_cache import MillionKVCacheLayer, ReconstructedRun, decode_rows
 from repro.core.pq import ProductQuantizer
 from repro.core.storage import BlockArena
 from repro.models.config import ModelConfig
+from repro.models.kv_cache import KVCacheLayer
 from repro.obs.trace import NULL_RECORDER
+from repro.quant.policy_cache import HeadGroupKVCache, head_subset_config
 from repro.utils.bitpack import code_dtype
 from repro.utils.validation import ValidationError, require
 
@@ -212,6 +215,9 @@ class BlockPool:
         self.allocations = 0
         self.evictions = 0
         self.adoptions = 0
+        # K̂/V̂ rows the pool's caches reconstructed, one per token per side
+        # per cache: gathered from codes, or taken from a shared run.
+        self.reconstructed_rows = {"gathered": 0, "shared": 0}
         # Trace hook: the owning engine points these at its shared recorder
         # and replica track (see BatchedMillionEngine), so evictions and
         # adoptions show up on the replica's timeline.
@@ -590,6 +596,7 @@ class BlockPool:
             "allocations": self.allocations,
             "evictions": self.evictions,
             "adoptions": self.adoptions,
+            "reconstructed_rows": dict(self.reconstructed_rows),
         }
 
     def check_invariants(self) -> None:
@@ -637,6 +644,15 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
     buffers of ``DequantizingKVCache``.  :meth:`_stored_key_codes` and
     :meth:`_stored_value_codes` read the codes back from the pool blocks
     through the block table.
+
+    Sequences that adopted the same published blocks hold equal leading
+    block ids, so their leading K̂/V̂ rows are bit-equal.  Within a layer of
+    a traversal, :func:`shared_prefix_runs` reconstructs such a run once
+    (:meth:`reconstruct_run`) and hands it to every holder as its
+    :attr:`shared_run`: each gathers only its own rows, after the run.
+    Every row reconstructed is counted in the pool's
+    ``reconstructed_rows``: ``gathered`` from the shadow, or ``shared``
+    (taken from a run).
 
     The layer itself never touches the prefix-hash table: hashes are a
     function of *token ids*, which only the engine sees.  The engine adopts
@@ -717,6 +733,30 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
         )
         return np.concatenate([empty, *(read(block_id) for block_id in self._block_table)])
 
+    def _reconstruct(self, codes, rows, quantizer, corrections, buffer):
+        decoded = super()._reconstruct(codes, rows, quantizer, corrections, buffer)
+        counts = self.pool.reconstructed_rows
+        counts["shared"] += self.shared_run.tokens
+        counts["gathered"] += decoded.shape[0] - self.shared_run.tokens
+        return decoded
+
+    def reconstruct_run(self, tokens: int, capacity: int) -> ReconstructedRun:
+        """K̂/V̂ of the first ``tokens`` stored rows, gathered into buffers of
+        ``capacity`` rows, for the caches that hold the same leading blocks
+        (:func:`shared_prefix_runs`)."""
+        shape = (capacity, self.config.kv_heads, self.config.head_dim)
+        run = ReconstructedRun(
+            np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32), tokens
+        )
+        for codes, rows, quantizer, buffer in (
+            (self._key_codes, self._key_rows, self.key_pq, run.keys),
+            (self._value_codes, self._value_rows, self.value_pq, run.values),
+        ):
+            stored = (codes if rows is None else rows).view()[:tokens]
+            decode_rows(stored, quantizer, buffer[:tokens], from_codes=rows is None)
+        self.pool.reconstructed_rows["gathered"] += 2 * tokens
+        return run
+
     def adopt_shared_blocks(self, block_ids: Sequence[int]) -> None:
         """Extend this cache with already-quantized shared blocks.
 
@@ -782,6 +822,105 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
         for block_id in self._block_table:
             total += bytes_per_block / self.pool.refcount(block_id)
         return float(total)
+
+
+def pooled_units(caches: Sequence[KVCacheLayer]) -> list[KVCacheLayer]:
+    """``caches`` with every head-group composite replaced by its sub-caches.
+
+    For one context's per-layer caches this is its pool-backed caches in
+    *unit order* (layer-major, head groups ascending), matching the unit
+    order of its tier in the pool.
+    """
+    units: list[KVCacheLayer] = []
+    for cache in caches:
+        if isinstance(cache, HeadGroupKVCache):
+            units.extend(cache.sub_caches)
+        else:
+            units.append(cache)
+    return units
+
+
+def _common_blocks(a: Sequence[int], b: Sequence[int]) -> int:
+    """Length of the leading run two block tables share."""
+    length = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        length += 1
+    return length
+
+
+class _HeldRuns:
+    """Gives every cache its previous run back on exit (see
+    :func:`shared_prefix_runs`)."""
+
+    def __init__(self, held: list[tuple[PooledMillionKVCacheLayer, ReconstructedRun]]):
+        self.held = held
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> None:
+        for cache, previous in self.held:
+            cache.shared_run = previous
+
+
+def shared_prefix_runs(caches: Sequence[KVCacheLayer]) -> AbstractContextManager:
+    """Reconstruct each leading block run that several of ``caches`` hold, once.
+
+    Used as ``with shared_prefix_runs(caches):`` around one layer's appends
+    and attends in one traversal; the call itself finds and builds the runs.
+    ``caches`` are the layer's caches before their appends (a cache may be
+    listed twice); head-group composites contribute their pooled
+    sub-caches.  Pooled caches over one pool unit and one pair of
+    quantizers are compared by block table: equal leading block ids are the
+    same blocks, adopted from one published prefix, so their K̂/V̂ rows are
+    bit-equal in every holder.  Appends only extend a block table with
+    private blocks, so the runs found before the layer's appends hold after
+    them.  A cache's run is the longest leading run it shares with another
+    (its neighbours in block-table order); each run at least two caches
+    hold is reconstructed once, into buffers sized for every holder's rows
+    after its append, and becomes their
+    :attr:`~repro.core.million_cache.MillionKVCacheLayer.shared_run`.  The
+    holders attend one at a time, each gathering only its own rows into the
+    buffers after the run.  On exit — once the layer's last holder has
+    attended — every cache gets its previous run back and the runs are
+    dropped.  A cache that shares nothing keeps its zero-length run.
+    """
+    if len(caches) < 2:
+        return _NO_RUNS  # one sequence's units never hold each other's blocks
+    by_unit: Dict[tuple, list[PooledMillionKVCacheLayer]] = {}
+    for cache in {id(cache): cache for cache in pooled_units(caches)}.values():
+        if isinstance(cache, PooledMillionKVCacheLayer) and cache._block_table:
+            key = (id(cache.pool), cache.layer_index, id(cache.key_pq), id(cache.value_pq))
+            by_unit.setdefault(key, []).append(cache)
+    held: list[tuple[PooledMillionKVCacheLayer, ReconstructedRun]] = []
+    for holders in by_unit.values():
+        if len(holders) < 2:
+            continue
+        holders.sort(key=lambda cache: cache._block_table)
+        common = [0, *(
+            _common_blocks(a._block_table, b._block_table)
+            for a, b in zip(holders, holders[1:])
+        ), 0]
+        runs: Dict[tuple, list[PooledMillionKVCacheLayer]] = {}
+        for i, cache in enumerate(holders):
+            length = max(common[i], common[i + 1])
+            runs.setdefault(tuple(cache._block_table[:length]), []).append(cache)
+        for blocks, members in runs.items():
+            if not blocks or len(members) < 2:
+                continue
+            capacity = max(cache.stored_tokens + cache.flushable_rows() for cache in members)
+            run = members[0].reconstruct_run(
+                len(blocks) * members[0].pool.block_tokens, capacity
+            )
+            for cache in members:
+                held.append((cache, cache.shared_run))
+                cache.shared_run = run
+    return _HeldRuns(held) if held else _NO_RUNS
+
+
+_NO_RUNS = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -946,8 +1085,6 @@ class PooledPolicyCacheFactory:
 
     def create(self, layer_index: int, config: ModelConfig, tier: Optional[str] = None):
         """Layer ``layer_index``'s cache under tier ``tier``'s policy."""
-        from repro.quant.policy_cache import HeadGroupKVCache, head_subset_config
-
         pool_tier = self._tiers[tier]
         groups = pool_tier.policy.head_groups(layer_index)
         unit = pool_tier.layer_base[layer_index]
@@ -981,5 +1118,7 @@ __all__ = [
     "UnitLayout",
     "chain_hashes",
     "hash_token_block",
+    "pooled_units",
+    "shared_prefix_runs",
     "unit_range_root",
 ]

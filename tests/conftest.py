@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core import MillionConfig, calibrate_million, collect_kv_samples
+from repro.core.calibration import measure_sensitivity, train_million_quantizers
+from repro.core.million_cache import MillionCacheFactory
 from repro.data import load_corpus
 from repro.models import ModelConfig, build_model
 from repro.models.weights import OutlierSpec
+from repro.quant.policy import QuantPolicy, derive_policy, million_variant
 
 
 _codebook_cache_dir: list[str] = []
@@ -114,3 +117,25 @@ def kv_samples(tiny_model, calibration_tokens):
     return collect_kv_samples(
         tiny_model, calibration_tokens, chunk_size=128, max_samples_per_layer=2048
     )
+
+
+@pytest.fixture(scope="session")
+def factory_bank(tiny_config, kv_samples):
+    """Unpooled MILLION factories at 2/4/8 equivalent bits, shared quantizers."""
+    bank = {}
+    for bits in (2, 4, 8):
+        variant = million_variant(
+            tiny_config.head_dim, bits, kmeans_iters=3, calibration_samples=768
+        )
+        bank[bits] = MillionCacheFactory(
+            train_million_quantizers(kv_samples, variant), variant
+        )
+    return bank
+
+
+@pytest.fixture(scope="session")
+def mixed_policy(tiny_config, kv_samples):
+    """A per-head 4/8-bit policy at 1.5x the uniform 4-bit bytes per token."""
+    sensitivity = measure_sensitivity(kv_samples, kmeans_iters=2, max_tokens=512)
+    budget = 1.5 * QuantPolicy.uniform(tiny_config, "million", 4).bytes_per_token()
+    return derive_policy(tiny_config, sensitivity, budget, schemes=("million",))

@@ -137,6 +137,23 @@ class TestEncodeDecode:
         assert decoded.dtype == np.float32
         np.testing.assert_array_equal(decoded, reference_pq_decode(quantizer, codes))
 
+    @pytest.mark.parametrize("subspace_dim", [1, 2, 4])
+    def test_tiled_decode_into_out_bit_identical(self, subspace_dim):
+        """A gather spanning several decode tiles, written into a given
+        ``out`` view, equals the per-subspace lookup bit for bit."""
+        rng = np.random.default_rng(subspace_dim)
+        m_subspaces = 16
+        quantizer = ProductQuantizer(
+            SubspaceCodebooks(rng.normal(size=(m_subspaces, 256, subspace_dim)))
+        )
+        n_rows = 2 * quantizer._decode_tile + 3
+        codes = rng.integers(0, 256, size=(n_rows, m_subspaces)).astype(np.uint8)
+        buffer = np.full((n_rows + 5, quantizer.dim), np.nan, dtype=np.float32)
+        got = quantizer.decode_flat(quantizer.flat_index(codes), out=buffer[5:])
+        assert got.base is buffer
+        np.testing.assert_array_equal(got, reference_pq_decode(quantizer, codes))
+        assert np.isnan(buffer[:5]).all()
+
     @pytest.mark.parametrize("nbits", [4, 8, 12])
     @pytest.mark.parametrize("subspace_dim", [1, 2, 4])
     def test_row_gather_decode_bit_identical(self, subspace_dim, nbits):

@@ -478,14 +478,14 @@ class TestCodeEdits:
         batches: list[tuple[str, ...]] = []
         traverse = tiny_model.forward_segments
 
-        def recording(segments, prof):
+        def recording(segments, prof, **hooks):
             owner = {
                 id(state.context): state.request_id
                 for state in engine.scheduler.running
             }
             rows = [s for s in segments if len(s.token_ids) == 1]
             batches.append(tuple(owner[id(s.context)] for s in rows))
-            return traverse(segments, prof)
+            return traverse(segments, prof, **hooks)
 
         monkeypatch.setattr(tiny_model, "forward_segments", recording)
         prompts = [

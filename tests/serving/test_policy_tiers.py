@@ -6,38 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.calibration import train_million_quantizers
-from repro.core.million_cache import MillionCacheFactory
-from repro.quant.policy import QuantPolicy, derive_policy, million_variant
+from repro.quant.policy import QuantPolicy, derive_policy
 from repro.serving import BatchedMillionEngine, GenerationRequest
 from repro.serving.memory import ROOT_HASH, BlockPool, UnitLayout
 from support.reference import BLOCK_TOKENS, pooled, reference_pq_decode, solo
 
 #: Pool of the preemption test: holds either tiered request alone, not both.
 POOL_PRESSURE_BLOCKS = 48
-
-
-@pytest.fixture(scope="module")
-def factory_bank(tiny_config, kv_samples):
-    """Unpooled MILLION factories at 2/4/8 equivalent bits, shared quantizers."""
-    bank = {}
-    for bits in (2, 4, 8):
-        variant = million_variant(
-            tiny_config.head_dim, bits, kmeans_iters=3, calibration_samples=768
-        )
-        bank[bits] = MillionCacheFactory(
-            train_million_quantizers(kv_samples, variant), variant
-        )
-    return bank
-
-
-@pytest.fixture(scope="module")
-def mixed_policy(tiny_config, kv_samples):
-    from repro.core.calibration import measure_sensitivity
-
-    sensitivity = measure_sensitivity(kv_samples, kmeans_iters=2, max_tokens=512)
-    budget = 1.5 * QuantPolicy.uniform(tiny_config, "million", 4).bytes_per_token()
-    return derive_policy(tiny_config, sensitivity, budget, schemes=("million",))
 
 
 @pytest.fixture(scope="module")

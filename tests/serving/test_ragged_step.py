@@ -32,9 +32,9 @@ def traversals(tiny_model, monkeypatch):
     calls: list[list[tuple]] = []
     traverse = tiny_model.forward_segments
 
-    def recording(segments, prof=NULL_PROFILER):
+    def recording(segments, prof=NULL_PROFILER, **hooks):
         calls.append([(s.context, len(s.token_ids), s.seal) for s in segments])
-        return traverse(segments, prof)
+        return traverse(segments, prof, **hooks)
 
     monkeypatch.setattr(tiny_model, "forward_segments", recording)
     yield calls
