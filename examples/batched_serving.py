@@ -16,7 +16,8 @@ token-identical to serving that request alone on a single-slot engine, and
 reports per-request finish reasons plus aggregate throughput and
 ``engine.stats()``.  Sequences decoding together over the adopted prefix
 reconstruct it once per layer per step and all reuse it (the ``shared``
-reconstructed rows); without ``--tiers`` the script asserts that happened.
+reconstructed rows), and so does the prompt of a request admitted beside
+them; without ``--tiers`` the script asserts both happened.
 
 ``--tiers`` also serves every prompt on each quality tier — ``balanced``
 (the default policy), ``quality`` (half of each layer's heads at 8 bits) and
@@ -145,9 +146,25 @@ def main() -> None:
     )
     start = time.perf_counter()
     step = 0
+    layers = model.config.n_layers
+    # Steps that admitted one request, which adopted the system prefix,
+    # while others decoded: (shared rows the step took, rows the decode
+    # rows and one segment of the new request take from the prefix run).
+    admissions = []
     while server.scheduler.has_work:
+        running = {state.request_id for state in server.scheduler.running}
+        decoding = sum(not state.prefilling for state in server.scheduler.running)
+        shared = server.pool.reconstructed_rows["shared"]
+        reused, preempted = server.prefill_tokens_reused, server.preemption_count
         outputs = server.step()
         step += 1
+        admitted = [s for s in server.scheduler.running if s.request_id not in running]
+        adopted = server.prefill_tokens_reused - reused
+        if len(admitted) == 1 and adopted and decoding and server.preemption_count == preempted:
+            admissions.append((
+                server.pool.reconstructed_rows["shared"] - shared,
+                2 * layers * adopted * (decoding + 1),
+            ))
         finished = [o.request_id for o in outputs if o.finished]
         if finished:
             print(
@@ -177,8 +194,19 @@ def main() -> None:
     rows = server.stats()["pool"]["reconstructed_rows"]
     if not tiers:
         # The burst's sequences decode over one adopted system prefix, which
-        # each step reconstructs once per layer for all of them.
+        # each step reconstructs once per layer for all of them; a request
+        # admitted beside them takes the prefix from the same run for its
+        # prompt segments.  A pool too small for two sequences (it preempts)
+        # admits nobody beside a decoding one.
         assert rows["shared"] > 0, "no decode step shared the system prefix"
+        if args.requests > args.batch_size and not server.preemption_count:
+            assert admissions, "no request was admitted while others decoded"
+        for taken, lowest in admissions:
+            assert taken >= lowest, "an admitted request gathered its adopted prefix"
+        print(
+            f"  {len(admissions)} admissions beside decoding requests took "
+            "the prefix from its run"
+        )
     print(
         f"served {total_tokens} tokens in {wall:.2f}s "
         f"({total_tokens / wall:.1f} tok/s aggregate)"

@@ -224,15 +224,22 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
 
     def _append_codes(self, key_codes: np.ndarray, value_codes: np.ndarray) -> None:
         """Extend the stored codes, and their kept flat indices, by ``t`` rows."""
-        for codes, store, rows, quantizer in (
-            (key_codes, self._key_codes, self._key_rows, self.key_pq),
-            (value_codes, self._value_codes, self._value_rows, self.value_pq),
-        ):
-            if rows is None or self._CODES_BESIDE_INDEX:
-                store.append(codes)
-            if rows is not None:
-                flat = quantizer.flat_index(codes.reshape(-1, quantizer.m_subspaces))
-                rows.append(flat.reshape(codes.shape))
+        self._append_side(key_codes, self._key_codes, self._key_rows, self.key_pq)
+        self._append_side(value_codes, self._value_codes, self._value_rows, self.value_pq)
+
+    def _append_side(
+        self,
+        codes: np.ndarray,
+        store: CodeStore,
+        rows: CodeStore | None,
+        quantizer: ProductQuantizer,
+    ) -> None:
+        """Extend one side's stored codes, or its kept flat index, by ``t`` rows."""
+        if rows is None or self._CODES_BESIDE_INDEX:
+            store.append(codes)
+        if rows is not None:
+            flat = quantizer.flat_index(codes.reshape(-1, quantizer.m_subspaces))
+            rows.append(flat.reshape(codes.shape))
 
     def _stored_key_codes(self) -> np.ndarray:
         return self._key_codes.view()

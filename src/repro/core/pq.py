@@ -52,6 +52,7 @@ class ProductQuantizer:
         self._centroid_sq_norms: np.ndarray | None = None
         self._half_sq_norms_f32: np.ndarray | None = None
         self._centroids_t: dict[str, np.ndarray] = {}
+        self._folded: np.ndarray | None = None
         # The centroid table with one item per centroid row (decode_flat),
         # and each subspace's first row in it (flat_index).
         self._centroid_rows: np.ndarray | None = None
@@ -166,24 +167,63 @@ class ProductQuantizer:
         """
         subvectors = self.codebooks.split_vectors(vectors)
         n = subvectors.shape[0]
-        if self._half_sq_norms_f32 is None:
-            self._half_sq_norms_f32 = (
-                0.5 * self.centroid_sq_norms()
-            ).astype(np.float32)[:, None, :]
         if self._code_dtype is None:
             self._code_dtype = code_dtype(self.nbits)
         codes = np.empty((n, self.m_subspaces), dtype=self._code_dtype)
         tile = self.encode_tile_rows()
         for start in range(0, n, tile):
-            sub_t = np.ascontiguousarray(subvectors[start : start + tile].transpose(1, 0, 2))
             # argmin_k ||x - c_k||^2 == argmax_k (x.c_k - ||c_k||^2 / 2): the
             # ||x||^2 term is constant per row and dropped, halving the passes
             # over the score block.
-            scores = self._subspace_cross(sub_t, np.float32)
-            scores -= self._half_sq_norms_f32
+            scores = self._encode_scores(subvectors[start : start + tile])
             codes[start : start + tile] = np.argmax(scores, axis=2).T
             del scores  # one score block alive at a time
         return codes
+
+    def _encode_scores(self, subvectors: np.ndarray) -> np.ndarray:
+        """``(M, rows, K)`` float32 ``x.c_k - ||c_k||^2 / 2`` of ``(rows, M,
+        subspace_dim)`` subvectors.
+
+        Small subspace dims fold the norm term into the GEMM: a ones column
+        on the rows meets a ``-||c_k||^2 / 2`` row appended to the centroid
+        tables (:meth:`_folded_centroids`).  The short contraction is
+        accumulated in order, so that term lands last, in the same rounding
+        step as the separate subtraction it replaces: the scores equal
+        :meth:`_subspace_cross` minus the norms bit for bit (a test compares
+        every score at each such preset), without a second pass over the
+        score block.  Single rows are duplicated and sliced, as there.
+        """
+        rows, m_subspaces, dsub = subvectors.shape
+        if dsub > self._SMALL_SUBSPACE_DIM:
+            sub_t = np.ascontiguousarray(subvectors.transpose(1, 0, 2))
+            scores = self._subspace_cross(sub_t, np.float32)
+            scores -= self._half_sq_norms()
+            return scores
+        sub_t = np.empty((m_subspaces, max(rows, 2), dsub + 1), dtype=np.float32)
+        sub_t[:, :rows, :dsub] = subvectors.transpose(1, 0, 2)
+        sub_t[:, :, dsub] = 1.0
+        if rows == 1:
+            sub_t[:, 1] = sub_t[:, 0]
+        return np.matmul(sub_t, self._folded_centroids())[:, :rows]
+
+    def _folded_centroids(self) -> np.ndarray:
+        """``(M, subspace_dim + 1, K)`` centroid tables with a last row of
+        ``-||c_k||^2 / 2`` (cached; see :meth:`_encode_scores`)."""
+        if self._folded is None:
+            m_subspaces, n_centroids, dsub = self.codebooks.centroids.shape
+            folded = np.empty((m_subspaces, dsub + 1, n_centroids), dtype=np.float32)
+            folded[:, :dsub] = self.codebooks.centroids.transpose(0, 2, 1)
+            folded[:, dsub:] = -self._half_sq_norms()
+            self._folded = folded
+        return self._folded
+
+    def _half_sq_norms(self) -> np.ndarray:
+        """``(M, 1, K)`` float32 ``||c_k||^2 / 2`` (cached)."""
+        if self._half_sq_norms_f32 is None:
+            self._half_sq_norms_f32 = (
+                0.5 * self.centroid_sq_norms()
+            ).astype(np.float32)[:, None, :]
+        return self._half_sq_norms_f32
 
     def encode_tile_rows(self) -> int:
         """Rows per :meth:`encode` tile: the most whose ``(M, rows, K)``

@@ -202,6 +202,14 @@ class BlockArena:
         self._check_id(block_id)
         return self._data[block_id]
 
+    def take(self, block_ids: np.ndarray) -> np.ndarray:
+        """Copy of several blocks in one fancy index, shape
+        ``(len(block_ids), block_rows, *row_shape)``.
+
+        Negative ids wrap, so the caller checks the ids.
+        """
+        return self._data[block_ids]
+
 
 class PendingBuffer:
     """Paired full-precision key/value staging buffer with O(window) flushes.

@@ -330,7 +330,8 @@ FAMILIES: tuple[MetricFamily, ...] = (
     _replica("repro_pool_reconstructed_rows_total", "counter",
              "K/V rows the pool's caches reconstructed for attention (one per token per "
              "side per cache), by kind: gathered from codes, or shared (taken from a "
-             "leading run of blocks several sequences hold, gathered once per layer).",
+             "leading run of blocks several sequences hold, gathered once per layer; "
+             "decode rows, prompt chunks and tails alike).",
              ("kind",),
              lambda stats: [((kind,), stats["pool"]["reconstructed_rows"][kind])
                             for kind in ("gathered", "shared")]),

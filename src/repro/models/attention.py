@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from contextlib import AbstractContextManager, nullcontext
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,15 +14,6 @@ from repro.models.positional import RotaryEmbedding
 from repro.obs.prof import NULL_PROFILER, PhaseProfiler
 
 KVObserver = Callable[[np.ndarray, np.ndarray], None]
-
-#: Called with one layer's caches; its context spans their appends and
-#: attends (see :meth:`AttentionBlock.forward`).
-ShareRuns = Callable[[Sequence[KVCacheLayer]], AbstractContextManager]
-
-
-def no_sharing(caches: Sequence[KVCacheLayer]) -> AbstractContextManager:
-    """Every cache reconstructs its own stored rows."""
-    return nullcontext()
 
 
 class AttentionBlock:
@@ -84,7 +74,6 @@ class AttentionBlock:
         positions: np.ndarray,
         kv_observer: Optional[KVObserver] = None,
         prof: PhaseProfiler = NULL_PROFILER,
-        share: ShareRuns = no_sharing,
     ) -> np.ndarray:
         """Run attention for ``x`` of shape ``(rows, d_model)``.
 
@@ -92,15 +81,12 @@ class AttentionBlock:
         projections are plain GEMMs), or there is one cache per row (single
         tokens of different sequences stacked row-wise; the projections use
         the row-invariant paired kernel, so each row is bit-identical to its
-        sequence run alone).  Inside ``share(caches)`` — which may arrange
-        for caches holding equal stored rows to reconstruct them once (see
-        :func:`repro.serving.memory.shared_prefix_runs`) — each cache in turn
-        appends its rows' keys/values (post-RoPE, exactly as a real serving
-        stack stores them) and then computes their causal attention context,
-        so a cache listed twice sees its first row before its second.  With
-        ``prof`` enabled the appends (flush and encode) are timed as the
-        ``decode/flush_encode`` phase, and the sharing plus the attends as
-        ``decode/attend``.
+        sequence run alone).  Each cache in turn appends its rows'
+        keys/values (post-RoPE, exactly as a real serving stack stores them)
+        and then computes their causal attention context, so a cache listed
+        twice sees its first row before its second.  With ``prof`` enabled
+        the appends (flush and encode) are timed as the
+        ``decode/flush_encode`` phase and the attends as ``decode/attend``.
         """
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
@@ -118,29 +104,24 @@ class AttentionBlock:
         contexts = []
         timing = prof.enabled
         append_seconds = attend_seconds = 0.0
-        if timing:
-            start = prof.now()
-        with share(caches):
+        for b, cache in enumerate(caches):
+            rows = slice(b * span, (b + 1) * span)
             if timing:
-                attend_seconds = prof.now() - start
-            for b, cache in enumerate(caches):
-                rows = slice(b * span, (b + 1) * span)
-                if timing:
-                    start = prof.now()
-                cache.append(k[rows], v[rows])
-                if timing:
-                    appended = prof.now()
-                contexts.append(
-                    cache.attend(
-                        q[rows],
-                        positions[rows],
-                        self.scale,
-                        alibi_head_slopes=self.alibi_head_slopes,
-                    )
+                start = prof.now()
+            cache.append(k[rows], v[rows])
+            if timing:
+                appended = prof.now()
+            contexts.append(
+                cache.attend(
+                    q[rows],
+                    positions[rows],
+                    self.scale,
+                    alibi_head_slopes=self.alibi_head_slopes,
                 )
-                if timing:
-                    append_seconds += appended - start
-                    attend_seconds += prof.now() - appended
+            )
+            if timing:
+                append_seconds += appended - start
+                attend_seconds += prof.now() - appended
         if timing:
             prof.record("decode/flush_encode", append_seconds)
             prof.record("decode/attend", attend_seconds)

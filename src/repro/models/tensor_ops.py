@@ -101,10 +101,19 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Root-mean-square layer normalisation (as used by Llama-family models)."""
+    """Root-mean-square layer normalisation (as used by Llama-family models).
+
+    The mean is ``np.mean``'s own sum-then-divide, spelled out to skip its
+    wrapper; pass a float64 ``weight`` to skip its per-call upcast.
+    """
     x64 = np.asarray(x, dtype=np.float64)
-    scale = np.sqrt(np.mean(x64 * x64, axis=-1, keepdims=True) + eps)
-    return ((x64 / scale) * weight).astype(np.float32)
+    scale = np.add.reduce(x64 * x64, axis=-1, keepdims=True)
+    scale /= x64.shape[-1]
+    scale += eps
+    np.sqrt(scale, out=scale)
+    out = x64 / scale
+    out *= weight
+    return out.astype(np.float32)
 
 
 def layer_norm(

@@ -10,13 +10,13 @@ be swapped in without touching the model code.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.models.attention import AttentionBlock, ShareRuns, no_sharing
+from repro.models.attention import AttentionBlock
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import (
     FullPrecisionCacheFactory,
@@ -32,6 +32,20 @@ from repro.utils.validation import require
 
 # Called with (layer_index, keys, values) whenever a layer produces new KV.
 LayerKVObserver = Callable[[int, np.ndarray, np.ndarray], None]
+
+#: Called with one layer's caches in append order and each one's
+#: ``(rows, seal)``; its context spans their appends and attends (see
+#: :meth:`TransformerLM.forward_segments`).
+ShareRuns = Callable[
+    [Sequence[KVCacheLayer], Sequence[tuple[int, bool]]], AbstractContextManager
+]
+
+
+def no_sharing(
+    caches: Sequence[KVCacheLayer], appends: Sequence[tuple[int, bool]]
+) -> AbstractContextManager:
+    """Every cache reconstructs its own stored rows."""
+    return nullcontext()
 
 
 @dataclass
@@ -89,10 +103,19 @@ class Norm:
         self.weight = np.asarray(weight, dtype=np.float32)
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
         self.eps = eps
+        self.sync_weight()
+
+    def sync_weight(self) -> None:
+        """Refresh the float64 copy of ``weight`` (after writing it in place).
+
+        :func:`rms_norm` computes in float64; upcasting the weight once
+        spares every call that copy.
+        """
+        self._weight64 = self.weight.astype(np.float64)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "rmsnorm":
-            return rms_norm(x, self.weight, eps=self.eps)
+            return rms_norm(x, self._weight64, eps=self.eps)
         return layer_norm(x, self.weight, self.bias, eps=self.eps)
 
     def num_parameters(self) -> int:
@@ -156,7 +179,6 @@ class TransformerBlock:
         positions: np.ndarray,
         kv_observer=None,
         prof: PhaseProfiler = NULL_PROFILER,
-        share: ShareRuns = no_sharing,
     ) -> np.ndarray:
         """One block step over one context's rows, or over stacked single-token
         rows of ``len(caches)`` sequences (see :meth:`AttentionBlock.forward`).
@@ -167,7 +189,7 @@ class TransformerBlock:
         """
         paired = len(caches) == x.shape[0]
         x = x + self.attention.forward(
-            self.attention_norm(x), caches, positions, kv_observer, prof, share
+            self.attention_norm(x), caches, positions, kv_observer, prof
         )
         return x + self.feed_forward(self.ffn_norm(x), paired=paired)
 
@@ -305,8 +327,12 @@ class TransformerLM:
         output is bit-identical to running it alone.  A sealed segment's
         caches are flushed right after its block step, so a context's
         multi-token segments must precede its single-token ones, and a sealed
-        single-token segment must be its context's last.  ``share`` spans
-        each layer's stacked rows (see :meth:`AttentionBlock.forward`).
+        single-token segment must be its context's last.  Each layer's
+        segments run inside one ``share(caches, appends)`` context, which
+        may arrange for caches holding equal stored rows to reconstruct them
+        once for all of them (see
+        :func:`repro.serving.memory.shared_prefix_runs`); building it counts
+        as ``decode/attend`` time, without an attend count.
 
         Returns each segment's ``(tokens, vocab)`` logits, or ``None`` for a
         sealed segment, which skips the final norm and the LM head.  A
@@ -353,24 +379,29 @@ class TransformerLM:
         if rows:
             row_positions = np.concatenate([positions[i] for i in rows])
             x_rows = self._embed(np.concatenate([ids[i] for i in rows]), row_positions)
+        appends = [(ids[i].size, segments[i].seal) for i in chunks + rows]
         for layer, block in enumerate(self.blocks):
             observer = self._make_layer_observer(layer)
-            for i in chunks:
-                segment = segments[i]
-                cache = segment.context.caches[layer]
-                began = time.perf_counter()
-                hidden[i] = block.forward(hidden[i], [cache], positions[i], observer)
-                if segment.seal:
-                    cache.flush_all()
-                segment.seconds += time.perf_counter() - began
-            if rows:
-                caches = [segments[i].context.caches[layer] for i in rows]
-                x_rows = block.forward(
-                    x_rows, caches, row_positions, observer, prof, share
-                )
-                for i, cache in zip(rows, caches):
-                    if segments[i].seal:
+            caches = [segments[i].context.caches[layer] for i in chunks + rows]
+            if prof.enabled:
+                began = prof.now()
+            runs = share(caches, appends)
+            if prof.enabled:
+                prof.record("decode/attend", prof.now() - began, count=0)
+            with runs:
+                for i, cache in zip(chunks, caches):
+                    segment = segments[i]
+                    began = time.perf_counter()
+                    hidden[i] = block.forward(hidden[i], [cache], positions[i], observer)
+                    if segment.seal:
                         cache.flush_all()
+                    segment.seconds += time.perf_counter() - began
+                if rows:
+                    row_caches = caches[len(chunks) :]
+                    x_rows = block.forward(x_rows, row_caches, row_positions, observer, prof)
+                    for i, cache in zip(rows, row_caches):
+                        if segments[i].seal:
+                            cache.flush_all()
         logits: list[Optional[np.ndarray]] = [None] * len(segments)
         for i in chunks:
             segment = segments[i]

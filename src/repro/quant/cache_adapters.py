@@ -26,7 +26,7 @@ the streaming base directly, keeps only the codes and reconstructs
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,9 +99,10 @@ class StreamingQuantizedKVCache(KVCacheLayer):
     def _pending_token_count(self) -> int:
         return len(self._pending)
 
-    def _flushable(self, keep: int) -> int:
-        """Rows a flush keeping ``keep`` pending tokens would quantize."""
-        flushable = len(self._pending) - keep
+    def _flushable(self, keep: int, pending: Optional[int] = None) -> int:
+        """Rows a flush keeping ``keep`` of ``pending`` (default: the
+        current) pending tokens would quantize."""
+        flushable = (len(self._pending) if pending is None else pending) - keep
         if self.flush_block_multiple > 1:
             flushable = (flushable // self.flush_block_multiple) * self.flush_block_multiple
         return max(flushable, 0)
@@ -115,6 +116,27 @@ class StreamingQuantizedKVCache(KVCacheLayer):
         sequence instead of failing mid-forward.
         """
         return self._flushable(self.residual_window)
+
+    def attended_rows(self, appends: Sequence[tuple[int, bool]]) -> int:
+        """Most stored rows an attend sees over ``appends``.
+
+        ``appends`` are the ``(rows, seal)`` appends this cache takes next,
+        in order, each followed by its attend; a sealed one then runs
+        :meth:`flush_all`.  Lets a caller size one buffer for every
+        reconstruction of a traversal before running it.
+        """
+        stored, pending = self.flush_state
+        most = stored
+        for rows, seal in appends:
+            flushed = self._flushable(self.residual_window, pending)
+            stored += flushed
+            pending += rows - flushed
+            most = max(most, stored)
+            if seal:
+                flushed = self._flushable(0, pending)
+                stored += flushed
+                pending -= flushed
+        return most
 
     def _absorb_stored_tokens(self, n_tokens: int) -> None:
         """Account for tokens whose compressed storage was installed externally.

@@ -7,9 +7,9 @@ traversal (:meth:`TransformerLM.forward_segments`) over a ragged list of
 segments: prompt chunks, residual tails, restore-replay rows and decode
 rows.  A chunk runs its own rows with plain GEMMs; the single-token rows run
 stacked through the row-invariant projections; every segment appends to and
-attends over its own caches, exactly as it would alone (per layer, stacked
-rows whose caches adopted the same prefix blocks reconstruct that prefix
-once: :func:`~repro.serving.memory.shared_prefix_runs`).  Weights and
+attends over its own caches, exactly as it would alone (per layer,
+segments whose caches adopted the same prefix blocks reconstruct that
+prefix once: :func:`~repro.serving.memory.shared_prefix_runs`).  Weights and
 trained PQ codebooks are shared; per-sequence state is isolated, so with greedy
 sampling the batched output is token-identical to serving each request
 alone (the test suite's reference oracle, which sweeps batch shapes,

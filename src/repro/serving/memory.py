@@ -384,6 +384,44 @@ class BlockPool:
         return self._read_rows(self._values, block_id, layout.value_dtype,
                                (layout.kv_heads, layout.value_subspaces))
 
+    def gather_key_codes(self, block_ids: Sequence[int], unit: int) -> np.ndarray:
+        """``(len(block_ids) * block_tokens, kv_heads, M)`` copy of several of
+        ``unit``'s blocks' key codes, in order, read in one fancy index.
+
+        Every block must be live and written for ``unit``.
+        """
+        layout = self._unit_layouts[unit]
+        return self._gather_rows(self._keys, block_ids, unit, layout.key_dtype,
+                                 (layout.kv_heads, layout.key_subspaces))
+
+    def gather_value_codes(self, block_ids: Sequence[int], unit: int) -> np.ndarray:
+        layout = self._unit_layouts[unit]
+        return self._gather_rows(self._values, block_ids, unit, layout.value_dtype,
+                                 (layout.kv_heads, layout.value_subspaces))
+
+    def _gather_rows(
+        self,
+        arena: BlockArena,
+        block_ids: Sequence[int],
+        unit: int,
+        dtype: np.dtype | type,
+        row_shape: tuple[int, int],
+    ) -> np.ndarray:
+        # Only live blocks have a unit (reclaiming drops it), so one unit
+        # comparison per block checks liveness, writing and the unit.
+        units = [self._unit_of.get(block_id) for block_id in block_ids]
+        if units.count(unit) != len(units):
+            for block_id, written in zip(block_ids, units):
+                self._check_live(block_id)
+                require(written is not None, f"block {block_id} has not been written")
+                require(
+                    written == unit,
+                    f"block {block_id} holds unit {written}'s codes, not unit {unit}'s",
+                )
+        nbytes = row_shape[0] * row_shape[1] * np.dtype(dtype).itemsize
+        rows = arena.take(np.asarray(block_ids, dtype=np.intp))[:, :, :nbytes]
+        return rows.view(dtype).reshape(len(units) * self.block_tokens, *row_shape)
+
     # Prefix sharing ------------------------------------------------------
 
     def publish(self, chain_hash: bytes, block_ids: Sequence[int]) -> None:
@@ -762,19 +800,26 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
 
         The caller must have taken the references (via
         :meth:`BlockPool.adopt`); this extends the layer's shadow with the
-        blocks' rows and accounts for the adopted tokens.  Only legal at a block boundary
-        with no pending full-precision tokens (i.e. during prefill).
+        blocks' rows, read per side in one batched pool read
+        (:meth:`BlockPool.gather_key_codes`), and accounts for the adopted
+        tokens.  Only legal at a block boundary with no pending
+        full-precision tokens (i.e. during prefill).
         """
         require(
             self.pending_tokens == 0
             and self.stored_tokens % self.pool.block_tokens == 0,
             "shared blocks can only be adopted at a clean block boundary",
         )
-        for block_id in block_ids:
-            self._append_codes(
-                self.pool.key_codes(block_id), self.pool.value_codes(block_id)
-            )
-            self._block_table.append(int(block_id))
+        block_ids = [int(block_id) for block_id in block_ids]
+        # One side at a time: one batched pool read, one flat index and one
+        # shadow append each, and one side's codes alive at once.
+        for gather, store, rows, quantizer in (
+            (self.pool.gather_key_codes, self._key_codes, self._key_rows, self.key_pq),
+            (self.pool.gather_value_codes, self._value_codes, self._value_rows,
+             self.value_pq),
+        ):
+            self._append_side(gather(block_ids, self.layer_index), store, rows, quantizer)
+        self._block_table.extend(block_ids)
         self._absorb_stored_tokens(len(block_ids) * self.pool.block_tokens)
 
     def drain_new_blocks(self) -> list[int]:
@@ -865,22 +910,26 @@ class _HeldRuns:
             cache.shared_run = previous
 
 
-def shared_prefix_runs(caches: Sequence[KVCacheLayer]) -> AbstractContextManager:
+def shared_prefix_runs(
+    caches: Sequence[KVCacheLayer], appends: Sequence[Tuple[int, bool]]
+) -> AbstractContextManager:
     """Reconstruct each leading block run that several of ``caches`` hold, once.
 
-    Used as ``with shared_prefix_runs(caches):`` around one layer's appends
-    and attends in one traversal; the call itself finds and builds the runs.
-    ``caches`` are the layer's caches before their appends (a cache may be
-    listed twice); head-group composites contribute their pooled
-    sub-caches.  Pooled caches over one pool unit and one pair of
-    quantizers are compared by block table: equal leading block ids are the
-    same blocks, adopted from one published prefix, so their K̂/V̂ rows are
-    bit-equal in every holder.  Appends only extend a block table with
-    private blocks, so the runs found before the layer's appends hold after
-    them.  A cache's run is the longest leading run it shares with another
-    (its neighbours in block-table order); each run at least two caches
-    hold is reconstructed once, into buffers sized for every holder's rows
-    after its append, and becomes their
+    Used as ``with shared_prefix_runs(caches, appends):`` around all of one
+    layer's appends and attends in one traversal; the call itself finds and
+    builds the runs.  ``caches`` are the layer's caches in append order,
+    before their appends, one entry per append (a cache may be listed
+    several times); ``appends`` holds each entry's ``(rows, seal)``
+    (:meth:`~repro.quant.cache_adapters.StreamingQuantizedKVCache.attended_rows`).
+    Head-group composites contribute their pooled sub-caches.  Pooled
+    caches over one pool unit and one pair of quantizers are compared by
+    block table: equal leading block ids are the same blocks, adopted from
+    one published prefix, so their K̂/V̂ rows are bit-equal in every holder.  Appends and seals only
+    extend a block table with private blocks, so the runs found before the
+    layer's appends hold after them.  A cache's run is the longest leading
+    run it shares with another (its neighbours in block-table order); each
+    run at least two caches hold is reconstructed once, into buffers sized
+    for every holder's largest attend, and becomes their
     :attr:`~repro.core.million_cache.MillionKVCacheLayer.shared_run`.  The
     holders attend one at a time, each gathering only its own rows into the
     buffers after the run.  On exit — once the layer's last holder has
@@ -889,11 +938,15 @@ def shared_prefix_runs(caches: Sequence[KVCacheLayer]) -> AbstractContextManager
     """
     if len(caches) < 2:
         return _NO_RUNS  # one sequence's units never hold each other's blocks
+    planned: Dict[int, tuple[PooledMillionKVCacheLayer, list]] = {}
+    for entry, append in zip(caches, appends):
+        for cache in pooled_units([entry]):
+            if isinstance(cache, PooledMillionKVCacheLayer) and cache._block_table:
+                planned.setdefault(id(cache), (cache, []))[1].append(append)
     by_unit: Dict[tuple, list[PooledMillionKVCacheLayer]] = {}
-    for cache in {id(cache): cache for cache in pooled_units(caches)}.values():
-        if isinstance(cache, PooledMillionKVCacheLayer) and cache._block_table:
-            key = (id(cache.pool), cache.layer_index, id(cache.key_pq), id(cache.value_pq))
-            by_unit.setdefault(key, []).append(cache)
+    for cache, _ in planned.values():
+        key = (id(cache.pool), cache.layer_index, id(cache.key_pq), id(cache.value_pq))
+        by_unit.setdefault(key, []).append(cache)
     held: list[tuple[PooledMillionKVCacheLayer, ReconstructedRun]] = []
     for holders in by_unit.values():
         if len(holders) < 2:
@@ -910,7 +963,9 @@ def shared_prefix_runs(caches: Sequence[KVCacheLayer]) -> AbstractContextManager
         for blocks, members in runs.items():
             if not blocks or len(members) < 2:
                 continue
-            capacity = max(cache.stored_tokens + cache.flushable_rows() for cache in members)
+            capacity = max(
+                cache.attended_rows(planned[id(cache)][1]) for cache in members
+            )
             run = members[0].reconstruct_run(
                 len(blocks) * members[0].pool.block_tokens, capacity
             )

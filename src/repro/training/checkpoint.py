@@ -74,6 +74,10 @@ def load_state_dict(model: TransformerLM, state: dict[str, np.ndarray]) -> Trans
             f"shape mismatch for {name}: {source.shape} vs {array.shape}",
         )
         array[...] = source
+    for block in model.blocks:
+        block.attention_norm.sync_weight()
+        block.ffn_norm.sync_weight()
+    model.final_norm.sync_weight()
     return model
 
 

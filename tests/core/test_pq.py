@@ -350,6 +350,20 @@ class TestTiledEncode:
         n = min(n, _REFERENCE_SCORE_BYTES // row_bytes)
         _assert_encode_matches_reference(pq, _tie_vectors(pq, n, tie_share, seed))
 
+    @pytest.mark.parametrize(
+        "m_subspaces,nbits",
+        [p for p in ENCODE_PRESETS if 64 // p[0] <= ProductQuantizer._SMALL_SUBSPACE_DIM],
+    )
+    def test_folded_norm_term_scores_equal_the_subtraction(self, m_subspaces, nbits):
+        """Small subspaces fold ``-||c||^2 / 2`` into the distance GEMM: every
+        score equals the GEMM's followed by the subtraction, bit for bit."""
+        pq = _tie_quantizer(m_subspaces, nbits)
+        for n in (1, 2, 3, 17, pq.encode_tile_rows()):
+            sub = pq.codebooks.split_vectors(_tie_vectors(pq, n, 0.3, seed=n))
+            want = pq._subspace_cross(np.ascontiguousarray(sub.transpose(1, 0, 2)), np.float32)
+            want -= pq._half_sq_norms()
+            np.testing.assert_array_equal(pq._encode_scores(sub), want)
+
     def test_transient_memory_is_one_tile(self):
         """4,096 vectors at the served M=32, K=256: the untiled score tensor
         alone was 128 MiB; a tile's is 512 KiB."""

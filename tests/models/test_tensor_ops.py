@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support.reference import reference_softmax
+from support.reference import reference_rms_norm, reference_softmax
 
 from repro.models.tensor_ops import (
     NEG_INF,
@@ -19,6 +19,7 @@ from repro.models.tensor_ops import (
     silu,
     softmax,
 )
+from repro.models.transformer import Norm
 
 
 class TestSoftmax:
@@ -117,6 +118,20 @@ class TestNorms:
         shifted = layer_norm(x, np.ones(8), np.full(8, 2.0))
         base = layer_norm(x, np.ones(8), np.zeros(8))
         np.testing.assert_allclose(shifted, base + 2.0, atol=1e-5)
+
+    @pytest.mark.parametrize("rows", [1, 4, 32])
+    def test_rms_norm_matches_the_mean_formula_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 48)).astype(np.float32)
+        weight = rng.normal(size=48).astype(np.float32)
+        want = reference_rms_norm(x, weight)
+        for got in (
+            rms_norm(x, weight),
+            rms_norm(x, weight.astype(np.float64)),
+            Norm("rmsnorm", weight)(x),
+        ):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
 
     def test_weight_scaling(self):
         x = np.random.default_rng(7).normal(size=(4, 8)).astype(np.float32)

@@ -188,6 +188,57 @@ class TestBlockPool:
         with pytest.raises(Exception, match="published"):
             pool.write_block(group[0], self._codes(pool), self._codes(pool), unit=0)
 
+    def test_gather_reads_several_blocks_in_one_copy(self):
+        """A batched read equals the per-block views concatenated, for a
+        full-width unit and for a narrower one sharing the arena."""
+        wide = UnitLayout(kv_heads=2, key_subspaces=8, value_subspaces=8)
+        narrow = UnitLayout(kv_heads=1, key_subspaces=4, value_subspaces=8)
+        pool = BlockPool(8, 4, [wide, narrow])
+        rng = np.random.default_rng(3)
+        ids = {0: [], 1: []}
+        for unit in (0, 1, 0, 1, 0):
+            block_id = pool.allocate_block()
+            keys = rng.integers(0, 255, (4, *pool.unit_key_shape(unit))).astype(np.uint8)
+            values = rng.integers(0, 255, (4, *pool.unit_value_shape(unit))).astype(np.uint8)
+            pool.write_block(block_id, keys, values, unit)
+            ids[unit].append(block_id)
+        for unit, blocks in ids.items():
+            order = [*blocks[::-1], blocks[0]]
+            for gather, read, shape in (
+                (pool.gather_key_codes, pool.key_codes, pool.unit_key_shape(unit)),
+                (pool.gather_value_codes, pool.value_codes, pool.unit_value_shape(unit)),
+            ):
+                rows = gather(order, unit)
+                np.testing.assert_array_equal(
+                    rows, np.concatenate([read(block_id) for block_id in order])
+                )
+                assert not np.shares_memory(rows, pool._keys.read(order[0]))
+                assert not np.shares_memory(rows, pool._values.read(order[0]))
+                assert gather([], unit).shape == (0, *shape)
+
+    def test_gather_rejects_freed_unwritten_and_foreign_blocks(self):
+        pool = self._pool()
+        codes = self._codes(pool)
+
+        def written(unit):
+            block_id = pool.allocate_block()
+            pool.write_block(block_id, codes, codes, unit)
+            return block_id
+
+        good, freed, foreign = written(0), written(0), written(1)
+        pool.decref(freed)
+        unwritten = pool.allocate_block()
+        for gather in (pool.gather_key_codes, pool.gather_value_codes):
+            assert gather([good], 0).shape[0] == pool.block_tokens
+            with pytest.raises(Exception, match="not allocated"):
+                gather([good, freed], 0)
+            with pytest.raises(Exception, match="has not been written"):
+                gather([good, unwritten], 0)
+            with pytest.raises(Exception, match="unit 1's codes, not unit 0's"):
+                gather([good, foreign], 0)
+            with pytest.raises(Exception, match="not allocated"):
+                gather([-1], 0)
+
     def test_stats_keys(self):
         stats = self._pool().stats()
         for key in ("num_blocks", "free_blocks", "used_blocks", "utilization",
@@ -195,46 +246,58 @@ class TestBlockPool:
             assert key in stats
 
 
+def _shadow_kit(tiny_config, m_subspaces, nbits, seed=4):
+    """A one-unit pool of 4-token blocks, and builders of its pooled layers:
+    ``layer()`` makes one, ``filled(cache, n)`` appends and seals ``n``
+    random tokens and returns their key and value codes."""
+    rng = np.random.default_rng(seed)
+    head_dim, kv_heads = tiny_config.head_dim, tiny_config.kv_heads
+    quantizer = ProductQuantizer(
+        SubspaceCodebooks(
+            rng.standard_normal(
+                (m_subspaces, 2**nbits, head_dim // m_subspaces)
+            ).astype(np.float32)
+        )
+    )
+    dtype = code_dtype(nbits)
+    pool = BlockPool(
+        16, 4, [UnitLayout(kv_heads, m_subspaces, m_subspaces, dtype, dtype)]
+    )
+    million = MillionConfig(m_subspaces=m_subspaces, nbits=nbits)
+
+    def layer():
+        return PooledMillionKVCacheLayer(
+            tiny_config, quantizer, quantizer, million, pool, 0
+        )
+
+    def filled(cache, n_tokens):
+        keys = rng.standard_normal((n_tokens, kv_heads, head_dim)).astype(np.float32)
+        values = rng.standard_normal(keys.shape).astype(np.float32)
+        cache.append(keys, values)
+        cache.flush_all()
+        return [
+            quantizer.encode(x.reshape(-1, head_dim)).reshape(n_tokens, kv_heads, -1)
+            for x in (keys, values)
+        ]
+
+    return quantizer, pool, layer, filled
+
+
+#: ``(M, nbits, index_shadow)``: flat index of 4,096 rows (2-byte index
+#: shadow) and of 131,072 rows (code shadow).
+SHADOW_PRESETS = [(16, 8, True), (32, 12, False)]
+
+
 class TestPooledLayerShadow:
     """A pooled layer keeps one shadow per side beside its pool blocks."""
 
-    @pytest.mark.parametrize(
-        "m_subspaces,nbits,index_shadow",
-        [(16, 8, True), (32, 12, False)],  # flat index of 4,096 / 131,072 rows
-    )
+    @pytest.mark.parametrize("m_subspaces,nbits,index_shadow", SHADOW_PRESETS)
     def test_stored_codes_are_the_pool_blocks(
         self, tiny_config, m_subspaces, nbits, index_shadow
     ):
-        rng = np.random.default_rng(4)
+        quantizer, pool, layer, filled = _shadow_kit(tiny_config, m_subspaces, nbits)
         head_dim, kv_heads = tiny_config.head_dim, tiny_config.kv_heads
-        quantizer = ProductQuantizer(
-            SubspaceCodebooks(
-                rng.standard_normal(
-                    (m_subspaces, 2**nbits, head_dim // m_subspaces)
-                ).astype(np.float32)
-            )
-        )
         dtype = code_dtype(nbits)
-        pool = BlockPool(
-            16, 4, [UnitLayout(kv_heads, m_subspaces, m_subspaces, dtype, dtype)]
-        )
-        million = MillionConfig(m_subspaces=m_subspaces, nbits=nbits)
-
-        def layer():
-            return PooledMillionKVCacheLayer(
-                tiny_config, quantizer, quantizer, million, pool, 0
-            )
-
-        def filled(cache, n_tokens):
-            keys = rng.standard_normal((n_tokens, kv_heads, head_dim)).astype(np.float32)
-            values = rng.standard_normal(keys.shape).astype(np.float32)
-            cache.append(keys, values)
-            cache.flush_all()
-            return [
-                quantizer.encode(x.reshape(-1, head_dim)).reshape(n_tokens, kv_heads, -1)
-                for x in (keys, values)
-            ]
-
         owner = layer()
         adopted_codes = filled(owner, 12)
         cache = layer()
@@ -268,6 +331,51 @@ class TestPooledLayerShadow:
             else:
                 assert rows is None and len(codes) == 20
         assert layer()._stored_key_codes().shape == (0, kv_heads, m_subspaces)
+
+    @pytest.mark.parametrize("m_subspaces,nbits,index_shadow", SHADOW_PRESETS)
+    def test_batched_adoption_equals_per_block_adoption(
+        self, tiny_config, m_subspaces, nbits, index_shadow, monkeypatch
+    ):
+        """One call adopting every block leaves the shadow, block table and
+        flush state of one call per block, bit for bit, through one pool
+        read and at most one flat index per side."""
+        quantizer, pool, layer, filled = _shadow_kit(tiny_config, m_subspaces, nbits)
+        owner = layer()
+        filled(owner, 16)
+        blocks = owner.block_table
+        per_block, batched = layer(), layer()
+        for cache in (per_block, batched):
+            for block_id in blocks:
+                pool.incref(block_id)
+        for block_id in blocks:
+            per_block.adopt_shared_blocks([block_id])
+        calls = {"gather": 0, "flat_index": 0}
+
+        def counting(name, method):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return counted
+
+        for name in ("gather_key_codes", "gather_value_codes"):
+            monkeypatch.setattr(pool, name, counting("gather", getattr(pool, name)))
+        monkeypatch.setattr(
+            quantizer, "flat_index", counting("flat_index", quantizer.flat_index)
+        )
+        batched.adopt_shared_blocks(blocks)
+        monkeypatch.undo()
+        assert calls == {"gather": 2, "flat_index": 2 if index_shadow else 0}
+        assert batched.block_table == per_block.block_table == blocks
+        assert batched.flush_state == per_block.flush_state == (16, 0)
+        for name in ("_key_codes", "_value_codes", "_key_rows", "_value_rows"):
+            want, got = getattr(per_block, name), getattr(batched, name)
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(), want.view())
+        for want, got in zip(per_block.dequantized_kv(), batched.dequantized_kv()):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPrefixSharing:

@@ -19,12 +19,17 @@ import numpy as np
 import pytest
 
 import repro.serving.engine as engine_module
-from repro.core.million_cache import ReconstructedRun
-from repro.models.attention import no_sharing
+from repro.core.million_cache import MillionKVCacheLayer, ReconstructedRun
+from repro.core.pq import ProductQuantizer
+from repro.models.transformer import no_sharing
 from repro.quant.policy import QuantPolicy
 from repro.quant.policy_cache import HeadGroupKVCache
 from repro.serving import BatchedMillionEngine
-from repro.serving.memory import pooled_units, shared_prefix_runs
+from repro.serving.memory import (
+    PooledMillionKVCacheLayer,
+    pooled_units,
+    shared_prefix_runs,
+)
 from support.reference import (
     BLOCK_TOKENS,
     RecordingSampler,
@@ -85,11 +90,12 @@ def sharing(monkeypatch):
     calls: list[list[tuple]] = []
 
     @contextmanager
-    def checking(caches):
-        with shared_prefix_runs(caches):
+    def checking(caches, appends):
+        with shared_prefix_runs(caches, appends):
+            units = {id(cache): cache for cache in pooled_units(caches)}
             held = [
                 (cache, cache.shared_run)
-                for cache in pooled_units(caches)
+                for cache in units.values()
                 if cache.shared_run.tokens
             ]
             calls.append(held)
@@ -107,9 +113,9 @@ def sharing(monkeypatch):
     return calls
 
 
-def _four_sharers(model, factory):
-    """An engine whose 4 running sequences decode over one adopted
-    ``DOC_BLOCKS``-block document, and their states."""
+def _sharers(model, factory, count=4):
+    """An engine whose ``count`` running sequences decode over one adopted
+    ``DOC_BLOCKS``-block document, their states, and the document."""
     vocab = model.config.vocab_size
     engine = _engine(model, factory)
     doc = _tokens(0, DOC_BLOCKS * BLOCK_TOKENS, vocab)
@@ -119,12 +125,48 @@ def _four_sharers(model, factory):
         engine.state_of(
             engine.add_request(np.concatenate([doc, _tokens(10 + i, 5 + i, vocab)]), 8)
         )
-        for i in range(4)
+        for i in range(count)
     ]
     while not all(state.generated and not state.prefilling for state in states):
         engine.step()
-    assert engine.prefill_tokens_reused == 4 * doc.size
-    return engine, states
+    assert engine.prefill_tokens_reused == count * doc.size
+    return engine, states, doc
+
+
+@contextmanager
+def _adoption_reads(monkeypatch, pool):
+    """Counts, while open, the pool's batched and per-block code reads and
+    the flat indices computed inside block adoption."""
+    counts = {"gather": 0, "block_reads": 0, "flat_index": 0}
+    adopting = [False]
+
+    def counting(name, method, only_adopting=False):
+        def counted(*args, **kwargs):
+            if adopting[0] or not only_adopting:
+                counts[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    adopt = PooledMillionKVCacheLayer.adopt_shared_blocks
+
+    def adopt_counted(cache, block_ids):
+        adopting[0] = True
+        try:
+            adopt(cache, block_ids)
+        finally:
+            adopting[0] = False
+
+    with monkeypatch.context() as patch:
+        for name in ("gather_key_codes", "gather_value_codes"):
+            patch.setattr(pool, name, counting("gather", getattr(pool, name)))
+        for name in ("key_codes", "value_codes"):
+            patch.setattr(pool, name, counting("block_reads", getattr(pool, name)))
+        patch.setattr(
+            ProductQuantizer, "flat_index",
+            counting("flat_index", ProductQuantizer.flat_index, only_adopting=True),
+        )
+        patch.setattr(PooledMillionKVCacheLayer, "adopt_shared_blocks", adopt_counted)
+        yield counts
 
 
 def _distinct_runs(held):
@@ -138,7 +180,7 @@ class TestExactWork:
         """4 sharers of a 64-block prefix, one decode step: per layer and
         side the prefix is gathered once and reused 4 times; each sharer
         gathers only its own rows."""
-        engine, states = _four_sharers(tiny_model, million_factory)
+        engine, states, _ = _sharers(tiny_model, million_factory)
         before = dict(engine.pool.reconstructed_rows)
         engine.step()
         assert all(len(state.generated) == 2 for state in states)
@@ -153,6 +195,66 @@ class TestExactWork:
         assert after["gathered"] - before["gathered"] == gathered
         assert after["shared"] - before["shared"] == shared
         assert engine.stats()["pool"]["reconstructed_rows"] == after
+
+    def test_admission_step_takes_the_adopted_prefix_from_the_run(
+        self, tiny_model, million_factory, monkeypatch
+    ):
+        """3 sharers decode while a 4th request adopts their document and
+        runs its aligned chunk and its tail in the same traversal: per layer
+        and side the document is gathered once, the chunk and the tail take
+        it from the run like the decode rows, and adoption reads the pool
+        once per side per layer."""
+        engine, states, doc = _sharers(tiny_model, million_factory, count=3)
+        vocab = tiny_model.config.vocab_size
+        n_layers = tiny_model.config.n_layers
+        # 11 question tokens: an 8-token sealed chunk, then a 3-token tail.
+        prompt = np.concatenate([doc, _tokens(50, 11, vocab)])
+        before = dict(engine.pool.reconstructed_rows)
+        with _adoption_reads(monkeypatch, engine.pool) as reads:
+            admitted = engine.state_of(engine.add_request(prompt, 4))
+            engine.step()
+        assert admitted.generated and all(len(state.generated) >= 2 for state in states)
+        index_shadow = engine._pooled_caches(admitted)[0]._key_rows is not None
+        assert reads == {
+            "gather": 2 * n_layers,
+            "block_reads": 0,
+            "flat_index": 2 * n_layers if index_shadow else 0,
+        }
+        run = doc.size
+        gathered = shared = 0
+        for layer in range(n_layers):
+            own = engine._pooled_caches(admitted)[layer].stored_tokens
+            assert own == run + 8
+            # The decode rows, then the chunk (over the adopted document)
+            # and the tail (after the chunk's seal).
+            attends = [
+                *(engine._pooled_caches(state)[layer].stored_tokens for state in states),
+                run,
+                own,
+            ]
+            gathered += 2 * (run + sum(rows - run for rows in attends))
+            shared += 2 * run * len(attends)
+        after = engine.pool.reconstructed_rows
+        assert after["gathered"] - before["gathered"] == gathered
+        assert after["shared"] - before["shared"] == shared
+
+    def test_lone_admission_shares_nothing(self, tiny_model, million_factory):
+        """A request adopting a document no running sequence holds gathers
+        every row, and its logits are the solo oracle's."""
+        vocab = tiny_model.config.vocab_size
+        engine = _engine(tiny_model, million_factory)
+        doc = _tokens(0, DOC_BLOCKS * BLOCK_TOKENS, vocab)
+        engine.add_request(np.concatenate([doc, _tokens(1, 3, vocab)]), 1)
+        engine.run()
+        prompt = np.concatenate([doc, _tokens(51, 11, vocab)])
+        sampler = RecordingSampler()
+        engine.add_request(prompt, 6, sampler=sampler)
+        engine.run()
+        assert engine.prefill_tokens_reused == doc.size
+        assert engine.pool.reconstructed_rows["shared"] == 0
+        (want,) = solo(tiny_model, million_factory, [prompt], 6, budget=BUDGET,
+                       record_logits=True)
+        assert_logits_equal(want, sampler.logits)
 
     def test_unshared_batch_gathers_every_row(self, tiny_model, million_factory):
         """Sequences with no common block gather every row: nothing is shared."""
@@ -291,7 +393,7 @@ def test_shared_layer_peak_is_at_most_one_run_above_unshared(
 ):
     """One layer's attends over 4 sharers of a 64-block prefix: the shared
     traced peak exceeds the unshared one by at most the run's K̂ + V̂."""
-    _, states = _four_sharers(tiny_model, million_factory)
+    _, states, _ = _sharers(tiny_model, million_factory)
     caches = [state.context.caches[0] for state in states]
     assert not any(isinstance(cache, HeadGroupKVCache) for cache in caches)
     config = tiny_model.config
@@ -302,7 +404,7 @@ def test_shared_layer_peak_is_at_most_one_run_above_unshared(
     def peak(share):
         tracemalloc.start()
         base = tracemalloc.get_traced_memory()[0]
-        with share(caches):
+        with share(caches, [(1, False)] * len(caches)):
             contexts = [
                 cache.attend(queries, position, 0.125)
                 for cache, position in zip(caches, positions)
@@ -317,3 +419,37 @@ def test_shared_layer_peak_is_at_most_one_run_above_unshared(
         np.testing.assert_array_equal(a, b)
     run_bytes = 2 * DOC_BLOCKS * BLOCK_TOKENS * config.kv_heads * config.head_dim * 4
     assert shared - unshared <= run_bytes, (shared, unshared, run_bytes)
+
+
+@pytest.mark.parametrize("window", [0, 6])
+@pytest.mark.parametrize(
+    "appends",
+    [
+        [(16, True), (3, False)],  # an aligned chunk, then its tail
+        [(1, False)] * 3,  # rows of one cache
+        [(9, False), (1, False), (7, True), (2, False)],
+    ],
+)
+def test_attended_rows_is_the_most_stored_rows_an_attend_sees(
+    tiny_config, million_factory, window, appends
+):
+    """A run's buffers are sized by ``attended_rows`` before the layer's
+    appends; it must equal what the appends and seals then store."""
+    key_pq, value_pq = million_factory.quantizers[0]
+    config = million_factory.million_config.with_updates(recent_window=window)
+    cache = MillionKVCacheLayer(tiny_config, key_pq, value_pq, config, flush_block_multiple=4)
+    rng = np.random.default_rng(window)
+
+    def append(rows):
+        shape = (rows, tiny_config.kv_heads, tiny_config.head_dim)
+        cache.append(rng.standard_normal(shape), rng.standard_normal(shape))
+
+    append(13)  # start with pending rows past a block boundary
+    predicted = cache.attended_rows(appends)
+    seen = 0
+    for rows, seal in appends:
+        append(rows)
+        seen = max(seen, cache.stored_tokens)
+        if seal:
+            cache.flush_all()
+    assert predicted == seen

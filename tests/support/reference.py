@@ -25,7 +25,7 @@ problems.  Codebooks must match them bit for bit.
 
 :func:`reference_encode` is ``ProductQuantizer.encode`` in one untiled
 pass, :func:`reference_softmax` is ``softmax`` with a temporary per step,
-and :func:`reference_pq_decode` is the per-subspace centroid lookup that
+:func:`reference_rms_norm` is ``rms_norm`` through ``np.mean``, and :func:`reference_pq_decode` is the per-subspace centroid lookup that
 ``ProductQuantizer.decode`` flattens into one gather; each must match its
 kernel bit for bit.  :func:`reference_adc_attend` is a MILLION cache's ``attend``
 computed from the codes through the ADC kernels and the softmax merge;
@@ -311,6 +311,14 @@ def reference_softmax(x, axis=-1):
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return (exp / np.sum(exp, axis=axis, keepdims=True)).astype(np.float32)
+
+
+def reference_rms_norm(x, weight, eps=1e-5):
+    """:func:`~repro.models.tensor_ops.rms_norm` through ``np.mean``, with
+    the weight upcast on every call."""
+    x64 = np.asarray(x, dtype=np.float64)
+    scale = np.sqrt(np.mean(x64 * x64, axis=-1, keepdims=True) + eps)
+    return ((x64 / scale) * weight).astype(np.float32)
 
 
 def reference_pq_decode(quantizer, codes):
