@@ -2,7 +2,6 @@
 
 from repro.core.attention_pq import (
     pq_attention_scores,
-    pq_sparse_attention,
     pq_weighted_values,
 )
 from repro.core.calibration import (
@@ -17,18 +16,10 @@ from repro.core.codebook import SubspaceCodebooks, train_codebooks
 from repro.core.config import MillionConfig
 from repro.core.engine import CacheStats, MillionEngine
 from repro.core.million_cache import MillionCacheFactory, MillionKVCacheLayer
-from repro.core.pipeline import (
-    AsyncQuantizationStream,
-    DecodePipelineRecorder,
-    DecodeStepRecord,
-    PipelineTrace,
-    QuantizationJob,
-)
 from repro.core.pq import ProductQuantizer
 
 __all__ = [
     "pq_attention_scores",
-    "pq_sparse_attention",
     "pq_weighted_values",
     "KVSampleCollector",
     "calibrate_kvquant",
@@ -43,10 +34,5 @@ __all__ = [
     "MillionEngine",
     "MillionCacheFactory",
     "MillionKVCacheLayer",
-    "AsyncQuantizationStream",
-    "DecodePipelineRecorder",
-    "DecodeStepRecord",
-    "PipelineTrace",
-    "QuantizationJob",
     "ProductQuantizer",
 ]

@@ -94,24 +94,3 @@ def pq_weighted_values(
         )
     return context
 
-
-def pq_sparse_attention(
-    queries: np.ndarray,
-    key_codes: np.ndarray,
-    value_codes: np.ndarray,
-    key_pq: ProductQuantizer,
-    value_pq: ProductQuantizer,
-    scale: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper returning ``(scores, context)`` for quantized tokens.
-
-    ``scores`` are pre-softmax logits; callers combine them with the
-    full-precision recent-window scores before a single softmax (equivalent
-    to the paper's online-softmax merge).
-    """
-    scores = pq_attention_scores(queries, key_codes, key_pq, scale=scale)
-    from repro.models.tensor_ops import softmax  # local import avoids a cycle
-
-    probs = softmax(scores, axis=-1)
-    context = pq_weighted_values(probs, value_codes, value_pq)
-    return scores, context

@@ -297,64 +297,3 @@ def measure_sensitivity(
     ]
     return measure_head_sensitivity(keys, values, **kwargs)
 
-
-def build_policy_factory(
-    collector: KVSampleCollector,
-    policy,
-    model_config,
-    recent_window: int = 0,
-    max_tokens: int = 2048,
-    seed: SeedLike = 0,
-    **million_kwargs,
-):
-    """Train every quantizer a policy needs and return its cache factory.
-
-    One :class:`MillionCacheFactory` is calibrated per distinct MILLION bit
-    budget the policy uses (full per-layer codebooks, trained on the same
-    pooled vectors as the uniform path); KVQuant groups get per-(layer,
-    head-group) fits on their own channel slices.  ``million_kwargs`` pass
-    through to :func:`~repro.quant.policy.million_variant` (``kmeans_iters``,
-    ``calibration_samples``, ...).
-    """
-    from repro.quant.policy import million_variant
-    from repro.quant.policy_cache import PolicyCacheFactory
-
-    policy.validate_for_model(model_config)
-    million_factories = {}
-    kvquant_quantizers = {}
-    kvquant_bits: dict[tuple[int, tuple[int, ...]], int] = {}
-    for assignment in policy.distinct_assignments():
-        if assignment.scheme == "million" and assignment.bits not in million_factories:
-            variant = million_variant(
-                model_config.head_dim,
-                assignment.bits,
-                recent_window=recent_window,
-                seed=derive_seed(seed, "policy-million", assignment.bits),
-                **million_kwargs,
-            )
-            quantizers = train_million_quantizers(collector, variant)
-            million_factories[assignment.bits] = MillionCacheFactory(quantizers, variant)
-    for layer in range(policy.n_layers):
-        for assignment, heads in policy.head_groups(layer):
-            if assignment.scheme == "kvquant":
-                kvquant_bits[(layer, heads)] = assignment.bits
-    for (layer, heads), bits in kvquant_bits.items():
-        quantizer = KVQuantQuantizer(
-            nbits=bits,
-            outlier_fraction=0.0,
-            seed=derive_seed(seed, "policy-kvquant", layer, *heads),
-        )
-        head_idx = list(heads)
-        keys = collector.key_matrix(layer, max_tokens)[:, head_idx, :]
-        values = collector.value_matrix(layer, max_tokens)[:, head_idx, :]
-        quantizer.fit(
-            keys.reshape(keys.shape[0], -1), values.reshape(values.shape[0], -1)
-        )
-        kvquant_quantizers[(layer, heads)] = quantizer
-    return PolicyCacheFactory(
-        policy,
-        model_config,
-        million_factories=million_factories,
-        kvquant_quantizers=kvquant_quantizers,
-        kvquant_residual_window=recent_window,
-    )

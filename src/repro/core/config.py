@@ -29,16 +29,10 @@ class MillionConfig:
         Lloyd iterations used during codebook training.  Known defect: the
         convergence test always passes after the first iteration, so
         training runs one Lloyd iteration whatever this is set to.
-    per_head_codebooks:
-        When true, each KV head trains its own codebooks; by default the
-        vectors of all heads in a layer are pooled.
     outlier_fraction:
         Fraction of entries stored as sparse full-precision corrections on
         top of PQ (only used by the Table III sensitivity study; MILLION's
         claim is that 0.0 is enough).
-    async_quantization:
-        Whether the performance model may overlap quantization with the
-        main stream (Fig. 5); has no effect on accuracy.
     seed:
         Seed for codebook training.
     """
@@ -48,9 +42,7 @@ class MillionConfig:
     recent_window: int = 0
     calibration_samples: int = 8192
     kmeans_iters: int = 15
-    per_head_codebooks: bool = False
     outlier_fraction: float = 0.0
-    async_quantization: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

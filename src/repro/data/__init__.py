@@ -4,7 +4,6 @@ from repro.data.corpus import (
     CORPUS_REGISTRY,
     CorpusConfig,
     MarkovCorpus,
-    available_corpora,
     load_corpus,
 )
 from repro.data.longcontext import (
@@ -18,7 +17,6 @@ __all__ = [
     "CORPUS_REGISTRY",
     "CorpusConfig",
     "MarkovCorpus",
-    "available_corpora",
     "load_corpus",
     "SPECIAL_TOKENS",
     "ContextBuilder",

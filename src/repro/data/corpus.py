@@ -162,11 +162,6 @@ class MarkovCorpus:
         return total
 
 
-def available_corpora() -> list[str]:
-    """Names accepted by :func:`load_corpus`."""
-    return sorted(CORPUS_REGISTRY)
-
-
 def get_corpus(name: str) -> MarkovCorpus:
     """Build the generator behind a named corpus."""
     require_in(name, tuple(CORPUS_REGISTRY), "corpus name")

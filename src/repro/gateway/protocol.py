@@ -43,6 +43,7 @@ SSE_DONE = b"data: [DONE]\n\n"
 #: Upper bound a single request may ask for; guards against a client tying a
 #: replica slot to one request forever.
 MAX_TOKENS_LIMIT = 4096
+_MAX_TOKEN_ID = int(np.iinfo(np.int64).max)
 
 _FINISH_LABELS = {
     FinishReason.LENGTH: "length",
@@ -197,15 +198,19 @@ def _parse_prompt(prompt: Any, *, tokenizer, vocab_size: Optional[int]) -> np.nd
             raise ProtocolError("'prompt' must not be empty")
         if not all(isinstance(t, int) and not isinstance(t, bool) for t in prompt):
             raise ProtocolError("'prompt' list must contain only integer token ids")
-        ids = np.asarray(prompt, dtype=np.int64)
-        if (ids < 0).any():
+        # Range-check the Python ints first: converting one outside int64
+        # raises OverflowError, which is the client's error, not the server's.
+        if min(prompt) < 0:
             raise ProtocolError("'prompt' token ids must be non-negative")
-        if vocab_size is not None and int(ids.max()) >= vocab_size:
+        top = max(prompt)
+        if vocab_size is not None and top >= vocab_size:
             raise ProtocolError(
-                f"'prompt' token id {int(ids.max())} is outside the model "
+                f"'prompt' token id {top} is outside the model "
                 f"vocabulary (size {vocab_size})"
             )
-        return ids
+        if top > _MAX_TOKEN_ID:
+            raise ProtocolError(f"'prompt' token id {top} does not fit in int64")
+        return np.asarray(prompt, dtype=np.int64)
     raise ProtocolError("'prompt' must be a string or a list of token ids")
 
 

@@ -19,7 +19,7 @@ The ``serving.slo_load`` benchmark replays one schedule against FIFO and
 SLO-aware gateways and gates on the interactive p99 TTFT ratio.
 """
 
-from repro.loadgen.client import RequestOutcome, replay, replay_sync, run_one
+from repro.loadgen.client import RequestOutcome, replay, run_one
 from repro.loadgen.report import ClassReport, LoadReport
 from repro.loadgen.workload import ScheduledRequest, WorkloadSpec, synthesize
 
@@ -30,7 +30,6 @@ __all__ = [
     "ScheduledRequest",
     "WorkloadSpec",
     "replay",
-    "replay_sync",
     "run_one",
     "synthesize",
 ]

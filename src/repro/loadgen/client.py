@@ -176,11 +176,4 @@ async def replay(
     return list(await asyncio.gather(*tasks))
 
 
-def replay_sync(
-    host: str, port: int, schedule: Sequence[ScheduledRequest]
-) -> list[RequestOutcome]:
-    """Blocking wrapper around :func:`replay` (one fresh event loop)."""
-    return asyncio.run(replay(host, port, schedule))
-
-
-__all__ = ["RequestOutcome", "REQUEST_TIMEOUT_S", "replay", "replay_sync", "run_one"]
+__all__ = ["RequestOutcome", "REQUEST_TIMEOUT_S", "replay", "run_one"]

@@ -31,15 +31,8 @@ from repro.models.positional import (
     yarn_attention_scale,
     yarn_frequencies,
 )
-from repro.models.sampling import (
-    GreedySampler,
-    TemperatureSampler,
-    TopKSampler,
-    TopPSampler,
-    sample_token,
-)
+from repro.models.sampling import GreedySampler, TemperatureSampler
 from repro.models.tensor_ops import (
-    OnlineSoftmaxState,
     cross_entropy,
     gelu,
     layer_norm,
@@ -48,7 +41,7 @@ from repro.models.tensor_ops import (
     silu,
     softmax,
 )
-from repro.models.tokenizer import ByteTokenizer, WordTokenizer
+from repro.models.tokenizer import ByteTokenizer
 from repro.models.transformer import (
     FeedForward,
     ModelContext,
@@ -85,10 +78,6 @@ __all__ = [
     "yarn_frequencies",
     "GreedySampler",
     "TemperatureSampler",
-    "TopKSampler",
-    "TopPSampler",
-    "sample_token",
-    "OnlineSoftmaxState",
     "cross_entropy",
     "gelu",
     "layer_norm",
@@ -97,7 +86,6 @@ __all__ = [
     "silu",
     "softmax",
     "ByteTokenizer",
-    "WordTokenizer",
     "FeedForward",
     "ModelContext",
     "Norm",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.tensor_ops import softmax
-from repro.utils.rng import SeedLike, get_rng
 from repro.utils.validation import require
 
 
@@ -28,50 +27,3 @@ class TemperatureSampler:
         probs = probs / probs.sum()
         return int(rng.choice(len(probs), p=probs))
 
-
-class TopKSampler:
-    """Sample among the ``k`` highest-probability tokens."""
-
-    def __init__(self, k: int, temperature: float = 1.0) -> None:
-        require(k >= 1, f"k must be >= 1, got {k}")
-        require(temperature > 0, f"temperature must be positive, got {temperature}")
-        self.k = k
-        self.temperature = temperature
-
-    def __call__(self, logits: np.ndarray, rng: np.random.Generator) -> int:
-        logits = np.asarray(logits, dtype=np.float64) / self.temperature
-        k = min(self.k, logits.shape[-1])
-        top_indices = np.argpartition(logits, -k)[-k:]
-        probs = softmax(logits[top_indices])
-        probs = probs / probs.sum()
-        return int(top_indices[rng.choice(k, p=probs)])
-
-
-class TopPSampler:
-    """Nucleus sampling: sample from the smallest set with cumulative prob >= p."""
-
-    def __init__(self, p: float = 0.9, temperature: float = 1.0) -> None:
-        require(0.0 < p <= 1.0, f"p must be in (0, 1], got {p}")
-        require(temperature > 0, f"temperature must be positive, got {temperature}")
-        self.p = p
-        self.temperature = temperature
-
-    def __call__(self, logits: np.ndarray, rng: np.random.Generator) -> int:
-        logits = np.asarray(logits, dtype=np.float64) / self.temperature
-        probs = softmax(logits).astype(np.float64)
-        order = np.argsort(-probs)
-        sorted_probs = probs[order]
-        cumulative = np.cumsum(sorted_probs)
-        cutoff = int(np.searchsorted(cumulative, self.p) + 1)
-        kept = order[:cutoff]
-        kept_probs = probs[kept]
-        kept_probs = kept_probs / kept_probs.sum()
-        return int(kept[rng.choice(cutoff, p=kept_probs)])
-
-
-def sample_token(
-    logits: np.ndarray, sampler=None, seed: SeedLike = None
-) -> int:
-    """Convenience wrapper: sample one token id from ``logits``."""
-    sampler = sampler or GreedySampler()
-    return sampler(logits, get_rng(seed))

@@ -1,10 +1,9 @@
 """Numerically-stable tensor primitives shared across the library.
 
-Everything operates on plain ``numpy.ndarray`` in float32/float64.  The
-:class:`OnlineSoftmaxState` implements the "OlSoftmax" merge used by MILLION's
-Eq. (7) to combine the quantized-past attention with the full-precision
-recent-window attention without ever materialising a single softmax over the
-whole context.
+Everything operates on plain ``numpy.ndarray`` in float32/float64.  MILLION's
+Eq. (7) merge of the quantized-past and full-precision recent-window attention
+needs no online-softmax state here: the cache concatenates both parts' logits
+and takes one softmax over them (see :mod:`repro.core.million_cache`).
 """
 
 from __future__ import annotations
@@ -147,75 +146,3 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 ACTIVATION_FUNCTIONS = {"silu": silu, "gelu": gelu}
 
-
-class OnlineSoftmaxState:
-    """Streaming softmax-weighted-sum accumulator (flash-attention style).
-
-    Partial attention results over disjoint key blocks are merged without
-    re-normalising earlier blocks: for each query we keep the running maximum
-    logit ``m``, the running denominator ``l = sum exp(score - m)`` and the
-    running numerator ``acc = sum exp(score - m) * value``.
-
-    Shapes: queries are indexed by an arbitrary leading shape ``Q`` (for
-    attention this is ``(n_heads, n_queries)``); values have trailing
-    dimension ``d``.  ``update`` takes ``scores`` of shape ``Q + (n_keys,)``
-    and ``values`` of shape ``(n_keys, d)`` or ``Q + (n_keys, d)``.
-    """
-
-    def __init__(self, query_shape: tuple[int, ...], value_dim: int) -> None:
-        self.query_shape = tuple(query_shape)
-        self.value_dim = int(value_dim)
-        self._max = np.full(self.query_shape, NEG_INF, dtype=np.float64)
-        self._denom = np.zeros(self.query_shape, dtype=np.float64)
-        self._acc = np.zeros(self.query_shape + (value_dim,), dtype=np.float64)
-
-    def update(self, scores: np.ndarray, values: np.ndarray) -> None:
-        """Fold one block of scores/values into the running state."""
-        scores = np.asarray(scores, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if scores.shape[:-1] != self.query_shape:
-            raise ValueError(
-                f"scores leading shape {scores.shape[:-1]} does not match "
-                f"query shape {self.query_shape}"
-            )
-        if scores.shape[-1] == 0:
-            return
-        block_max = np.max(scores, axis=-1)
-        new_max = np.maximum(self._max, block_max)
-        # Rescale previous accumulators to the new maximum.
-        correction = np.exp(self._max - new_max)
-        correction = np.where(np.isfinite(correction), correction, 0.0)
-        probs = np.exp(scores - new_max[..., None])
-        if values.ndim == 2:
-            block_acc = probs @ values
-        else:
-            if values.shape[:-2] != self.query_shape:
-                raise ValueError(
-                    f"values leading shape {values.shape[:-2]} does not match "
-                    f"query shape {self.query_shape}"
-                )
-            block_acc = np.einsum("...k,...kd->...d", probs, values)
-        self._acc = self._acc * correction[..., None] + block_acc
-        self._denom = self._denom * correction + probs.sum(axis=-1)
-        self._max = new_max
-
-    def merge(self, other: "OnlineSoftmaxState") -> None:
-        """Fold another accumulator (over a disjoint key block) into this one."""
-        if other.query_shape != self.query_shape or other.value_dim != self.value_dim:
-            raise ValueError("cannot merge OnlineSoftmaxState with different shapes")
-        new_max = np.maximum(self._max, other._max)
-        self_corr = np.where(np.isfinite(self._max), np.exp(self._max - new_max), 0.0)
-        other_corr = np.where(np.isfinite(other._max), np.exp(other._max - new_max), 0.0)
-        self._acc = self._acc * self_corr[..., None] + other._acc * other_corr[..., None]
-        self._denom = self._denom * self_corr + other._denom * other_corr
-        self._max = new_max
-
-    def finalize(self) -> np.ndarray:
-        """Return the softmax-weighted sum for every query position."""
-        denom = np.where(self._denom > 0.0, self._denom, 1.0)
-        return (self._acc / denom[..., None]).astype(np.float32)
-
-    @property
-    def has_observations(self) -> np.ndarray:
-        """Boolean mask of query positions that have received at least one key."""
-        return self._denom > 0.0

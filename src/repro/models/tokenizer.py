@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.utils.validation import require
 
 
 class ByteTokenizer:
@@ -35,60 +32,3 @@ class ByteTokenizer:
         raw = bytes(int(i) for i in ids if 0 <= int(i) < 256)
         return raw.decode("utf-8", errors="replace")
 
-
-class WordTokenizer:
-    """Whitespace word tokenizer with a frequency-capped vocabulary."""
-
-    PAD = 0
-    UNK = 1
-    BOS = 2
-    EOS = 3
-    _SPECIALS = ("<pad>", "<unk>", "<bos>", "<eos>")
-
-    def __init__(self, vocab: Sequence[str]) -> None:
-        self._id_to_word = list(self._SPECIALS) + [
-            w for w in vocab if w not in self._SPECIALS
-        ]
-        self._word_to_id = {w: i for i, w in enumerate(self._id_to_word)}
-
-    @classmethod
-    def from_texts(cls, texts: Iterable[str], max_vocab: int = 1024) -> "WordTokenizer":
-        """Build a vocabulary from the ``max_vocab`` most frequent words."""
-        require(max_vocab > len(cls._SPECIALS), "max_vocab too small for special tokens")
-        counts: Counter[str] = Counter()
-        for text in texts:
-            counts.update(text.split())
-        most_common = [w for w, _ in counts.most_common(max_vocab - len(cls._SPECIALS))]
-        return cls(most_common)
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self._id_to_word)
-
-    def encode(self, text: str, add_bos: bool = True, add_eos: bool = False) -> np.ndarray:
-        ids = [self._word_to_id.get(w, self.UNK) for w in text.split()]
-        if add_bos:
-            ids = [self.BOS] + ids
-        if add_eos:
-            ids = ids + [self.EOS]
-        return np.asarray(ids, dtype=np.int64)
-
-    def decode(self, ids: Sequence[int]) -> str:
-        words = []
-        for i in ids:
-            i = int(i)
-            if i in (self.PAD, self.BOS, self.EOS):
-                continue
-            if 0 <= i < len(self._id_to_word):
-                words.append(self._id_to_word[i])
-            else:
-                words.append("<unk>")
-        return " ".join(words)
-
-    def token_to_id(self, word: str) -> int:
-        return self._word_to_id.get(word, self.UNK)
-
-    def id_to_token(self, token_id: int) -> str:
-        if 0 <= token_id < len(self._id_to_word):
-            return self._id_to_word[token_id]
-        return "<unk>"

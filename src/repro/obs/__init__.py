@@ -34,7 +34,6 @@ from repro.obs.hist import (
     Histogram,
     LATENCY_BUCKETS_S,
     delta_snapshots,
-    merge_snapshots,
     snapshot_fraction_over,
     snapshot_quantile,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "current_request_id",
     "delta_snapshots",
     "merge_phase_snapshots",
-    "merge_snapshots",
     "parse_exposition",
     "phase_table",
     "reset_request_id",

@@ -175,9 +175,8 @@ def delta_snapshots(new: dict, old: dict) -> dict:
 
     The window primitive behind SLO burn rates: two scrapes of a
     cumulative histogram family differ by exactly the observations made
-    between them.  Bucket bounds must match (same guarantee as
-    :func:`merge_snapshots`); counts going backwards mean the histograms
-    are unrelated and raise rather than mis-subtract.
+    between them.  Bucket bounds must match; counts going backwards mean
+    the histograms are unrelated and raise rather than mis-subtract.
     """
     require(
         list(new["buckets"]) == list(old["buckets"]),
@@ -197,35 +196,11 @@ def delta_snapshots(new: dict, old: dict) -> dict:
     }
 
 
-def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Sum histogram snapshots with identical bucket bounds (e.g. replicas)."""
-    require(len(snapshots) >= 1, "need at least one snapshot to merge")
-    base = snapshots[0]
-    merged = {
-        "buckets": list(base["buckets"]),
-        "counts": list(base["counts"]),
-        "sum": float(base["sum"]),
-        "count": int(base["count"]),
-    }
-    for snap in snapshots[1:]:
-        require(
-            list(snap["buckets"]) == merged["buckets"],
-            "cannot merge histograms with different bucket bounds",
-        )
-        merged["counts"] = [
-            a + b for a, b in zip(merged["counts"], snap["counts"])
-        ]
-        merged["sum"] += float(snap["sum"])
-        merged["count"] += int(snap["count"])
-    return merged
-
-
 __all__ = [
     "BATCH_BUCKETS",
     "Histogram",
     "LATENCY_BUCKETS_S",
     "delta_snapshots",
-    "merge_snapshots",
     "snapshot_fraction_over",
     "snapshot_quantile",
 ]

@@ -36,8 +36,6 @@ from repro.perf.schemes import (
 from repro.perf.streams import (
     DEFAULT_OVERLAP_FRACTION,
     StepTiming,
-    StreamEvent,
-    build_timeline,
     schedule_step,
 )
 from repro.perf.tpot import TPOTResult, decode_step_latency_ms, estimate_tpot, tpot_table
@@ -79,8 +77,6 @@ __all__ = [
     "get_scheme",
     "DEFAULT_OVERLAP_FRACTION",
     "StepTiming",
-    "StreamEvent",
-    "build_timeline",
     "schedule_step",
     "TPOTResult",
     "decode_step_latency_ms",

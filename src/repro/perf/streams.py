@@ -61,50 +61,3 @@ def schedule_step(
         exposed_quant_time_s=exposed,
     )
 
-
-@dataclass
-class StreamEvent:
-    """One interval on the two-stream timeline (for inspection/plots)."""
-
-    stream: str
-    name: str
-    start_s: float
-    end_s: float
-
-
-def build_timeline(
-    timings: list[OpTiming],
-    async_enabled: bool,
-    overlap_fraction: float = DEFAULT_OVERLAP_FRACTION,
-) -> list[StreamEvent]:
-    """Lay the operators of one decode step out on a two-stream timeline.
-
-    Main-stream operators execute back to back.  Quantization operators start
-    as soon as the main stream has produced the new token's KV (modelled as
-    the end of the attention block) and run concurrently, stretched by the
-    inverse of ``overlap_fraction`` to account for bandwidth contention; if
-    they would finish after the main stream, the difference is the exposed
-    quantization time reported by :func:`schedule_step`.
-    """
-    events: list[StreamEvent] = []
-    cursor = 0.0
-    for timing in timings:
-        if timing.stream != "main":
-            continue
-        events.append(
-            StreamEvent("main", timing.name, cursor, cursor + timing.time_s)
-        )
-        cursor += timing.time_s
-    main_end = cursor
-    quant_timings = [t for t in timings if t.stream == "quant"]
-    if quant_timings:
-        quant_start = main_end * 0.5  # KV for the new token exists mid-step
-        stretch = 1.0 / max(overlap_fraction, 1e-6) if async_enabled else 1.0
-        q_cursor = quant_start if async_enabled else main_end
-        for timing in quant_timings:
-            duration = timing.time_s * (stretch if async_enabled else 1.0)
-            events.append(
-                StreamEvent("quant", timing.name, q_cursor, q_cursor + duration)
-            )
-            q_cursor += duration
-    return events

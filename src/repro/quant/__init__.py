@@ -12,18 +12,14 @@ from repro.quant.integer import (
     UniformQuantized,
     UniformQuantParams,
     dequantize_uniform,
-    quantization_mse,
-    quantization_snr_db,
-    quantize_groupwise,
     quantize_uniform,
 )
 from repro.quant.kivi import KiviConfig, KiviQuantizer
-from repro.quant.kmeans import KMeansResult, assign_to_centroids, kmeans, kmeans_batch
+from repro.quant.kmeans import KMeansResult, kmeans, kmeans_batch
 from repro.quant.kvquant import KVQuantEncodedBlock, KVQuantQuantizer
 from repro.quant.nuq import NonUniformQuantizer1D
 from repro.quant.outliers import (
     SparseOutliers,
-    outlier_channel_indices,
     outlier_threshold,
     split_outliers,
 )
@@ -64,21 +60,16 @@ __all__ = [
     "UniformQuantized",
     "UniformQuantParams",
     "dequantize_uniform",
-    "quantization_mse",
-    "quantization_snr_db",
-    "quantize_groupwise",
     "quantize_uniform",
     "KiviConfig",
     "KiviQuantizer",
     "KMeansResult",
-    "assign_to_centroids",
     "kmeans",
     "kmeans_batch",
     "KVQuantEncodedBlock",
     "KVQuantQuantizer",
     "NonUniformQuantizer1D",
     "SparseOutliers",
-    "outlier_channel_indices",
     "outlier_threshold",
     "split_outliers",
     "DEFAULT_LADDER",

@@ -1,8 +1,9 @@
 """Uniform integer quantization (Eq. 2/3 of the paper).
 
-Supports per-tensor, per-axis and group-wise granularity in both symmetric
-and asymmetric forms.  This is the workhorse behind the KIVI-like baseline
-and the "uniform quantization struggles with outliers" motivation study.
+Supports per-tensor and per-axis granularity (``keep_axes``) in both
+symmetric and asymmetric forms.  This is the workhorse behind the KIVI-like
+baseline and the "uniform quantization struggles with outliers" motivation
+study.
 """
 
 from __future__ import annotations
@@ -97,59 +98,3 @@ def dequantize_uniform(codes: np.ndarray, params: UniformQuantParams) -> np.ndar
     if params.symmetric:
         return (codes * params.scale).astype(np.float32)
     return ((codes - params.zero_point) * params.scale).astype(np.float32)
-
-
-def quantize_groupwise(
-    x: np.ndarray,
-    nbits: int,
-    group_size: int,
-    axis: int = -1,
-    symmetric: bool = False,
-) -> tuple[UniformQuantized, np.ndarray]:
-    """Group-wise quantization along ``axis``.
-
-    The axis is padded to a multiple of ``group_size`` (padding is removed by
-    the returned reconstruction).  Returns ``(quantized, reconstruction)``
-    where the quantized object covers the padded/reshaped tensor.
-    """
-    require(group_size >= 1, f"group_size must be >= 1, got {group_size}")
-    x = np.asarray(x, dtype=np.float32)
-    axis = axis % x.ndim
-    length = x.shape[axis]
-    padded_length = int(np.ceil(length / group_size) * group_size)
-    if padded_length != length:
-        pad_width = [(0, 0)] * x.ndim
-        pad_width[axis] = (0, padded_length - length)
-        x_padded = np.pad(x, pad_width, mode="edge")
-    else:
-        x_padded = x
-    moved = np.moveaxis(x_padded, axis, -1)
-    grouped_shape = moved.shape[:-1] + (padded_length // group_size, group_size)
-    grouped = moved.reshape(grouped_shape)
-    quantized = quantize_uniform(
-        grouped, nbits, symmetric=symmetric, keep_axes=tuple(range(grouped.ndim - 1))
-    )
-    reconstructed = quantized.dequantize().reshape(moved.shape)
-    reconstructed = np.moveaxis(reconstructed, -1, axis)
-    slicer = [slice(None)] * x.ndim
-    slicer[axis] = slice(0, length)
-    return quantized, reconstructed[tuple(slicer)].astype(np.float32)
-
-
-def quantization_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean squared reconstruction error."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(np.mean((x - x_hat) ** 2))
-
-
-def quantization_snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Signal-to-quantization-noise ratio in dB (higher is better)."""
-    x = np.asarray(x, dtype=np.float64)
-    noise = np.mean((x - np.asarray(x_hat, dtype=np.float64)) ** 2)
-    signal = np.mean(x**2)
-    if noise <= 0:
-        return float("inf")
-    return float(10.0 * np.log10(max(signal, 1e-30) / noise))

@@ -262,13 +262,3 @@ def kmeans(
         inertia=inertia,
         n_iter=int(n_iter),
     )
-
-
-def assign_to_centroids(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid assignment for ``data`` (used at encode time)."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
-    centroids = np.asarray(centroids, dtype=np.float64)
-    distances = _pairwise_sq_distances(data, centroids)
-    return np.argmin(distances, axis=1).astype(np.int64)

@@ -75,20 +75,3 @@ def split_outliers(x: np.ndarray, fraction: float) -> tuple[np.ndarray, SparseOu
     values = x[mask].astype(np.float32)
     clamped = np.clip(x, -threshold, threshold).astype(np.float32)
     return clamped, SparseOutliers(indices=indices, values=values, shape=x.shape)
-
-
-def outlier_channel_indices(x: np.ndarray, fraction: float, axis: int = -1) -> np.ndarray:
-    """Channels (along ``axis``) with the largest mean absolute magnitude.
-
-    Used by the distribution analysis to report which key channels carry the
-    outliers (paper Fig. 2 discussion).
-    """
-    require(0.0 <= fraction <= 1.0, f"fraction must be in [0, 1], got {fraction}")
-    x = np.asarray(x)
-    axis = axis % x.ndim
-    reduce_axes = tuple(a for a in range(x.ndim) if a != axis)
-    magnitude = np.abs(x).mean(axis=reduce_axes)
-    n = max(1, int(round(fraction * magnitude.size))) if fraction > 0 else 0
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.argsort(-magnitude)[:n].astype(np.int64)

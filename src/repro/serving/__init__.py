@@ -33,7 +33,6 @@ from repro.serving.request import (
     RequestState,
     RequestStatus,
     StepOutput,
-    priority_rank,
 )
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
@@ -61,5 +60,4 @@ __all__ = [
     "chain_hashes",
     "chunk_schedule",
     "hash_token_block",
-    "priority_rank",
 ]

@@ -20,11 +20,6 @@ from repro.utils.validation import require
 PRIORITIES = ("interactive", "best_effort")
 
 
-def priority_rank(priority: str) -> int:
-    """Admission rank of a priority class (0 = highest)."""
-    return PRIORITIES.index(priority)
-
-
 class RequestStatus(Enum):
     """Lifecycle of a request inside the batched engine.
 

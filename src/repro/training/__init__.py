@@ -9,7 +9,7 @@ from repro.training.checkpoint import (
     state_dict,
 )
 from repro.training.layers import TrainableTransformerLM
-from repro.training.optim import SGD, Adam, clip_grad_norm, cosine_lr, global_grad_norm
+from repro.training.optim import Adam, clip_grad_norm, cosine_lr, global_grad_norm
 from repro.training.trainer import (
     TrainingHistory,
     evaluate_validation_perplexity,
@@ -26,7 +26,6 @@ __all__ = [
     "save_model",
     "state_dict",
     "TrainableTransformerLM",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "cosine_lr",

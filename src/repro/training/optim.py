@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -41,33 +41,6 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int = 0
     progress = min(max(progress, 0.0), 1.0)
     cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
     return base_lr * (min_lr_ratio + (1.0 - min_lr_ratio) * cosine)
-
-
-class SGD:
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 0.1, momentum: float = 0.0) -> None:
-        require(lr > 0, "lr must be positive")
-        self.params = dict(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
-        for name, param in self.params.items():
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                self._velocity[name] = self.momentum * self._velocity[name] + param.grad
-                update = self._velocity[name]
-            else:
-                update = param.grad
-            param.data -= lr * update
-
-    def zero_grad(self) -> None:
-        for param in self.params.values():
-            param.zero_grad()
 
 
 class Adam:

@@ -1,14 +1,11 @@
-"""Bit packing for sub-byte quantization codes.
+"""Storage widths of sub-byte quantization codes.
 
 Product quantization stores one centroid index per subspace per token.  With
 ``nbits`` bits per index the natural in-memory representation (``uint8`` /
-``uint16``) wastes space for non-power-of-two-byte widths such as the paper's
-(M=32, nbits=12) 3-bit-equivalent configuration.  The helpers here pack an
-integer code array into a dense bitstream and back, so reported cache sizes
-reflect the true compressed footprint.
-
-The packing is little-endian within the bitstream: code ``i`` occupies bits
-``[i * nbits, (i + 1) * nbits)`` counted from bit 0 of byte 0.
+``uint16``, :func:`code_dtype`) wastes space for non-power-of-two-byte widths
+such as the paper's (M=32, nbits=12) 3-bit-equivalent configuration, so
+reported cache sizes use :func:`packed_nbytes`, the size of the same codes as
+a dense bitstream.
 """
 
 from __future__ import annotations
@@ -41,59 +38,3 @@ def packed_nbytes(num_codes: int, nbits: int) -> int:
     require(num_codes >= 0, f"num_codes must be >= 0, got {num_codes}")
     require(1 <= nbits <= _MAX_NBITS, f"nbits must be in [1, {_MAX_NBITS}], got {nbits}")
     return (num_codes * nbits + 7) // 8
-
-
-def pack_codes(codes: np.ndarray, nbits: int) -> bytes:
-    """Pack an integer array of codes into a dense little-endian bitstream.
-
-    Parameters
-    ----------
-    codes:
-        Integer array of any shape; flattened in C order before packing.
-    nbits:
-        Bits per code.  All codes must fit in ``nbits`` bits.
-    """
-    require(1 <= nbits <= _MAX_NBITS, f"nbits must be in [1, {_MAX_NBITS}], got {nbits}")
-    flat = np.ascontiguousarray(codes).reshape(-1).astype(np.uint64)
-    if flat.size and int(flat.max()) >= (1 << nbits):
-        raise ValueError(
-            f"code value {int(flat.max())} does not fit in {nbits} bits"
-        )
-    total_bits = flat.size * nbits
-    out = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-    if flat.size == 0:
-        return out.tobytes()
-    # Expand each code into its bits, then repack 8 bits per byte.
-    bit_idx = np.arange(nbits, dtype=np.uint64)
-    bits = ((flat[:, None] >> bit_idx[None, :]) & np.uint64(1)).astype(np.uint8)
-    bitstream = bits.reshape(-1)
-    positions = np.arange(bitstream.size)
-    byte_pos = positions // 8
-    bit_pos = positions % 8
-    np.bitwise_or.at(out, byte_pos, (bitstream << bit_pos).astype(np.uint8))
-    return out.tobytes()
-
-
-def unpack_codes(
-    packed: bytes | np.ndarray, nbits: int, num_codes: int
-) -> np.ndarray:
-    """Inverse of :func:`pack_codes`.
-
-    Returns a 1-D array of ``num_codes`` codes with the smallest dtype that
-    fits ``nbits``.
-    """
-    require(1 <= nbits <= _MAX_NBITS, f"nbits must be in [1, {_MAX_NBITS}], got {nbits}")
-    require(num_codes >= 0, f"num_codes must be >= 0, got {num_codes}")
-    buf = np.frombuffer(bytes(packed), dtype=np.uint8)
-    needed = packed_nbytes(num_codes, nbits)
-    require(
-        buf.size >= needed,
-        f"packed buffer has {buf.size} bytes, need at least {needed}",
-    )
-    if num_codes == 0:
-        return np.zeros(0, dtype=code_dtype(nbits))
-    bitstream = np.unpackbits(buf[:needed], bitorder="little")[: num_codes * nbits]
-    bits = bitstream.reshape(num_codes, nbits).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(nbits, dtype=np.uint64))[None, :]
-    values = (bits * weights).sum(axis=1)
-    return values.astype(code_dtype(nbits))

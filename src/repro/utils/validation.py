@@ -15,18 +15,6 @@ def require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def require_positive(value: Any, name: str) -> None:
-    """Require ``value`` to be a strictly positive number."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
-
-
-def require_non_negative(value: Any, name: str) -> None:
-    """Require ``value`` to be zero or positive."""
-    if value < 0:
-        raise ValidationError(f"{name} must be non-negative, got {value!r}")
-
-
 def require_divisible(numerator: int, denominator: int, message: str) -> None:
     """Require ``numerator`` to be an exact multiple of ``denominator``."""
     if denominator <= 0 or numerator % denominator != 0:

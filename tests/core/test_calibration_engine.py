@@ -1,11 +1,9 @@
-"""Tests for offline calibration, the engine and the async pipeline bookkeeping."""
+"""Tests for offline calibration and the engine."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    AsyncQuantizationStream,
-    DecodePipelineRecorder,
     MillionConfig,
     MillionEngine,
     calibrate_kvquant,
@@ -134,38 +132,3 @@ class TestMillionEngine:
     def test_default_config_choice(self, tiny_model, calibration_tokens):
         engine = MillionEngine.calibrate(tiny_model, calibration_tokens[:128])
         assert engine.million_config.bits_per_value(tiny_model.config.head_dim) == pytest.approx(4.0)
-
-
-class TestAsyncPipeline:
-    def test_jobs_complete_before_deadline(self):
-        stream = AsyncQuantizationStream(enabled=True)
-        stream.submit(step=0, n_tokens=1)
-        completed = stream.advance(step=1)
-        assert len(completed) == 1 and completed[0].is_complete
-
-    def test_missed_deadline_detected(self):
-        stream = AsyncQuantizationStream(enabled=True)
-        stream.submit(step=0, n_tokens=1)
-        with pytest.raises(RuntimeError):
-            stream.advance(step=3)
-
-    def test_zero_token_jobs_ignored(self):
-        stream = AsyncQuantizationStream(enabled=True)
-        stream.submit(step=0, n_tokens=0)
-        assert stream.trace.jobs == []
-
-    def test_recorder_traces_decode(self, tiny_model, million_factory, test_tokens):
-        tiny_model.reset_cache(million_factory)
-        tiny_model.prefill(test_tokens[:32])
-        recorder = DecodePipelineRecorder(tiny_model)
-        token = int(test_tokens[32])
-        for step in range(5):
-            recorder.before_step(step)
-            logits = tiny_model.decode_step(token)
-            token = int(np.argmax(logits))
-            recorder.after_step(step)
-        trace = recorder.stream.trace
-        assert len(trace.steps) == 5
-        assert trace.total_tokens_quantized() > 0
-        assert trace.max_pending_tokens() >= tiny_model.config.n_layers
-        tiny_model.reset_cache(FullPrecisionCacheFactory())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from support.reference import reference_adc_attend, reference_pq_decode
 
-from repro.core.attention_pq import pq_attention_scores, pq_sparse_attention, pq_weighted_values
+from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
 from repro.core.codebook import SubspaceCodebooks
 from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionCacheFactory, MillionKVCacheLayer
@@ -14,7 +14,7 @@ from repro.core.pq import ProductQuantizer
 from repro.models.attention_math import dense_attention, repeat_kv_heads
 from repro.models.config import ModelConfig
 from repro.models.positional import RotaryEmbedding, alibi_slopes
-from repro.models.tensor_ops import OnlineSoftmaxState, softmax
+from repro.models.tensor_ops import softmax
 
 
 @pytest.fixture(scope="module")
@@ -91,19 +91,6 @@ class TestPQAttentionPrimitives:
         expanded = repeat_kv_heads(decoded, 4)
         expected = np.einsum("qhd,khd->hqk", queries, expanded)
         np.testing.assert_allclose(scores, expected, atol=1e-4)
-
-    def test_sparse_attention_wrapper(self, pq_pair, head_dim):
-        key_pq, value_pq = pq_pair
-        rng = np.random.default_rng(4)
-        keys, values = _random_kv(rng, 12, 2, head_dim)
-        key_codes = key_pq.encode(keys.reshape(-1, head_dim)).reshape(12, 2, -1)
-        value_codes = value_pq.encode(values.reshape(-1, head_dim)).reshape(12, 2, -1)
-        queries = rng.normal(size=(2, 2, head_dim)).astype(np.float32)
-        scores, context = pq_sparse_attention(
-            queries, key_codes, value_codes, key_pq, value_pq, scale=0.25
-        )
-        assert scores.shape == (2, 2, 12)
-        assert context.shape == (2, 2, head_dim)
 
     def test_every_call_builds_its_own_indices(self, pq_pair, head_dim):
         """The ADC primitives keep nothing between calls: a call on new codes
@@ -321,17 +308,17 @@ class TestMillionKVCacheLayer:
         scale = 0.25
         out = cache.attend(queries, np.asarray([32]), scale)
 
-        # Reproduce via explicit online-softmax merge of the two partials.
+        # Reproduce via an explicit online-softmax merge of the two partials:
+        # each part keeps its own numerator and denominator, rescaled to the
+        # shared running maximum before they are summed.
         k_hat, v_hat = cache.dequantized_kv()
-        state = OnlineSoftmaxState((2, 1), head_dim)
-        past_scores = np.einsum("qhd,khd->hqk", queries, k_hat) * scale
-        past_values = np.einsum("khd->hkd", v_hat)[:, None, :, :]  # (heads, 1, keys, dim)
-        state.update(past_scores, past_values)
-        recent_scores = np.einsum("qhd,khd->hqk", queries, keys[32:]) * scale
-        recent_values = np.einsum("khd->hkd", values[32:])[:, None, :, :]
-        state.update(recent_scores, recent_values)
-        merged = np.swapaxes(state.finalize(), 0, 1)  # -> (queries, heads, dim)
-        np.testing.assert_allclose(out, merged, atol=1e-4)
+        parts = [(k_hat, v_hat), (keys[32:], values[32:])]
+        scores = [np.einsum("qhd,khd->qhk", queries, k) * scale for k, _ in parts]
+        peak = np.maximum(*(s.max(axis=-1, keepdims=True) for s in scores))
+        weights = [np.exp(s - peak) for s in scores]
+        numerator = sum(np.einsum("qhk,khd->qhd", w, v) for w, (_, v) in zip(weights, parts))
+        denominator = sum(w.sum(axis=-1, keepdims=True) for w in weights)
+        np.testing.assert_allclose(out, numerator / denominator, atol=1e-4)
 
     def test_recent_window_kept_full_precision(self, mha_config, pq_pair, head_dim):
         cache = self._make_cache(mha_config, pq_pair, recent_window=16)

@@ -7,7 +7,6 @@ from repro.data.corpus import (
     CORPUS_REGISTRY,
     CorpusConfig,
     MarkovCorpus,
-    available_corpora,
     get_corpus,
     load_corpus,
 )
@@ -15,7 +14,7 @@ from repro.data.corpus import (
 
 class TestCorpusConfig:
     def test_registry_names(self):
-        assert set(available_corpora()) == {"wikitext2-syn", "ptb-syn"}
+        assert set(CORPUS_REGISTRY) == {"wikitext2-syn", "ptb-syn"}
 
     def test_invalid_branching(self):
         with pytest.raises(Exception):

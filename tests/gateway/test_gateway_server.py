@@ -204,12 +204,24 @@ class TestErrorPaths:
                         "max_tokens": 4,
                     },
                 )
+                # Ids no int64 holds: converting them raises OverflowError.
+                for sign, name in ((1, "above_int64"), (-1, "below_int64")):
+                    results[name] = await gw.raw_request(
+                        host, port, "POST", "/v1/completions",
+                        {"prompt": [sign * 2**70], "max_tokens": 4},
+                    )
                 results["not_found"] = await gw.raw_request(
                     host, port, "GET", "/v2/everything"
                 )
                 results["wrong_method"] = await gw.raw_request(
                     host, port, "GET", "/v1/completions"
                 )
+                # The replica serves on after every refusal.
+                results["valid"] = await gw.raw_request(
+                    host, port, "POST", "/v1/completions",
+                    {"prompt": calibration_tokens[:10].tolist(), "max_tokens": 4},
+                )
+                assert server.router.runners[0].error is None
                 return results
             finally:
                 await server.stop()
@@ -217,11 +229,13 @@ class TestErrorPaths:
         results = asyncio.run(scenario())
         for name, status in [
             ("bad_json", 400), ("missing_prompt", 400), ("bad_max_tokens", 400),
-            ("oversized_prompt", 400), ("not_found", 404), ("wrong_method", 405),
+            ("oversized_prompt", 400), ("above_int64", 400), ("below_int64", 400),
+            ("not_found", 404), ("wrong_method", 405),
         ]:
             got_status, _, body = results[name]
             assert got_status == status, (name, got_status)
             assert "error" in json.loads(body), name
+        assert results["valid"][0] == 200, results["valid"]
 
     def test_stepper_death_fails_request_instead_of_hanging(
         self, tiny_config, million_factory, calibration_tokens, gw

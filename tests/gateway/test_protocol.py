@@ -65,6 +65,9 @@ class TestCompletionRequestParsing:
             ({"prompt": [1], "tenant": ""}, "'tenant' must be a non-empty"),
             ({"prompt": [1], "tenant": "x" * 65}, "at most 64 characters"),
             ({"prompt": [1], "tenant": 7}, "'tenant' must be a non-empty"),
+            # Ids no int64 holds: converting them raises OverflowError.
+            ({"prompt": [1, 2**70]}, "outside the model vocabulary"),
+            ({"prompt": [1, -(2**70)]}, "non-negative"),
         ],
     )
     def test_rejections(self, payload, match):
@@ -72,6 +75,10 @@ class TestCompletionRequestParsing:
             CompletionRequest.from_json(
                 payload, tokenizer=ByteTokenizer(), vocab_size=128
             )
+
+    def test_token_id_outside_int64_rejected_without_vocab(self):
+        with pytest.raises(ProtocolError, match="does not fit in int64"):
+            CompletionRequest.from_json({"prompt": [1, 2**70]})
 
     def test_string_prompt_without_tokenizer_rejected(self):
         with pytest.raises(ProtocolError, match="tokenizer"):

@@ -1,16 +1,13 @@
-"""Tests for the numerical primitives, including the online-softmax merge."""
+"""Tests for the numerical primitives."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from support.reference import reference_rms_norm, reference_softmax
 
 from repro.models.tensor_ops import (
     NEG_INF,
-    OnlineSoftmaxState,
     cross_entropy,
     gelu,
     layer_norm,
@@ -158,73 +155,3 @@ class TestActivations:
 
     def test_gelu_at_zero(self):
         assert gelu(np.asarray([0.0]))[0] == pytest.approx(0.0)
-
-
-class TestOnlineSoftmax:
-    def _reference(self, scores, values):
-        probs = softmax(scores, axis=-1)
-        return np.einsum("...k,kd->...d", probs, values)
-
-    def test_single_block_matches_softmax(self):
-        rng = np.random.default_rng(8)
-        scores = rng.normal(size=(2, 3, 7))
-        values = rng.normal(size=(7, 5))
-        state = OnlineSoftmaxState((2, 3), 5)
-        state.update(scores, values)
-        np.testing.assert_allclose(state.finalize(), self._reference(scores, values), atol=1e-5)
-
-    def test_blockwise_equals_full(self):
-        rng = np.random.default_rng(9)
-        scores = rng.normal(size=(4, 12)) * 3
-        values = rng.normal(size=(12, 6))
-        state = OnlineSoftmaxState((4,), 6)
-        state.update(scores[:, :5], values[:5])
-        state.update(scores[:, 5:], values[5:])
-        np.testing.assert_allclose(state.finalize(), self._reference(scores, values), atol=1e-5)
-
-    def test_merge_two_states(self):
-        rng = np.random.default_rng(10)
-        scores = rng.normal(size=(3, 10))
-        values = rng.normal(size=(10, 4))
-        left = OnlineSoftmaxState((3,), 4)
-        right = OnlineSoftmaxState((3,), 4)
-        left.update(scores[:, :6], values[:6])
-        right.update(scores[:, 6:], values[6:])
-        left.merge(right)
-        np.testing.assert_allclose(left.finalize(), self._reference(scores, values), atol=1e-5)
-
-    def test_empty_block_is_noop(self):
-        state = OnlineSoftmaxState((2,), 3)
-        state.update(np.zeros((2, 0)), np.zeros((0, 3)))
-        assert not state.has_observations.any()
-
-    def test_per_query_values(self):
-        rng = np.random.default_rng(11)
-        scores = rng.normal(size=(2, 6))
-        values = rng.normal(size=(2, 6, 3))
-        state = OnlineSoftmaxState((2,), 3)
-        state.update(scores, values)
-        probs = softmax(scores, axis=-1)
-        expected = np.einsum("qk,qkd->qd", probs, values)
-        np.testing.assert_allclose(state.finalize(), expected, atol=1e-5)
-
-    def test_shape_mismatch_rejected(self):
-        state = OnlineSoftmaxState((2,), 3)
-        with pytest.raises(ValueError):
-            state.update(np.zeros((3, 4)), np.zeros((4, 3)))
-
-    @given(
-        n_keys=st.integers(min_value=1, max_value=30),
-        split=st.integers(min_value=0, max_value=30),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_split_point_property(self, n_keys, split, seed):
-        split = min(split, n_keys)
-        rng = np.random.default_rng(seed)
-        scores = rng.normal(size=(2, n_keys)) * 5
-        values = rng.normal(size=(n_keys, 3))
-        state = OnlineSoftmaxState((2,), 3)
-        state.update(scores[:, :split], values[:split])
-        state.update(scores[:, split:], values[split:])
-        np.testing.assert_allclose(state.finalize(), self._reference(scores, values), atol=1e-4)

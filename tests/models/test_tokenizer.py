@@ -1,9 +1,6 @@
-"""Tests for the byte and word tokenizers."""
+"""Tests for the byte tokenizer."""
 
-import numpy as np
-import pytest
-
-from repro.models.tokenizer import ByteTokenizer, WordTokenizer
+from repro.models.tokenizer import ByteTokenizer
 
 
 class TestByteTokenizer:
@@ -26,35 +23,3 @@ class TestByteTokenizer:
     def test_decode_skips_specials(self):
         tok = ByteTokenizer()
         assert tok.decode([ByteTokenizer.BOS, ord("h"), ord("i"), ByteTokenizer.EOS]) == "hi"
-
-
-class TestWordTokenizer:
-    def test_from_texts_and_roundtrip(self):
-        tok = WordTokenizer.from_texts(["the cache is the bottleneck", "the cache"], max_vocab=32)
-        ids = tok.encode("the cache is", add_bos=False)
-        assert tok.decode(ids) == "the cache is"
-
-    def test_unknown_maps_to_unk(self):
-        tok = WordTokenizer.from_texts(["alpha beta"], max_vocab=16)
-        ids = tok.encode("gamma", add_bos=False)
-        assert ids.tolist() == [WordTokenizer.UNK]
-
-    def test_vocab_cap(self):
-        words = " ".join(f"w{i}" for i in range(100))
-        tok = WordTokenizer.from_texts([words], max_vocab=20)
-        assert tok.vocab_size <= 20
-
-    def test_specials_roundtrip(self):
-        tok = WordTokenizer.from_texts(["a b c"], max_vocab=16)
-        ids = tok.encode("a b", add_bos=True, add_eos=True)
-        assert ids[0] == WordTokenizer.BOS and ids[-1] == WordTokenizer.EOS
-        assert tok.decode(ids) == "a b"
-
-    def test_token_id_lookup(self):
-        tok = WordTokenizer.from_texts(["x y"], max_vocab=16)
-        assert tok.id_to_token(tok.token_to_id("x")) == "x"
-        assert tok.token_to_id("missing") == WordTokenizer.UNK
-
-    def test_max_vocab_too_small(self):
-        with pytest.raises(Exception):
-            WordTokenizer.from_texts(["a"], max_vocab=2)

@@ -8,13 +8,10 @@ from repro.models import (
     GreedySampler,
     ModelConfig,
     TemperatureSampler,
-    TopKSampler,
-    TopPSampler,
     available_models,
     build_model,
     load_model,
     model_roster,
-    sample_token,
 )
 from repro.models.config import ModelConfig as Config
 from repro.models.weights import OutlierSpec
@@ -155,24 +152,11 @@ class TestGeneration:
 class TestSamplers:
     def test_greedy_argmax(self):
         logits = np.asarray([0.1, 5.0, -2.0])
-        assert sample_token(logits, GreedySampler()) == 1
-
-    def test_topk_restricts_support(self):
-        logits = np.asarray([10.0, 9.5, -50.0, -50.0])
-        rng_samples = {sample_token(logits, TopKSampler(2), seed=s) for s in range(20)}
-        assert rng_samples <= {0, 1}
-
-    def test_topp_extreme_p_is_greedy(self):
-        logits = np.asarray([3.0, 0.0, -1.0])
-        assert sample_token(logits, TopPSampler(p=1e-6)) == 0
+        assert GreedySampler()(logits, np.random.default_rng(0)) == 1
 
     def test_temperature_validation(self):
         with pytest.raises(Exception):
             TemperatureSampler(0.0)
-        with pytest.raises(Exception):
-            TopKSampler(0)
-        with pytest.raises(Exception):
-            TopPSampler(0.0)
 
 
 class TestModelZoo:

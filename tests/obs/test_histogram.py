@@ -9,7 +9,6 @@ from repro.obs.hist import (
     Histogram,
     LATENCY_BUCKETS_S,
     delta_snapshots,
-    merge_snapshots,
     snapshot_fraction_over,
     snapshot_quantile,
 )
@@ -97,23 +96,6 @@ class TestThreadSafety:
         assert h.sum == pytest.approx(4 * per_thread * 0.01)
 
 
-class TestMerge:
-    def test_merge_sums_replicas(self):
-        a, b = Histogram(buckets=(1.0, 2.0)), Histogram(buckets=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["counts"] == [1, 1]
-        assert merged["count"] == 3
-        assert merged["sum"] == pytest.approx(11.0)
-
-    def test_merge_rejects_mismatched_bounds(self):
-        a, b = Histogram(buckets=(1.0,)), Histogram(buckets=(2.0,))
-        with pytest.raises(ValidationError):
-            merge_snapshots([a.snapshot(), b.snapshot()])
-
-
 class TestSnapshotEdges:
     """Edge cases for the detached-snapshot helpers the health engine and
     dashboard lean on: empty windows, exact quantile bounds, deltas."""
@@ -181,7 +163,3 @@ class TestSnapshotEdges:
         fresh = Histogram(buckets=(1.0,)).snapshot()
         with pytest.raises(ValidationError):
             delta_snapshots(fresh, grown)
-
-    def test_merge_rejects_empty_sequence(self):
-        with pytest.raises(ValidationError):
-            merge_snapshots([])

@@ -3,8 +3,9 @@
 ``perfbench.layers.install`` looks every ``(owner, attr)`` pair up with
 ``getattr`` and replaces it with a timing wrapper.  A renamed or deleted
 entry point breaks only traced runs, which the suite does not start, so
-this test records the pairs ``install`` asks for and checks that each
-still resolves to a callable.
+this test records the pairs ``install`` asks for, checks that each still
+resolves to a callable, and then runs the real ``install`` and
+``Tracer.restore`` over them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ def test_every_wrapped_entry_point_resolves(monkeypatch):
     def record(self, owner, attr, name, request_id=None, after=None):
         wrapped.append((owner, attr, name))
 
-    monkeypatch.setattr(Tracer, "wrap", record)
-    layers.install(Tracer())
+    with monkeypatch.context() as patch:
+        patch.setattr(Tracer, "wrap", record)
+        layers.install(Tracer())
     assert wrapped
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr} ({name})"
@@ -39,6 +41,16 @@ def test_every_wrapped_entry_point_resolves(monkeypatch):
     assert {name.split(".", 1)[0] for _, _, name in wrapped} >= {
         "engine", "scheduler", "memory", "model", "pq", "calib"
     }
+    # The real install wraps each one, and restore puts the original back.
+    originals = [getattr(owner, attr) for owner, attr, _ in wrapped]
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        for (owner, attr, _), original in zip(wrapped, originals):
+            assert getattr(owner, attr).__wrapped__ is original, attr
+    finally:
+        tracer.restore()
+    assert [getattr(owner, attr) for owner, attr, _ in wrapped] == originals
 
 
 def test_traced_code_size_accessors_match_the_code_rows(tiny_model, million_factory):

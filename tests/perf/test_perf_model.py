@@ -27,7 +27,6 @@ from repro.perf import (
     memory_footprint,
     op_time,
     schedule_step,
-    build_timeline,
     weights_bytes,
 )
 from repro.perf.roofline import OpTiming
@@ -107,17 +106,6 @@ class TestStreams:
         ]
         step = schedule_step(timings, async_enabled=True, overlap_fraction=0.5)
         assert step.exposed_quant_time_s == pytest.approx(5e-3 - 0.5e-3)
-
-    def test_timeline_events(self):
-        timings = [
-            OpTiming("a", 1e-3, 0, 0, 0, stream="main"),
-            OpTiming("b", 2e-3, 0, 0, 0, stream="main"),
-            OpTiming("q", 1e-3, 0, 0, 0, stream="quant"),
-        ]
-        events = build_timeline(timings, async_enabled=True)
-        main_events = [e for e in events if e.stream == "main"]
-        assert main_events[0].end_s == pytest.approx(main_events[1].start_s)
-        assert any(e.stream == "quant" for e in events)
 
 
 class TestMemoryModel:

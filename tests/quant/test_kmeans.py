@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codebook import train_codebooks
-from repro.quant.kmeans import assign_to_centroids, kmeans
-from support.reference import reference_kmeans
+from repro.quant.kmeans import kmeans
+from support.reference import assign_to_centroids, reference_kmeans
 
 
 def _blob_data(seed=0, n_per=50, centers=((0, 0), (10, 10), (-10, 5))):

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.quant.integer import quantization_mse, quantize_uniform
+from repro.quant.integer import quantize_uniform
 from repro.quant.nuq import NonUniformQuantizer1D
-from repro.quant.outliers import (
-    SparseOutliers,
-    outlier_channel_indices,
-    outlier_threshold,
-    split_outliers,
-)
+from repro.quant.outliers import SparseOutliers, outlier_threshold, split_outliers
+from support.reference import quantization_mse
 
 
 class TestNonUniformQuantizer:
@@ -121,15 +117,3 @@ class TestSplitOutliers:
         x[0, 0] = 5.0
         _, sparse = split_outliers(x, 0.01)
         assert sparse.memory_bytes() == sparse.count * 6.0
-
-
-class TestOutlierChannels:
-    def test_detects_boosted_channel(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(500, 16))
-        x[:, 11] *= 20.0
-        channels = outlier_channel_indices(x, fraction=0.1, axis=1)
-        assert 11 in channels.tolist()
-
-    def test_zero_fraction(self):
-        assert outlier_channel_indices(np.ones((5, 5)), 0.0).size == 0

@@ -247,9 +247,7 @@ class TestPolicyCacheFactory:
         policied = tiny_model.generate(prompt, max_new_tokens=12)
         assert list(baseline) == list(policied)
 
-    def test_mixed_policy_generates(self, tiny_model, tiny_config, kv_samples):
-        from repro.core.calibration import build_policy_factory
-
+    def test_mixed_policy_generates(self, tiny_model, tiny_config):
         rows = [
             [
                 HeadAssignment(*(("fp16", 16) if head == 0 else ("kivi", 4)))
@@ -263,7 +261,7 @@ class TestPolicyCacheFactory:
             tiny_config.head_dim,
             rows,
         )
-        factory = build_policy_factory(kv_samples, policy, tiny_config)
+        factory = PolicyCacheFactory(policy, tiny_config)
         cache = factory.create(0, tiny_config)
         assert isinstance(cache, HeadGroupKVCache)
         prompt = np.arange(1, 17, dtype=np.int64) % tiny_config.vocab_size

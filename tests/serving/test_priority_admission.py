@@ -25,7 +25,7 @@ from repro.serving import (
     SloCapacityError,
     SloPolicy,
 )
-from repro.serving.request import PRIORITIES, priority_rank
+from repro.serving.request import PRIORITIES
 from support.reference import pooled
 
 
@@ -109,7 +109,7 @@ class TestPriorityAdmission:
                 break
             queued = scheduler.queued_count_by_class()
             for label in PRIORITIES:
-                if priority_rank(label) < priority_rank(state.priority):
+                if PRIORITIES.index(label) < PRIORITIES.index(state.priority):
                     assert queued[label] == 0, (
                         f"admitted {state.priority} past queued {label}"
                     )
@@ -177,7 +177,7 @@ class TestPreemptionOrdering:
         scheduler.admit()
         first = next(scheduler.preemption_victims())
         lowest = max(
-            (s.priority for s in scheduler.running), key=priority_rank
+            (s.priority for s in scheduler.running), key=PRIORITIES.index
         )
         in_lowest = [s for s in scheduler.running if s.priority == lowest]
         assert first is in_lowest[-1]  # running is admission-ordered

@@ -22,6 +22,9 @@ form the serving engine accepts; :func:`solo` takes a tier's policy too.
 sequential per-problem k-means (one problem, one distance evaluation per
 k-means++ step) that :func:`repro.quant.kmeans.kmeans_batch` stacks over
 problems.  Codebooks must match them bit for bit.
+:func:`assign_to_centroids` is the nearest-centroid assignment the k-means
+results are checked against, and :func:`quantization_mse` the reconstruction
+error the quantizer suites compare.
 
 :func:`reference_encode` is ``ProductQuantizer.encode`` in one untiled
 pass, :func:`reference_softmax` is ``softmax`` with a temporary per step,
@@ -270,6 +273,24 @@ def reference_kmeans(data, n_clusters, n_iters=25, seed=None, init="kmeans++", t
         inertia=inertia,
         n_iter=n_iter,
     )
+
+
+def assign_to_centroids(data, centroids):
+    """Index of the nearest centroid for each row of ``data``."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim == 1:
+        data = data[:, None]
+    distances = _pairwise_sq_distances(data, np.asarray(centroids, dtype=np.float64))
+    return np.argmin(distances, axis=1).astype(np.int64)
+
+
+def quantization_mse(x, x_hat):
+    """Mean squared reconstruction error."""
+    x = np.asarray(x, dtype=np.float64)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x.shape != x_hat.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    return float(np.mean((x - x_hat) ** 2))
 
 
 def reference_train_codebooks(

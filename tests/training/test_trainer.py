@@ -7,7 +7,6 @@ from repro.models.config import ModelConfig
 from repro.models.kv_cache import FullPrecisionCacheFactory
 from repro.training import (
     Adam,
-    SGD,
     TrainableTransformerLM,
     clip_grad_norm,
     cosine_lr,
@@ -105,15 +104,6 @@ class TestOptimizers:
         params = self._quadratic_params()
         optimizer = Adam(params, lr=0.3)
         for _ in range(100):
-            optimizer.zero_grad()
-            self._set_grad_to_gradient_of_half_square(params)
-            optimizer.step()
-        assert np.abs(params["x"].data).max() < 0.1
-
-    def test_sgd_with_momentum_converges(self):
-        params = self._quadratic_params()
-        optimizer = SGD(params, lr=0.1, momentum=0.5)
-        for _ in range(200):
             optimizer.zero_grad()
             self._set_grad_to_gradient_of_half_square(params)
             optimizer.step()

@@ -1,17 +1,9 @@
-"""Unit and property tests for bit packing."""
+"""Unit and property tests for code widths and packed sizes."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.utils.bitpack import (
-    bits_required,
-    code_dtype,
-    pack_codes,
-    packed_nbytes,
-    unpack_codes,
-)
+from repro.utils.bitpack import bits_required, code_dtype, packed_nbytes
 
 
 class TestBitsRequired:
@@ -47,57 +39,6 @@ class TestCodeDtype:
             code_dtype(0)
         with pytest.raises(Exception):
             code_dtype(64)
-
-
-class TestPackUnpack:
-    def test_roundtrip_8bit(self):
-        codes = np.arange(256, dtype=np.uint16)
-        packed = pack_codes(codes, 8)
-        assert len(packed) == 256
-        np.testing.assert_array_equal(unpack_codes(packed, 8, 256), codes)
-
-    def test_roundtrip_12bit(self):
-        rng = np.random.default_rng(0)
-        codes = rng.integers(0, 4096, size=1000)
-        packed = pack_codes(codes, 12)
-        assert len(packed) == packed_nbytes(1000, 12) == (1000 * 12 + 7) // 8
-        np.testing.assert_array_equal(unpack_codes(packed, 12, 1000), codes)
-
-    def test_roundtrip_odd_bits(self):
-        rng = np.random.default_rng(1)
-        codes = rng.integers(0, 2**5, size=77)
-        packed = pack_codes(codes, 5)
-        np.testing.assert_array_equal(unpack_codes(packed, 5, 77), codes)
-
-    def test_2d_input_flattens(self):
-        codes = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        packed = pack_codes(codes, 4)
-        np.testing.assert_array_equal(unpack_codes(packed, 4, 12), codes.reshape(-1))
-
-    def test_empty(self):
-        packed = pack_codes(np.zeros(0, dtype=np.uint8), 7)
-        assert unpack_codes(packed, 7, 0).size == 0
-
-    def test_value_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            pack_codes(np.asarray([16]), 4)
-
-    def test_buffer_too_short_rejected(self):
-        with pytest.raises(Exception):
-            unpack_codes(b"\x00", 8, 10)
-
-    @given(
-        nbits=st.integers(min_value=1, max_value=16),
-        n=st.integers(min_value=0, max_value=300),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, nbits, n, seed):
-        rng = np.random.default_rng(seed)
-        codes = rng.integers(0, 2**nbits, size=n)
-        packed = pack_codes(codes, nbits)
-        assert len(packed) == packed_nbytes(n, nbits)
-        np.testing.assert_array_equal(unpack_codes(packed, nbits, n), codes)
 
 
 class TestPackedNbytes:

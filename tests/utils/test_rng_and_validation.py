@@ -12,8 +12,6 @@ from repro.utils.validation import (
     require,
     require_divisible,
     require_in,
-    require_non_negative,
-    require_positive,
 )
 
 
@@ -74,16 +72,6 @@ class TestValidation:
     def test_require_raises(self):
         with pytest.raises(ValidationError, match="broken"):
             require(False, "broken")
-
-    def test_require_positive(self):
-        require_positive(1, "x")
-        with pytest.raises(ValidationError):
-            require_positive(0, "x")
-
-    def test_require_non_negative(self):
-        require_non_negative(0, "x")
-        with pytest.raises(ValidationError):
-            require_non_negative(-1, "x")
 
     def test_require_divisible(self):
         require_divisible(64, 8, "ok")
