@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models.attention_math import attention_scores, repeat_kv_heads
+from repro.models.attention_math import attention_scores, gqa_context
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import FP16_BYTES, KVCacheLayer
 from repro.models.tensor_ops import softmax
@@ -113,9 +113,7 @@ class HeavyHitterKVCache(KVCacheLayer):
         # Accumulate attention mass per retained token (summed over heads and
         # queries), the statistic H2O uses to rank heavy hitters.
         self._accumulated_scores += probs.sum(axis=(0, 1)).astype(np.float64)
-        values = repeat_kv_heads(self._values, queries.shape[1])
-        context = np.einsum("hqk,khd->qhd", probs, values)
-        return context.astype(np.float32)
+        return gqa_context(probs, self._values)
 
     def memory_bytes(self) -> float:
         per_token = 2 * self.config.kv_heads * self.config.head_dim * FP16_BYTES

@@ -1,10 +1,13 @@
 """The MILLION KV cache: PQ-encoded past plus a full-precision recent window.
 
-The PQ codes are the only persistent copy of the quantized past.  Every
-attention call, whatever its query count, reconstructs the stored keys and
-values transiently and contracts them with two batched GEMMs, the way KIVI
-and KVQuant attend over dequantized K/V (the paper's LUT kernel is modelled
-in :mod:`repro.perf`).  A reconstruction starts from the cache's
+The PQ codes are the only persistent copy of the quantized past.  The cache
+attends through the streaming cache's one routine
+(:meth:`~repro.models.kv_cache.StreamingQuantizedKVCache.attend`), like the
+fp16, KIVI and KVQuant caches: its ``_stored_keys``/``_stored_values`` hooks
+reconstruct the stored keys and values transiently, whatever the query
+count, and the routine contracts them with the grouped GEMMs of
+:mod:`repro.models.attention_math` (the paper's LUT kernel is modelled in
+:mod:`repro.perf`).  A reconstruction starts from the cache's
 :class:`ReconstructedRun`: rows another cache holding the same codes
 already reconstructed, as the serving layer arranges for sequences that
 adopted one shared prefix (Hydragen's shared-prefix observation).  It
@@ -31,8 +34,7 @@ from repro.core.pq import ProductQuantizer
 from repro.core.storage import CodeStore
 from repro.utils.bitpack import code_dtype
 from repro.models.config import ModelConfig
-from repro.models.kv_cache import KVCacheLayer
-from repro.quant.cache_adapters import StreamingQuantizedKVCache
+from repro.models.kv_cache import KVCacheLayer, StreamingQuantizedKVCache
 from repro.quant.outliers import split_outliers
 from repro.utils.validation import require
 
@@ -247,32 +249,6 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
     def _stored_value_codes(self) -> np.ndarray:
         return self._value_codes.view()
 
-    # Attention hooks -----------------------------------------------------------
-    #
-    # The stored rows are reconstructed transiently (never kept) and
-    # contracted with one batched GEMM per side; query heads sharing a KV
-    # head are stacked as rows, ``(kv, group * n_q, d) @ (kv, d, T)``, so GQA
-    # needs no repeated copies of the reconstruction.
-
-    def _quantized_scores(self, queries: np.ndarray, scale: float) -> np.ndarray:
-        n_queries, n_heads, head_dim = queries.shape
-        keys = self._reconstruct_keys()
-        kv_heads = keys.shape[1]
-        grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
-        scores = np.matmul(grouped, keys.transpose(1, 2, 0))
-        scores = scores.reshape(n_heads, n_queries, keys.shape[0])
-        scores *= np.float32(scale)
-        return scores
-
-    def _quantized_weighted_values(self, probs: np.ndarray) -> np.ndarray:
-        n_heads, n_queries, n_keys = probs.shape
-        values = self._reconstruct_values()
-        kv_heads = values.shape[1]
-        grouped = probs.reshape(kv_heads, -1, n_keys)
-        context = np.matmul(grouped, values.transpose(1, 0, 2))
-        context = context.reshape(n_heads, n_queries, -1)
-        return np.ascontiguousarray(context.transpose(1, 0, 2))
-
     # Memory accounting -----------------------------------------------------------
 
     def quantized_memory_bytes(self) -> float:
@@ -293,15 +269,18 @@ class MillionKVCacheLayer(StreamingQuantizedKVCache):
         are views of the run's buffers, which the next holder's
         reconstruction overwrites past the run.
         """
-        return self._reconstruct_keys(), self._reconstruct_values()
+        return self._stored_keys(), self._stored_values()
 
-    def _reconstruct_keys(self) -> np.ndarray:
+    # Attention hooks: the stored rows, reconstructed transiently (never
+    # kept) for the streaming cache's grouped GEMMs.
+
+    def _stored_keys(self) -> np.ndarray:
         return self._reconstruct(
             self._key_codes, self._key_rows, self.key_pq, self._key_corrections,
             self.shared_run.keys,
         )
 
-    def _reconstruct_values(self) -> np.ndarray:
+    def _stored_values(self) -> np.ndarray:
         return self._reconstruct(
             self._value_codes, self._value_rows, self.value_pq, self._value_corrections,
             self.shared_run.values,

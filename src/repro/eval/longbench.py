@@ -38,10 +38,6 @@ class TaskInstance:
     answer_tokens: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def prompt_length(self) -> int:
-        return int(self.prompt_tokens.size)
-
 
 class TaskGenerator(ABC):
     """Base class for synthetic long-context task generators."""

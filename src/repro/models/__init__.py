@@ -5,7 +5,8 @@ from repro.models.attention_math import (
     attention_scores,
     causal_score_mask,
     dense_attention,
-    repeat_kv_heads,
+    gqa_context,
+    gqa_scores,
 )
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import (
@@ -56,7 +57,8 @@ __all__ = [
     "attention_scores",
     "causal_score_mask",
     "dense_attention",
-    "repeat_kv_heads",
+    "gqa_context",
+    "gqa_scores",
     "ModelConfig",
     "FullPrecisionCacheFactory",
     "FullPrecisionKVCacheLayer",

@@ -1,9 +1,13 @@
-"""Dense attention helpers shared by every KV-cache implementation.
+"""The one GQA contraction every KV cache attends through.
 
-All full-precision and dequantizing caches funnel through
-:func:`dense_attention`; the MILLION cache reuses the masking/bias helpers
-and scores its stored tokens with a GEMM over keys it reconstructs
-transiently from the PQ codes (see :mod:`repro.core.million_cache`).
+:func:`gqa_scores` and :func:`gqa_context` run one batched GEMM per side:
+the query heads that share a KV head are stacked as rows,
+``(kv, group * n_q, d) @ (kv, d, T)``, so grouped-query attention needs no
+repeated copies of the keys or values.  The streaming cache
+(:class:`repro.models.kv_cache.StreamingQuantizedKVCache`) contracts both its
+stored rows and its pending full-precision rows with them;
+:func:`attention_scores` and :func:`dense_attention` add the masking and
+ALiBi bias for the sparse baselines.
 """
 
 from __future__ import annotations
@@ -16,18 +20,30 @@ from repro.models.positional import alibi_bias
 from repro.models.tensor_ops import NEG_INF, softmax
 
 
-def repeat_kv_heads(kv: np.ndarray, n_query_heads: int) -> np.ndarray:
-    """Expand ``(tokens, kv_heads, d)`` to ``(tokens, n_query_heads, d)`` for GQA."""
-    kv = np.asarray(kv)
-    tokens, kv_heads, d = kv.shape
-    if n_query_heads == kv_heads:
-        return kv
-    if n_query_heads % kv_heads != 0:
-        raise ValueError(
-            f"n_query_heads {n_query_heads} must be a multiple of kv_heads {kv_heads}"
-        )
-    group = n_query_heads // kv_heads
-    return np.repeat(kv, group, axis=1)
+def gqa_scores(queries: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
+    """Scaled logits ``(n_heads, n_queries, n_keys)`` of ``queries`` against ``keys``.
+
+    ``queries`` is ``(n_queries, n_heads, d)`` and ``keys`` ``(n_keys,
+    kv_heads, d)``; query head ``h`` reads KV head ``h // group``.
+    """
+    n_queries, n_heads, head_dim = queries.shape
+    kv_heads = keys.shape[1]
+    grouped = queries.transpose(1, 0, 2).reshape(kv_heads, -1, head_dim)
+    scores = np.matmul(grouped, keys.transpose(1, 2, 0))
+    scores = scores.reshape(n_heads, n_queries, keys.shape[0])
+    scores *= np.float32(scale)
+    return scores
+
+
+def gqa_context(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Probability-weighted ``values``: ``(n_heads, n_queries, n_keys)`` probabilities
+    against ``(n_keys, kv_heads, d)`` rows give ``(n_queries, n_heads, d)``."""
+    n_heads, n_queries, n_keys = probs.shape
+    kv_heads = values.shape[1]
+    grouped = probs.reshape(kv_heads, -1, n_keys)
+    context = np.matmul(grouped, values.transpose(1, 0, 2))
+    context = context.reshape(n_heads, n_queries, -1)
+    return np.ascontiguousarray(context.transpose(1, 0, 2))
 
 
 def causal_score_mask(
@@ -55,15 +71,14 @@ def attention_scores(
     queries:
         ``(n_queries, n_heads, head_dim)``.
     keys:
-        ``(n_keys, kv_heads, head_dim)``; expanded to the query head count.
+        ``(n_keys, kv_heads, head_dim)``; grouped to the query head count.
     Returns
     -------
     ``(n_heads, n_queries, n_keys)`` float32 logits with the causal mask and
     optional ALiBi bias already applied.
     """
     queries = np.asarray(queries, dtype=np.float32)
-    keys = repeat_kv_heads(np.asarray(keys, dtype=np.float32), queries.shape[1])
-    scores = np.einsum("qhd,khd->hqk", queries, keys) * scale
+    scores = gqa_scores(queries, np.asarray(keys, dtype=np.float32), scale)
     if alibi_head_slopes is not None:
         scores = scores + alibi_bias(alibi_head_slopes, query_positions, key_positions)
     if causal:
@@ -92,6 +107,4 @@ def dense_attention(
         causal=causal,
     )
     probs = softmax(scores, axis=-1)
-    values = repeat_kv_heads(np.asarray(values, dtype=np.float32), queries.shape[1])
-    context = np.einsum("hqk,khd->qhd", probs, values)
-    return context.astype(np.float32)
+    return gqa_context(probs, np.asarray(values, dtype=np.float32))

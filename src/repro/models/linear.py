@@ -69,10 +69,6 @@ class Embedding:
     def num_embeddings(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.weight.shape[1]
-
     def __call__(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):

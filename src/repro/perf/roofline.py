@@ -21,10 +21,6 @@ class OpTiming:
     launch_time_s: float
     stream: str = "main"
 
-    @property
-    def time_ms(self) -> float:
-        return self.time_s * 1e3
-
 
 def op_time(cost: OpCost, device: DeviceSpec) -> OpTiming:
     """Roofline execution time of one operator.

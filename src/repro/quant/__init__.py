@@ -1,12 +1,11 @@
 """Quantization substrates and baseline KV-cache schemes (KIVI/KVQuant-like)."""
 
+from repro.models.kv_cache import DequantizingKVCache, StreamingQuantizedKVCache
 from repro.quant.cache_adapters import (
-    DequantizingKVCache,
     KiviCacheFactory,
     KiviKVCache,
     KVQuantCacheFactory,
     KVQuantKVCache,
-    StreamingQuantizedKVCache,
 )
 from repro.quant.integer import (
     UniformQuantized,

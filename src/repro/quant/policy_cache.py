@@ -5,7 +5,10 @@ bit-widths coexist in one layer: attention is independent per head, so a
 layer's cache can be composed of sub-caches over disjoint KV-head groups —
 each group slices its own keys/values on append and its own (GQA-mapped)
 query heads on attend, and the per-head contexts are reassembled exactly.
-The composition is mathematically exact, not an approximation.
+The composition is mathematically exact, not an approximation.  Every
+policy scheme's cache, fp16 included, is a
+:class:`~repro.models.kv_cache.StreamingQuantizedKVCache` attending through
+its one routine, so a composite flushes and attends its sub-caches alike.
 
 :class:`PolicyCacheFactory` builds per-layer caches from a
 :class:`~repro.quant.policy.QuantPolicy`.  The crucial property is the
@@ -155,11 +158,9 @@ class HeadGroupKVCache(KVCacheLayer):
         return context
 
     def flush_all(self) -> None:
-        """Force-quantize pending tokens in every streaming sub-cache."""
+        """Force-quantize pending tokens in every sub-cache."""
         for _, _, cache in self._groups:
-            flush = getattr(cache, "flush_all", None)
-            if flush is not None:
-                flush()
+            cache.flush_all()
 
     def memory_bytes(self) -> float:
         return float(sum(cache.memory_bytes() for _, _, cache in self._groups))

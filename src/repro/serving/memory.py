@@ -828,10 +828,6 @@ class PooledMillionKVCacheLayer(MillionKVCacheLayer):
         self._new_blocks = []
         return drained
 
-    def flushable_blocks(self) -> int:
-        """Pool blocks the next decode step's flush will allocate."""
-        return self.flushable_rows() // self.pool.block_tokens
-
     @property
     def block_table(self) -> list[int]:
         """Pool block ids backing this cache's stored tokens, in order."""
@@ -920,7 +916,7 @@ def shared_prefix_runs(
     builds the runs.  ``caches`` are the layer's caches in append order,
     before their appends, one entry per append (a cache may be listed
     several times); ``appends`` holds each entry's ``(rows, seal)``
-    (:meth:`~repro.quant.cache_adapters.StreamingQuantizedKVCache.attended_rows`).
+    (:meth:`~repro.models.kv_cache.StreamingQuantizedKVCache.attended_rows`).
     Head-group composites contribute their pooled sub-caches.  Pooled
     caches over one pool unit and one pair of quantizers are compared by
     block table: equal leading block ids are the same blocks, adopted from

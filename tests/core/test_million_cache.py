@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from support.reference import reference_adc_attend, reference_pq_decode
+from support.reference import reference_adc_attend, reference_pq_decode, repeat_kv_heads
 
 from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
 from repro.core.codebook import SubspaceCodebooks
 from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionCacheFactory, MillionKVCacheLayer
 from repro.core.pq import ProductQuantizer
-from repro.models.attention_math import dense_attention, repeat_kv_heads
+from repro.models.attention_math import dense_attention
 from repro.models.config import ModelConfig
 from repro.models.positional import RotaryEmbedding, alibi_slopes
 from repro.models.tensor_ops import softmax

@@ -18,7 +18,7 @@ from repro.core.config import MillionConfig
 from repro.core.million_cache import MillionKVCacheLayer
 from repro.core.pq import ProductQuantizer
 from repro.core.storage import BlockArena, CodeStore, PendingBuffer
-from repro.models.attention_math import attention_scores, repeat_kv_heads
+from repro.models.attention_math import causal_score_mask, gqa_context, gqa_scores
 from repro.models.config import ModelConfig
 from repro.models.tensor_ops import softmax
 from repro.quant.cache_adapters import KiviKVCache
@@ -293,18 +293,13 @@ class _OldStyleMillionReference:
             else np.zeros((0, self.config.kv_heads, head_dim), np.float32)
         )
         if pending_keys.shape[0]:
+            # Pending tokens: the same grouped GEMMs, causally masked.
+            pending_positions = np.arange(
+                self.stored_tokens, self.stored_tokens + pending_keys.shape[0]
+            )
             score_blocks.append(
-                attention_scores(
-                    queries,
-                    pending_keys,
-                    query_positions,
-                    np.arange(
-                        self.stored_tokens,
-                        self.stored_tokens + pending_keys.shape[0],
-                    ),
-                    scale,
-                    causal=True,
-                )
+                gqa_scores(queries, pending_keys, scale)
+                + causal_score_mask(query_positions, pending_positions)[None, :, :]
             )
         scores = np.concatenate(score_blocks, axis=-1)
         probs = softmax(scores, axis=-1)
@@ -319,10 +314,7 @@ class _OldStyleMillionReference:
                 1, 0, 2
             )
         if pending_keys.shape[0]:
-            expanded = repeat_kv_heads(pending_values, n_heads)
-            context += np.einsum(
-                "hqk,khd->qhd", probs[..., self.stored_tokens :], expanded
-            ).astype(np.float32)
+            context += gqa_context(probs[..., self.stored_tokens :], pending_values)
         return context
 
 
@@ -392,5 +384,4 @@ class TestRefactorBitIdentity:
             ],
             axis=0,
         ).reshape(-1, 2, 16)
-        materialized_keys, _ = cache._materialize_quantized()
-        np.testing.assert_array_equal(materialized_keys, expected)
+        np.testing.assert_array_equal(cache._stored_keys(), expected)

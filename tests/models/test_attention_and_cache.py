@@ -2,36 +2,19 @@
 
 import numpy as np
 import pytest
+from support.reference import repeat_kv_heads
 
 from repro.models.attention import AttentionBlock
 from repro.models.attention_math import (
     attention_scores,
     causal_score_mask,
     dense_attention,
-    repeat_kv_heads,
 )
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import FullPrecisionCacheFactory, FullPrecisionKVCacheLayer
 from repro.models.linear import Linear
 from repro.models.positional import RotaryEmbedding
 from repro.models.tensor_ops import softmax
-
-
-class TestRepeatKVHeads:
-    def test_noop_when_equal(self):
-        kv = np.random.default_rng(0).normal(size=(5, 4, 8))
-        assert repeat_kv_heads(kv, 4) is kv
-
-    def test_expansion(self):
-        kv = np.arange(2 * 2 * 3).reshape(2, 2, 3)
-        out = repeat_kv_heads(kv, 4)
-        assert out.shape == (2, 4, 3)
-        np.testing.assert_array_equal(out[:, 0], out[:, 1])
-        np.testing.assert_array_equal(out[:, 2], out[:, 3])
-
-    def test_invalid_multiple(self):
-        with pytest.raises(ValueError):
-            repeat_kv_heads(np.zeros((1, 3, 2)), 4)
 
 
 class TestCausalMask:
@@ -83,11 +66,12 @@ class TestDenseAttention:
         out = dense_attention(q, k, v, np.asarray([0]), np.arange(3), 1.0)
         np.testing.assert_allclose(out[0, 0], v[0, 0], atol=1e-6)
 
-    def test_gqa_matches_expanded(self):
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_gqa_matches_expanded(self, group):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(3, 4, 8)).astype(np.float32)
-        k = rng.normal(size=(6, 2, 8)).astype(np.float32)
-        v = rng.normal(size=(6, 2, 8)).astype(np.float32)
+        k = rng.normal(size=(6, 4 // group, 8)).astype(np.float32)
+        v = rng.normal(size=(6, 4 // group, 8)).astype(np.float32)
         q_pos, k_pos = np.arange(3, 6), np.arange(6)
         grouped = dense_attention(q, k, v, q_pos, k_pos, 0.3)
         expanded = dense_attention(q, repeat_kv_heads(k, 4), repeat_kv_heads(v, 4), q_pos, k_pos, 0.3)

@@ -206,7 +206,7 @@ class TestContextSaveRestore:
         tiny_model.reset_cache(factory)
         tiny_model.prefill(test_tokens[:10])
         caches_before = tiny_model.caches
-        with tiny_model.temporary_context(FullPrecisionCacheFactory(bytes_per_value=4.0)):
+        with tiny_model.temporary_context(FullPrecisionCacheFactory()):
             assert tiny_model.context_length == 0
             tiny_model.prefill(test_tokens[:20])
             assert tiny_model.context_length == 20

@@ -33,7 +33,9 @@ pass, :func:`reference_softmax` is ``softmax`` with a temporary per step,
 kernel bit for bit.  :func:`reference_adc_attend` is a MILLION cache's ``attend``
 computed from the codes through the ADC kernels and the softmax merge;
 ``attend``, which runs GEMMs over reconstructed rows, must match it up to
-float rounding.
+float rounding.  Its full-precision part contracts :func:`repeat_kv_heads`
+copies of the pending rows with einsum, independently of the grouped GEMMs
+every cache attends through.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from repro.core.attention_pq import pq_attention_scores, pq_weighted_values
 from repro.core.codebook import SubspaceCodebooks
-from repro.models.attention_math import attention_scores, repeat_kv_heads
+from repro.models.attention_math import causal_score_mask
 from repro.models.positional import alibi_bias
 from repro.models.sampling import GreedySampler
 from repro.models.tensor_ops import softmax
@@ -352,6 +354,19 @@ def reference_pq_decode(quantizer, codes):
     return out
 
 
+def repeat_kv_heads(kv, n_query_heads):
+    """Expand ``(tokens, kv_heads, d)`` to ``(tokens, n_query_heads, d)`` for GQA."""
+    kv = np.asarray(kv)
+    tokens, kv_heads, d = kv.shape
+    if n_query_heads == kv_heads:
+        return kv
+    if n_query_heads % kv_heads != 0:
+        raise ValueError(
+            f"n_query_heads {n_query_heads} must be a multiple of kv_heads {kv_heads}"
+        )
+    return np.repeat(kv, n_query_heads // kv_heads, axis=1)
+
+
 def _dense_deltas(corrections, shape):
     """The sparse outlier corrections of a MILLION cache as a dense array."""
     tokens, heads, channels, deltas = corrections.materialize()
@@ -381,14 +396,15 @@ def reference_adc_attend(cache, queries, query_positions, scale, alibi_head_slop
         stored_scores = stored_scores + alibi_bias(
             alibi_head_slopes, query_positions, np.arange(stored)
         )
-    pending_scores = attention_scores(
-        queries,
-        pending_keys,
-        query_positions,
-        np.arange(stored, stored + pending_keys.shape[0]),
-        scale,
-        alibi_head_slopes=alibi_head_slopes,
-    )
+    pending_positions = np.arange(stored, stored + pending_keys.shape[0])
+    pending_scores = np.einsum(
+        "qhd,khd->hqk", queries, repeat_kv_heads(pending_keys, n_heads)
+    ) * scale
+    if alibi_head_slopes is not None:
+        pending_scores = pending_scores + alibi_bias(
+            alibi_head_slopes, query_positions, pending_positions
+        )
+    pending_scores = pending_scores + causal_score_mask(query_positions, pending_positions)
     probs = softmax(np.concatenate([stored_scores, pending_scores], axis=-1), axis=-1)
     stored_probs, pending_probs = probs[..., :stored], probs[..., stored:]
     context = pq_weighted_values(stored_probs, value_codes, cache.value_pq)

@@ -13,6 +13,12 @@ nothing changes); references inside the definition itself never count.
 A name found only by the tests is dead code with tests around it: delete it
 with its tests, move it to ``tests/support`` if tests use it as an oracle, or
 list it in ``ALLOWED`` with the reason it stays.
+
+Methods get a coarser check by name alone: a public method or property of a
+top-level class in ``src/repro`` must be mentioned somewhere outside its own
+body, tests included, as an attribute access, a name or a string literal
+(``getattr`` and ``perfbench``'s wraps look methods up by string).  A method
+no code mentions at all is dead: delete it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src/repro", "perfbench", "examples", "scripts", "benchmarks")
+MENTION_DIRS = ("src", "tests", "perfbench", "benchmarks", "examples", "scripts")
 
 # Public names that stay although no code outside the tests calls them.
 ALLOWED = {
@@ -126,3 +133,55 @@ def test_allowlist_names_exist_and_are_still_unreached():
     defined = set(_public_definitions())
     assert not set(ALLOWED) - defined, "allowlisted names that no longer exist"
     assert not set(ALLOWED) - dead, "allowlisted names that now have a caller"
+
+
+def _public_methods() -> dict[str, tuple[str, ast.AST, Path]]:
+    """``module.Class.method`` -> (method name, definition node, file)."""
+    found = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not node.name.startswith("_"):
+                        qualified = f"{_module_name(path)}.{cls.name}.{node.name}"
+                        found[qualified] = (node.name, node, path)
+    return found
+
+
+def _mentions() -> dict[str, list[tuple[Path, int]]]:
+    """Name -> every (file, line) naming it: attribute, name or string literal."""
+    mentions: dict[str, list[tuple[Path, int]]] = {}
+    for directory in MENTION_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                mentions.setdefault(name, []).append((path, node.lineno))
+    return mentions
+
+
+def unmentioned_methods() -> list[str]:
+    mentions = _mentions()
+    dead = []
+    for qualified, (name, node, path) in _public_methods().items():
+        own = range(node.lineno, node.end_lineno + 1)
+        if all(p == path and line in own for p, line in mentions.get(name, ())):
+            dead.append(qualified)
+    return sorted(dead)
+
+
+def test_every_public_method_is_mentioned():
+    dead = unmentioned_methods()
+    assert not dead, (
+        "public methods whose name nothing mentions outside their own body "
+        "(delete them):\n  " + "\n  ".join(dead)
+    )
