@@ -103,16 +103,29 @@ class CodeStore:
         self._size += t
 
     def pop_front(self, n_rows: int) -> np.ndarray:
-        """Remove and return the oldest ``n_rows`` rows as an owned copy.
+        """Remove and return the oldest ``n_rows`` rows, which the store no
+        longer writes to.
 
         The remaining rows are shifted to the front, so the cost is
         ``O(size)`` — constant when the store is used as a bounded staging
-        buffer, as :class:`PendingBuffer` does.
+        buffer, as :class:`PendingBuffer` does.  Popping every row of a store
+        grown past its initial capacity shrinks it back to that capacity.
         """
         require(
             0 <= n_rows <= self._size,
             f"cannot pop {n_rows} rows from a store of {self._size}",
         )
+        if n_rows == self._size and self.capacity > self._initial_capacity:
+            # Emptied after a large block (a whole prompt, say): hand the rows
+            # over without a copy and shrink back to the initial capacity
+            # rather than hold the block's size for the far smaller appends
+            # that usually follow.
+            popped = self._buffer[:n_rows]
+            self._buffer = np.empty(
+                (self._initial_capacity, *self._row_shape), dtype=self._dtype
+            )
+            self._size = 0
+            return popped
         popped = self._buffer[:n_rows].copy()
         remaining = self._size - n_rows
         if n_rows and remaining:

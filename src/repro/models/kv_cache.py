@@ -292,7 +292,10 @@ class StreamingQuantizedKVCache(KVCacheLayer):
             score_blocks.append(pending_scores)
         if not score_blocks:
             raise RuntimeError("attend called on an empty cache")
-        scores = np.concatenate(score_blocks, axis=-1)
+        # A prefill sees only pending rows: skip copying its one score block.
+        scores = (
+            score_blocks[0] if len(score_blocks) == 1 else np.concatenate(score_blocks, axis=-1)
+        )
         probs = softmax(scores, axis=-1)
         context = np.zeros((n_queries, n_heads, head_dim), dtype=np.float32)
         if stored > 0:
@@ -389,6 +392,9 @@ class FullPrecisionKVCacheLayer(DequantizingKVCache):
     A flushed block is stored verbatim, so attention reads the exact keys and
     values it was given, through the same routine as every quantized cache.
     """
+
+    def __init__(self, config: ModelConfig) -> None:
+        super().__init__(config)
 
     def _quantize_and_store(self, keys: np.ndarray, values: np.ndarray) -> None:
         self._store_dequantized(keys, values)

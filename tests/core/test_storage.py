@@ -87,6 +87,17 @@ class TestCodeStore:
         with pytest.raises(Exception):
             store.pop_front(7)
 
+    def test_popping_every_row_shrinks_a_grown_allocation(self):
+        rng = np.random.default_rng(7)
+        store = CodeStore((3,), np.float32, initial_capacity=4)
+        block = rng.normal(size=(10, 3)).astype(np.float32)
+        store.append(block)
+        popped = store.pop_front(10)
+        assert len(store) == 0 and store.capacity == 4
+        store.append(np.zeros((2, 3), dtype=np.float32))  # must not write into popped
+        np.testing.assert_array_equal(popped, block)
+        np.testing.assert_array_equal(store.view(), np.zeros((2, 3), np.float32))
+
     def test_bad_row_shape_rejected(self):
         store = CodeStore((2, 4), np.uint8)
         with pytest.raises(Exception):
